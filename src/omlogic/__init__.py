@@ -60,6 +60,7 @@ from omlogic.propagation import (
     measurement_map_identities,
     perfect_measurement_map,
     quantale_compose,
+    quantale_report,
     quantale_union,
     sasaki_map,
     sasaki_preorder,

@@ -9,11 +9,9 @@ same seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
@@ -35,28 +33,16 @@ from omlogic.lattice import (
     build_family,
 )
 from omlogic.propagation import (
-    compose_join,
     find_order_counterexample,
-    is_transition_map,
-    lift_join_map,
     measurement_map_identities,
     perfect_measurement_map,
-    pointwise_join,
-    quantale_compose,
-    quantale_union,
-    random_join_map,
-    random_transition_map,
-    random_union_preserving_map,
-    sup_morphism,
-    transition_oracle,
+    quantale_report,
 )
 from omlogic.syntax import ascii_sequent, pretty_sequent
 
 __all__ = ["main", "run"]
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
-
-ORACLE_LIMIT = 12  # subset enumeration beyond this is pointless at a desk
 
 
 class _Exit(Exception):
@@ -65,9 +51,10 @@ class _Exit(Exception):
         self.message = message
 
 
-def _load_lattice(path: str) -> FiniteOrthoLattice:
+def _load(path: str, parse, *context):
+    """Read and parse one input file; unreadable or malformed input exits 2."""
     try:
-        return parse_lattice(Path(path).read_text())
+        return parse(Path(path).read_text(), *context)
     except OSError as err:
         raise _Exit(USAGE_ERROR, f"cannot read {path}: {err}")
     except ParseError as err:
@@ -75,16 +62,8 @@ def _load_lattice(path: str) -> FiniteOrthoLattice:
 
 
 def _load_registry(lat: FiniteOrthoLattice, paths: list[str]) -> dict:
-    maps = {}
-    for path in paths:
-        try:
-            m = parse_map(Path(path).read_text(), lat)
-        except OSError as err:
-            raise _Exit(USAGE_ERROR, f"cannot read {path}: {err}")
-        except ParseError as err:
-            raise _Exit(USAGE_ERROR, f"{path}: {err}")
-        maps[m.label] = m
-    return maps
+    maps = [_load(path, parse_map, lat) for path in paths]
+    return {m.label: m for m in maps}
 
 
 def _parse_set(text: str, lat: FiniteOrthoLattice) -> frozenset[str]:
@@ -140,14 +119,6 @@ def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
     return OK if ok else CHECK_FAILED
 
 
-def _sweep(fn, items, workers: int):
-    """Order-preserving map; results are independent of the worker count."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -162,13 +133,13 @@ def _cmd_lattice_gen(args) -> int:
 
 
 def _cmd_lattice_verify(args) -> int:
-    lat = _load_lattice(args.lattice_file)
+    lat = _load(args.lattice_file, parse_lattice)
     report = lat.verify()
     return _emit_report(args, "lattice verify", list(report.checks))
 
 
 def _cmd_propagate(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     if args.measure:
         if args.measure not in lat:
             raise _Exit(USAGE_ERROR, f"unknown element {args.measure!r}")
@@ -177,8 +148,7 @@ def _cmd_propagate(args) -> int:
         except ValueError as err:
             raise _Exit(CHECK_FAILED, str(err))
     else:
-        maps = _load_registry(lat, [args.map])
-        f = next(iter(maps.values()))
+        f = _load(args.map, parse_map, lat)
     initial = _parse_set(args.set, lat)
     if "0" in initial:
         raise _Exit(USAGE_ERROR, "actuality sets never contain 0")
@@ -197,117 +167,15 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_quantale_verify(args) -> int:
-    lat = _load_lattice(args.lattice)
-    lat.ensure_verified()
-    rng = random.Random(args.seed)
-    checks: list[LawCheck] = []
-    measurements = {a: perfect_measurement_map(lat, a) for a in lat.elements}
-
-    def membership(a):
-        return is_transition_map(measurements[a]).ok
-
-    fast = _sweep(membership, lat.elements, args.workers)
-    bad = [a for a, ok in zip(lat.elements, fast) if not ok]
-    checks.append(LawCheck("measurement-membership", not bad, tuple(bad[:1]) or None))
-
-    if len(lat) <= ORACLE_LIMIT:
-        disagree = [
-            a
-            for a in lat.elements
-            if transition_oracle(measurements[a]).ok != is_transition_map(measurements[a]).ok
-            or not transition_oracle(measurements[a]).ok
-        ]
-        checks.append(
-            LawCheck("measurement-membership-oracle", not disagree, tuple(disagree[:1]) or None)
-        )
-        mismatched = 0
-        first = None
-        for i in range(args.random_maps):
-            f = random_union_preserving_map(lat, rng)
-            if is_transition_map(f).ok != transition_oracle(f).ok:
-                mismatched += 1
-                first = first or (str(i),)
-        checks.append(LawCheck("random-map-agreement", mismatched == 0, first))
-
-    pairs = list(itertools.product(lat.elements, repeat=2))
-    sups = {a: sup_morphism(measurements[a]) for a in lat.elements}
-    w = None
-    for a, b in pairs:
-        f, g = measurements[a], measurements[b]
-        if sup_morphism(quantale_compose(f, g)) != compose_join(sups[a], sups[b]):
-            w = (a, b)
-            break
-    checks.append(LawCheck("morphism-compose-measurements", w is None, w))
-    w = None
-    for a, b in pairs:
-        f, g = measurements[a], measurements[b]
-        if sup_morphism(quantale_union([f, g])) != pointwise_join([sups[a], sups[b]]):
-            w = (a, b)
-            break
-    checks.append(LawCheck("morphism-union-measurements", w is None, w))
-
-    w = None
-    for i in range(args.pairs):
-        f = random_transition_map(lat, rng)
-        g = random_transition_map(lat, rng)
-        if sup_morphism(quantale_compose(f, g)) != compose_join(
-            sup_morphism(f), sup_morphism(g)
-        ):
-            w = (f"compose sample {i}",)
-            break
-        if sup_morphism(quantale_union([f, g])) != pointwise_join(
-            [sup_morphism(f), sup_morphism(g)]
-        ):
-            w = (f"union sample {i}",)
-            break
-        if not is_transition_map(quantale_compose(f, g)).ok:
-            w = (f"compose closure sample {i}",)
-            break
-        if not is_transition_map(quantale_union([f, g])).ok:
-            w = (f"union closure sample {i}",)
-            break
-    checks.append(LawCheck("morphism-random-pairs", w is None, w))
-
-    w = None
-    for i in range(args.join_maps):
-        f = random_join_map(lat, rng)
-        if sup_morphism(lift_join_map(f)) != f:
-            w = (f"sample {i}",)
-            break
-    checks.append(LawCheck("surjectivity-lift-section", w is None, w))
-
-    def branch_sound(a):
-        if a == "0":
-            return None
-        f, ao = measurements[a], lat.ortho(a)
-        for b in lat.nonzero():
-            for c in f.singleton(b):
-                if not (lat.leq(c, a) or lat.leq(c, ao)):
-                    return (a, b, c)
-        return None
-
-    failures = [r for r in _sweep(branch_sound, lat.elements, args.workers) if r]
-    checks.append(LawCheck("branch-soundness", not failures, failures[0] if failures else None))
-
-    w = None
-    for a in lat.nonzero():
-        f = measurements[a]
-        for b in lat.nonzero():
-            if not lat.compatible(a, b):
-                continue
-            img = f.singleton(b)
-            if not all(lat.leq(c, b) for c in img) or lat.join_set(img) != b:
-                w = (a, b)
-                break
-        if w:
-            break
-    checks.append(LawCheck("compatibility-preservation", w is None, w))
-
-    return _emit_report(args, "quantale verify", checks)
+    lat = _load(args.lattice, parse_lattice)
+    report = quantale_report(
+        lat, random.Random(args.seed), args.random_maps, args.pairs, args.join_maps
+    )
+    return _emit_report(args, "quantale verify", list(report.checks))
 
 
 def _cmd_counterexample_order(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     witness = find_order_counterexample(lat)
     if witness is None:
         print("none")
@@ -337,13 +205,13 @@ def _cmd_counterexample_order(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     report = measurement_map_identities(lat)
     return _emit_report(args, "prop1", list(report.checks))
 
 
 def _prove(args, composed: bool) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     try:
         if composed:
             d = derive_composed(lat, args.actual, args.measure, args.then)
@@ -369,19 +237,10 @@ def _cmd_prove_composed(args) -> int:
     return _prove(args, composed=True)
 
 
-def _load_derivation(args, lat):
-    try:
-        return parse_derivation(Path(args.derivation).read_text(), lat)
-    except OSError as err:
-        raise _Exit(USAGE_ERROR, f"cannot read {args.derivation}: {err}")
-    except ParseError as err:
-        raise _Exit(USAGE_ERROR, f"{args.derivation}: {err}")
-
-
 def _cmd_check(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     maps = _load_registry(lat, args.register)
-    d = _load_derivation(args, lat)
+    d = _load(args.derivation, parse_derivation, lat)
     verdict = check_derivation(lat, d, maps)
     if verdict.valid:
         checks = [LawCheck("derivation-valid", True, None)]
@@ -393,7 +252,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_axiom_instantiate(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     maps = _load_registry(lat, args.register)
     bindings = {}
     for item in args.bind:
@@ -413,9 +272,9 @@ def _cmd_axiom_instantiate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    lat = _load_lattice(args.lattice)
+    lat = _load(args.lattice, parse_lattice)
     maps = _load_registry(lat, args.register)
-    d = _load_derivation(args, lat)
+    d = _load(args.derivation, parse_derivation, lat)
     result = semantic_crosscheck(lat, d, maps)
     if result.ok:
         print(
@@ -454,15 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, workers=False):
+    def common(p, seed=False):
         p.add_argument("--json", metavar="PATH", help="write a structured report")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        if workers:
-            p.add_argument(
-                "--workers", type=int, default=1,
-                help="parallelize exhaustive sweeps (results are worker-independent)",
-            )
 
     lattice = sub.add_parser("lattice", help="generate and verify lattices")
     lattice_sub = lattice.add_subparsers(dest="subcommand", required=True)
@@ -494,7 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-maps", type=int, default=200)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--join-maps", type=int, default=100)
-    common(p, seed=True, workers=True)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted and ignored: verification is single-threaded",
+    )
+    common(p, seed=True)
     p.set_defaults(func=_cmd_quantale_verify)
 
     counter = sub.add_parser("counterexample", help="order-preservation searches")

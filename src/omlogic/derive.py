@@ -76,10 +76,6 @@ def derive_distributivity(z: Formula, x: Formula, y: Formula) -> RuleApp:
     return RuleApp("tensor_l", Sequent((Tensor(z, Plus(x, y)),), goal_rhs), (split,))
 
 
-def _in_and_r(lat: FiniteOrthoLattice, x: str) -> Tensor:
-    return Tensor(actual(lat, x), reachable(lat, x))
-
-
 def derive_measurement(lat: FiniteOrthoLattice, actual_el: str, measured: str) -> RuleApp:
     """Derivation for one two-outcome measurement on an entity whose actual
     and reachable property is ``actual_el``.

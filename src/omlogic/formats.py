@@ -78,12 +78,13 @@ def _strip_comment(line: str) -> str:
 
 
 def _line_tokens(text: str):
-    """Yield (line_number, [(column, token), ...]) for nonempty lines."""
+    """Yield (line_number, line, [(column, token), ...]) for nonempty lines,
+    comments stripped."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
         if toks:
-            yield ln, toks
+            yield ln, line, toks
 
 
 def _line_error(msg, ln, col, tok, expected=frozenset()):
@@ -104,7 +105,7 @@ def parse_lattice(text: str) -> FiniteOrthoLattice:
     leq: list[tuple[str, str]] = []
     ortho: list[tuple[str, str]] = []
     ended = False
-    for ln, toks in _line_tokens(text):
+    for ln, _, toks in _line_tokens(text):
         col, head = toks[0]
         if ended:
             _line_error("content after 'end'", ln, col, head)
@@ -160,7 +161,7 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
     measured = None
     action: dict[str, set[str]] = {}
     ended = False
-    for ln, toks in _line_tokens(text):
+    for ln, line, toks in _line_tokens(text):
         col, head = toks[0]
         if ended:
             _line_error("content after 'end'", ln, col, head)
@@ -184,8 +185,7 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
                 _line_error(f"unknown element {el!r}", ln, c, el)
             measured = el
         elif head == "on":
-            rest = " ".join(t for _, t in toks)
-            m = re.fullmatch(r"on\s+(\S+)\s+->\s*\{([^{}]*)\}", rest)
+            m = re.fullmatch(r"\s*on\s+(\S+)\s+->\s*\{([^{}]*)\}\s*", line)
             if not m:
                 _line_error("malformed 'on' line", ln, col, head, {"on <element> -> {…}"})
             el = m.group(1)
@@ -193,11 +193,14 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
                 _line_error(f"unknown element {el!r}", ln, toks[1][0], el)
             if el in action:
                 _line_error(f"duplicate 'on' line for {el!r}", ln, toks[1][0], el)
-            values = [v.strip() for v in m.group(2).split(",") if v.strip()]
-            for v in values:
-                if v not in lat:
-                    _line_error(f"unknown element {v!r}", ln, col, v)
-            action[el] = set(values)
+            values = set()
+            # comma-separated names, each stripped of surrounding whitespace
+            for v in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", m.group(2)):
+                name, vcol = v.group(), m.start(2) + v.start() + 1
+                if name not in lat:
+                    _line_error(f"unknown element {name!r}", ln, vcol, name)
+                values.add(name)
+            action[el] = values
         elif head == "end":
             ended = True
         else:
@@ -252,12 +255,14 @@ class _Token:
     span: SourceSpan
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, pattern: re.Pattern) -> list[_Token]:
+    """Split text into tokens of ``pattern``'s named groups, dropping ``ws``
+    and ``comment``; the list ends with an ``eof`` token."""
     out = []
     line, line_start = 1, 0
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if not m:
             raise ParseError(
                 f"unexpected character {text[pos]!r}",
@@ -266,13 +271,7 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         tok = m.group()
         if kind not in ("ws", "comment"):
-            out.append(
-                _Token(
-                    "punct" if kind == "punct" else kind,
-                    tok,
-                    SourceSpan(line, pos - line_start + 1, len(tok)),
-                )
-            )
+            out.append(_Token(kind, tok, SourceSpan(line, pos - line_start + 1, len(tok))))
         newlines = tok.count("\n")
         if newlines:
             line += newlines
@@ -282,15 +281,25 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-_ATOM_HEADS = ("In", "R", "M", "IND")
+# Deepest nesting either parser accepts: formula levels (parentheses, '-o',
+# 'forall', 'ortho' and each term of a '+' chain) or derivation levels.  The
+# parsers, the kernel and the printers recurse on the trees built here, so the
+# limit keeps every input far from Python's recursion limit; the proof corpus
+# needs depth 12.
+MAX_DEPTH = 100
 
 
-class _FormulaParser:
+class _Parser:
+    """Token cursor shared by the formula and derivation parsers, which set
+    ``pattern`` to their token grammar."""
+
+    pattern: re.Pattern
+
     def __init__(self, text: str, lat: FiniteOrthoLattice):
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, self.pattern)
         self.pos = 0
+        self.depth = 0
         self.lat = lat
-        self.bound: list[str] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -301,8 +310,25 @@ class _FormulaParser:
         return tok
 
     def error(self, message: str, expected=frozenset(), token: _Token | None = None):
-        tok = token or self.peek()
-        raise ParseError(message, tok.span, frozenset(expected))
+        raise ParseError(message, (token or self.peek()).span, frozenset(expected))
+
+    def descend(self) -> None:
+        """Enter one nesting level at the next token; callers step back out
+        by decrementing ``depth``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels")
+
+
+_ATOM_HEADS = ("In", "R", "M", "IND")
+
+
+class _FormulaParser(_Parser):
+    pattern = _TOKEN_RE
+
+    def __init__(self, text: str, lat: FiniteOrthoLattice):
+        super().__init__(text, lat)
+        self.bound: list[str] = []
 
     def expect(self, text: str) -> _Token:
         tok = self.peek()
@@ -339,17 +365,22 @@ class _FormulaParser:
         )
 
     def formula(self) -> Formula:
-        left = self.sum()
+        self.descend()
+        out = self.sum()
         if self.peek().kind == "lolli":
             self.advance()
-            return Lolli(left, self.formula())
-        return left
+            out = Lolli(out, self.formula())
+        self.depth -= 1
+        return out
 
     def sum(self) -> Formula:
+        depth = self.depth
         out = self.product()
         while self.peek().text == "+":
+            self.descend()  # the tree nests one level per term of the chain
             self.advance()
             out = Plus(out, self.product())
+        self.depth = depth
         return out
 
     def product(self) -> Formula:
@@ -404,10 +435,12 @@ class _FormulaParser:
     def term(self) -> Term:
         tok = self.peek()
         if tok.text == "ortho":
+            self.descend()
             self.advance()
             self.expect("(")
             inner = self.term()
             self.expect(")")
+            self.depth -= 1
             return OrthoTerm(inner)
         if tok.kind != "name":
             self.error("expected a term", {"<name>", "ortho"})
@@ -487,40 +520,8 @@ _SEXPR_RE = re.compile(
 )
 
 
-class _DerivationParser:
-    def __init__(self, text: str, lat: FiniteOrthoLattice):
-        self.lat = lat
-        self.tokens: list[_Token] = []
-        line, line_start, pos = 1, 0, 0
-        while pos < len(text):
-            m = _SEXPR_RE.match(text, pos)
-            if not m:
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}",
-                    SourceSpan(line, pos - line_start + 1, 1),
-                )
-            kind, tok = m.lastgroup, m.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append(
-                    _Token(kind, tok, SourceSpan(line, pos - line_start + 1, len(tok)))
-                )
-            if "\n" in tok:
-                line += tok.count("\n")
-                line_start = pos + tok.rindex("\n") + 1
-            pos = m.end()
-        self.tokens.append(_Token("eof", "", SourceSpan(line, len(text) - line_start + 1, 1)))
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, expected=frozenset(), token=None):
-        raise ParseError(message, (token or self.peek()).span, frozenset(expected))
+class _DerivationParser(_Parser):
+    pattern = _SEXPR_RE
 
     def expect_open(self, *heads: str) -> str:
         if self.peek().kind != "open":
@@ -544,10 +545,11 @@ class _DerivationParser:
         return node
 
     def node(self) -> Derivation:
+        self.descend()
         head = self.expect_open("rule", "axiom")
-        if head == "rule":
-            return self.rule_node()
-        return self.axiom_node()
+        node = self.rule_node() if head == "rule" else self.axiom_node()
+        self.depth -= 1
+        return node
 
     def rule_node(self) -> RuleApp:
         name_tok = self.peek()
@@ -613,9 +615,11 @@ class _DerivationParser:
         if tok.text == "ortho":
             if self.peek().kind != "open":
                 self.error("expected '('", {"("})
+            self.descend()
             self.advance()
             inner = self.witness_term()
             self.expect_close()
+            self.depth -= 1
             return OrthoTerm(inner)
         if tok.text in self.lat:
             return Const(tok.text)

@@ -38,6 +38,7 @@ __all__ = [
     "sasaki_preorder",
     "find_order_counterexample",
     "measurement_map_identities",
+    "quantale_report",
     "random_union_preserving_map",
     "random_join_map",
     "random_transition_map",
@@ -396,6 +397,135 @@ def measurement_map_identities(lat: FiniteOrthoLattice) -> VerificationReport:
             w = (a, b)
             break
     checks.append(LawCheck("pair-separation", w is None, w))
+    return VerificationReport(tuple(checks))
+
+
+ORACLE_LIMIT = 12  # subset enumeration beyond this is pointless at a desk
+
+
+def _sup_or_none(f: PowersetMap) -> JoinMap | None:
+    """sup_morphism(f), or None when f is not a transition map."""
+    try:
+        return sup_morphism(f)
+    except TransitionMapError:
+        return None
+
+
+def quantale_report(
+    lat: FiniteOrthoLattice,
+    rng: random.Random,
+    random_maps: int = 200,
+    pairs: int = 100,
+    join_maps: int = 100,
+) -> VerificationReport:
+    """The quantale laws of the transition maps on an orthomodular lattice:
+    measurement maps are members (checked against the subset oracle, with
+    ``random_maps`` random maps, up to ``ORACLE_LIMIT`` elements);
+    :func:`sup_morphism` respects composition and union of measurement maps
+    and of ``pairs`` random members, and lifting is its section on
+    ``join_maps`` random join maps; measurement branches are sound and fix
+    compatible elements.  A map's membership is decided once, by the
+    :func:`sup_morphism` call that needs it, so a composite or union outside
+    the quantale is a witness.  A seed for ``rng`` fixes the report.
+    """
+    lat.ensure_verified()
+    measurements = {a: perfect_measurement_map(lat, a) for a in lat.elements}
+    sups = {a: _sup_or_none(f) for a, f in measurements.items()}
+
+    def membership():
+        return next(((a,) for a in lat.elements if sups[a] is None), None)
+
+    def membership_oracle():
+        for a in lat.elements:
+            if not transition_oracle(measurements[a]).ok or sups[a] is None:
+                return (a,)
+        return None
+
+    def random_map_agreement():
+        first = None  # draw every sample, so later laws see the same rng state
+        for i in range(random_maps):
+            f = random_union_preserving_map(lat, rng)
+            if is_transition_map(f).ok != transition_oracle(f).ok:
+                first = first or (str(i),)
+        return first
+
+    def union2(f, g):
+        return quantale_union([f, g])
+
+    def join2(p, q):
+        return pointwise_join([p, q])
+
+    def on_measurements(combine, expected):
+        for a, b in itertools.product(lat.elements, repeat=2):
+            sa, sb = sups[a], sups[b]
+            if sa is None or sb is None:
+                return (a, b)
+            if _sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
+                return (a, b)
+        return None
+
+    def random_pairs():
+        for i in range(pairs):
+            f = random_transition_map(lat, rng)
+            g = random_transition_map(lat, rng)
+            sf, sg = _sup_or_none(f), _sup_or_none(g)
+            if sf is None or sg is None:
+                return (f"member sample {i}",)
+            for name, combine, expected in (
+                ("compose", quantale_compose, compose_join),
+                ("union", union2, join2),
+            ):
+                got = _sup_or_none(combine(f, g))
+                if got is None:
+                    return (f"{name} closure sample {i}",)
+                if got != expected(sf, sg):
+                    return (f"{name} sample {i}",)
+        return None
+
+    def lift_section():
+        for i in range(join_maps):
+            f = random_join_map(lat, rng)
+            if _sup_or_none(lift_join_map(f)) != f:
+                return (f"sample {i}",)
+        return None
+
+    def branch_soundness():
+        for a in lat.nonzero():
+            ao = lat.ortho(a)
+            for b in lat.nonzero():
+                for c in measurements[a].singleton(b):
+                    if not (lat.leq(c, a) or lat.leq(c, ao)):
+                        return (a, b, c)
+        return None
+
+    def compatibility_preservation():
+        for a in lat.nonzero():
+            for b in lat.nonzero():
+                if not lat.compatible(a, b):
+                    continue
+                img = measurements[a].singleton(b)
+                if not all(lat.leq(c, b) for c in img) or lat.join_set(img) != b:
+                    return (a, b)
+        return None
+
+    laws = [("measurement-membership", membership)]
+    if len(lat) <= ORACLE_LIMIT:
+        laws += [
+            ("measurement-membership-oracle", membership_oracle),
+            ("random-map-agreement", random_map_agreement),
+        ]
+    laws += [
+        ("morphism-compose-measurements", lambda: on_measurements(quantale_compose, compose_join)),
+        ("morphism-union-measurements", lambda: on_measurements(union2, join2)),
+        ("morphism-random-pairs", random_pairs),
+        ("surjectivity-lift-section", lift_section),
+        ("branch-soundness", branch_soundness),
+        ("compatibility-preservation", compatibility_preservation),
+    ]
+    checks = []
+    for name, law in laws:  # in report order, which is also the order of rng draws
+        w = law()
+        checks.append(LawCheck(name, w is None, w))
     return VerificationReport(tuple(checks))
 
 

@@ -138,3 +138,11 @@ def random_derivation(rng: random.Random):
             lat, rng.choice(names), rng.choice(names), rng.choice(names)
         )
     return lat, d
+
+
+def non_transition_map(lat: FiniteOrthoLattice) -> PowersetMap:
+    """A map on mo(2) outside the transition maps: {b, b'} and {a, a'} have
+    equal joins, but their images {a} and {a, a'} do not."""
+    return PowersetMap(
+        lat, {"a": {"a"}, "a'": {"a'"}, "b": {"a"}, "b'": {"a"}, "1": {"a"}}
+    )

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gen
+import omlogic
 from omlogic.cli import run
 from omlogic.formats import parse_derivation, parse_lattice, serialize
 from omlogic.lattice import hexagon, mo
@@ -108,6 +111,18 @@ class TestQuantaleVerify:
     def test_hexagon_rejected(self, hexagon_file):
         assert run(["quantale", "verify", "--lattice", hexagon_file]) == 1
 
+    def test_non_member_composite_fails_cleanly(self, mo2_file, monkeypatch, capsys):
+        bad = gen.non_transition_map(mo(2))
+        monkeypatch.setattr("omlogic.propagation.quantale_compose", lambda f, g: bad)
+        argv = [
+            "quantale", "verify", "--lattice", mo2_file,
+            "--random-maps", "5", "--pairs", "5", "--join-maps", "5",
+        ]
+        assert run(argv) == 1
+        out = capsys.readouterr().out
+        assert "FAIL morphism-compose-measurements  witness (0, 0)" in out
+        assert "FAIL morphism-random-pairs  witness (compose closure sample 0)" in out
+
 
 class TestCounterexample:
     def test_mo2_witness(self, mo2_file, tmp_path, capsys):
@@ -194,6 +209,32 @@ class TestProveCheckCrosscheck:
         assert "invalid at node" in capsys.readouterr().out
 
 
+class TestDeepInput:
+    """Input nested past the parsers' depth limit is a parse error (exit 2)
+    with a position, never a RecursionError traceback."""
+
+    def check_exit(self, tmp_path, mo2_file, capsys, text):
+        drv = tmp_path / "deep.drv"
+        drv.write_text(text)
+        capsys.readouterr()
+        assert run(["check", str(drv), "--lattice", mo2_file]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_deeply_parenthesized_sequent(self, mo2_file, tmp_path, capsys):
+        nested = "(" * 3000 + "In(a)" + ")" * 3000
+        err = self.check_exit(tmp_path, mo2_file, capsys, f'(rule id (seq "{nested} |- In(a)"))\n')
+        assert err.startswith(f"{tmp_path / 'deep.drv'}: 1:15: in sequent string: 1:101: nesting")
+
+    def test_deep_plus_r1_chain(self, mo2_file, tmp_path, capsys):
+        text = '(rule id (seq "In(a) |- In(a)"))'
+        for _ in range(1500):
+            text = f'(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n{text})'
+        err = self.check_exit(tmp_path, mo2_file, capsys, text + "\n")
+        assert err.startswith(f"{tmp_path / 'deep.drv'}: 101:1: nesting deeper than 100 levels")
+
+
 class TestAxiomInstantiate:
     def test_trans(self, mo2_file, capsys):
         assert (
@@ -258,6 +299,9 @@ class TestEntryPoint:
              "--n", "2", "-o", str(out)],
             capture_output=True,
             text=True,
+            # the directory holding the package under test, so that
+            # ``-m omlogic`` finds it without an install
+            cwd=Path(omlogic.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert parse_lattice(out.read_text()) == mo(2)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import gen
 from omlogic.derive import derive_measurement
 from omlogic.formats import (
+    MAX_DEPTH,
     ParseError,
     parse_derivation,
     parse_formula,
@@ -102,6 +104,14 @@ class TestMapFormat:
         lat = mo(2)
         with pytest.raises(ParseError, match="missing"):
             parse_map("map m over mo2\non a -> {a}\nend\n", lat)
+
+    def test_unknown_image_element_span(self):
+        with pytest.raises(ParseError) as err:
+            parse_map("map m over mo2\non a -> {zz}\nend\n", mo(2))
+        assert (err.value.span.line, err.value.span.column, err.value.span.length) == (2, 10, 2)
+        with pytest.raises(ParseError) as err:
+            parse_map("map m over mo2\n  on a ->{ a ,  zz }\nend\n", mo(2))
+        assert (err.value.span.line, err.value.span.column) == (2, 17)
 
     def test_empty_image_allowed(self):
         lat = mo(2)
@@ -219,6 +229,66 @@ class TestDerivationFormat:
         with pytest.raises(ParseError) as err:
             parse_derivation('(rule id (seq "In(a) |-"))', lat)
         assert err.value.span.line == 1
+
+
+def deep_formulas(levels: int) -> dict[str, str]:
+    """Formulas nested ``levels`` deep, one per kind of nesting."""
+    return {
+        "parentheses": "(" * (levels - 1) + "In(a)" + ")" * (levels - 1),
+        "plus chain": " + ".join(["In(a)"] * levels),
+        "lolli chain": " -o ".join(["In(a)"] * levels),
+        "forall chain": "forall x . " * (levels - 1) + "In(x)",
+        "ortho chain": "In(" + "ortho(" * (levels - 1) + "a" + ")" * levels,
+    }
+
+
+def plus_r1_chain(levels: int) -> str:
+    text = '(rule id (seq "In(a) |- In(a)"))'
+    for _ in range(levels - 1):
+        text = f'(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n{text})'
+    return text + "\n"
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("kind", sorted(deep_formulas(2)))
+    def test_limit_accepted(self, kind):
+        lat = mo(2)
+        f = parse_formula(deep_formulas(MAX_DEPTH)[kind], lat)
+        assert parse_formula(serialize(f), lat) == f
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3 * sys.getrecursionlimit()])
+    @pytest.mark.parametrize("kind", sorted(deep_formulas(2)))
+    def test_past_limit_rejected(self, kind, levels):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_formula(deep_formulas(levels)[kind], mo(2))
+
+    def test_span_points_at_crossing_token(self):
+        lat = mo(2)
+        with pytest.raises(ParseError) as err:
+            parse_formula("(" * 3000 + "In(a)" + ")" * 3000, lat)
+        assert (err.value.span.line, err.value.span.column) == (1, MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse_formula("+".join(["In(a)"] * 3000), lat)
+        # the chain nests one level per '+': the 100th '+' ends term 100
+        assert err.value.span.column == 6 * MAX_DEPTH
+        assert err.value.span.length == 1
+
+    def test_derivation_limit(self):
+        lat = mo(2)
+        d = parse_derivation(plus_r1_chain(MAX_DEPTH), lat)
+        assert parse_derivation(serialize(d), lat) == d
+        with pytest.raises(ParseError) as err:
+            parse_derivation(plus_r1_chain(MAX_DEPTH + 1), lat)
+        assert err.value.span.line == MAX_DEPTH + 1
+
+    def test_derivation_beyond_recursion_limit(self):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_derivation(plus_r1_chain(sys.getrecursionlimit() + 500), mo(2))
+
+    def test_deep_sequent_inside_derivation(self):
+        text = '(rule id (seq "' + "(" * 3000 + "In(a)" + ")" * 3000 + ' |- In(a)"))'
+        with pytest.raises(ParseError, match="in sequent string: 1:101: nesting deeper"):
+            parse_derivation(text, mo(2))
 
 
 class TestRoundTripCorpus:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omlogic.lattice import boolean, hexagon, mo
+import gen
+from omlogic import propagation
+from omlogic.lattice import NotOrthomodularError, boolean, hexagon, mo
 from omlogic.propagation import (
     JoinMap,
     LatticeMismatchError,
@@ -21,6 +23,7 @@ from omlogic.propagation import (
     perfect_measurement_map,
     pointwise_join,
     quantale_compose,
+    quantale_report,
     quantale_union,
     random_join_map,
     random_transition_map,
@@ -139,9 +142,7 @@ class TestSupMorphism:
 
     def test_rejects_non_transition_map(self):
         lat = mo(2)
-        f = PowersetMap(
-            lat, {"a": {"a"}, "a'": {"a'"}, "b": {"a"}, "b'": {"a"}, "1": {"a"}}
-        )
+        f = gen.non_transition_map(lat)
         with pytest.raises(TransitionMapError) as err:
             sup_morphism(f)
         A, B = err.value.witness_a, err.value.witness_b
@@ -369,3 +370,56 @@ class TestBranchInvariants:
                     img = f.singleton(b)
                     assert all(lat.leq(c, b) for c in img)
                     assert lat.join_set(img) == b
+
+
+QUANTALE_LAWS = [
+    "measurement-membership",
+    "measurement-membership-oracle",
+    "random-map-agreement",
+    "morphism-compose-measurements",
+    "morphism-union-measurements",
+    "morphism-random-pairs",
+    "surjectivity-lift-section",
+    "branch-soundness",
+    "compatibility-preservation",
+]
+ORACLE_LAWS = ("measurement-membership-oracle", "random-map-agreement")
+
+
+def small_report(lat):
+    return quantale_report(lat, random.Random(0), random_maps=20, pairs=10, join_maps=10)
+
+
+class TestQuantaleReport:
+    def test_oracle_branch_all_pass(self):
+        lat = mo(3)
+        assert len(lat) <= propagation.ORACLE_LIMIT
+        report = small_report(lat)
+        assert [c.law for c in report.checks] == QUANTALE_LAWS
+        assert report.ok
+
+    def test_without_oracle_all_pass(self):
+        lat = boolean(4)
+        assert len(lat) > propagation.ORACLE_LIMIT
+        report = small_report(lat)
+        assert [c.law for c in report.checks] == [
+            law for law in QUANTALE_LAWS if law not in ORACLE_LAWS
+        ]
+        assert report.ok
+
+    def test_non_orthomodular_rejected(self):
+        with pytest.raises(NotOrthomodularError):
+            small_report(hexagon())
+
+    def test_non_member_composite_is_a_witness(self, monkeypatch):
+        lat = mo(2)
+        bad = gen.non_transition_map(lat)
+        monkeypatch.setattr(propagation, "quantale_compose", lambda f, g: bad)
+        report = small_report(lat)
+        compose = report["morphism-compose-measurements"]
+        assert not compose.passed
+        assert compose.witness == ("0", "0")
+        pairs = report["morphism-random-pairs"]
+        assert not pairs.passed
+        assert pairs.witness == ("compose closure sample 0",)
+        assert report["morphism-union-measurements"].passed
