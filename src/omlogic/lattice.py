@@ -145,7 +145,10 @@ class FiniteOrthoLattice:
 
         self._meet = [[self._glb(i, j) for j in range(n)] for i in range(n)]
         self._join = [[self._lub(i, j) for j in range(n)] for i in range(n)]
+        self._zero = self._index["0"]
         self._report: VerificationReport | None = None
+        self._complete: set[str] = set()  # tables known to have no missing entry
+        self._irreducibles: tuple[int, ...] | None = None
 
     # -- basic access -------------------------------------------------------
 
@@ -269,10 +272,7 @@ class FiniteOrthoLattice:
         return out
 
     def ortho(self, a: str) -> str:
-        o = self._ortho[self.index(a)]
-        if o is None:
-            raise IncompleteLatticeError(f"no orthocomplement for {a!r}")
-        return self.elements[o]
+        return self.elements[self._ortho_of(self.index(a))]
 
     def sasaki(self, a: str, b: str) -> str:
         """Sasaki projection of b onto a: ``a meet (b join ortho(a))``."""
@@ -281,6 +281,46 @@ class FiniteOrthoLattice:
     def compatible(self, a: str, b: str) -> bool:
         """Commutation criterion: a = (a^b) v (a^b')."""
         return a == self.join(self.meet(a, b), self.meet(a, self.ortho(b)))
+
+    # -- index-level access ---------------------------------------------------
+    #
+    # The propagation maps work on element indices and bitmasks of them; these
+    # raise the same errors as the name-level queries instead of handing out a
+    # missing (None) entry.
+
+    def _table(self, op: str) -> list[list[int]]:
+        """The ``meet`` or ``join`` table by index, once every pair is known
+        to have one; raises :class:`IncompleteLatticeError` naming the first
+        pair that has none."""
+        table = self._meet if op == "meet" else self._join
+        if op not in self._complete:
+            for i, row in enumerate(table):
+                if None in row:
+                    a, b = self.elements[i], self.elements[row.index(None)]
+                    raise IncompleteLatticeError(f"no {op} for ({a!r}, {b!r})")
+            self._complete.add(op)
+        return table
+
+    def _ortho_of(self, i: int) -> int:
+        o = self._ortho[i]
+        if o is None:
+            raise IncompleteLatticeError(
+                f"no orthocomplement for {self.elements[i]!r}"
+            )
+        return o
+
+    def _join_irreducibles(self) -> tuple[int, ...]:
+        """Indices of the join-irreducible elements: those other than 0 that
+        are not the join of two elements both different from them.  Every
+        element of a finite lattice is a join of these.  Computed once."""
+        if self._irreducibles is None:
+            reducible = {self._zero}
+            for i, row in enumerate(self._table("join")):
+                reducible.update(k for j, k in enumerate(row) if k != i and k != j)
+            self._irreducibles = tuple(
+                k for k in range(len(self)) if k not in reducible
+            )
+        return self._irreducibles
 
     # -- verification ---------------------------------------------------------
 

@@ -7,6 +7,13 @@ equal-join argument sets must have equal-join images, checked by
 :func:`is_transition_map`.  A :class:`JoinMap` is a self-map of the lattice;
 :func:`sup_morphism` sends each transition map to the join map describing how
 definite actual properties propagate.
+
+Maps are stored by element index: a powerset map holds one image bitmask per
+element (bit i stands for ``lattice.elements[i]``) and a join map one element
+index per element.  Everything here computes on those and on the lattice's
+meet, join and orthocomplement tables.  Element names appear only at the
+boundary: the public constructors, ``singleton``/``apply``/``items``/
+``__call__``, and witnesses.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from omlogic.lattice import FiniteOrthoLattice, LawCheck, VerificationReport
 
@@ -69,41 +78,67 @@ class MapCheck:
     witness: tuple[frozenset[str], frozenset[str]] | None = None
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(lat: FiniteOrthoLattice, mask: int) -> frozenset[str]:
+    els = lat.elements
+    return frozenset([els[i] for i in _bits(mask)])
+
+
+def _action_masks(
+    lat: FiniteOrthoLattice, action: Mapping[str, Iterable[str]]
+) -> list[int]:
+    """Validate a singleton action given by names and encode it by index."""
+    masks = [0] * len(lat)
+    for b, e in enumerate(lat.elements):
+        if b == lat._zero:
+            continue
+        if e not in action:
+            raise ValueError(f"singleton action missing element {e!r}")
+        for c in frozenset(action[e]):
+            i = lat.index(c)
+            if i == lat._zero:
+                raise ValueError("images must not contain 0")
+            masks[b] |= 1 << i
+    extra = set(action) - set(lat.nonzero())
+    if extra:
+        raise ValueError(f"action defined on non-domain names {sorted(extra)}")
+    return masks
+
+
 class PowersetMap:
     """Union-preserving self-map of the nonzero-property powerset, stored by
-    its singleton action.  Images never contain 0; empty images are allowed
-    for general maps (the kill set) but never occur for measurement maps.
+    its singleton action: one image bitmask per element index, empty for 0.
+    Images never contain 0; empty images are allowed for general maps (the
+    kill set) but never occur for measurement maps.
 
     ``kind`` is one of ``measurement``, ``lifted``, ``general``; equality
-    compares the lattice and the action table only.
+    compares the lattice and the action table only.  Callers give ``action``
+    by names; this module builds maps from already-valid masks with
+    ``_masks``.
     """
 
     def __init__(
         self,
         lattice: FiniteOrthoLattice,
-        action: Mapping[str, Iterable[str]],
+        action: Mapping[str, Iterable[str]] | None = None,
         kind: str = "general",
         label: str | None = None,
         measured: str | None = None,
+        *,
+        _masks: list[int] | None = None,
     ):
         if kind not in ("measurement", "lifted", "general"):
             raise ValueError(f"unknown map kind {kind!r}")
         self.lattice = lattice
-        domain = lattice.nonzero()
-        table: dict[str, frozenset[str]] = {}
-        for b in domain:
-            if b not in action:
-                raise ValueError(f"singleton action missing element {b!r}")
-            img = frozenset(action[b])
-            for c in img:
-                lattice.index(c)
-                if c == "0":
-                    raise ValueError("images must not contain 0")
-            table[b] = img
-        extra = set(action) - set(domain)
-        if extra:
-            raise ValueError(f"action defined on non-domain names {sorted(extra)}")
-        self._table = table
+        self._masks = _masks if _masks is not None else _action_masks(lattice, action)
+        self._sup: list[int] | None = None
         self.kind = kind
         self.label = label
         self.measured = measured
@@ -111,75 +146,125 @@ class PowersetMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowersetMap):
             return NotImplemented
-        return self.lattice == other.lattice and self._table == other._table
+        return self.lattice == other.lattice and self._masks == other._masks
 
     def __repr__(self) -> str:
         tag = self.label or self.kind
         return f"PowersetMap({tag!r} over {self.lattice.name!r})"
 
-    def singleton(self, b: str) -> frozenset[str]:
-        self.lattice.index(b)
-        if b == "0":
+    def _domain_index(self, b: str) -> int:
+        i = self.lattice.index(b)
+        if i == self.lattice._zero:
             raise ValueError("0 is outside the map domain")
-        return self._table[b]
+        return i
+
+    def singleton(self, b: str) -> frozenset[str]:
+        return _names(self.lattice, self._masks[self._domain_index(b)])
 
     def apply(self, actuality: Iterable[str]) -> frozenset[str]:
         """Image of a set: the union of singleton images."""
-        out: set[str] = set()
+        mask = 0
         for b in actuality:
             if b not in self.lattice:
                 raise LatticeMismatchError(
                     f"{b!r} is not an element of {self.lattice.name!r}"
                 )
-            out |= self.singleton(b)
-        return frozenset(out)
+            mask |= self._masks[self._domain_index(b)]
+        return _names(self.lattice, mask)
 
     def items(self) -> list[tuple[str, frozenset[str]]]:
-        return [(b, self._table[b]) for b in self.lattice.nonzero()]
+        lat = self.lattice
+        return [
+            (e, _names(lat, self._masks[b]))
+            for b, e in enumerate(lat.elements)
+            if b != lat._zero
+        ]
+
+    def _sups(self) -> list[int]:
+        """Join of each singleton image by element index, 0 for an empty
+        image and for 0 itself.  Computed once."""
+        if self._sup is None:
+            join, zero = self.lattice._table("join"), self.lattice._zero
+            sups = []
+            for mask in self._masks:
+                s = zero
+                while mask:  # _bits, inlined: this loop is the hottest in the module
+                    low = mask & -mask
+                    s = join[s][low.bit_length() - 1]
+                    mask ^= low
+                sups.append(s)
+            self._sup = sups
+        return self._sup
+
+
+def _join_violation(lat: FiniteOrthoLattice, f: list[int]) -> tuple[int, int] | None:
+    """First (j, y) by index, j join-irreducible, with f(j v y) != f(j) v f(y)
+    for a self-map f given by index with f(0) = 0; None when there is none."""
+    join = lat._table("join")
+    for j in lat._join_irreducibles():
+        row, fj = join[j], join[f[j]]
+        for y, jy in enumerate(row):
+            if f[jy] != fj[f[y]]:
+                return j, y
+    return None
 
 
 class JoinMap:
-    """A self-map of the lattice, total on all elements including 0."""
+    """A self-map of the lattice, total on all elements including 0, stored
+    as one element index per element index.  Callers give ``table`` by
+    names; this module builds maps from already-valid indices with
+    ``_values``."""
 
-    def __init__(self, lattice: FiniteOrthoLattice, table: Mapping[str, str]):
+    def __init__(
+        self,
+        lattice: FiniteOrthoLattice,
+        table: Mapping[str, str] | None = None,
+        *,
+        _values: list[int] | None = None,
+    ):
         self.lattice = lattice
-        values: dict[str, str] = {}
-        for e in lattice.elements:
-            if e not in table:
-                raise ValueError(f"join map missing element {e!r}")
-            lattice.index(table[e])
-            values[e] = table[e]
-        self._table = values
+        if _values is None:
+            _values = []
+            for e in lattice.elements:
+                if e not in table:
+                    raise ValueError(f"join map missing element {e!r}")
+                _values.append(lattice.index(table[e]))
+        self._values = _values
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JoinMap):
             return NotImplemented
-        return self.lattice == other.lattice and self._table == other._table
+        return self.lattice == other.lattice and self._values == other._values
 
     def __repr__(self) -> str:
         return f"JoinMap(over {self.lattice.name!r})"
 
     def __call__(self, a: str) -> str:
-        self.lattice.index(a)
-        return self._table[a]
+        return self.lattice.elements[self._values[self.lattice.index(a)]]
 
     def join_preserving_violation(self) -> tuple[str, str] | None:
-        """First pair (x, y) with f(x v y) != f(x) v f(y), or the pair
-        ('0', '0') when f(0) != 0; None when the map preserves joins."""
+        """First pair (j, y), j join-irreducible, with f(j v y) != f(j) v f(y),
+        or the pair ('0', '0') when f(0) != 0; None when the map preserves
+        joins.
+
+        Join-irreducible j suffice: every x other than 0 is join-irreducible
+        or x1 v x2 with x1, x2 < x, and then, by induction on x,
+        f(x v y) = f(x1) v f(x2 v y) = f(x1) v f(x2) v f(y) = f(x) v f(y);
+        for x = 0 the equation is f(0) = 0.  That is |J| * n checks, not n * n.
+        The pair (j, y) stands for the equal-join sets ({j, y}, {j v y}).
+        """
         lat = self.lattice
-        if self._table["0"] != "0":
+        if self._values[lat._zero] != lat._zero:
             return ("0", "0")
-        for x, y in itertools.product(lat.elements, repeat=2):
-            if self(lat.join(x, y)) != lat.join(self(x), self(y)):
-                return (x, y)
-        return None
+        bad = _join_violation(lat, self._values)
+        return None if bad is None else (lat.elements[bad[0]], lat.elements[bad[1]])
 
     @property
     def is_join_preserving(self) -> bool:
         return self.join_preserving_violation() is None
 
 
-def _same_lattice(*maps: PowersetMap) -> FiniteOrthoLattice:
+def _same_lattice(*maps: PowersetMap | JoinMap) -> FiniteOrthoLattice:
     lat = maps[0].lattice
     for m in maps[1:]:
         if m.lattice != lat:
@@ -189,74 +274,101 @@ def _same_lattice(*maps: PowersetMap) -> FiniteOrthoLattice:
     return lat
 
 
+def _sasaki_row(lat: FiniteOrthoLattice, a: int) -> list[int]:
+    """Sasaki projection onto a, ``a meet (b join ortho(a))``, of every b,
+    by index."""
+    meet, join = lat._table("meet"), lat._table("join")
+    onto, ao = meet[a], lat._ortho_of(a)
+    return [onto[row[ao]] for row in join]
+
+
 def perfect_measurement_map(lat: FiniteOrthoLattice, a: str) -> PowersetMap:
     """The two-outcome propagation map of measuring {a, a'}: each nonzero b is
     sent to its Sasaki projections onto a and onto a', keeping only nonzero
     branches (b not under the opposite outcome).
     """
-    ao = lat.ortho(a)
-    action = {}
-    for b in lat.nonzero():
-        img = set()
-        if not lat.leq(b, ao):
-            img.add(lat.sasaki(a, b))
-        if not lat.leq(b, a):
-            img.add(lat.sasaki(ao, b))
-        action[b] = img
-    return PowersetMap(lat, action, kind="measurement", measured=a)
+    i = lat.index(a)
+    io = lat._ortho_of(i)
+    onto_a, onto_ao = _sasaki_row(lat, i), _sasaki_row(lat, io)
+    up, zero = lat._up, lat._zero
+    masks = [0] * len(lat)
+    for b in range(len(lat)):
+        if b == zero:
+            continue
+        if not up[b] >> io & 1:
+            masks[b] |= 1 << onto_a[b]
+        if not up[b] >> i & 1:
+            masks[b] |= 1 << onto_ao[b]
+        if masks[b] >> zero & 1:
+            raise ValueError("images must not contain 0")
+    return PowersetMap(lat, kind="measurement", measured=a, _masks=masks)
 
 
 def identity_map(lat: FiniteOrthoLattice) -> PowersetMap:
-    return PowersetMap(lat, {b: {b} for b in lat.nonzero()}, kind="lifted")
+    masks = [0 if b == lat._zero else 1 << b for b in range(len(lat))]
+    return PowersetMap(lat, kind="lifted", _masks=masks)
 
 
 def sasaki_map(lat: FiniteOrthoLattice, a: str) -> JoinMap:
     """The Sasaki projection onto a as a join map."""
-    return JoinMap(lat, {b: lat.sasaki(a, b) for b in lat.elements})
+    return JoinMap(lat, _values=_sasaki_row(lat, lat.index(a)))
 
 
 def is_transition_map(f: PowersetMap) -> MapCheck:
-    """Fast membership check: the induced map b -> join of the singleton image
-    (with 0 -> 0) must preserve joins.  Returns an (A, B) equal-join witness
-    pair on failure.  Authoritative; :func:`transition_oracle` re-derives the
-    same verdict by subset enumeration.
+    """Fast membership check: the induced map s: b -> join of f({b}), with
+    s(0) = 0, must preserve joins.  It suffices that s(j v y) = s(j) v s(y)
+    for every join-irreducible j and every y: every x other than 0 is
+    join-irreducible or x1 v x2 with x1, x2 < x, and then, by induction on x,
+    s(x v y) = s(x1) v s(x2 v y) = s(x1) v s(x2) v s(y) = s(x) v s(y).
+
+    On failure the witness is the equal-join pair ({j, y}, {j v y}).
+    Authoritative; :func:`transition_oracle` re-derives the same verdict by
+    subset enumeration.
     """
     lat = f.lattice
-    sup = {b: lat.join_set(f.singleton(b)) for b in lat.nonzero()}
-    sup["0"] = "0"
-    for x, y in itertools.product(lat.nonzero(), repeat=2):
-        j = lat.join(x, y)
-        if sup[j] != lat.join(sup[x], sup[y]):
-            return MapCheck(False, (frozenset({x, y}), frozenset({j})))
-    return MapCheck(True)
+    bad = _join_violation(lat, f._sups())
+    if bad is None:
+        return MapCheck(True)
+    j, y = bad
+    els = lat.elements
+    jy = els[lat._table("join")[j][y]]
+    return MapCheck(False, (frozenset({els[j], els[y]}), frozenset({jy})))
 
 
 def transition_oracle(f: PowersetMap) -> MapCheck:
     """Enumerate every subset of the nonzero elements, bucket by join, and
     compare image joins within each bucket.  Exponential; intended for
-    lattices with at most ~12 elements.
+    lattices with at most ~12 elements.  Independent of
+    :func:`is_transition_map`: it joins the images itself and never uses
+    join-irreducibles.
     """
     lat = f.lattice
-    domain = lat.nonzero()
+    join, zero = lat._table("join"), lat._zero
+    domain = [b for b in range(len(lat)) if b != zero]
     m = len(domain)
-    idx = {e: i for i, e in enumerate(domain)}
+    img_sup = []
+    for b in domain:
+        s = zero
+        for c in range(len(lat)):
+            if f._masks[b] >> c & 1:
+                s = join[s][c]
+        img_sup.append(s)
     # subset joins and image joins by dynamic programming over bitmasks
-    set_join = ["0"] * (1 << m)
-    img_join = ["0"] * (1 << m)
-    img_sup = [lat.join_set(f.singleton(b)) for b in domain]
+    set_join = [zero] * (1 << m)
+    img_join = [zero] * (1 << m)
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        set_join[mask] = lat.join(set_join[rest], domain[low])
-        img_join[mask] = lat.join(img_join[rest], img_sup[low])
-    buckets: dict[str, int] = {}
+        set_join[mask] = join[set_join[rest]][domain[low]]
+        img_join[mask] = join[img_join[rest]][img_sup[low]]
+    buckets: dict[int, int] = {}
     for mask in range(1 << m):
         j = set_join[mask]
         if j in buckets:
             other = buckets[j]
             if img_join[mask] != img_join[other]:
                 to_set = lambda mk: frozenset(
-                    domain[i] for i in range(m) if mk >> i & 1
+                    lat.elements[domain[i]] for i in range(m) if mk >> i & 1
                 )
                 return MapCheck(False, (to_set(other), to_set(mask)))
         else:
@@ -266,12 +378,16 @@ def transition_oracle(f: PowersetMap) -> MapCheck:
 
 def kill_set(f: PowersetMap) -> frozenset[str]:
     """Elements whose singleton image is empty."""
-    return frozenset(b for b, img in f.items() if not img)
+    lat = f.lattice
+    return frozenset(
+        e for b, e in enumerate(lat.elements) if b != lat._zero and not f._masks[b]
+    )
 
 
 def sup_morphism(f: PowersetMap) -> JoinMap:
     """Send a transition map to the join map of definite actual properties:
-    a -> join of f({a}), with 0 -> 0 and the empty join equal to 0.
+    a -> join of f({a}), with 0 -> 0 and the empty join equal to 0.  The
+    membership check and the join map use the same per-element joins.
 
     Raises :class:`TransitionMapError` with an equal-join witness pair when f
     fails the membership condition.
@@ -279,17 +395,22 @@ def sup_morphism(f: PowersetMap) -> JoinMap:
     check = is_transition_map(f)
     if not check.ok:
         raise TransitionMapError(*check.witness)
-    lat = f.lattice
-    table = {b: lat.join_set(f.singleton(b)) for b in lat.nonzero()}
-    table["0"] = "0"
-    return JoinMap(lat, table)
+    return JoinMap(f.lattice, _values=f._sups())
 
 
 def quantale_compose(f: PowersetMap, g: PowersetMap) -> PowersetMap:
     """(f o g): apply g first, then f, unioning over intermediate branches."""
     lat = _same_lattice(f, g)
-    action = {b: f.apply(g.singleton(b)) for b in lat.nonzero()}
-    return PowersetMap(lat, action)
+    fm = f._masks
+    masks = []
+    for mask in g._masks:
+        image = 0
+        while mask:  # _bits, inlined
+            low = mask & -mask
+            image |= fm[low.bit_length() - 1]
+            mask ^= low
+        masks.append(image)
+    return PowersetMap(lat, _masks=masks)
 
 
 def quantale_union(fs: Sequence[PowersetMap]) -> PowersetMap:
@@ -297,30 +418,33 @@ def quantale_union(fs: Sequence[PowersetMap]) -> PowersetMap:
     if not fs:
         raise ValueError("union of no maps")
     lat = _same_lattice(*fs)
-    action = {
-        b: frozenset().union(*(f.singleton(b) for f in fs)) for b in lat.nonzero()
-    }
-    return PowersetMap(lat, action)
+    masks = [reduce(or_, images) for images in zip(*(f._masks for f in fs))]
+    return PowersetMap(lat, _masks=masks)
 
 
 def lift_join_map(f: JoinMap) -> PowersetMap:
     """View a join map as a powerset map: b -> {f(b)} with 0 images dropped."""
-    action = {b: {f(b)} - {"0"} for b in f.lattice.nonzero()}
-    return PowersetMap(f.lattice, action, kind="lifted")
+    zero = f.lattice._zero
+    masks = [
+        0 if zero in (b, v) else 1 << v for b, v in enumerate(f._values)
+    ]
+    return PowersetMap(f.lattice, kind="lifted", _masks=masks)
 
 
 def compose_join(f: JoinMap, g: JoinMap) -> JoinMap:
     lat = f.lattice
     if g.lattice != lat:
         raise LatticeMismatchError("join maps over different lattices")
-    return JoinMap(lat, {a: f(g(a)) for a in lat.elements})
+    return JoinMap(lat, _values=[f._values[v] for v in g._values])
 
 
 def pointwise_join(maps: Sequence[JoinMap]) -> JoinMap:
-    lat = maps[0].lattice
-    return JoinMap(
-        lat, {a: lat.join_set([m(a) for m in maps]) for a in lat.elements}
-    )
+    lat = _same_lattice(*maps)
+    join = lat._table("join")
+    values = [lat._zero] * len(lat)
+    for m in maps:
+        values = [join[s][v] for s, v in zip(values, m._values)]
+    return JoinMap(lat, _values=values)
 
 
 def sasaki_preorder(lat: FiniteOrthoLattice, a: str, a2: str) -> bool:
@@ -360,20 +484,24 @@ def find_order_counterexample(
     when no pair qualifies (e.g. on Boolean lattices).
     """
     lat.ensure_verified()
-    for a in lat.elements:
-        if a in ("0", "1"):
+    els, up, zero = lat.elements, lat._up, lat._zero
+    meet, join = lat._table("meet"), lat._table("join")
+    for a, name in enumerate(els):
+        if name in ("0", "1"):
             continue
-        ao = lat.ortho(a)
-        for a2 in lat.elements:
-            if lat.meet(a, a2) != "0" or lat.leq(a2, ao):
+        ao, onto_a = lat._ortho_of(a), _sasaki_row(lat, a)
+        for a2 in range(len(lat)):
+            if meet[a][a2] != zero or up[a2] >> ao & 1:
                 continue
-            joined = lat.join(a, a2)
-            if not sasaki_preorder(lat, a, joined):
+            joined = join[a][a2]
+            if not sasaki_preorder(lat, name, els[joined]):
                 continue
-            for x in lat.elements:
-                small, big = lat.sasaki(a, x), lat.sasaki(joined, x)
-                if not lat.leq(small, big):
-                    return CounterexampleWitness(a, a2, x, (small, big))
+            onto_joined = _sasaki_row(lat, joined)
+            for x, (small, big) in enumerate(zip(onto_a, onto_joined)):
+                if not up[small] >> big & 1:
+                    return CounterexampleWitness(
+                        name, els[a2], els[x], (els[small], els[big])
+                    )
     return None
 
 
@@ -382,20 +510,19 @@ def measurement_map_identities(lat: FiniteOrthoLattice) -> VerificationReport:
     measuring a' give the same map; (ii) two elements give the same map only
     when they form an orthocomplementary pair."""
     lat.ensure_verified()
-    maps = {a: perfect_measurement_map(lat, a) for a in lat.elements}
-    checks = []
-    w = None
-    for a in lat.elements:
-        if maps[a] != maps[lat.ortho(a)]:
-            w = (a,)
-            break
-    checks.append(LawCheck("ortho-pair-symmetry", w is None, w))
-    w = None
-    for a, b in itertools.product(lat.elements, repeat=2):
-        same = maps[a] == maps[b]
-        if same != (b in (a, lat.ortho(a))):
-            w = (a, b)
-            break
+    els, ortho = lat.elements, lat._ortho
+    maps = [perfect_measurement_map(lat, a) for a in els]
+    n = len(lat)
+    w = next(((els[a],) for a in range(n) if maps[a] != maps[ortho[a]]), None)
+    checks = [LawCheck("ortho-pair-symmetry", w is None, w)]
+    w = next(
+        (
+            (els[a], els[b])
+            for a, b in itertools.product(range(n), repeat=2)
+            if (maps[a] == maps[b]) != (b in (a, ortho[a]))
+        ),
+        None,
+    )
     checks.append(LawCheck("pair-separation", w is None, w))
     return VerificationReport(tuple(checks))
 
@@ -429,16 +556,19 @@ def quantale_report(
     the quantale is a witness.  A seed for ``rng`` fixes the report.
     """
     lat.ensure_verified()
-    measurements = {a: perfect_measurement_map(lat, a) for a in lat.elements}
-    sups = {a: _sup_or_none(f) for a, f in measurements.items()}
+    els, n = lat.elements, len(lat)
+    measurements = [perfect_measurement_map(lat, a) for a in els]
+    sups = [_sup_or_none(f) for f in measurements]
+    nonzero = [b for b in range(n) if b != lat._zero]
+    meet, join, ortho, down = lat._table("meet"), lat._table("join"), lat._ortho, lat._down
 
     def membership():
-        return next(((a,) for a in lat.elements if sups[a] is None), None)
+        return next(((els[a],) for a in range(n) if sups[a] is None), None)
 
     def membership_oracle():
-        for a in lat.elements:
+        for a in range(n):
             if not transition_oracle(measurements[a]).ok or sups[a] is None:
-                return (a,)
+                return (els[a],)
         return None
 
     def random_map_agreement():
@@ -456,12 +586,12 @@ def quantale_report(
         return pointwise_join([p, q])
 
     def on_measurements(combine, expected):
-        for a, b in itertools.product(lat.elements, repeat=2):
+        for a, b in itertools.product(range(n), repeat=2):
             sa, sb = sups[a], sups[b]
             if sa is None or sb is None:
-                return (a, b)
+                return (els[a], els[b])
             if _sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
-                return (a, b)
+                return (els[a], els[b])
         return None
 
     def random_pairs():
@@ -490,22 +620,24 @@ def quantale_report(
         return None
 
     def branch_soundness():
-        for a in lat.nonzero():
-            ao = lat.ortho(a)
-            for b in lat.nonzero():
-                for c in measurements[a].singleton(b):
-                    if not (lat.leq(c, a) or lat.leq(c, ao)):
-                        return (a, b, c)
+        # every branch lies under a or under a'
+        for a in nonzero:
+            under, images = down[a] | down[ortho[a]], measurements[a]._masks
+            for b in nonzero:
+                stray = images[b] & ~under
+                if stray:
+                    return (els[a], els[b], els[next(_bits(stray))])
         return None
 
     def compatibility_preservation():
-        for a in lat.nonzero():
-            for b in lat.nonzero():
-                if not lat.compatible(a, b):
+        # a compatible b (a = (a ^ b) v (a ^ b')): b's branches lie under b and join to b
+        for a in nonzero:
+            images, image_sups = measurements[a]._masks, measurements[a]._sups()
+            for b in nonzero:
+                if join[meet[a][b]][meet[a][ortho[b]]] != a:
                     continue
-                img = measurements[a].singleton(b)
-                if not all(lat.leq(c, b) for c in img) or lat.join_set(img) != b:
-                    return (a, b)
+                if images[b] & ~down[b] or image_sups[b] != b:
+                    return (els[a], els[b])
         return None
 
     laws = [("measurement-membership", membership)]
@@ -537,28 +669,27 @@ def random_union_preserving_map(
 ) -> PowersetMap:
     """Random singleton action; union-preserving by representation but with no
     further constraint, so membership in the transition maps is incidental."""
-    domain = lat.nonzero()
-    action = {
-        b: {e for e in domain if rng.random() < 0.35} for b in domain
-    }
-    return PowersetMap(lat, action)
+    domain = [b for b in range(len(lat)) if b != lat._zero]
+    masks = [0] * len(lat)
+    for b in domain:
+        masks[b] = sum(1 << c for c in domain if rng.random() < 0.35)
+    return PowersetMap(lat, _masks=masks)
 
 
 def random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
     """Random join-preserving self-map, assembled from Sasaki projections,
     the identity, and constant-on-nonzero maps, closed under composition and
     pointwise join."""
+    n, zero = len(lat), lat._zero
 
     def basic() -> JoinMap:
         roll = rng.random()
         if roll < 0.5:
             return sasaki_map(lat, rng.choice(lat.elements))
         if roll < 0.7:
-            return JoinMap(lat, {a: a for a in lat.elements})
-        c = rng.choice(lat.elements)
-        return JoinMap(
-            lat, {a: ("0" if a == "0" else c) for a in lat.elements}
-        )
+            return JoinMap(lat, _values=list(range(n)))
+        c = rng.choice(range(n))
+        return JoinMap(lat, _values=[zero if b == zero else c for b in range(n)])
 
     def chain() -> JoinMap:
         f = basic()
@@ -568,7 +699,9 @@ def random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
 
     parts = [chain() for _ in range(rng.randint(1, 3))]
     f = pointwise_join(parts)
-    assert f.is_join_preserving
+    bad = f.join_preserving_violation()
+    if bad is not None:
+        raise RuntimeError(f"random join map does not preserve the join of {bad}")
     return f
 
 

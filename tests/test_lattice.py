@@ -44,6 +44,15 @@ class TestFamilies:
         assert lat.leq("a", "b")
         assert lat.join("a", lat.meet(lat.ortho("a"), "b")) == "a"
 
+    def test_join_irreducibles(self):
+        def names(lat):
+            return [lat.elements[i] for i in lat._join_irreducibles()]
+
+        assert names(boolean(3)) == ["a", "b", "c"]
+        assert names(mo(2)) == ["a", "a'", "b", "b'"]
+        # b and a' each cover one element only, so they are not atoms
+        assert names(hexagon()) == ["a", "b", "b'", "a'"]
+
     def test_size_bounds(self):
         with pytest.raises(ValueError):
             boolean(7)

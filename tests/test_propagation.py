@@ -1,13 +1,25 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+import omlogic
 from omlogic import propagation
-from omlogic.lattice import NotOrthomodularError, boolean, hexagon, mo
+from omlogic.lattice import (
+    FiniteOrthoLattice,
+    IncompleteLatticeError,
+    NotOrthomodularError,
+    boolean,
+    hexagon,
+    mo,
+)
 from omlogic.propagation import (
     JoinMap,
     LatticeMismatchError,
@@ -37,6 +49,27 @@ from omlogic.propagation import (
 
 def oml_families():
     return [boolean(n) for n in range(1, 5)] + [mo(n) for n in range(1, 5)]
+
+
+def mo2_reordered():
+    """mo(2) with its elements listed so that 0 is neither first nor last."""
+    lat = mo(2)
+    order = ["a", "b'", "0", "1", "a'", "b"]
+    return FiniteOrthoLattice("mo2_reordered", order, lat.covers(), lat.ortho_pairs())
+
+
+def chain4():
+    """The chain 0 < a < b < 1: a is its only atom, but b and 1 are
+    join-irreducible too."""
+    return FiniteOrthoLattice(
+        "chain4", ["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")], [("a", "b")]
+    )
+
+
+def v_poset():
+    """0 < a, b and a 1 above nothing: no join for (0, 1), no orthocomplement
+    for a or b."""
+    return FiniteOrthoLattice("V", ["0", "a", "b", "1"], [("0", "a"), ("0", "b")])
 
 
 class TestMeasurementMap:
@@ -174,11 +207,57 @@ class TestTransitionMembership:
         assert lat.join_set(f.apply(B)) == "a"
 
     def test_fast_check_agrees_with_oracle_on_random_maps(self):
+        # hexagon: b is join-irreducible but not an atom
         rng = random.Random(13)
-        for lat in [boolean(2), boolean(3), mo(2), mo(3)]:
+        for lat in [boolean(2), boolean(3), mo(2), mo(3), hexagon(), mo2_reordered(), chain4()]:
             for _ in range(50):
                 f = random_union_preserving_map(lat, rng)
                 assert is_transition_map(f).ok == transition_oracle(f).ok
+
+    def test_failure_witness_is_an_equal_join_pair(self):
+        rng = random.Random(3)
+        for lat in (mo(3), hexagon(), mo2_reordered()):
+            for _ in range(30):
+                f = random_union_preserving_map(lat, rng)
+                check = is_transition_map(f)
+                if check.ok:
+                    continue
+                A, B = check.witness
+                assert lat.join_set(A) == lat.join_set(B)
+                assert lat.join_set(f.apply(A)) != lat.join_set(f.apply(B))
+
+    def test_join_preserving_violation_matches_all_pairs(self):
+        def all_pairs(f):
+            lat = f.lattice
+            return f("0") == "0" and all(
+                f(lat.join(x, y)) == lat.join(f(x), f(y))
+                for x, y in itertools.product(lat.elements, repeat=2)
+            )
+
+        rng = random.Random(5)
+        for lat in (boolean(3), mo(3), hexagon(), mo2_reordered(), chain4()):
+            els = lat.elements
+            maps = [JoinMap(lat, {e: rng.choice(els) for e in els}) for _ in range(100)]
+            maps += [JoinMap(lat, {e: e for e in els})]
+            maps += [JoinMap(lat, {e: "0" if e == "0" else c for e in els}) for c in els]
+            if lat.verify().ok:
+                maps += [random_join_map(lat, rng) for _ in range(20)]
+            verdicts = set()
+            for f in maps:
+                bad = f.join_preserving_violation()
+                assert (bad is None) == all_pairs(f), (lat.name, [f(e) for e in els])
+                if bad not in (None, ("0", "0")):
+                    x, y = bad
+                    assert f(lat.join(x, y)) != lat.join(f(x), f(y))
+                verdicts.add(bad is None)
+            assert verdicts == {True, False}
+
+    def test_hand_made_map_not_join_preserving(self):
+        # identity on hexagon except 1 -> b: f(a v b') = b but f(a) v f(b') = 1
+        lat = hexagon()
+        f = JoinMap(lat, {e: "b" if e == "1" else e for e in lat.elements})
+        assert f.join_preserving_violation() == ("a", "b'")
+        assert not f.is_join_preserving
 
     def test_oracle_witness_recheck(self):
         lat = mo(2)
@@ -190,6 +269,36 @@ class TestTransitionMembership:
             A, B = check.witness
             assert lat.join_set(A) == lat.join_set(B)
             assert lat.join_set(f.apply(A)) != lat.join_set(f.apply(B))
+
+
+class TestIncompleteLattice:
+    """On a poset that lacks a join, every check raises the lattice's own
+    error rather than tripping over a missing table entry."""
+
+    def identity(self, lat):
+        return PowersetMap(lat, {e: {e} for e in lat.nonzero()})
+
+    @pytest.mark.parametrize(
+        "check", [is_transition_map, sup_morphism, transition_oracle], ids=lambda c: c.__name__
+    )
+    def test_membership_checks_raise(self, check):
+        with pytest.raises(IncompleteLatticeError, match=r"no join for \('0', '1'\)"):
+            check(self.identity(v_poset()))
+
+    def test_join_preserving_violation_raises(self):
+        lat = v_poset()
+        f = JoinMap(lat, {e: e for e in lat.elements})
+        with pytest.raises(IncompleteLatticeError, match=r"no join for \('0', '1'\)"):
+            f.join_preserving_violation()
+        with pytest.raises(IncompleteLatticeError):
+            pointwise_join([f, f])
+
+    def test_measurement_map_raises(self):
+        lat = v_poset()
+        with pytest.raises(IncompleteLatticeError, match="no orthocomplement for 'a'"):
+            perfect_measurement_map(lat, "a")
+        with pytest.raises(IncompleteLatticeError):
+            perfect_measurement_map(lat, "0")
 
 
 class TestQuantaleOps:
@@ -279,6 +388,21 @@ class TestLift:
         lifted = lift_join_map(sasaki_map(lat, "a"))
         assert lifted.singleton("a'") == frozenset()
         assert kill_set(lifted) == {"a'"}
+
+    def test_random_join_map_checks_its_output_under_O(self):
+        # the check must survive python -O, which strips assert statements
+        code = (
+            "import random\n"
+            "from omlogic import lattice, propagation\n"
+            "propagation.JoinMap.join_preserving_violation = lambda self: ('a', 'b')\n"
+            "try:\n"
+            "    propagation.random_join_map(lattice.mo(2), random.Random(0))\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(omlogic.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 3, proc.stderr
 
     def test_sup_after_lift_is_identity_on_join_maps(self):
         rng = random.Random(17)
@@ -410,6 +534,9 @@ class TestQuantaleReport:
     def test_non_orthomodular_rejected(self):
         with pytest.raises(NotOrthomodularError):
             small_report(hexagon())
+
+    def test_boolean6_is_practical(self):
+        assert small_report(boolean(6)).ok
 
     def test_non_member_composite_is_a_witness(self, monkeypatch):
         lat = mo(2)
