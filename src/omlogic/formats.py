@@ -4,7 +4,8 @@ Five value kinds travel through text: lattices and maps use line-oriented
 formats, formulas and sequents an infix grammar, and derivations a nested
 s-expression format.  All files are ASCII with ``#`` comments to end of line;
 parse errors carry a source span pointing inside the offending token plus the
-set of expected tokens.
+set of expected tokens.  Sequents are memoized per lattice object, with
+structurally equal parts shared (see :func:`parse_sequent`).
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -14,8 +15,9 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import singledispatch
+from dataclasses import dataclass, fields
+from functools import cache, singledispatch
+from typing import NamedTuple
 
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
@@ -248,36 +250,35 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
+    start: int  # offset into the tokenized text
+
+
+def _span(text: str, start: int, length: int) -> SourceSpan:
+    """The span of ``length`` characters at offset ``start`` of ``text``;
+    worked out only when an error is raised."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, length)
 
 
 def _tokenize(text: str, pattern: re.Pattern) -> list[_Token]:
     """Split text into tokens of ``pattern``'s named groups, dropping ``ws``
-    and ``comment``; the list ends with an ``eof`` token."""
+    and ``comment``; the list ends with an ``eof`` token.  A gap between two
+    matches is an unexpected character."""
     out = []
-    line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if not m:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                SourceSpan(line, pos - line_start + 1, 1),
-            )
+    for m in pattern.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            out.append(_Token(kind, tok, SourceSpan(line, pos - line_start + 1, len(tok))))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok.rindex("\n") + 1
+        if kind != "ws" and kind != "comment":
+            out.append(_Token(kind, m.group(), pos))
         pos = m.end()
-    out.append(_Token("eof", "", SourceSpan(line, len(text) - line_start + 1, 1)))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", _span(text, pos, 1))
+    out.append(_Token("eof", "", pos))
     return out
 
 
@@ -296,6 +297,7 @@ class _Parser:
     pattern: re.Pattern
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
+        self.text = text
         self.tokens = _tokenize(text, self.pattern)
         self.pos = 0
         self.depth = 0
@@ -309,8 +311,11 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def span(self, tok: _Token) -> SourceSpan:
+        return _span(self.text, tok.start, len(tok.text) or 1)
+
     def error(self, message: str, expected=frozenset(), token: _Token | None = None):
-        raise ParseError(message, (token or self.peek()).span, frozenset(expected))
+        raise ParseError(message, self.span(token or self.peek()), frozenset(expected))
 
     def descend(self) -> None:
         """Enter one nesting level at the next token; callers step back out
@@ -500,7 +505,34 @@ def parse_formula(text: str, lat: FiniteOrthoLattice) -> Formula:
 
 
 def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
-    return _FormulaParser(text, lat).parse_sequent_text()
+    """Parse a sequent, memoized per lattice object: a text seen before
+    returns the same object, and every new sequent is hash-consed into the
+    lattice's node table, so structurally equal parts of all its sequents
+    share one object.  Errors are not remembered."""
+    table = lat._sequent_table
+    if table is None:
+        table = lat._sequent_table = ({}, {})
+    texts, nodes = table
+    seq = texts.get(text)
+    if seq is None:
+        seq = texts[text] = _intern(_FormulaParser(text, lat).parse_sequent_text(), nodes)
+    return seq
+
+
+def _intern(node, nodes: dict):
+    """The copy of ``node`` in ``nodes``, built bottom-up from interned parts
+    (hash-consing, Filliatre & Conchon 2006).  Parts are frozen dataclasses,
+    tuples and strings."""
+    if isinstance(node, tuple):
+        node = tuple([_intern(part, nodes) for part in node])
+    elif not isinstance(node, str):
+        node = type(node)(*[_intern(getattr(node, n), nodes) for n in _field_names(type(node))])
+    return nodes.setdefault(node, node)
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 # -- derivation s-expressions -------------------------------------------------------
@@ -601,7 +633,7 @@ class _DerivationParser(_Parser):
             seq = parse_sequent(tok.text[1:-1], self.lat)
         except ParseError as err:
             raise ParseError(
-                f"in sequent string: {err}", tok.span, err.expected
+                f"in sequent string: {err}", self.span(tok), err.expected
             ) from err
         self.expect_close()
         return seq

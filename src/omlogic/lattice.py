@@ -149,6 +149,9 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
+        # formats.parse_sequent's memo (text -> sequent) and hash-consing node
+        # table, made on first use; it lives and dies with this object
+        self._sequent_table: tuple[dict, dict] | None = None
 
     # -- basic access -------------------------------------------------------
 
@@ -161,6 +164,8 @@ class FiniteOrthoLattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteOrthoLattice):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.name == other.name
             and self.elements == other.elements

@@ -290,17 +290,22 @@ def perfect_measurement_map(lat: FiniteOrthoLattice, a: str) -> PowersetMap:
     i = lat.index(a)
     io = lat._ortho_of(i)
     onto_a, onto_ao = _sasaki_row(lat, i), _sasaki_row(lat, io)
-    up, zero = lat._up, lat._zero
+    up, zero, names = lat._up, lat._zero, lat.elements
     masks = [0] * len(lat)
     for b in range(len(lat)):
         if b == zero:
             continue
-        if not up[b] >> io & 1:
-            masks[b] |= 1 << onto_a[b]
-        if not up[b] >> i & 1:
-            masks[b] |= 1 << onto_ao[b]
-        if masks[b] >> zero & 1:
-            raise ValueError("images must not contain 0")
+        for onto, outcome, opposite in ((onto_a, i, io), (onto_ao, io, i)):
+            if up[b] >> opposite & 1:
+                continue  # b is under the opposite outcome: no branch
+            if onto[b] == zero:
+                # in an orthomodular lattice only b <= opposite projects to 0
+                raise ValueError(
+                    f"measuring {a!r}: the branch onto {names[outcome]!r} projects "
+                    f"{names[b]!r} to 0 although {names[b]!r} is not below "
+                    f"{names[opposite]!r}, so lattice {lat.name!r} is not orthomodular"
+                )
+            masks[b] |= 1 << onto[b]
     return PowersetMap(lat, kind="measurement", measured=a, _masks=masks)
 
 

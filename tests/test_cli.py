@@ -68,6 +68,16 @@ class TestPropagate:
         assert code == 0
         assert capsys.readouterr().out.strip() == "{a, a'}"
 
+    def test_non_orthomodular_measurement(self, hexagon_file, capsys):
+        argv = ["propagate", "--lattice", hexagon_file, "--measure", "b", "--set", "{a'}"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "measuring 'b': the branch onto 'b' projects \"a'\" to 0 although \"a'\" "
+            "is not below \"b'\", so lattice 'hexagon' is not orthomodular\n"
+        )
+
     def test_unknown_element(self, mo2_file):
         assert run(["propagate", "--lattice", mo2_file, "--measure", "zz", "--set", "{b}"]) == 2
 

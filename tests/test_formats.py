@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from omlogic.derive import derive_measurement
+from omlogic.derive import derive_composed, derive_measurement
 from omlogic.formats import (
     MAX_DEPTH,
     ParseError,
+    _FormulaParser,
     parse_derivation,
     parse_formula,
     parse_lattice,
@@ -323,3 +326,122 @@ class TestRoundTripCorpus:
         assert serialize(parse_lattice(text)) == text
         f = gen.random_normal_formula(lat, rng, 4)
         assert serialize(parse_formula(serialize(f), lat)) == serialize(f)
+
+
+def composed_sequent_texts(lat) -> set[str]:
+    """Every sequent string of the serialized composed corpus on ``lat``."""
+    texts = set()
+    for spec in itertools.product(lat.nonzero(), repeat=3):
+        texts.update(re.findall(r'\(seq "([^"]*)"\)', serialize(derive_composed(lat, *spec))))
+    return texts
+
+
+def walk(node):
+    """Every part of a parsed sequent: dataclass nodes, tuples and strings."""
+    yield node
+    parts = node if isinstance(node, tuple) else vars(node).values()
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        elif part is not None:
+            yield from walk(part)
+
+
+def assert_same_error(call):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            call()
+        errors.append((str(err.value), err.value.span, err.value.expected))
+    assert errors[0] == errors[1]
+
+
+class TestSequentTable:
+    @pytest.fixture(scope="class", params=["mo2", "boolean3"])
+    def corpus(self, request):
+        lat = mo(2) if request.param == "mo2" else boolean(3)
+        rng = random.Random(20261018)
+        texts = sorted(composed_sequent_texts(lat))
+        texts += [serialize(gen.random_sequent(lat, rng)) for _ in range(200)]
+        return lat, texts
+
+    def test_cached_equals_fresh_parse(self, corpus):
+        lat, texts = corpus
+        for text in texts:
+            assert parse_sequent(text, lat) == _FormulaParser(text, lat).parse_sequent_text()
+
+    def test_repeat_returns_same_object(self, corpus):
+        lat, texts = corpus
+        first = [parse_sequent(text, lat) for text in texts]
+        assert all(parse_sequent(t, lat) is seq for t, seq in zip(texts, first))
+
+    def test_equal_parts_are_shared(self, corpus):
+        lat, texts = corpus
+        seen = {}
+        for text in texts:
+            for part in walk(parse_sequent(text, lat)):
+                assert seen.setdefault(part, part) is part
+
+    def test_equal_lattice_has_own_table(self, corpus):
+        lat, texts = corpus
+        twin = parse_lattice(serialize(lat))
+        assert twin == lat and twin is not lat
+        for text in texts:
+            seq = parse_sequent(text, twin)
+            assert seq == parse_sequent(text, lat)
+        assert twin._sequent_table is not lat._sequent_table
+
+    @pytest.mark.parametrize("text", [
+        "In(a) |-", "In(a) * R(a) * In(a) |- In(a)", "In(0) |- In(a)",
+        "In(a) |- In(a) @", "(" * (MAX_DEPTH + 5) + "In(a) |- In(a)",
+    ])
+    def test_errors_are_not_cached(self, text):
+        lat = mo(2)
+        assert_same_error(lambda: parse_sequent(text, lat))
+        with pytest.raises(ParseError) as fresh:
+            _FormulaParser(text, lat).parse_sequent_text()
+        with pytest.raises(ParseError) as cached:
+            parse_sequent(text, lat)
+        assert (str(cached.value), cached.value.span) == (str(fresh.value), fresh.value.span)
+        assert text not in lat._sequent_table[0]
+
+
+LEAF = '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (rule id (seq "In(a) |- In(a)")))\n'
+
+
+class TestErrorSpans:
+    """Exact messages of multi-line derivation errors; lines and columns are
+    worked out only when an error is raised."""
+
+    @pytest.mark.parametrize("text, message", [
+        (
+            '# one leaf\n(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n'
+            '  (rule id ~ (seq "In(a) |- In(a)")))\n',
+            "3:12: unexpected character '~'",
+        ),
+        (
+            '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n\n  (rule id (seq "In(a) |- In(a) +")))\n',
+            "3:17: in sequent string: 1:17: expected a formula, found 'end of input'"
+            " (expected (, IND, In, M, R, forall) (expected (, IND, In, M, R, forall)",
+        ),
+        (
+            '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (rule id (seq "In(a) |-\tIn(a$)")))\n',
+            "2:17: in sequent string: 1:14: unexpected character '$'",
+        ),
+        (
+            LEAF + '# done\n  (rule id (seq "In(a) |- In(a)"))\n',
+            "4:3: trailing input after derivation (expected end of input)",
+        ),
+        (LEAF.rstrip()[:-1] + "\n# no close\n", "4:1: expected ')' (expected ))"),
+        ('(rule plus_r1\n  (seq "In(a) |- In(a) + R(a)\n  ))\n', "2:8: unexpected character '\"'"),
+        (plus_r1_chain(MAX_DEPTH + 1), "101:1: nesting deeper than 100 levels"),
+    ], ids=[
+        "character on line 3", "sequent on a later line", "character in a later sequent",
+        "trailing input", "end of file inside a node", "unterminated string", "depth limit",
+    ])
+    def test_message(self, text, message):
+        lat = mo(2)
+        with pytest.raises(ParseError) as err:
+            parse_derivation(text, lat)
+        assert str(err.value) == message
+        assert_same_error(lambda: parse_derivation(text, lat))

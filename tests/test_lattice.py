@@ -87,6 +87,15 @@ class TestConstruction:
                 "bad", ["0", "a", "b", "c", "1"], [], [("a", "b"), ("a", "c")]
             )
 
+    def test_equality(self):
+        lat = mo(2)
+        assert lat == lat
+        assert lat == mo(2) and mo(2) == lat
+        renamed = FiniteOrthoLattice("other", lat.elements, lat.covers(), lat.ortho_pairs())
+        assert renamed != lat
+        for other in (mo(3), boolean(2), hexagon(), build_family("mo", 2, ["a", "c"])):
+            assert lat != other and other != lat
+
     def test_unknown_element(self):
         lat = mo(2)
         with pytest.raises(UnknownElementError):

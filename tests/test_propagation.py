@@ -103,6 +103,25 @@ class TestMeasurementMap:
             for a in lat.elements:
                 assert not kill_set(perfect_measurement_map(lat, a))
 
+    def test_maps_over_equal_lattices_are_equal(self):
+        lat = mo(2)
+        f = perfect_measurement_map(lat, "a")
+        assert f == perfect_measurement_map(lat, "a")
+        assert f == perfect_measurement_map(mo(2), "a")
+        assert f != perfect_measurement_map(mo2_reordered(), "a")
+        assert f != perfect_measurement_map(mo(3), "a")
+        assert sasaki_map(lat, "a") == sasaki_map(mo(2), "a")
+        assert sasaki_map(lat, "a") != sasaki_map(mo(3), "a")
+
+    def test_zero_projection_names_the_branch(self):
+        # hexagon is not orthomodular: a' is not below b', yet b meet (a' join b') = 0
+        with pytest.raises(ValueError) as err:
+            perfect_measurement_map(hexagon(), "b")
+        assert str(err.value) == (
+            "measuring 'b': the branch onto 'b' projects \"a'\" to 0 although \"a'\" "
+            "is not below \"b'\", so lattice 'hexagon' is not orthomodular"
+        )
+
     def test_factorizes_through_lifted_projections(self):
         # union of the two lifted one-outcome projections = the measurement map
         for lat in (mo(2), boolean(3)):
