@@ -32,6 +32,7 @@ __all__ = [
     "AxiomSchema",
     "SCHEMAS",
     "instantiate_axiom",
+    "unfolded",
 ]
 
 MapRegistry = Mapping[str, PowersetMap]
@@ -171,6 +172,12 @@ def instantiate_axiom(
     if schema not in SCHEMAS:
         raise UnknownSchemaError(f"unknown axiom schema {schema!r}")
     seq = SCHEMAS[schema].build(lat, dict(bindings), maps or {})
-    if unfold and not seq.context and isinstance(seq.succedent, Lolli):
+    return unfolded(seq) if unfold else seq
+
+
+def unfolded(seq: Sequent) -> Sequent:
+    """An implication-shaped conclusion ``|- A -o B`` as ``A |- B``; any
+    other sequent unchanged."""
+    if not seq.context and isinstance(seq.succedent, Lolli):
         return Sequent((seq.succedent.antecedent,), seq.succedent.consequent)
     return seq

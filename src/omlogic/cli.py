@@ -337,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--measure", help="measured element (two-outcome map)")
     source.add_argument("--map", help="map file")
     p.add_argument("--set", required=True, help="initial actuality set, e.g. '{b}'")
-    p.add_argument("--unicode", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_propagate)
 
@@ -348,10 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-maps", type=int, default=200)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--join-maps", type=int, default=100)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted and ignored: verification is single-threaded",
-    )
     common(p, seed=True)
     p.set_defaults(func=_cmd_quantale_verify)
 

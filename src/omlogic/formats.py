@@ -42,6 +42,7 @@ from omlogic.syntax import (
     ascii_sequent,
     ascii_term,
     normalize_formula,
+    normalize_term,
 )
 
 __all__ = [
@@ -349,7 +350,7 @@ class _FormulaParser(_Parser):
         f = self.formula()
         if self.peek().kind != "eof":
             self.error(f"trailing input {self.peek().text!r}", {"end of input"})
-        return normalize_formula(f, self.lat)
+        return f
 
     def parse_sequent_text(self) -> Sequent:
         ctx: list[Formula] = []
@@ -364,10 +365,7 @@ class _FormulaParser(_Parser):
         rhs = self.formula()
         if self.peek().kind != "eof":
             self.error(f"trailing input {self.peek().text!r}", {"end of input"})
-        return Sequent(
-            tuple(normalize_formula(f, self.lat) for f in ctx),
-            normalize_formula(rhs, self.lat),
-        )
+        return Sequent(tuple(ctx), rhs)
 
     def formula(self) -> Formula:
         self.descend()
@@ -430,12 +428,10 @@ class _FormulaParser(_Parser):
         term = self.term()
         self.expect(")")
         ctor = {"In": Actual, "R": Reachable, "M": Measurement}[head.text]
-        self._check_const(term, head)
-        return ctor(term)
-
-    def _check_const(self, term: Term, head: _Token) -> None:
-        if isinstance(term, Const) and head.text in ("In", "R") and term.name == "0":
-            self.error(f"{head.text} cannot hold the absurd property 0", token=head)
+        try:
+            return normalize_formula(ctor(term), self.lat)
+        except ValueError as err:  # In or R of 0
+            self.error(str(err), token=head)
 
     def term(self) -> Term:
         tok = self.peek()
@@ -481,12 +477,9 @@ class _FormulaParser(_Parser):
 
     def constraint(self) -> Constraint:
         tok = self.peek()
-        if tok.kind == "leq":
+        if tok.kind == "leq" or tok.kind == "nleq":
             self.advance()
-            return Constraint("<=", self.term())
-        if tok.kind == "nleq":
-            self.advance()
-            return Constraint("!<=", self.term())
+            return Constraint(tok.text, normalize_term(self.term(), self.lat))
         if tok.kind == "notin":
             self.advance()
             self.expect("K")
@@ -632,9 +625,10 @@ class _DerivationParser(_Parser):
         try:
             seq = parse_sequent(tok.text[1:-1], self.lat)
         except ParseError as err:
-            raise ParseError(
-                f"in sequent string: {err}", self.span(tok), err.expected
-            ) from err
+            # str(err) already ends in its expected-token hint
+            wrapped = ParseError(f"in sequent string: {err}", self.span(tok))
+            wrapped.expected = err.expected
+            raise wrapped from err
         self.expect_close()
         return seq
 

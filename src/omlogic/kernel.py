@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from omlogic.axioms import GuardViolation, MapRegistry, SCHEMAS, instantiate_axiom
+from omlogic.axioms import GuardViolation, MapRegistry, SCHEMAS, instantiate_axiom, unfolded
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import kill_set
 from omlogic.syntax import (
@@ -167,14 +167,11 @@ def _check_axiom(lat, node: AxiomApp, maps) -> str | None:
         return f"unknown axiom schema {node.schema!r}"
     try:
         base = instantiate_axiom(lat, node.schema, dict(node.bindings), maps)
-        unfolded = instantiate_axiom(
-            lat, node.schema, dict(node.bindings), maps, unfold=True
-        )
     except GuardViolation as g:
         return f"guard violated: {g}"
     except (LatticeError, ValueError) as err:
         return str(err)
-    if node.conclusion not in (base, unfolded):
+    if node.conclusion not in (base, unfolded(base)):
         return "conclusion does not match the instantiated schema"
     return None
 
@@ -305,17 +302,21 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
             return f"witness {ascii_term(node.witness)} is not ground"
         if rhs != p.succedent:
             return "forall_l changes the succedent"
-        guard_failure = None
+        failure = None
         for j, f in enumerate(ctx):
             if not isinstance(f, Forall):
                 continue
-            instance = substitute(f.body, f.var, witness, lat)
+            try:
+                instance = substitute(f.body, f.var, witness, lat)
+            except ValueError as err:  # the witness makes an In or R atom absurd
+                failure = f"instance for witness {witness.name}: {err}"
+                continue
             if p.context != ctx[:j] + (instance,) + ctx[j + 1 :]:
                 continue
             violation = _eval_guard(lat, f.guard, witness, maps)
             if violation is None:
                 return None
-            guard_failure = f"guard violated: {violation}"
-        return guard_failure or "no quantifier position matches the instantiated premise"
+            failure = f"guard violated: {violation}"
+        return failure or "no quantifier position matches the instantiated premise"
 
     return f"unknown rule {rule!r}"

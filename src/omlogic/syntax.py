@@ -17,7 +17,7 @@ of a triple conjunction are distinct formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from omlogic.lattice import FiniteOrthoLattice
 
@@ -140,36 +140,30 @@ class Sequent:
 # -- normalization -------------------------------------------------------------
 
 
-def normalize_term(t: Term, lat: FiniteOrthoLattice) -> Term:
+def normalize_term(
+    t: Term, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
+) -> Term:
     """Reduce complement formers: over constants evaluate via the lattice,
-    and cancel double complements everywhere."""
+    and cancel double complements everywhere.  With ``var`` given, that
+    variable is first replaced by ``value``."""
     if isinstance(t, OrthoTerm):
-        inner = normalize_term(t.arg, lat)
+        inner = normalize_term(t.arg, lat, var, value)
         if isinstance(inner, Const):
             return Const(lat.ortho(inner.name))
         if isinstance(inner, OrthoTerm):
             return inner.arg
         return OrthoTerm(inner)
+    if isinstance(t, Var) and t.name == var:
+        return normalize_term(value, lat)
     return t
 
 
-def _nonzero_const(t: Term, lat: FiniteOrthoLattice, atom: str) -> None:
-    if isinstance(t, Const):
-        lat.index(t.name)
-        if t.name == "0":
-            raise ValueError(f"{atom} cannot hold the absurd property 0")
-
-
 def actual(lat: FiniteOrthoLattice, name: str) -> Actual:
-    t = Const(name)
-    _nonzero_const(t, lat, "In")
-    return Actual(t)
+    return normalize_formula(Actual(Const(name)), lat)
 
 
 def reachable(lat: FiniteOrthoLattice, name: str) -> Reachable:
-    t = Const(name)
-    _nonzero_const(t, lat, "R")
-    return Reachable(t)
+    return normalize_formula(Reachable(Const(name)), lat)
 
 
 def measurement(lat: FiniteOrthoLattice, name: str) -> Measurement:
@@ -181,36 +175,46 @@ def measurement(lat: FiniteOrthoLattice, name: str) -> Measurement:
     return Measurement(Const(rep))
 
 
-def normalize_formula(f: Formula, lat: FiniteOrthoLattice) -> Formula:
-    if isinstance(f, Actual):
-        t = normalize_term(f.term, lat)
-        _nonzero_const(t, lat, "In")
-        return Actual(t)
-    if isinstance(f, Reachable):
-        t = normalize_term(f.term, lat)
-        _nonzero_const(t, lat, "R")
-        return Reachable(t)
+def normalize_formula(
+    f: Formula, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
+) -> Formula:
+    """The normal form of ``f``: terms and guard bounds normalized, measurement
+    atoms canonical.  With ``var`` given, its free occurrences are first
+    replaced by ``value`` (a quantifier binding ``var`` shadows it, guard
+    included).  ``In``/``R`` of 0 raise :class:`ValueError`."""
+    if isinstance(f, (Actual, Reachable)):
+        t = normalize_term(f.term, lat, var, value)
+        if isinstance(t, Const):
+            lat.index(t.name)
+            if t.name == "0":
+                atom = "In" if isinstance(f, Actual) else "R"
+                raise ValueError(f"{atom} cannot hold the absurd property 0")
+        return type(f)(t)
     if isinstance(f, Measurement):
-        t = normalize_term(f.term, lat)
+        t = normalize_term(f.term, lat, var, value)
         if isinstance(t, Const):
             return measurement(lat, t.name)
         return Measurement(t)
     if isinstance(f, Induced):
         return f
-    if isinstance(f, Tensor):
-        return Tensor(normalize_formula(f.left, lat), normalize_formula(f.right, lat))
-    if isinstance(f, Plus):
-        return Plus(normalize_formula(f.left, lat), normalize_formula(f.right, lat))
+    if isinstance(f, (Tensor, Plus)):
+        return type(f)(
+            normalize_formula(f.left, lat, var, value),
+            normalize_formula(f.right, lat, var, value),
+        )
     if isinstance(f, Lolli):
         return Lolli(
-            normalize_formula(f.antecedent, lat), normalize_formula(f.consequent, lat)
+            normalize_formula(f.antecedent, lat, var, value),
+            normalize_formula(f.consequent, lat, var, value),
         )
     if isinstance(f, Forall):
+        if f.var == var:
+            var = value = None  # shadowed
         guard = tuple(
-            Constraint(c.op, normalize_term(c.rhs, lat) if c.op != "!inK" else c.rhs)
+            c if c.op == "!inK" else Constraint(c.op, normalize_term(c.rhs, lat, var, value))
             for c in f.guard
         )
-        return Forall(f.var, guard, normalize_formula(f.body, lat))
+        return Forall(f.var, guard, normalize_formula(f.body, lat, var, value))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -243,161 +247,113 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subst_term(t: Term, var: str, value: Term) -> Term:
-    if isinstance(t, Var):
-        return value if t.name == var else t
-    if isinstance(t, OrthoTerm):
-        return OrthoTerm(_subst_term(t.arg, var, value))
-    return t
-
-
 def substitute(f: Formula, var: str, value: Term, lat: FiniteOrthoLattice) -> Formula:
-    """Replace a free variable by a term and renormalize."""
-    if isinstance(f, Actual):
-        return normalize_formula(Actual(_subst_term(f.term, var, value)), lat)
-    if isinstance(f, Reachable):
-        return normalize_formula(Reachable(_subst_term(f.term, var, value)), lat)
-    if isinstance(f, Measurement):
-        return normalize_formula(Measurement(_subst_term(f.term, var, value)), lat)
-    if isinstance(f, Induced):
-        return f
-    if isinstance(f, Tensor):
-        return Tensor(substitute(f.left, var, value, lat), substitute(f.right, var, value, lat))
-    if isinstance(f, Plus):
-        return Plus(substitute(f.left, var, value, lat), substitute(f.right, var, value, lat))
-    if isinstance(f, Lolli):
-        return Lolli(
-            substitute(f.antecedent, var, value, lat),
-            substitute(f.consequent, var, value, lat),
-        )
-    if isinstance(f, Forall):
-        if f.var == var:
-            return f  # shadowed
-        guard = tuple(
-            c if c.op == "!inK" else Constraint(c.op, _subst_term(c.rhs, var, value))
-            for c in f.guard
-        )
-        return Forall(f.var, guard, substitute(f.body, var, value, lat))
-    raise TypeError(f"not a formula: {f!r}")
+    """Replace a free variable by a term; the result is in normal form."""
+    return normalize_formula(f, lat, var, value)
 
 
 # -- rendering -------------------------------------------------------------------
 
 
-def ascii_term(t: Term) -> str:
-    if isinstance(t, (Const, Var)):
-        return t.name
-    return f"ortho({ascii_term(t.arg)})"
+class _Surface(NamedTuple):
+    """The symbols of one surface syntax; ``{}`` marks where a part goes."""
+
+    ortho: str  # complement of a term
+    measurement: str  # M atom, its term as {0}
+    tensor: str
+    plus: str
+    lolli: str
+    turnstile: str
+    forall: str  # quantifier head, the variable as {}
+    guard: str  # a nonempty guard after the head, its conjuncts as {}
+    ops: dict[str, str]  # guard operator -> symbol before its right-hand side
 
 
-def _constraint(c: Constraint) -> str:
-    if c.op == "!inK":
-        return f"!in K({c.rhs})"
-    return f"{c.op} {ascii_term(c.rhs)}"
+_ASCII = _Surface(
+    "ortho({})", "M({0})", " * ", " + ", " -o ", "|-", "forall {}", " {{{}}}",
+    {"<=": "<= ", "!<=": "!<= ", "!inK": "!in K"},
+)
+_PRETTY = _Surface(
+    "{}⊥", "M({0}, {0}⊥)", " ⊗ ", " ⊕ ", " ⊸ ", "⊢", "∀{}", "{{{}}}",
+    {"<=": "≤ ", "!<=": "≰ ", "!inK": "∉ K"},
+)
 
 
-def ascii_formula(f: Formula) -> str:
-    """Canonical surface form: the multiplicative conjunction requires
-    explicit parentheses for nesting; the additive disjunction is written
-    left-associated; the implication is right-associated and lowest."""
+def _term(t: Term, s: _Surface) -> str:
+    if isinstance(t, OrthoTerm):
+        return s.ortho.format(_term(t.arg, s))
+    return t.name
 
-    def wrap(sub: Formula, needed: bool) -> str:
-        s = ascii_formula(sub)
-        return f"({s})" if needed else s
 
+def _render(f: Formula, s: _Surface) -> str:
+    """The multiplicative conjunction requires explicit parentheses for
+    nesting; the additive disjunction is written left-associated; the
+    implication is right-associated and lowest."""
     if isinstance(f, Actual):
-        return f"In({ascii_term(f.term)})"
+        return f"In({_term(f.term, s)})"
     if isinstance(f, Reachable):
-        return f"R({ascii_term(f.term)})"
+        return f"R({_term(f.term, s)})"
     if isinstance(f, Measurement):
-        return f"M({ascii_term(f.term)})"
+        return s.measurement.format(_term(f.term, s))
     if isinstance(f, Induced):
         return f"IND({f.alpha})"
     if isinstance(f, Tensor):
         return (
-            f"{wrap(f.left, not isinstance(f.left, ATOMS))}"
-            f" * {wrap(f.right, not isinstance(f.right, ATOMS))}"
+            _wrap(f.left, s, not isinstance(f.left, ATOMS))
+            + s.tensor
+            + _wrap(f.right, s, not isinstance(f.right, ATOMS))
         )
     if isinstance(f, Plus):
         return (
-            f"{wrap(f.left, isinstance(f.left, (Lolli, Forall)))}"
-            f" + {wrap(f.right, isinstance(f.right, (Plus, Lolli, Forall)))}"
+            _wrap(f.left, s, isinstance(f.left, (Lolli, Forall)))
+            + s.plus
+            + _wrap(f.right, s, isinstance(f.right, (Plus, Lolli, Forall)))
         )
     if isinstance(f, Lolli):
         return (
-            f"{wrap(f.antecedent, isinstance(f.antecedent, (Lolli, Forall)))}"
-            f" -o {ascii_formula(f.consequent)}"
+            _wrap(f.antecedent, s, isinstance(f.antecedent, (Lolli, Forall)))
+            + s.lolli
+            + _render(f.consequent, s)
         )
     if isinstance(f, Forall):
-        head = f"forall {f.var}"
+        head = s.forall.format(f.var)
         if f.guard:
-            head += " {" + ", ".join(_constraint(c) for c in f.guard) + "}"
-        return f"{head} . {ascii_formula(f.body)}"
+            head += s.guard.format(", ".join(
+                s.ops[c.op] + (f"({c.rhs})" if c.op == "!inK" else _term(c.rhs, s))
+                for c in f.guard
+            ))
+        return f"{head} . {_render(f.body, s)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _wrap(f: Formula, s: _Surface, needed: bool) -> str:
+    return f"({_render(f, s)})" if needed else _render(f, s)
+
+
+def _sequent(q: Sequent, s: _Surface) -> str:
+    rhs = f"{s.turnstile} {_render(q.succedent, s)}"
+    if not q.context:
+        return rhs
+    return ", ".join(_render(f, s) for f in q.context) + " " + rhs
+
+
+def ascii_term(t: Term) -> str:
+    return _term(t, _ASCII)
+
+
+def ascii_formula(f: Formula) -> str:
+    """Canonical surface form, the one files use."""
+    return _render(f, _ASCII)
+
+
 def ascii_sequent(s: Sequent) -> str:
-    ctx = ", ".join(ascii_formula(f) for f in s.context)
-    rhs = ascii_formula(s.succedent)
-    return f"{ctx} |- {rhs}" if ctx else f"|- {rhs}"
-
-
-def _pretty_term(t: Term) -> str:
-    if isinstance(t, (Const, Var)):
-        return t.name
-    return f"{_pretty_term(t.arg)}⊥"
+    return _sequent(s, _ASCII)
 
 
 def pretty_formula(f: Formula) -> str:
     """Display-only Unicode form; files always use the ASCII surface."""
-
-    def rec(g: Formula) -> str:
-        if isinstance(g, Actual):
-            return f"In({_pretty_term(g.term)})"
-        if isinstance(g, Reachable):
-            return f"R({_pretty_term(g.term)})"
-        if isinstance(g, Measurement):
-            t = _pretty_term(g.term)
-            return f"M({t}, {t}⊥)"
-        if isinstance(g, Induced):
-            return f"IND({g.alpha})"
-        if isinstance(g, Tensor):
-            l, r = rec(g.left), rec(g.right)
-            if not isinstance(g.left, ATOMS):
-                l = f"({l})"
-            if not isinstance(g.right, ATOMS):
-                r = f"({r})"
-            return f"{l} ⊗ {r}"
-        if isinstance(g, Plus):
-            l, r = rec(g.left), rec(g.right)
-            if isinstance(g.left, (Lolli, Forall)):
-                l = f"({l})"
-            if isinstance(g.right, (Plus, Lolli, Forall)):
-                r = f"({r})"
-            return f"{l} ⊕ {r}"
-        if isinstance(g, Lolli):
-            l = rec(g.antecedent)
-            if isinstance(g.antecedent, (Lolli, Forall)):
-                l = f"({l})"
-            return f"{l} ⊸ {rec(g.consequent)}"
-        if isinstance(g, Forall):
-            head = f"∀{g.var}"
-            if g.guard:
-                head += "{" + ", ".join(_pretty_constraint(c) for c in g.guard) + "}"
-            return f"{head} . {rec(g.body)}"
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
-
-
-def _pretty_constraint(c: Constraint) -> str:
-    if c.op == "!inK":
-        return f"∉ K({c.rhs})"
-    rhs = _pretty_term(c.rhs)
-    return ("≤ " if c.op == "<=" else "≰ ") + rhs
+    return _render(f, _PRETTY)
 
 
 def pretty_sequent(s: Sequent) -> str:
-    ctx = ", ".join(pretty_formula(f) for f in s.context)
-    rhs = pretty_formula(s.succedent)
-    return f"{ctx} ⊢ {rhs}" if ctx else f"⊢ {rhs}"
+    return _sequent(s, _PRETTY)

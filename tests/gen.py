@@ -102,13 +102,20 @@ def random_formula(lat, rng: random.Random, depth: int):
         return Plus(random_formula(lat, rng, depth - 1), random_formula(lat, rng, depth - 1))
     if roll < 0.9:
         return Lolli(random_formula(lat, rng, depth - 1), random_formula(lat, rng, depth - 1))
+
+    def bound():
+        # any constant (0 and 1 included) or any term, ortho(<variable>) among them
+        if rng.random() < 0.5:
+            return Const(rng.choice(lat.elements))
+        return random_term(lat, rng, depth)
+
     guard = []
     for _ in range(rng.randrange(3)):
         k = rng.random()
         if k < 0.4:
-            guard.append(Constraint("<=", Const(rng.choice(lat.elements))))
+            guard.append(Constraint("<=", bound()))
         elif k < 0.8:
-            guard.append(Constraint("!<=", Const(rng.choice(lat.elements))))
+            guard.append(Constraint("!<=", bound()))
         else:
             guard.append(Constraint("!inK", rng.choice(("alpha", "beta"))))
     return Forall(

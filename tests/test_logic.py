@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
+import gen
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
+from omlogic.formats import parse_formula, parse_sequent
 from omlogic.kernel import AxiomApp, RuleApp, check_derivation
-from omlogic.lattice import boolean, mo
+from omlogic.lattice import boolean, hexagon, mo
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.syntax import (
     Actual,
@@ -24,8 +27,10 @@ from omlogic.syntax import (
     ascii_sequent,
     free_vars,
     measurement,
+    normalize_formula,
     normalize_term,
     pretty_formula,
+    pretty_sequent,
     substitute,
 )
 
@@ -66,6 +71,27 @@ class TestSyntax:
         lat = mo(2)
         f = Forall("x", (), Actual(Var("x")))
         assert substitute(f, "x", Const("a"), lat) == f
+        guarded = Forall("x", (Constraint("<=", OrthoTerm(Var("x"))),), Actual(Var("x")))
+        assert substitute(guarded, "x", Const("a"), lat) == guarded
+
+    def test_substitution_normalizes_guards(self):
+        lat = mo(2)
+        f = Forall("y", (Constraint("<=", OrthoTerm(Var("x"))),), Actual(Var("y")))
+        g = substitute(f, "x", Const("a"), lat)
+        assert g.guard == (Constraint("<=", Const("a'")),)
+
+    def test_substitute_returns_normal_forms(self):
+        rng = random.Random(20261018)
+        for lat in (mo(2), boolean(3), hexagon()):
+            values = [Const(e) for e in lat.nonzero()] + [Var("z"), OrthoTerm(Var("z"))]
+            for _ in range(300):
+                f = gen.random_formula(lat, rng, rng.randint(0, 4))
+                for var in ("u", "v"):
+                    try:
+                        g = substitute(f, var, rng.choice(values), lat)
+                    except ValueError:  # an In or R atom became 0
+                        continue
+                    assert normalize_formula(g, lat) == g, ascii_formula(f)
 
     def test_ascii_rendering(self):
         lat = mo(2)
@@ -81,6 +107,58 @@ class TestSyntax:
         lat = mo(2)
         f = Tensor(measurement(lat, "b"), In("a"))
         assert pretty_formula(f) == "M(b, b⊥) ⊗ In(a)"
+
+    # one row per atom, connective, parenthesization rule and guard operator
+    @pytest.mark.parametrize("text, pretty, ascii_", [
+        ("In(a)", "In(a)", "In(a)"),
+        ("R(ortho(u))", "R(u⊥)", "R(ortho(u))"),
+        ("M(b')", "M(b, b⊥)", "M(b)"),
+        ("M(ortho(ortho(u)))", "M(u, u⊥)", "M(u)"),
+        ("IND(alpha)", "IND(alpha)", "IND(alpha)"),
+        ("M(b) * (In(a) * R(a))", "M(b, b⊥) ⊗ (In(a) ⊗ R(a))", "M(b) * (In(a) * R(a))"),
+        (
+            "(In(a) + R(a)) * (In(a) -o R(a))",
+            "(In(a) ⊕ R(a)) ⊗ (In(a) ⊸ R(a))",
+            "(In(a) + R(a)) * (In(a) -o R(a))",
+        ),
+        ("In(a) + R(b) + M(b)", "In(a) ⊕ R(b) ⊕ M(b, b⊥)", "In(a) + R(b) + M(b)"),
+        ("In(a) + (R(b) + M(b))", "In(a) ⊕ (R(b) ⊕ M(b, b⊥))", "In(a) + (R(b) + M(b))"),
+        (
+            "(In(a) -o R(a)) + (forall x . In(x))",
+            "(In(a) ⊸ R(a)) ⊕ (∀x . In(x))",
+            "(In(a) -o R(a)) + (forall x . In(x))",
+        ),
+        (
+            "(In(a) -o R(a)) -o In(a) -o R(b)",
+            "(In(a) ⊸ R(a)) ⊸ In(a) ⊸ R(b)",
+            "(In(a) -o R(a)) -o In(a) -o R(b)",
+        ),
+        ("(forall x . In(x)) -o R(a)", "(∀x . In(x)) ⊸ R(a)", "(forall x . In(x)) -o R(a)"),
+        (
+            "forall x {<= a, !<= ortho(x), !in K(alpha)} . In(x) * R(x)",
+            "∀x{≤ a, ≰ x⊥, ∉ K(alpha)} . In(x) ⊗ R(x)",
+            "forall x {<= a, !<= ortho(x), !in K(alpha)} . In(x) * R(x)",
+        ),
+        (
+            "forall x {} . forall y {<= ortho(x)} . In(y)",
+            "∀x . ∀y{≤ x⊥} . In(y)",
+            "forall x . forall y {<= ortho(x)} . In(y)",
+        ),
+    ])
+    def test_rendering_table(self, text, pretty, ascii_):
+        f = parse_formula(text, mo(2))
+        assert (pretty_formula(f), ascii_formula(f)) == (pretty, ascii_)
+
+    def test_sequent_and_term_rendering(self):
+        lat = mo(2)
+        for text, pretty, ascii_ in [
+            ("|- In(a)", "⊢ In(a)", "|- In(a)"),
+            ("In(a), M(b) |- R(a) + R(b)", "In(a), M(b, b⊥) ⊢ R(a) ⊕ R(b)", "In(a), M(b) |- R(a) + R(b)"),
+        ]:
+            s = parse_sequent(text, lat)
+            assert (pretty_sequent(s), ascii_sequent(s)) == (pretty, ascii_)
+        f = Actual(OrthoTerm(OrthoTerm(Var("u"))))
+        assert (pretty_formula(f), ascii_formula(f)) == ("In(u⊥⊥)", "In(ortho(ortho(u)))")
 
 
 class TestAxioms:
@@ -319,6 +397,24 @@ class TestQuantifierRules:
             witness=Const("a"),
         )
         assert check_derivation(lat, d).valid
+
+    def test_forall_l_nested_guard(self):
+        # the instance's inner guard bound ortho(a) must normalize to a'
+        lat = mo(2)
+        outer = parse_formula("forall x . forall y {<= ortho(x)} . In(y)", lat)
+        inner = parse_formula("forall y {<= a'} . In(y)", lat)
+        leaf = RuleApp("id", Sequent((inner,), inner), ())
+        d = RuleApp("forall_l", Sequent((outer,), inner), (leaf,), witness=Const("a"))
+        assert check_derivation(lat, d).valid
+
+    def test_forall_l_absurd_instance_rejected(self):
+        lat = mo(2)
+        quantified = Forall("x", (), Actual(OrthoTerm(Var("x"))))
+        leaf = RuleApp("id", Sequent((In("a"),), In("a")), ())
+        d = RuleApp("forall_l", Sequent((quantified,), In("a")), (leaf,), witness=Const("1"))
+        res = check_derivation(lat, d)
+        assert not res.valid
+        assert res.failure.reason == "instance for witness 1: In cannot hold the absurd property 0"
 
     def test_forall_l_missing_witness(self):
         lat = mo(2)
