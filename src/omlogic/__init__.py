@@ -10,6 +10,8 @@ from omlogic.axioms import (
 )
 from omlogic.derive import (
     CrosscheckResult,
+    NoAlgebraicReading,
+    derive_chain,
     derive_composed,
     derive_distributivity,
     derive_measurement,

@@ -1,9 +1,10 @@
 """Command-line front end for batch verification.
 
 Exit codes: 0 when every check passed, 1 for verification or proof failures,
-2 for usage and parse errors.  ``--seed`` fixes all randomized sampling and
-``--json`` writes a machine-readable report; identical invocations with the
-same seed produce byte-identical reports.
+2 for usage and parse errors and for a crosscheck with no algebraic reading.
+``--seed`` fixes all randomized sampling and ``--json`` writes a
+machine-readable report; identical invocations with the same seed produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
-from omlogic.derive import derive_composed, derive_measurement, semantic_crosscheck
+from omlogic.derive import NoAlgebraicReading, derive_chain, semantic_crosscheck
 from omlogic.formats import (
     ParseError,
     parse_derivation,
@@ -210,13 +211,10 @@ def _cmd_prop1(args) -> int:
     return _emit_report(args, "prop1", list(report.checks))
 
 
-def _prove(args, composed: bool) -> int:
+def _cmd_prove(args) -> int:
     lat = _load(args.lattice, parse_lattice)
     try:
-        if composed:
-            d = derive_composed(lat, args.actual, args.measure, args.then)
-        else:
-            d = derive_measurement(lat, args.actual, args.measure)
+        d = derive_chain(lat, args.actual, [args.measure, *args.then])
     except (GuardViolation, ValueError) as err:
         raise _Exit(CHECK_FAILED, str(err))
     verdict = check_derivation(lat, d)
@@ -227,14 +225,6 @@ def _prove(args, composed: bool) -> int:
     if args.output:
         Path(args.output).write_text(serialize(d))
     return OK
-
-
-def _cmd_prove_measurement(args) -> int:
-    return _prove(args, composed=False)
-
-
-def _cmd_prove_composed(args) -> int:
-    return _prove(args, composed=True)
 
 
 def _cmd_check(args) -> int:
@@ -275,7 +265,10 @@ def _cmd_crosscheck(args) -> int:
     lat = _load(args.lattice, parse_lattice)
     maps = _load_registry(lat, args.register)
     d = _load(args.derivation, parse_derivation, lat)
-    result = semantic_crosscheck(lat, d, maps)
+    try:
+        result = semantic_crosscheck(lat, d, maps)
+    except NoAlgebraicReading as err:
+        raise _Exit(USAGE_ERROR, f"{args.derivation}: {err}")
     if result.ok:
         print(
             f"agree ({result.shape}): branches {_format_set(result.found, lat)} "
@@ -364,23 +357,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser("prove", help="build checked derivations")
     prove_sub = prove.add_subparsers(dest="subcommand", required=True)
-    p = prove_sub.add_parser("measurement")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--actual", required=True)
-    p.add_argument("--measure", required=True)
-    p.add_argument("-o", "--output", help="derivation file")
-    p.add_argument("--unicode", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_prove_measurement)
-    p = prove_sub.add_parser("composed")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--actual", required=True)
-    p.add_argument("--measure", required=True)
-    p.add_argument("--then", required=True)
-    p.add_argument("-o", "--output", help="derivation file")
-    p.add_argument("--unicode", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_prove_composed)
+    for name in ("measurement", "composed"):
+        p = prove_sub.add_parser(name)
+        p.add_argument("--lattice", required=True)
+        p.add_argument("--actual", required=True)
+        p.add_argument("--measure", required=True)
+        if name == "composed":
+            p.add_argument("--then", action="append", required=True,
+                           help="next measured element; repeat for longer chains")
+        p.add_argument("-o", "--output", help="derivation file")
+        p.add_argument("--unicode", action="store_true")
+        p.set_defaults(func=_cmd_prove, then=[])
 
     p = sub.add_parser("check", help="validate a derivation file")
     p.add_argument("derivation")
@@ -398,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--register", action="append", default=[], help="map file for alpha bindings")
     p.add_argument("--unfold", action="store_true")
     p.add_argument("--unicode", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_axiom_instantiate)
 
     p = sub.add_parser("crosscheck", help="compare a derivation with the algebra")

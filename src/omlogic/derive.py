@@ -8,12 +8,13 @@ followed by a cut against the axiom leaf.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from omlogic.axioms import MapRegistry, instantiate_axiom
+from omlogic.axioms import MapRegistry, instantiate_axiom, unfolded
 from omlogic.kernel import AxiomApp, CheckResult, Derivation, RuleApp, check_derivation
 from omlogic.lattice import FiniteOrthoLattice
-from omlogic.propagation import perfect_measurement_map, quantale_compose
+from omlogic.propagation import perfect_measurement_map
 from omlogic.syntax import (
     Actual,
     Const,
@@ -33,19 +34,16 @@ from omlogic.syntax import (
 __all__ = [
     "derive_distributivity",
     "derive_measurement",
+    "derive_chain",
     "derive_composed",
-    "composed_branches",
     "CrosscheckResult",
+    "NoAlgebraicReading",
     "semantic_crosscheck",
 ]
 
 
 def _id(f: Formula) -> RuleApp:
     return RuleApp("id", Sequent((f,), f), ())
-
-
-def _bindings(**kw: str) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(kw.items()))
 
 
 def _modus_ponens(leaf: Derivation) -> RuleApp:
@@ -55,6 +53,20 @@ def _modus_ponens(leaf: Derivation) -> RuleApp:
     a, b = lolli.antecedent, lolli.consequent
     elim = RuleApp("lolli_l", Sequent((a, lolli), b), (_id(a), _id(b)))
     return RuleApp("cut", Sequent((a,), b), (leaf, elim))
+
+
+def _axiom_step(lat: FiniteOrthoLattice, schema: str, **bindings: str) -> RuleApp:
+    """Modus ponens on one instance of an implication-shaped schema."""
+    leaf = AxiomApp(
+        schema, tuple(sorted(bindings.items())), instantiate_axiom(lat, schema, bindings)
+    )
+    return _modus_ponens(leaf)
+
+
+def _check_nonzero(lat: FiniteOrthoLattice, role: str, el: str) -> None:
+    lat.index(el)
+    if el == "0":
+        raise ValueError(f"{role} property must be nonzero")
 
 
 def derive_distributivity(z: Formula, x: Formula, y: Formula) -> RuleApp:
@@ -86,37 +98,18 @@ def derive_measurement(lat: FiniteOrthoLattice, actual_el: str, measured: str) -
     outcomes, the degenerate adjustment applies and the entity is unchanged.
     """
     a, b = actual_el, measured
-    for name, el in (("actual", a), ("measured", b)):
-        lat.index(el)
-        if el == "0":
-            raise ValueError(f"{name} property must be nonzero")
+    _check_nonzero(lat, "actual", a)
+    _check_nonzero(lat, "measured", b)
     bo = lat.ortho(b)
 
     if lat.leq(a, b) or lat.leq(a, bo):
-        outcome = b if lat.leq(a, b) else bo
-        leaf = AxiomApp(
-            "Adjust2",
-            _bindings(x=outcome, y=a),
-            instantiate_axiom(lat, "Adjust2", {"x": outcome, "y": a}),
-        )
-        return _modus_ponens(leaf)
+        return _axiom_step(lat, "Adjust2", x=b if lat.leq(a, b) else bo, y=a)
 
-    adjust = AxiomApp(
-        "Adjust1",
-        _bindings(x=b, y=a),
-        instantiate_axiom(lat, "Adjust1", {"x": b, "y": a}),
-    )
-    step1 = _modus_ponens(adjust)  # M(b) * (In(a) * R(a)) |- In(a) * (R(b) + R(b'))
-
+    # M(b) * (In(a) * R(a)) |- In(a) * (R(b) + R(b'))
+    step1 = _axiom_step(lat, "Adjust1", x=b, y=a)
     step2 = derive_distributivity(actual(lat, a), reachable(lat, b), reachable(lat, bo))
-
-    def trans_branch(z: str) -> RuleApp:
-        leaf = AxiomApp(
-            "Trans", _bindings(y=a, z=z), instantiate_axiom(lat, "Trans", {"y": a, "z": z})
-        )
-        return _modus_ponens(leaf)  # In(a) * R(z) |- In(w) * R(w)
-
-    step3, step4 = trans_branch(b), trans_branch(bo)
+    # In(a) * R(z) |- In(w) * R(w), for z = b and z = b'
+    step3, step4 = (_axiom_step(lat, "Trans", y=a, z=z) for z in (b, bo))
     d1, d2 = step3.conclusion.succedent, step4.conclusion.succedent
     goal_rhs = Plus(d1, d2)
 
@@ -148,26 +141,45 @@ def _subformula(f: Formula, path: tuple[str, ...]) -> Formula:
     return f
 
 
+def derive_chain(
+    lat: FiniteOrthoLattice, actual_el: str, measures: Sequence[str]
+) -> RuleApp:
+    """Derivation for a sequence of two-outcome measurements, first to last,
+    on an entity whose actual and reachable property is ``actual_el``.  The
+    result concludes from the nested context
+    M(m_k) * ( ... (M(m_1) * (In(a) * R(a)))) a disjunction of
+    actual-and-reachable branches, one per surviving projected outcome of the
+    measurements in order.
+    """
+    if not measures:
+        raise ValueError("a measurement chain needs at least one measurement")
+    for m in measures[1:]:  # reject a bad later measurement before building
+        _check_nonzero(lat, "measured", m)
+    d = derive_measurement(lat, actual_el, measures[0])
+    for m in measures[1:]:
+        d = _extend(lat, d, m)
+    return d
+
+
 def derive_composed(
     lat: FiniteOrthoLattice, actual_el: str, first: str, then: str
 ) -> RuleApp:
-    """Extend a measurement derivation by a second measurement.  The result
-    concludes from the nested context  M(then) * (M(first) * (In(a) * R(a)))
-    a disjunction of up to four actual-and-reachable branches, one per
-    surviving projected outcome of the two measurements in order.
-    """
-    lat.index(then)
-    if then == "0":
-        raise ValueError("measured property must be nonzero")
-    base = derive_measurement(lat, actual_el, first)
+    """The two-measurement chain ``derive_chain(lat, actual_el, (first, then))``."""
+    return derive_chain(lat, actual_el, (first, then))
+
+
+def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
+    """Extend a chain derivation by one more measurement: from M(then) * C,
+    where ``base`` proves C |- S, conclude S with each branch In(u) * R(u)
+    replaced by the conclusion of measuring ``then`` on u."""
     stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
 
-    # second-stage proof and conclusion for each first-stage branch
+    # next-stage proof and conclusion for each branch so far
     cores: dict[tuple[str, ...], RuleApp] = {}
     for leaf, path in _plus_leaves(stage_one):
-        assert isinstance(leaf, Tensor) and isinstance(leaf.left, Actual)
-        u = leaf.left.term.name
+        u = _in_and_r(leaf)
+        assert u is not None
         cores[path] = derive_measurement(lat, u, then)
 
     def mirror(f: Formula, path: tuple[str, ...]) -> Formula:
@@ -178,7 +190,7 @@ def derive_composed(
     goal_rhs = mirror(stage_one, ())
 
     def prove(f: Formula, path: tuple[str, ...]) -> RuleApp:
-        """(M(then), f) |- goal_rhs, recursing over the first-stage tree."""
+        """(M(then), f) |- goal_rhs, recursing over the branch tree so far."""
         if isinstance(f, Plus):
             left = prove(f.left, path + ("L",))
             right = prove(f.right, path + ("R",))
@@ -231,29 +243,37 @@ class CrosscheckResult:
     reason: str | None = None
 
 
-def _branch_set(lat, f: Formula, with_reachable: bool) -> frozenset[str] | None:
-    """In-arguments of a plus tree whose leaves are In(z) * R(z) (or bare
-    In(z) when ``with_reachable`` is false); None when the shape is off."""
-    out = set()
-    for leaf, _ in _plus_leaves(f):
-        if with_reachable:
-            if not (
-                isinstance(leaf, Tensor)
-                and isinstance(leaf.left, Actual)
-                and isinstance(leaf.right, Reachable)
-                and isinstance(leaf.left.term, Const)
-                and leaf.left.term == leaf.right.term
-            ):
-                return None
-            out.add(leaf.left.term.name)
-        else:
-            if not (isinstance(leaf, Actual) and isinstance(leaf.term, Const)):
-                return None
-            out.add(leaf.term.name)
-    return frozenset(out)
+class NoAlgebraicReading(ValueError):
+    """A valid derivation whose conclusion is neither a measurement chain nor
+    an IND(alpha) * In(a) propagation, so the algebra has nothing to compare."""
 
 
-def _measurement_chain(lat, f: Formula) -> tuple[str, list[str]] | None:
+def _in_and_r(f: Formula) -> str | None:
+    """The element u when ``f`` is In(u) * R(u) with a constant u, else None."""
+    if (
+        isinstance(f, Tensor)
+        and isinstance(f.left, Actual)
+        and isinstance(f.right, Reachable)
+        and isinstance(f.left.term, Const)
+        and f.left.term == f.right.term
+    ):
+        return f.left.term.name
+    return None
+
+
+def _in(f: Formula) -> str | None:
+    """The element u when ``f`` is In(u) with a constant u, else None."""
+    return f.term.name if isinstance(f, Actual) and isinstance(f.term, Const) else None
+
+
+def _branch_set(f: Formula, read) -> frozenset[str] | None:
+    """The elements ``read`` finds in the leaves of a plus tree; None when it
+    finds none in some leaf."""
+    names = [read(leaf) for leaf, _ in _plus_leaves(f)]
+    return None if None in names else frozenset(names)
+
+
+def _measurement_chain(f: Formula) -> tuple[str, list[str]] | None:
     """Peel M(m_k) * ( ... (In(a) * R(a))); returns (a, [m_1 .. m_k]) with the
     innermost measurement first, or None when the shape is off."""
     sequence: list[str] = []
@@ -264,27 +284,21 @@ def _measurement_chain(lat, f: Formula) -> tuple[str, list[str]] | None:
     ):
         sequence.append(f.left.term.name)
         f = f.right
-    if not sequence:
+    start = _in_and_r(f)
+    if not sequence or start is None:
         return None
-    if not (
-        isinstance(f, Tensor)
-        and isinstance(f.left, Actual)
-        and isinstance(f.right, Reachable)
-        and isinstance(f.left.term, Const)
-        and f.left.term == f.right.term
-    ):
-        return None
-    sequence.reverse()
-    return f.left.term.name, sequence
+    return start, sequence[::-1]
 
 
 def semantic_crosscheck(
     lat: FiniteOrthoLattice, d: Derivation, maps: MapRegistry | None = None
 ) -> CrosscheckResult:
-    """Check a recognized-shape conclusion against the propagation algebra:
-    the disjunction's branch set must equal the actuality set computed
-    independently by the corresponding maps.  Unrecognized shapes are
-    reported, not guessed.
+    """Check a valid derivation's conclusion, read as ``A |- B`` whether it
+    is written so or as ``|- A -o B``, against the propagation algebra: the
+    disjunction's branch set must equal the actuality set computed
+    independently by the corresponding maps.  A conclusion that is neither a
+    measurement chain nor an IND(alpha) * In(a) propagation raises
+    :class:`NoAlgebraicReading`.
     """
     maps = maps or {}
     verdict: CheckResult = check_derivation(lat, d, maps)
@@ -293,62 +307,29 @@ def semantic_crosscheck(
         return CrosscheckResult(
             False, reason=f"derivation invalid at {fail.path}: {fail.reason}"
         )
-    seq = d.conclusion
+    seq = unfolded(d.conclusion)
+    ctx = seq.context[0] if len(seq.context) == 1 else None
 
-    if len(seq.context) == 1:
-        chain = _measurement_chain(lat, seq.context[0])
-        found = _branch_set(lat, seq.succedent, with_reachable=True)
-        if chain is not None and found is not None:
-            start, sequence = chain
-            current = frozenset({start})
-            for m in sequence:
-                current = perfect_measurement_map(lat, m).apply(current)
-            shape = "measurement" if len(sequence) == 1 else "composed"
-            return CrosscheckResult(current == found, shape, current, found)
+    chain = _measurement_chain(ctx)
+    found = _branch_set(seq.succedent, _in_and_r)
+    if chain is not None and found is not None:
+        start, sequence = chain
+        current = frozenset({start})
+        for m in sequence:
+            current = perfect_measurement_map(lat, m).apply(current)
+        shape = "measurement" if len(sequence) == 1 else "composed"
+        return CrosscheckResult(current == found, shape, current, found)
 
-    if not seq.context and isinstance(seq.succedent, Lolli):
-        ante, cons = seq.succedent.antecedent, seq.succedent.consequent
-        ctx_like = Sequent((ante,), cons)
-        inner = _general_propagation_shape(lat, ctx_like, maps)
-        if inner is not None:
-            return inner
-    if len(seq.context) == 1:
-        inner = _general_propagation_shape(lat, seq, maps)
-        if inner is not None:
-            return inner
+    if isinstance(ctx, Tensor) and isinstance(ctx.left, Induced):
+        start, found = _in(ctx.right), _branch_set(seq.succedent, _in)
+        if start is not None and found is not None:
+            alpha = ctx.left.alpha
+            if alpha not in maps:
+                return CrosscheckResult(False, reason=f"unknown propagation map {alpha!r}")
+            expected = maps[alpha].apply({start})
+            return CrosscheckResult(expected == found, "general-propagation", expected, found)
 
-    return CrosscheckResult(False, reason="unrecognized sequent shape")
-
-
-def _general_propagation_shape(lat, seq: Sequent, maps) -> CrosscheckResult | None:
-    f = seq.context[0]
-    if not (
-        isinstance(f, Tensor)
-        and isinstance(f.left, Induced)
-        and isinstance(f.right, Actual)
-        and isinstance(f.right.term, Const)
-    ):
-        return None
-    found = _branch_set(lat, seq.succedent, with_reachable=False)
-    if found is None:
-        return None
-    alpha = f.left.alpha
-    if alpha not in maps:
-        return CrosscheckResult(
-            False, reason=f"unknown propagation map {alpha!r}"
-        )
-    expected = maps[alpha].apply({f.right.term.name})
-    return CrosscheckResult(
-        expected == found, "general-propagation", expected, found
+    raise NoAlgebraicReading(
+        "no algebraic reading for this conclusion; crosscheck reads measurement "
+        "chains and IND(alpha) * In(a) propagation"
     )
-
-
-def composed_branches(
-    lat: FiniteOrthoLattice, actual_el: str, first: str, then: str
-) -> frozenset[str]:
-    """Branch set of the two-measurement composition, computed on the algebra
-    side (used to cross-check the derivation builders)."""
-    composed = quantale_compose(
-        perfect_measurement_map(lat, then), perfect_measurement_map(lat, first)
-    )
-    return composed.apply({actual_el})

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,11 @@ import pytest
 import gen
 import omlogic
 from omlogic.cli import run
+from omlogic.derive import derive_chain, derive_measurement
 from omlogic.formats import parse_derivation, parse_lattice, serialize
+from omlogic.kernel import RuleApp
 from omlogic.lattice import hexagon, mo
+from omlogic.syntax import Lolli, Sequent, ascii_sequent
 
 
 @pytest.fixture
@@ -197,6 +201,54 @@ class TestProveCheckCrosscheck:
         assert run(["check", str(drv), "--lattice", mo2_file]) == 0
         assert run(["crosscheck", str(drv), "--lattice", mo2_file]) == 0
 
+    def test_repeated_then(self, mo2_file, tmp_path, capsys):
+        drv = tmp_path / "chain.drv"
+        argv = ["prove", "composed", "--lattice", mo2_file, "--actual", "a",
+                "--measure", "b", "--then", "a", "--then", "b", "-o", str(drv)]
+        assert run(argv) == 0
+        chain = derive_chain(mo(2), "a", ["b", "a", "b"])
+        assert capsys.readouterr().out == ascii_sequent(chain.conclusion) + "\n"
+        assert drv.read_text() == serialize(chain)
+        assert run(["check", str(drv), "--lattice", mo2_file]) == 0
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file]) == 0
+        assert capsys.readouterr().out.startswith("PASS derivation-valid\nagree (composed)")
+
+    def test_lolli_form_chain(self, mo2_file, tmp_path, capsys):
+        core = derive_measurement(mo(2), "a", "a")
+        (ctx,), goal = core.conclusion.context, core.conclusion.succedent
+        drv = tmp_path / "lolli.drv"
+        drv.write_text(serialize(RuleApp("lolli_r", Sequent((), Lolli(ctx, goal)), (core,))))
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file]) == 0
+        assert capsys.readouterr().out.startswith("agree (measurement): branches {a}")
+
+    def test_no_algebraic_reading(self, mo2_file, tmp_path, capsys):
+        drv, report = tmp_path / "id.drv", tmp_path / "r.json"
+        drv.write_text('(rule id (seq "M(0) |- M(1)"))\n')
+        assert run(["check", str(drv), "--lattice", mo2_file]) == 0
+        capsys.readouterr()
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file, "--json", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{drv}: no algebraic reading for this conclusion; crosscheck reads "
+            "measurement chains and IND(alpha) * In(a) propagation\n"
+        )
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prove", "measurement", "--actual", "a", "--measure", "b"],
+            ["prove", "composed", "--actual", "a", "--measure", "b", "--then", "a"],
+            ["axiom", "instantiate", "--schema", "Trans", "--bind", "y=b", "--bind", "z=a"],
+        ],
+        ids=["prove measurement", "prove composed", "axiom instantiate"],
+    )
+    def test_json_rejected_where_no_report(self, mo2_file, tmp_path, argv):
+        report = tmp_path / "r.json"
+        assert run(argv + ["--lattice", mo2_file, "--json", str(report)]) == 2
+        assert not report.exists()
+
     def test_check_rejects_tampered_file(self, mo2_file, tmp_path, capsys):
         drv = tmp_path / "p.drv"
         run(
@@ -317,3 +369,20 @@ class TestEntryPoint:
 
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == 2
+
+
+def readme_commands() -> list[str]:
+    """The ``omlogic`` lines of README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("omlogic ")]
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
+    """Every README example runs, in order, from an empty directory, and exits 0."""
+    commands = readme_commands()
+    assert len(commands) >= 11
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        assert run(argv) == 0, (line, capsys.readouterr())

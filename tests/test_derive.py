@@ -4,16 +4,18 @@ import random
 import pytest
 
 from omlogic.derive import (
-    composed_branches,
+    NoAlgebraicReading,
+    derive_chain,
     derive_composed,
     derive_distributivity,
     derive_measurement,
     semantic_crosscheck,
 )
+from omlogic.formats import parse_derivation, serialize
 from omlogic.kernel import check_derivation
 from omlogic.lattice import boolean, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
-from omlogic.propagation import perfect_measurement_map
+from omlogic.propagation import perfect_measurement_map, quantale_compose
 from omlogic.syntax import (
     Actual,
     Const,
@@ -31,6 +33,19 @@ def In(x):
 
 def R(x):
     return Reachable(Const(x))
+
+
+def chain_image(lat, a, measures):
+    """The actuality set of {a} under the quantale composite of the
+    measurement maps, last measurement outermost."""
+    composite = perfect_measurement_map(lat, measures[0])
+    for m in measures[1:]:
+        composite = quantale_compose(perfect_measurement_map(lat, m), composite)
+    return composite.apply({a})
+
+
+def count_branches(f):
+    return count_branches(f.left) + count_branches(f.right) if isinstance(f, Plus) else 1
 
 
 class TestDistributivity:
@@ -116,7 +131,7 @@ class TestDeriveComposed:
         result = semantic_crosscheck(lat, d)
         assert result.ok
         assert result.found == {"a", "a'"}
-        assert result.found == composed_branches(lat, "a", "b", "a")
+        assert result.found == chain_image(lat, "a", ["b", "a"])
 
     def test_repeated_measurement_fixes_branches(self):
         lat = mo(2)
@@ -138,6 +153,43 @@ class TestDeriveComposed:
             d = derive_composed(lat, a, b, c)
             assert check_derivation(lat, d).valid, (a, b, c)
             assert semantic_crosscheck(lat, d).ok, (a, b, c)
+
+
+class TestDeriveChain:
+    """Chains of three to five measurements, each an extension of the last."""
+
+    def check_chain(self, lat, a, measures):
+        d = derive_chain(lat, a, measures)
+        assert check_derivation(lat, d).valid, (a, measures)
+        assert parse_derivation(serialize(d), lat) == d
+        result = semantic_crosscheck(lat, d)
+        assert result.ok and result.shape == "composed", (a, measures)
+        assert result.found == chain_image(lat, a, measures)
+        return d
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_alternating_incompatible_measurements(self, k):
+        lat = mo(4)
+        measures = ["a", "b"] * 3
+        d = self.check_chain(lat, "c", measures[:k])
+        # every measurement splits every branch in two
+        assert count_branches(d.conclusion.succedent) == 2**k
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_boolean(self, k):
+        lat = boolean(3)
+        rng = random.Random(k)
+        for _ in range(10):
+            a = rng.choice(lat.nonzero())
+            self.check_chain(lat, a, [rng.choice(lat.nonzero()) for _ in range(k)])
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="at least one measurement"):
+            derive_chain(mo(2), "a", [])
+
+    def test_zero_in_later_measurement_rejected(self):
+        with pytest.raises(ValueError, match="measured property must be nonzero"):
+            derive_chain(mo(2), "a", ["b", "a", "0"])
 
 
 class TestSemanticCrosscheck:
@@ -196,8 +248,8 @@ class TestSemanticCrosscheck:
         from omlogic.kernel import RuleApp
 
         d = RuleApp("id", Sequent((In("a"),), In("a")), ())
-        result = semantic_crosscheck(lat, d)
-        assert not result.ok and "unrecognized" in result.reason
+        with pytest.raises(NoAlgebraicReading, match="no algebraic reading"):
+            semantic_crosscheck(lat, d)
 
     def test_invalid_derivation_reported(self):
         lat = mo(2)
