@@ -10,11 +10,11 @@ Implication-shaped schemas conclude an empty-context sequent by default;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from omlogic.lattice import FiniteOrthoLattice
 from omlogic.propagation import PowersetMap, kill_set
+from omlogic.record import Record
 from omlogic.syntax import (
     Induced,
     Lolli,
@@ -46,11 +46,12 @@ class UnknownSchemaError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     """Name, parameter signature, guard description, and the instantiation
     body.  ``params`` is documentation; variadic schemas validate keys
     themselves."""
+
+    __slots__ = ("name", "params", "guard", "build")
 
     name: str
     params: tuple[str, ...]

@@ -10,9 +10,9 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
@@ -89,6 +89,12 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    import json  # only reports need it, so plain runs skip the import
+
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
@@ -116,7 +122,7 @@ def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
         }
         if extra:
             payload.update(extra)
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.json, payload)
     return OK if ok else CHECK_FAILED
 
 
@@ -163,7 +169,7 @@ def _cmd_propagate(args) -> int:
             "ok": True,
             "seed": None,
         }
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.json, payload)
     return OK
 
 
@@ -298,7 +304,10 @@ def _cmd_crosscheck(args) -> int:
 # -- argument wiring ---------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="omlogic",
         description="Verify orthomodular property lattices, propagation maps, "
@@ -398,9 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else OK
     try:

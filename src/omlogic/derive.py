@@ -9,12 +9,12 @@ followed by a cut against the axiom leaf.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from omlogic.axioms import MapRegistry, instantiate_axiom, unfolded
 from omlogic.kernel import AxiomApp, CheckResult, Derivation, RuleApp, check_derivation
 from omlogic.lattice import FiniteOrthoLattice
 from omlogic.propagation import perfect_measurement_map
+from omlogic.record import Record
 from omlogic.syntax import (
     Actual,
     Const,
@@ -175,12 +175,16 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
 
-    # next-stage proof and conclusion for each branch so far
+    # next-stage proof and conclusion for each branch so far; branches that
+    # hold the same element share one proof
     cores: dict[tuple[str, ...], RuleApp] = {}
+    by_element: dict[str, RuleApp] = {}
     for leaf, path in _plus_leaves(stage_one):
         u = _in_and_r(leaf)
         assert u is not None
-        cores[path] = derive_measurement(lat, u, then)
+        if u not in by_element:
+            by_element[u] = derive_measurement(lat, u, then)
+        cores[path] = by_element[u]
 
     def mirror(f: Formula, path: tuple[str, ...]) -> Formula:
         if isinstance(f, Plus):
@@ -234,13 +238,18 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
 # -- semantic crosscheck ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
-    ok: bool
-    shape: str | None = None
-    expected: frozenset[str] | None = None
-    found: frozenset[str] | None = None
-    reason: str | None = None
+class CrosscheckResult(Record):
+    __slots__ = ("ok", "shape", "expected", "found", "reason")
+
+    def __init__(
+        self,
+        ok: bool,
+        shape: str | None = None,
+        expected: frozenset[str] | None = None,
+        found: frozenset[str] | None = None,
+        reason: str | None = None,
+    ):
+        super().__init__(ok, shape, expected, found, reason)
 
 
 class NoAlgebraicReading(ValueError):

@@ -15,13 +15,13 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from functools import cache, singledispatch
+from functools import singledispatch
 from typing import NamedTuple
 
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import PowersetMap, perfect_measurement_map
+from omlogic.record import Record
 from omlogic.syntax import (
     Actual,
     Const,
@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
+    __slots__ = ("line", "column", "length")
+
     line: int  # 1-based
     column: int  # 1-based
     length: int
@@ -514,18 +515,13 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
 
 def _intern(node, nodes: dict):
     """The copy of ``node`` in ``nodes``, built bottom-up from interned parts
-    (hash-consing, Filliatre & Conchon 2006).  Parts are frozen dataclasses,
-    tuples and strings."""
+    (hash-consing, Filliatre & Conchon 2006).  Parts are records (whose
+    fields are their ``__slots__``), tuples and strings."""
     if isinstance(node, tuple):
         node = tuple([_intern(part, nodes) for part in node])
     elif not isinstance(node, str):
-        node = type(node)(*[_intern(getattr(node, n), nodes) for n in _field_names(type(node))])
+        node = type(node)(*[_intern(getattr(node, n), nodes) for n in node.__slots__])
     return nodes.setdefault(node, node)
-
-
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
 
 
 # -- derivation s-expressions -------------------------------------------------------

@@ -24,12 +24,12 @@ reproduces the stored conclusion and its guard passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from omlogic.axioms import GuardViolation, MapRegistry, SCHEMAS, instantiate_axiom, unfolded
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import kill_set
+from omlogic.record import Record
 from omlogic.syntax import (
     Const,
     Constraint,
@@ -45,6 +45,8 @@ from omlogic.syntax import (
     substitute,
 )
 
+_set = object.__setattr__  # assigns a field of a frozen node in __init__
+
 __all__ = [
     "RuleApp",
     "AxiomApp",
@@ -56,19 +58,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleApp:
-    rule: str
-    conclusion: Sequent
-    children: tuple["Derivation", ...]
-    witness: Term | None = None  # forall_l only
+class RuleApp(Record):
+    """An inference step; ``witness`` is the instance term of ``forall_l``."""
+
+    __slots__ = ("rule", "conclusion", "children", "witness")
+
+    def __init__(
+        self,
+        rule: str,
+        conclusion: Sequent,
+        children: tuple[Derivation, ...],
+        witness: Term | None = None,
+    ):
+        _set(self, "rule", rule)
+        _set(self, "conclusion", conclusion)
+        _set(self, "children", children)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not RuleApp:
+            return NotImplemented
+        return self is other or (
+            self.rule, self.conclusion, self.children, self.witness
+        ) == (other.rule, other.conclusion, other.children, other.witness)
+
+    def __hash__(self):
+        return hash((self.rule, self.conclusion, self.children, self.witness))
 
 
-@dataclass(frozen=True)
-class AxiomApp:
-    schema: str
-    bindings: tuple[tuple[str, str], ...]  # sorted (variable, value) pairs
-    conclusion: Sequent
+class AxiomApp(Record):
+    """An axiom leaf; ``bindings`` are sorted (variable, value) pairs."""
+
+    __slots__ = ("schema", "bindings", "conclusion")
+
+    def __init__(self, schema: str, bindings: tuple[tuple[str, str], ...], conclusion: Sequent):
+        _set(self, "schema", schema)
+        _set(self, "bindings", bindings)
+        _set(self, "conclusion", conclusion)
+
+    def __eq__(self, other):
+        if other.__class__ is not AxiomApp:
+            return NotImplemented
+        return self is other or (self.schema, self.bindings, self.conclusion) == (
+            other.schema, other.bindings, other.conclusion
+        )
+
+    def __hash__(self):
+        return hash((self.schema, self.bindings, self.conclusion))
 
 
 Derivation = Union[RuleApp, AxiomApp]
@@ -88,16 +124,29 @@ RULE_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Record):
+    __slots__ = ("path", "rule", "reason")
+
     path: tuple[int, ...]
     rule: str
     reason: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    failure: CheckFailure | None = None
+class CheckResult(Record):
+    """A verdict, built at every checked node; ``failure`` is None when valid."""
+
+    __slots__ = ("failure",)
+
+    def __init__(self, failure: CheckFailure | None = None):
+        _set(self, "failure", failure)
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckResult:
+            return NotImplemented
+        return self is other or self.failure == other.failure
+
+    def __hash__(self):
+        return hash((self.failure,))
 
     @property
     def valid(self) -> bool:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from omlogic.record import Record
 
 __all__ = [
     "LatticeError",
@@ -49,18 +50,19 @@ class NotOrthomodularError(LatticeError):
     """An operation requiring a verified orthomodular lattice was refused."""
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(Record):
     """Outcome of one law: name, pass flag, and a witness tuple on failure."""
 
-    law: str
-    passed: bool
-    witness: tuple[str, ...] | None = None
+    __slots__ = ("law", "passed", "witness")
+
+    def __init__(self, law: str, passed: bool, witness: tuple[str, ...] | None = None):
+        super().__init__(law, passed, witness)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Ordered list of law checks; ``ok`` iff every law passed."""
+
+    __slots__ = ("checks",)
 
     checks: tuple[LawCheck, ...]
 

@@ -7,7 +7,6 @@ would accept at least one of these mutants.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from omlogic.kernel import AxiomApp, Derivation, RuleApp
@@ -31,12 +30,14 @@ def _replace(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivatio
         return new
     kids = list(d.children)
     kids[path[0]] = _replace(kids[path[0]], path[1:], new)
-    return dataclasses.replace(d, children=tuple(kids))
+    return RuleApp(d.rule, d.conclusion, tuple(kids), d.witness)
 
 
 def _with_context(node: Derivation, ctx: tuple) -> Derivation:
     seq = Sequent(ctx, node.conclusion.succedent)
-    return dataclasses.replace(node, conclusion=seq)
+    if isinstance(node, RuleApp):
+        return RuleApp(node.rule, seq, node.children, node.witness)
+    return AxiomApp(node.schema, node.bindings, seq)
 
 
 def mutate(
@@ -106,7 +107,7 @@ def mutate(
                 bindings["y"] = rng.choice(violating)
             else:
                 bindings["x"] = "0"  # y <= 0 is unsatisfiable for nonzero y
-        mutated = dataclasses.replace(node, bindings=tuple(sorted(bindings.items())))
+        mutated = AxiomApp(node.schema, tuple(sorted(bindings.items())), node.conclusion)
         return _replace(d, path, mutated)
 
     if kind == "capture":

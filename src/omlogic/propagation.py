@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from omlogic.lattice import FiniteOrthoLattice, LawCheck, VerificationReport
+from omlogic.record import Record
 
 __all__ = [
     "LatticeMismatchError",
@@ -70,12 +70,15 @@ class TransitionMapError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class MapCheck:
+class MapCheck(Record):
     """Membership verdict with an (A, B) witness when it fails."""
 
-    ok: bool
-    witness: tuple[frozenset[str], frozenset[str]] | None = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(
+        self, ok: bool, witness: tuple[frozenset[str], frozenset[str]] | None = None
+    ):
+        super().__init__(ok, witness)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -459,10 +462,11 @@ def sasaki_preorder(lat: FiniteOrthoLattice, a: str, a2: str) -> bool:
     return compose_join(pa, pa2) == pa
 
 
-@dataclass(frozen=True)
-class CounterexampleWitness:
+class CounterexampleWitness(Record):
     """A pair ordered under the projection preorder whose projections are not
     pointwise ordered: at ``argument`` the two images are incomparable."""
+
+    __slots__ = ("element", "other", "argument", "images")
 
     element: str
     other: str

@@ -16,10 +16,12 @@ of a triple conjunction are distinct formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from omlogic.lattice import FiniteOrthoLattice
+from omlogic.record import Record
+
+_set = object.__setattr__  # assigns a field of a frozen node in __init__
 
 __all__ = [
     "Const",
@@ -51,76 +53,200 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class OrthoTerm:
-    arg: "Term"
+class OrthoTerm(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not OrthoTerm:
+            return NotImplemented
+        return self is other or self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
 Term = Union[Const, Var, OrthoTerm]
 
 
-@dataclass(frozen=True)
-class Actual:
-    term: Term
+class Actual(Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        _set(self, "term", term)
+
+    def __eq__(self, other):
+        if other.__class__ is not Actual:
+            return NotImplemented
+        return self is other or self.term == other.term
+
+    def __hash__(self):
+        return hash((self.term,))
 
 
-@dataclass(frozen=True)
-class Reachable:
-    term: Term
+class Reachable(Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        _set(self, "term", term)
+
+    def __eq__(self, other):
+        if other.__class__ is not Reachable:
+            return NotImplemented
+        return self is other or self.term == other.term
+
+    def __hash__(self):
+        return hash((self.term,))
 
 
-@dataclass(frozen=True)
-class Measurement:
-    term: Term
+class Measurement(Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        _set(self, "term", term)
+
+    def __eq__(self, other):
+        if other.__class__ is not Measurement:
+            return NotImplemented
+        return self is other or self.term == other.term
+
+    def __hash__(self):
+        return hash((self.term,))
 
 
-@dataclass(frozen=True)
-class Induced:
-    alpha: str
+class Induced(Record):
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: str):
+        _set(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not Induced:
+            return NotImplemented
+        return self is other or self.alpha == other.alpha
+
+    def __hash__(self):
+        return hash((self.alpha,))
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "Formula"
-    right: "Formula"
+class Tensor(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Tensor:
+            return NotImplemented
+        return self is other or (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "Formula"
-    right: "Formula"
+class Plus(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Plus:
+            return NotImplemented
+        return self is other or (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Lolli:
-    antecedent: "Formula"
-    consequent: "Formula"
+class Lolli(Record):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+
+    def __eq__(self, other):
+        if other.__class__ is not Lolli:
+            return NotImplemented
+        return self is other or (self.antecedent, self.consequent) == (
+            other.antecedent, other.consequent
+        )
+
+    def __hash__(self):
+        return hash((self.antecedent, self.consequent))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One guard conjunct.  ``op`` is ``<=`` or ``!<=`` with a term on the
     right, or ``!inK`` with a propagation-map name on the right."""
 
-    op: str
-    rhs: Term | str
+    __slots__ = ("op", "rhs")
+
+    def __init__(self, op: str, rhs: Term | str):
+        _set(self, "op", op)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self is other or (self.op, self.rhs) == (other.op, other.rhs)
+
+    def __hash__(self):
+        return hash((self.op, self.rhs))
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    guard: tuple[Constraint, ...]
-    body: "Formula"
+class Forall(Record):
+    __slots__ = ("var", "guard", "body")
+
+    def __init__(self, var: str, guard: tuple[Constraint, ...], body: Formula):
+        _set(self, "var", var)
+        _set(self, "guard", guard)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not Forall:
+            return NotImplemented
+        return self is other or (self.var, self.guard, self.body) == (
+            other.var, other.guard, other.body
+        )
+
+    def __hash__(self):
+        return hash((self.var, self.guard, self.body))
 
 
 Formula = Union[Actual, Reachable, Measurement, Induced, Tensor, Plus, Lolli, Forall]
@@ -128,13 +254,23 @@ Formula = Union[Actual, Reachable, Measurement, Induced, Tensor, Plus, Lolli, Fo
 ATOMS = (Actual, Reachable, Measurement, Induced)
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
     """Ordered context and a single succedent.  Order is significant: there is
     no implicit exchange, weakening, or contraction."""
 
-    context: tuple[Formula, ...]
-    succedent: Formula
+    __slots__ = ("context", "succedent")
+
+    def __init__(self, context: tuple[Formula, ...], succedent: Formula):
+        _set(self, "context", context)
+        _set(self, "succedent", succedent)
+
+    def __eq__(self, other):
+        if other.__class__ is not Sequent:
+            return NotImplemented
+        return self is other or (self.context, self.succedent) == (other.context, other.succedent)
+
+    def __hash__(self):
+        return hash((self.context, self.succedent))
 
 
 # -- normalization -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -369,6 +370,79 @@ class TestEntryPoint:
 
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == 2
+
+    def test_console_script_target(self, tmp_path):
+        """The ``[project.scripts]`` target, called the way the installed
+        ``omlogic`` script calls it, with its return code as the exit code."""
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        module, func = re.search(r'^omlogic = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        lat = tmp_path / "mo2.lat"
+
+        def script_run(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                cwd=Path(omlogic.__file__).parents[1],
+            )
+
+        gen = script_run("lattice", "gen", "--family", "mo", "--n", "2", "-o", str(lat))
+        assert gen.returncode == 0
+        assert parse_lattice(lat.read_text()) == mo(2)
+        verify = script_run("lattice", "verify", str(lat))
+        assert verify.returncode == 0 and "PASS orthomodularity" in verify.stdout
+        assert script_run("no-such-command").returncode == 2
+
+    def test_import_footprint(self):
+        """Importing the CLI loads neither dataclasses (nor inspect through it)
+        nor json, which only --json reports need."""
+        code = (
+            "import sys; before = set(sys.modules); import omlogic.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=Path(omlogic.__file__).parents[1],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestParserReuse:
+    """One argument parser serves every ``run`` in a process; no value of one
+    call reaches the next."""
+
+    def test_shorter_then_list(self, mo2_file, tmp_path):
+        out = tmp_path / "out.drv"
+        base = ["--lattice", mo2_file, "--actual", "a", "--measure", "b", "-o", str(out)]
+        for argv, chain in (
+            (["composed", *base, "--then", "a", "--then", "b"], ["b", "a", "b"]),
+            (["composed", *base, "--then", "a"], ["b", "a"]),
+            (["measurement", *base], ["b"]),
+            (["measurement", *base], ["b"]),
+        ):
+            assert run(["prove", *argv]) == 0
+            assert out.read_text() == serialize(derive_chain(mo(2), "a", chain)), argv
+
+    def test_usage_error_then_valid_command(self, mo2_file, capsys):
+        assert run(["prove", "composed", "--lattice", mo2_file]) == 2
+        assert run(["lattice", "verify", mo2_file]) == 0
+        assert "PASS orthomodularity" in capsys.readouterr().out
+
+    def test_bind_and_register_do_not_carry_over(self, mo2_file, tmp_path, capsys):
+        map_file = tmp_path / "m.map"
+        map_file.write_text("map blur over mo2\nmeasure b\nend\n")
+        base = ["axiom", "instantiate", "--lattice", mo2_file]
+        general = base + [
+            "--schema", "GeneralPropagation", "--bind", "alpha=blur", "--bind", "x=a"
+        ]
+        assert run(general + ["--register", str(map_file)]) == 0
+        capsys.readouterr()
+        # the map registered by the last call is gone
+        assert run(general) == 1
+        assert "unknown propagation map 'blur'" in capsys.readouterr().err
+        # and so are its bindings: Trans takes exactly y and z
+        assert run(base + ["--schema", "Trans", "--bind", "y=b", "--bind", "z=a"]) == 0
+        assert capsys.readouterr().out == "|- In(b) * R(a) -o In(a) * R(a)\n"
 
 
 def readme_commands() -> list[str]:

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+import omlogic.derive as derive_module
 from omlogic.derive import (
     NoAlgebraicReading,
     derive_chain,
@@ -182,6 +184,24 @@ class TestDeriveChain:
         for _ in range(10):
             a = rng.choice(lat.nonzero())
             self.check_chain(lat, a, [rng.choice(lat.nonzero()) for _ in range(k)])
+
+    def test_branches_share_subproofs(self, monkeypatch):
+        calls = []
+        real = derive_module.derive_measurement
+
+        def counted(lat, u, then):
+            calls.append((u, then))
+            return real(lat, u, then)
+
+        monkeypatch.setattr(derive_module, "derive_measurement", counted)
+        d = derive_chain(mo(4), "c", ["a", "b"] * 4)
+        # one call per distinct (element, measurement) of each stage: 1 + 7 * 2
+        assert len(calls) <= 15
+        text = serialize(d)
+        # the digest of the same chain built with one subproof per branch
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "84963cfbe986565b34ab10b49df01366597bc7b4bc5d6f5d52a28d8e624d80e5"
+        )
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one measurement"):

@@ -341,9 +341,9 @@ def composed_sequent_texts(lat) -> set[str]:
 
 
 def walk(node):
-    """Every part of a parsed sequent: dataclass nodes, tuples and strings."""
+    """Every part of a parsed sequent: nodes, tuples and strings."""
     yield node
-    parts = node if isinstance(node, tuple) else vars(node).values()
+    parts = node if isinstance(node, tuple) else [getattr(node, n) for n in node.__slots__]
     for part in parts:
         if isinstance(part, str):
             yield part
