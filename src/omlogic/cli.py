@@ -55,9 +55,11 @@ class _Exit(Exception):
 def _load(path: str, parse, *context):
     """Read and parse one input file; unreadable or malformed input exits 2."""
     try:
-        return parse(Path(path).read_text(), *context)
+        return parse(Path(path).read_text(encoding="utf-8"), *context)
     except OSError as err:
         raise _Exit(USAGE_ERROR, f"cannot read {path}: {err}")
+    except UnicodeDecodeError as err:
+        raise _Exit(USAGE_ERROR, f"cannot read {path}: byte {err.start} is not UTF-8 text")
     except ParseError as err:
         raise _Exit(USAGE_ERROR, f"{path}: {err}")
 

@@ -5,7 +5,15 @@ formats, formulas and sequents an infix grammar, and derivations a nested
 s-expression format.  All files are ASCII with ``#`` comments to end of line;
 parse errors carry a source span pointing inside the offending token plus the
 set of expected tokens.  Sequents are memoized per lattice object, with
-structurally equal parts shared (see :func:`parse_sequent`).
+structurally equal parts shared through a table keyed on each node's class
+and the identities of its already-shared parts (see :func:`parse_sequent`).
+
+Derivation files are read by a scanner that matches each node head, such as
+``(rule NAME (seq "...")``, with one compiled pattern and hands the sequent
+string to :func:`parse_sequent`.  Wherever the scanner stops short (a
+mismatch, a bad sequent, an unknown rule, a node nested too deep), the token
+parser reads the whole file again and raises its error, so every error keeps
+the token parser's message and span.
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -15,7 +23,7 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from functools import singledispatch
+from functools import cache, singledispatch
 from typing import NamedTuple
 
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
@@ -516,12 +524,22 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
 def _intern(node, nodes: dict):
     """The copy of ``node`` in ``nodes``, built bottom-up from interned parts
     (hash-consing, Filliatre & Conchon 2006).  Parts are records (whose
-    fields are their ``__slots__``), tuples and strings."""
-    if isinstance(node, tuple):
-        node = tuple([_intern(part, nodes) for part in node])
-    elif not isinstance(node, str):
-        node = type(node)(*[_intern(getattr(node, n), nodes) for n in node.__slots__])
-    return nodes.setdefault(node, node)
+    fields are their ``__slots__``), tuples and strings.  A string is its own
+    key; a record or tuple is keyed on its class and the ids of its interned
+    parts, so no key hashes a subtree.  Every part is a value of ``nodes``,
+    which keeps each id in a key alive as long as the table."""
+    cls = node.__class__
+    if cls is str:
+        return nodes.setdefault(node, node)
+    if cls is tuple:
+        parts = [_intern(part, nodes) for part in node]
+    else:
+        parts = [_intern(getattr(node, n), nodes) for n in node.__slots__]
+    key = (cls, *map(id, parts))
+    found = nodes.get(key)
+    if found is None:
+        found = nodes[key] = tuple(parts) if cls is tuple else cls(*parts)
+    return found
 
 
 # -- derivation s-expressions -------------------------------------------------------
@@ -542,6 +560,11 @@ _SEXPR_RE = re.compile(
 
 
 class _DerivationParser(_Parser):
+    """The token parser for derivations.  :func:`parse_derivation` runs it
+    only where its scanner stops short, so that every error keeps this
+    parser's message, span and expected set; the tests use it as the
+    scanner's oracle."""
+
     pattern = _SEXPR_RE
 
     def expect_open(self, *heads: str) -> str:
@@ -648,8 +671,135 @@ class _DerivationParser(_Parser):
         return Var(tok.text)
 
 
+_WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
+_NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
+# Whitespace and comments between two tokens.  A comment must run to the end of
+# its line, so a gap splits into whitespace and comments one way only and a
+# failed match backtracks over it in linear time; without the lookahead, a
+# comment of n '#' could split 2^n ways.
+_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+
+
+def _tokens(*parts: str) -> str:
+    """A pattern for ``parts`` in order, each after a gap."""
+    return "".join(_GAP + part for part in parts)
+
+
+@cache
+def _node_patterns() -> tuple:
+    """(step, end, bindings): the ``match`` methods of the step pattern and of
+    the end of text, and ``findall`` over the bindings.  The scanner's
+    patterns are compiled on the first parse_derivation call rather than at
+    import, which every CLI call would pay.
+
+    The step pattern reads a ``)``, a whole rule head up to its children
+    (``(rule NAME (seq "...")``, then ``(witness`` if one follows) or a whole
+    axiom leaf (``(axiom NAME (bind k=v ...) (seq "..."))``).  Its groups
+    are: close, rule, rule sequent, witness, schema, bindings, axiom sequent.
+    """
+    seq = _tokens(r"\(", "seq" + _WORD_END, r'"([^"\n]*)"', r"\)")
+    rule = (
+        _tokens("rule" + _WORD_END, f"({_NAME})") + seq
+        + "(" + _tokens(r"\(", "witness" + _WORD_END) + ")?"
+    )
+    axiom = (
+        _tokens("axiom" + _WORD_END, f"({_NAME})", r"\(", "bind" + _WORD_END)
+        + "((?:" + _tokens(_NAME, "=", _NAME) + ")*)" + _tokens(r"\)") + seq + _tokens(r"\)")
+    )
+    return (
+        re.compile(_GAP + r"(?:(\))|\((?:" + rule + "|" + axiom + "))").match,
+        re.compile(_GAP + r"\Z").match,
+        re.compile(_tokens(f"({_NAME})", "=", f"({_NAME})")).findall,
+    )
+
+
+@cache
+def _witness_patterns() -> tuple:
+    """(name, opening, closing): the ``match`` methods for a name, a ``(``
+    and a ``)``, each after a gap, which read a witness term."""
+    return (
+        re.compile(_tokens(f"({_NAME})")).match,
+        re.compile(_tokens(r"\(")).match,
+        re.compile(_tokens(r"\)")).match,
+    )
+
+
+def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
+    """The derivation in ``text``, read at one pattern match per node head, or
+    None wherever the token parser must decide: a mismatch, a bad sequent,
+    an unknown rule or a node deeper than ``MAX_DEPTH``."""
+    step, at_end, bindings = _node_patterns()
+    open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
+    pos = 0
+    while True:
+        m = step(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        closed, rule, rule_seq, witness, schema, binds, axiom_seq = m.groups()
+        if closed:
+            if not open_rules:
+                return None
+            rule, seq, witness, children = open_rules.pop()
+            node = RuleApp(rule, seq, tuple(children), witness)
+        else:
+            depth = len(open_rules) + 1
+            if depth > MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
+                return None
+            try:
+                seq = parse_sequent(axiom_seq if rule is None else rule_seq, lat)
+            except ParseError:
+                return None
+            if rule is None:
+                node = AxiomApp(schema, tuple(sorted(bindings(binds))), seq)
+            else:
+                if witness is not None:
+                    found = _scan_witness(text, pos, depth, lat)
+                    if found is None:
+                        return None
+                    witness, pos = found
+                open_rules.append((rule, seq, witness, []))
+                continue
+        if not open_rules:
+            return node if at_end(text, pos) else None
+        open_rules[-1][3].append(node)
+
+
+def _scan_witness(text: str, pos: int, depth: int, lat: FiniteOrthoLattice):
+    """(term, end) of the witness after ``(witness`` at ``pos``: a name inside
+    ``ortho(...)`` wrappers, each a nesting level below ``depth`` as the token
+    parser counts them, then the closing parentheses; None on a mismatch."""
+    name, opening, closing = _witness_patterns()
+    levels = 0
+    while True:
+        m = name(text, pos)
+        if m is None:
+            return None
+        pos, word = m.end(), m[1]
+        if word != "ortho":
+            break
+        m = opening(text, pos)
+        levels += 1
+        if m is None or depth + levels > MAX_DEPTH:
+            return None
+        pos = m.end()
+    term = Const(word) if word in lat else Var(word)
+    for _ in range(levels):
+        term = OrthoTerm(term)
+    for _ in range(levels + 1):  # each ortho's and then the witness's own
+        m = closing(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+    return term, pos
+
+
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
-    return _DerivationParser(text, lat).parse()
+    """Parse a derivation s-expression.  A scanner reads each node head with
+    one pattern match; wherever it stops short, the token parser reads the
+    whole text again and raises its error."""
+    d = _scan(text, lat)
+    return d if d is not None else _DerivationParser(text, lat).parse()
 
 
 # -- serialization -------------------------------------------------------------------

@@ -297,6 +297,40 @@ class TestDeepInput:
         assert err.startswith(f"{tmp_path / 'deep.drv'}: 101:1: nesting deeper than 100 levels")
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error (exit 2) naming the path
+    and the first bad byte, never a UnicodeDecodeError traceback."""
+
+    def test_each_file_kind(self, mo2_file, tmp_path, capsys):
+        lat = tmp_path / "bad.lat"
+        lat.write_bytes(b"\xfflattice x\n")
+        fmap = tmp_path / "bad.map"
+        fmap.write_bytes(b"map m over mo2\non a -> {a\xe9}\nend\n")
+        drv = tmp_path / "bad.drv"
+        drv.write_bytes(b'(rule id (seq "In(a) |- In(a)"))\n# \x80\n')
+        for argv, path, offset in [
+            (["lattice", "verify", str(lat)], lat, 0),
+            (["propagate", "--lattice", mo2_file, "--map", str(fmap), "--set", "{a}"], fmap, 25),
+            (["check", str(drv), "--lattice", mo2_file], drv, 35),
+            (["crosscheck", str(drv), "--lattice", mo2_file], drv, 35),
+            (["check", mo2_file, "--lattice", str(lat)], lat, 0),
+        ]:
+            capsys.readouterr()
+            assert run(argv) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"cannot read {path}: byte {offset} is not UTF-8 text\n")
+
+    def test_console_exit(self, mo2_file, tmp_path):
+        drv = tmp_path / "bad.drv"
+        drv.write_bytes(b"\xff(rule id)\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "omlogic", "check", str(drv), "--lattice", mo2_file],
+            capture_output=True, text=True, cwd=Path(omlogic.__file__).parents[1],
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"cannot read {drv}: byte 0 is not UTF-8 text\n"
+
+
 class TestAxiomInstantiate:
     def test_trans(self, mo2_file, capsys):
         assert (

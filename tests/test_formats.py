@@ -1,18 +1,26 @@
 import itertools
 import random
 import re
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from omlogic import formats
 from omlogic.derive import derive_composed, derive_measurement
 from omlogic.formats import (
     MAX_DEPTH,
     ParseError,
+    _SEXPR_RE,
+    _DerivationParser,
     _FormulaParser,
+    _scan,
+    _tokenize,
     parse_derivation,
     parse_formula,
     parse_lattice,
@@ -26,6 +34,7 @@ from omlogic.propagation import perfect_measurement_map
 from omlogic.syntax import (
     Actual,
     Const,
+    OrthoTerm,
     Plus,
     Reachable,
     Sequent,
@@ -449,3 +458,151 @@ class TestErrorSpans:
             parse_derivation(text, lat)
         assert str(err.value) == message
         assert_same_error(lambda: parse_derivation(text, lat))
+
+
+WITNESS_TEXT = (
+    '(rule forall_l (seq "forall x . In(x) |- In(a)") (witness ortho(ortho(a)))\n'
+    '  (rule id (seq "In(a) |- In(a)")))\n'
+)
+# whitespace that '\s' accepts, ASCII and Unicode, and comment text holding
+# the characters that delimit tokens
+SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", " ", "　"]
+COMMENT_CHARS = list('"()#=x -\t') + [" ", "\r"]
+
+
+def reflow(text: str, rng: random.Random) -> str:
+    """``text`` with random whitespace and comments between any two tokens;
+    two names keep at least one character between them."""
+    tokens = _tokenize(text, _SEXPR_RE)[:-1]
+    out, prev = [], None
+    for tok in tokens:
+        gap = []
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            if rng.random() < 0.3:
+                body = "".join(rng.choice(COMMENT_CHARS) for _ in range(rng.randrange(6)))
+                gap.append("#" + body + "\n")
+            else:
+                gap.append("".join(rng.choice(SPACES) for _ in range(rng.randint(1, 3))))
+        if not gap and prev == tok.kind == "name":
+            gap.append(rng.choice(SPACES))
+        out.append("".join(gap) + tok.text)
+        prev = tok.kind
+    return "".join(out) + rng.choice(["", "\n", " # end\n", "#"])
+
+
+def scanner_corpus():
+    rng = random.Random(20261018)
+    texts = [(mo(2), WITNESS_TEXT), (mo(2), LEAF), (mo(2), plus_r1_chain(MAX_DEPTH))]
+    texts.append((mo(2), '(axiom Adjust1 (bind y=b x=a) (seq "In(a) |- In(a)"))'))
+    texts += [(lat, serialize(d)) for lat, d in (gen.random_derivation(rng) for _ in range(12))]
+    return texts
+
+
+def malformed(text: str, rng: random.Random) -> str:
+    """``text`` with one random edit: a character deleted, inserted or
+    replaced, a cut, or a span removed."""
+    pos = rng.randrange(len(text))
+    noise = rng.choice(list('()"#=~ \n-') + ["witness", "(seq", "(rule id", "ortho(", "x=a"])
+    return rng.choice([
+        text[:pos] + text[pos + 1:],
+        text[:pos] + noise + text[pos:],
+        text[:pos] + noise + text[pos + len(noise):],
+        text[:pos],
+        text[:pos] + text[rng.randrange(pos, len(text)):],
+    ])
+
+
+def outcome(call):
+    """The parse result, or the error's message, span and expected set."""
+    try:
+        return call()
+    except ParseError as err:
+        return (str(err), err.span, err.expected)
+
+
+class TestScanner:
+    """parse_derivation's scanner against the token parser, its oracle."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return scanner_corpus()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reflowed_equals_token_parser(self, corpus, data):
+        lat, text = data.draw(st.sampled_from(corpus))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        reflowed = reflow(text, rng)
+        expected = _DerivationParser(text, lat).parse()
+        assert _DerivationParser(reflowed, lat).parse() == expected
+        # the scanner reads the file itself, without the token parser
+        assert _scan(reflowed, lat) == expected
+        assert parse_derivation(reflowed, lat) == expected
+
+    def test_witness_terms(self):
+        lat = mo(2)
+        d = _scan(WITNESS_TEXT, lat)
+        assert d.witness == OrthoTerm(OrthoTerm(Const("a")))
+        assert _scan(WITNESS_TEXT.replace("ortho(ortho(a))", "q"), lat).witness == Var("q")
+        # each ortho is a nesting level below the node's own
+        for levels in (MAX_DEPTH - 1, MAX_DEPTH):
+            text = WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * levels + "a" + ")" * levels)
+            expected = outcome(lambda: _DerivationParser(text, lat).parse())
+            assert outcome(lambda: parse_derivation(text, lat)) == expected
+            assert (_scan(text, lat) is None) == (levels == MAX_DEPTH)
+        assert expected[0] == "1:658: nesting deeper than 100 levels"
+
+    def test_malformed_same_error(self, corpus):
+        rng = random.Random(7)
+        errors = 0
+        for i in range(1500):
+            lat, text = corpus[i % len(corpus)]
+            if i % 2:
+                text = reflow(text, rng)
+            bad = malformed(text, rng)
+            got = outcome(lambda: parse_derivation(bad, lat))
+            assert got == outcome(lambda: _DerivationParser(bad, lat).parse()), bad
+            errors += isinstance(got, tuple)
+        assert errors > 1000
+
+    @pytest.mark.parametrize("text, message", [
+        # a comment of n '#' could split 2^n ways if the scanner's gap allowed
+        # it: 24 of them would then take seconds, and 10,000 never end
+        (LEAF[:-2] + "#" * 24 + "\n ~)\n", "3:2: unexpected character '~'"),
+        (LEAF[:-2] + "#" * 10000 + "\n ~)\n", "3:2: unexpected character '~'"),
+        (
+            LEAF[:-2] + " " + "#" * 10000 + "\n)x",
+            "3:2: trailing input after derivation (expected end of input)",
+        ),
+        (LEAF[:-2] + " " * 100000 + "~))\n", "2:100035: unexpected character '~'"),
+        ("(rule" + " \n" * 50000 + ' id (seq "In(a) |- In(a)")' + "# #\n" * 20000 + "(",
+         "70001:2: unexpected node head '' (expected axiom, rule)"),
+    ], ids=["comment", "long comment", "long comment before trailing input", "long blank run",
+            "blank lines and comments"])
+    def test_no_backtracking_blowup(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_derivation(text, mo(2))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == message
+
+    def test_patterns_compiled_on_first_use(self):
+        code = (
+            "import omlogic.cli\n"
+            "from omlogic import formats\n"
+            "from omlogic.lattice import mo\n"
+            "sizes = lambda: (formats._node_patterns.cache_info().currsize,"
+            " formats._witness_patterns.cache_info().currsize)\n"
+            "print(sizes())\n"
+            "formats.parse_derivation('(rule id (seq \"In(a) |- In(a)\"))', mo(2))\n"
+            "print(sizes())\n"
+            f"formats.parse_derivation({WITNESS_TEXT!r}, mo(2))\n"
+            "print(sizes())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=Path(formats.__file__).parents[1],
+        )
+        assert proc.returncode == 0, proc.stderr
+        # importing compiles none; the witness patterns wait for the first witness
+        assert proc.stdout == "(0, 0)\n(1, 0)\n(1, 1)\n"
