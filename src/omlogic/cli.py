@@ -245,6 +245,8 @@ def _cmd_check(args) -> int:
     else:
         f = verdict.failure
         print(f"invalid at node {list(f.path)} ({f.rule}): {f.reason}")
+        if f.conclusion is not None:
+            print(f"  at: {ascii_sequent(f.conclusion)}")
         checks = [LawCheck("derivation-valid", False, (f.rule, f.reason))]
     return _emit_report(args, "check", checks)
 

@@ -9,11 +9,12 @@ structurally equal parts shared through a table keyed on each node's class
 and the identities of its already-shared parts (see :func:`parse_sequent`).
 
 Derivation files are read by a scanner that matches each node head, such as
-``(rule NAME (seq "...")``, with one compiled pattern and hands the sequent
-string to :func:`parse_sequent`.  Wherever the scanner stops short (a
-mismatch, a bad sequent, an unknown rule, a node nested too deep), the token
-parser reads the whole file again and raises its error, so every error keeps
-the token parser's message and span.
+``(rule NAME (seq "...")``, with one compiled pattern, hands the sequent
+string to :func:`parse_sequent` and hash-conses each node into the same
+table, so equal subtrees share one object.  Wherever the scanner stops short
+(a mismatch, a bad sequent, an unknown rule, a node nested too deep), the
+token parser reads the whole file again and raises its error, so every error
+keeps the token parser's message and span.
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -511,10 +512,7 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     returns the same object, and every new sequent is hash-consed into the
     lattice's node table, so structurally equal parts of all its sequents
     share one object.  Errors are not remembered."""
-    table = lat._sequent_table
-    if table is None:
-        table = lat._sequent_table = ({}, {})
-    texts, nodes = table
+    texts, nodes, _ = lat._sequent_table
     seq = texts.get(text)
     if seq is None:
         seq = texts[text] = _intern(_FormulaParser(text, lat).parse_sequent_text(), nodes)
@@ -727,8 +725,14 @@ def _witness_patterns() -> tuple:
 def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
     """The derivation in ``text``, read at one pattern match per node head, or
     None wherever the token parser must decide: a mismatch, a bad sequent,
-    an unknown rule or a node deeper than ``MAX_DEPTH``."""
+    an unknown rule or a node deeper than ``MAX_DEPTH``.
+
+    Each node is hash-consed into the lattice's node table, so equal subtrees
+    share one object within the file and across files.  The key is one level
+    deep: the class, the rule name (or the schema and the sorted bindings)
+    and the ids of the already-shared conclusion, witness and children."""
     step, at_end, bindings = _node_patterns()
+    nodes = lat._sequent_table[1]
     open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
     pos = 0
     while True:
@@ -741,7 +745,10 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             if not open_rules:
                 return None
             rule, seq, witness, children = open_rules.pop()
-            node = RuleApp(rule, seq, tuple(children), witness)
+            key = (RuleApp, rule, id(seq), id(witness), *map(id, children))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = RuleApp(rule, seq, tuple(children), witness)
         else:
             depth = len(open_rules) + 1
             if depth > MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
@@ -751,13 +758,17 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             except ParseError:
                 return None
             if rule is None:
-                node = AxiomApp(schema, tuple(sorted(bindings(binds))), seq)
+                binds = tuple(sorted(bindings(binds)))
+                key = (AxiomApp, schema, binds, id(seq))
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = AxiomApp(schema, binds, seq)
             else:
                 if witness is not None:
                     found = _scan_witness(text, pos, depth, lat)
                     if found is None:
                         return None
-                    witness, pos = found
+                    witness, pos = _intern(found[0], nodes), found[1]
                 open_rules.append((rule, seq, witness, []))
                 continue
         if not open_rules:
@@ -796,8 +807,9 @@ def _scan_witness(text: str, pos: int, depth: int, lat: FiniteOrthoLattice):
 
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
     """Parse a derivation s-expression.  A scanner reads each node head with
-    one pattern match; wherever it stops short, the token parser reads the
-    whole text again and raises its error."""
+    one pattern match and shares equal subtrees through the lattice's node
+    table; wherever it stops short, the token parser reads the whole text
+    again and raises its error."""
     d = _scan(text, lat)
     return d if d is not None else _DerivationParser(text, lat).parse()
 

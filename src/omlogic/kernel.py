@@ -125,11 +125,15 @@ RULE_ARITY = {
 
 
 class CheckFailure(Record):
-    __slots__ = ("path", "rule", "reason")
+    """The first failing node: its path from the root, rule, reason and
+    conclusion (None when the node is not a derivation node)."""
 
-    path: tuple[int, ...]
-    rule: str
-    reason: str
+    __slots__ = ("path", "rule", "reason", "conclusion")
+
+    def __init__(
+        self, path: tuple[int, ...], rule: str, reason: str, conclusion: Sequent | None = None
+    ):
+        super().__init__(path, rule, reason, conclusion)
 
 
 class CheckResult(Record):
@@ -185,30 +189,59 @@ def check_derivation(
     lat: FiniteOrthoLattice, d: Derivation, maps: MapRegistry | None = None
 ) -> CheckResult:
     """Validate every node; the verdict carries the first failing node (in
-    post-order) with its path from the root and a reason."""
-    maps = maps or {}
+    post-order) with its path from the root, a reason and its conclusion.
 
-    def fail(path, rule, reason) -> CheckResult:
-        return CheckResult(CheckFailure(tuple(path), rule, reason))
-
-    def walk(node: Derivation, path: tuple[int, ...]) -> CheckResult:
+    The walk keeps an explicit stack, so a tree of any depth gets a verdict.
+    Each node found valid is remembered by identity (the memo holds the node,
+    so its id is never reused) and skipped wherever it occurs again: in a
+    shared subproof, in a later call on the same tree, in another tree that
+    shares it.  Without a map registry the memo lives on the lattice, next to
+    its node table; a registry gets a memo of its own call, so a verdict that
+    depends on a map is never remembered.  Only valid verdicts are kept, so
+    the first failing node, its path and its reason are those of a full walk.
+    """
+    if maps:
+        valid = {}
+    else:
+        maps, valid = {}, lat._sequent_table[2]
+    if id(d) in valid:
+        return CheckResult()
+    stack = [[d, 0]]  # the node being checked and its ancestors, each with its next child
+    while stack:
+        frame = stack[-1]
+        node = frame[0]
         if isinstance(node, RuleApp):
-            for i, child in enumerate(node.children):
-                sub = walk(child, path + (i,))
-                if not sub.valid:
-                    return sub
+            children, i = node.children, frame[1]
+            while i < len(children) and id(children[i]) in valid:
+                i += 1
+            if i < len(children):
+                frame[1] = i + 1
+                stack.append([children[i], 0])
+                continue
             reason = _check_rule(lat, node, maps)
-            if reason is not None:
-                return fail(path, node.rule, reason)
-            return CheckResult()
-        if isinstance(node, AxiomApp):
+        elif isinstance(node, AxiomApp):
             reason = _check_axiom(lat, node, maps)
-            if reason is not None:
-                return fail(path, f"axiom {node.schema}", reason)
-            return CheckResult()
-        return fail(path, "?", f"not a derivation node: {node!r}")
+        else:
+            reason = f"not a derivation node: {node!r}"
+        if reason is not None:
+            return _failure(stack, reason)
+        valid[id(node)] = node
+        stack.pop()
+    return CheckResult()
 
-    return walk(d, ())
+
+def _failure(stack: list, reason: str) -> CheckResult:
+    """The verdict for the node on top of ``stack``, which failed; its path is
+    the child index each ancestor on the stack is at."""
+    node = stack[-1][0]
+    path = tuple([frame[1] - 1 for frame in stack[:-1]])
+    if isinstance(node, RuleApp):
+        rule = node.rule
+    elif isinstance(node, AxiomApp):
+        rule = f"axiom {node.schema}"
+    else:
+        return CheckResult(CheckFailure(path, "?", reason))
+    return CheckResult(CheckFailure(path, rule, reason, node.conclusion))
 
 
 def _check_axiom(lat, node: AxiomApp, maps) -> str | None:

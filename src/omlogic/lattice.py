@@ -151,9 +151,10 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
-        # formats.parse_sequent's memo (text -> sequent) and hash-consing node
-        # table, made on first use; it lives and dies with this object
-        self._sequent_table: tuple[dict, dict] | None = None
+        # formats.parse_sequent's memo (text -> sequent), the hash-consing table
+        # of parsed formula and derivation nodes, and kernel.check_derivation's
+        # memo of nodes found valid; they live and die with this object
+        self._sequent_table: tuple[dict, dict, dict] = ({}, {}, {})
 
     # -- basic access -------------------------------------------------------
 

@@ -270,6 +270,26 @@ class TestProveCheckCrosscheck:
         assert run(["check", str(drv), "--lattice", mo2_file]) == 1
         assert "invalid at node" in capsys.readouterr().out
 
+    def test_check_shows_failing_sequent(self, mo2_file, tmp_path, capsys):
+        drv, report = tmp_path / "k.drv", tmp_path / "r.json"
+        run(["prove", "composed", "--lattice", mo2_file, "--actual", "a",
+             "--measure", "b", "--then", "a", "-o", str(drv)])
+        drv.write_text(drv.read_text().replace("plus_r1", "plus_r2", 1))
+        capsys.readouterr()
+        assert run(["check", str(drv), "--lattice", mo2_file, "--json", str(report)]) == 1
+        assert capsys.readouterr().out == (
+            "invalid at node [0, 0, 1, 1, 0, 0, 0] (plus_r2): "
+            "selected disjunct differs from the premise succedent\n"
+            "  at: In(a), R(b) |- In(a) * R(b) + In(a) * R(b')\n"
+            "FAIL derivation-valid  witness (plus_r2, selected disjunct differs from the "
+            "premise succedent)\n"
+        )
+        # the report names the rule and the reason only, as before
+        assert json.loads(report.read_text())["checks"] == [{
+            "name": "derivation-valid", "passed": False,
+            "witness": ["plus_r2", "selected disjunct differs from the premise succedent"],
+        }]
+
 
 class TestDeepInput:
     """Input nested past the parsers' depth limit is a parse error (exit 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gen
 from omlogic import formats
-from omlogic.derive import derive_composed, derive_measurement
+from omlogic.derive import derive_chain, derive_composed, derive_measurement
 from omlogic.formats import (
     MAX_DEPTH,
     ParseError,
@@ -606,3 +606,41 @@ class TestScanner:
         assert proc.returncode == 0, proc.stderr
         # importing compiles none; the witness patterns wait for the first witness
         assert proc.stdout == "(0, 0)\n(1, 0)\n(1, 1)\n"
+
+
+def distinct_nodes(d) -> list:
+    """The distinct node objects of a derivation, compared by identity."""
+    seen, todo = {}, [d]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(getattr(node, "children", ()))
+    return list(seen.values())
+
+
+class TestSharedNodes:
+    """parse_derivation hash-conses every node it scans into the lattice's
+    node table, so equal subtrees are one object."""
+
+    def test_reparse_returns_same_object(self):
+        lat = mo(2)
+        for text in (WITNESS_TEXT, LEAF, serialize(derive_composed(lat, "a", "b", "a"))):
+            assert parse_derivation(text, lat) is parse_derivation(text, lat)
+            assert parse_derivation(text, mo(2)) is not parse_derivation(text, lat)
+
+    def test_equal_subtrees_shared(self):
+        lat = mo(2)
+        composed = parse_derivation(serialize(derive_composed(lat, "a", "b", "a")), lat)
+        nodes = distinct_nodes(composed)
+        assert len(set(nodes)) == len(nodes)  # no two distinct objects are equal
+        # the composed proof holds the (a, b) measurement proof at [0, 0, 1]
+        base = parse_derivation(serialize(derive_measurement(lat, "a", "b")), lat)
+        assert composed.children[0].children[0].children[1] is base
+
+    def test_chain_shares_more_than_builder(self):
+        lat = mo(4)
+        built = derive_chain(lat, "c", ["a", "b"] * 4)
+        parsed = parse_derivation(serialize(built), lat)
+        assert parsed == built
+        assert len(distinct_nodes(parsed)) == 798 <= len(distinct_nodes(built))

@@ -5,9 +5,17 @@ import pytest
 
 import gen
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
-from omlogic.formats import parse_formula, parse_sequent
+from omlogic.derive import (
+    _modus_ponens,
+    derive_chain,
+    derive_composed,
+    derive_measurement,
+    semantic_crosscheck,
+)
+from omlogic.formats import parse_derivation, parse_formula, parse_sequent, serialize
 from omlogic.kernel import AxiomApp, RuleApp, check_derivation
 from omlogic.lattice import boolean, hexagon, mo
+from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.syntax import (
     Actual,
@@ -455,3 +463,112 @@ class TestQuantifierRules:
         assert check_derivation(lat, node("b"), maps).valid
         res = check_derivation(lat, node("a"), maps)
         assert not res.valid and "K(f)" in res.failure.reason
+
+
+def plus_r1_chain(depth: int, corrupt_at: int | None = None) -> RuleApp:
+    """A library-built chain of ``depth`` plus_r1 steps over an id leaf; the
+    step ``corrupt_at`` levels below the root selects the wrong disjunct."""
+    f = In("a")
+    d = RuleApp("id", Sequent((f,), f), ())
+    for level in range(depth - 1, -1, -1):
+        f = Plus(f, R("a"))
+        concl = Plus(R("b"), R("a")) if level == corrupt_at else f
+        d = RuleApp("plus_r1", Sequent((In("a"),), concl), (d,))
+    return d
+
+
+class TestDepth:
+    """The kernel walks with an explicit stack, so library-built trees far
+    deeper than the recursion limit get a verdict."""
+
+    def test_deep_chain_valid(self):
+        assert check_derivation(mo(2), plus_r1_chain(1200)).valid
+
+    def test_failure_path_at_depth(self):
+        d = plus_r1_chain(1200, corrupt_at=1000)
+        failure = check_derivation(mo(2), d).failure
+        assert failure.path == (0,) * 1000
+        assert failure.rule == "plus_r1"
+        assert failure.reason == "selected disjunct differs from the premise succedent"
+        node = d
+        for i in failure.path:
+            node = node.children[i]
+        assert failure.conclusion is node.conclusion
+
+
+def memo_corpus() -> list[tuple[str, str]]:
+    """(lattice, derivation text) for every measurement and composed
+    derivation on mo(2) and boolean(3), then 500 seeded mutants on mo(2)."""
+    out = []
+    for lat in (mo(2), boolean(3)):
+        nz = lat.nonzero()
+        out += [(lat.name, serialize(derive_measurement(lat, a, b)))
+                for a, b in itertools.product(nz, repeat=2)]
+        out += [(lat.name, serialize(derive_composed(lat, *spec)))
+                for spec in itertools.product(nz, repeat=3)]
+    lat = mo(2)
+    pairs = list(itertools.product(lat.nonzero(), repeat=2))
+    for i in range(500):
+        rng = random.Random(90_000 + i)
+        kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
+        if kind == "capture":
+            mutant = capture_case(lat, rng)[1]
+        else:
+            mutant = mutate(derive_measurement(lat, *pairs[i % len(pairs)]), kind, rng, lat)
+        out.append((lat.name, serialize(mutant)))
+    return out
+
+
+def verdicts(lat, text):
+    d = parse_derivation(text, lat)
+    return check_derivation(lat, d), semantic_crosscheck(lat, d)
+
+
+class TestVerdictMemo:
+    """Valid verdicts are remembered per lattice by node identity; the memo
+    must never change a verdict."""
+
+    def test_warm_lattice_equals_fresh(self):
+        build = {lat().name: lat for lat in (lambda: mo(2), lambda: boolean(3))}
+        warm = {name: make() for name, make in build.items()}
+        corpus = memo_corpus()
+        assert len(corpus) == 1042
+        rejected = 0
+        for name, text in corpus:
+            got = verdicts(warm[name], text)
+            assert got == verdicts(build[name](), text), text
+            rejected += not got[0].valid
+        assert rejected == 500
+
+    def test_registry_verdicts_not_remembered(self):
+        lat = mo(2)
+        maps = {"blur": perfect_measurement_map(lat, "b")}
+        seq = instantiate_axiom(lat, "GeneralPropagation", {"alpha": "blur", "x": "a"}, maps)
+        leaf = AxiomApp("GeneralPropagation", (("alpha", "blur"), ("x", "a")), seq)
+        text = serialize(_modus_ponens(leaf))
+        reason = "guard violated: unknown propagation map 'blur'"
+        for with_registry_first in (True, False):
+            lat = mo(2)
+            maps = {"blur": perfect_measurement_map(lat, "b")}
+            d = parse_derivation(text, lat)
+            runs = [(maps, True), ({}, False)]
+            for registry, valid in runs if with_registry_first else runs[::-1]:
+                result = check_derivation(lat, d, registry)
+                assert result.valid == valid
+                if not valid:
+                    assert result.failure.reason == reason
+                    assert result.failure.path == (0,)
+
+    def test_shared_subproof_checked_once(self, monkeypatch):
+        from omlogic import kernel
+
+        calls = []
+        real = kernel._check_rule
+        monkeypatch.setattr(kernel, "_check_rule", lambda *a: calls.append(a[1]) or real(*a))
+        lat = mo(2)
+        # 258 node occurrences of 198 objects, 183 of them rule nodes
+        d = derive_chain(lat, "a", ["b", "a", "b"])
+        assert check_derivation(lat, d).valid
+        assert len(calls) == len(set(map(id, calls))) == 183
+        assert check_derivation(lat, d).valid and semantic_crosscheck(lat, d).ok
+        assert len(calls) == 183
