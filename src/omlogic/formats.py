@@ -27,7 +27,7 @@ import re
 from functools import cache, singledispatch
 from typing import NamedTuple
 
-from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
+from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp, _axiom_key, _rule_key
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.record import Record
@@ -47,6 +47,8 @@ from omlogic.syntax import (
     Tensor,
     Term,
     Var,
+    _ASCII,
+    _sequent,
     ascii_formula,
     ascii_sequent,
     ascii_term,
@@ -511,12 +513,48 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     """Parse a sequent, memoized per lattice object: a text seen before
     returns the same object, and every new sequent is hash-consed into the
     lattice's node table, so structurally equal parts of all its sequents
-    share one object.  Errors are not remembered."""
-    texts, nodes, _ = lat._sequent_table
+    share one object.  A new sequent is built from its top-level formulas,
+    each parsed once per lattice (see :func:`_split_sequent`).  Errors are
+    not remembered."""
+    texts, nodes, _, formulas = lat._sequent_table
     seq = texts.get(text)
     if seq is None:
-        seq = texts[text] = _intern(_FormulaParser(text, lat).parse_sequent_text(), nodes)
+        seq = texts[text] = _split_sequent(text, lat, formulas, nodes) or _intern(
+            _FormulaParser(text, lat).parse_sequent_text(), nodes
+        )
     return seq
+
+
+def _split_sequent(text: str, lat: FiniteOrthoLattice, formulas: dict, nodes: dict):
+    """The interned sequent of ``text`` built from its top-level formulas, or
+    None wherever the token parser must read the whole text: a comment (which
+    can swallow a separator), a guard (whose commas are not separators), other
+    than one ``|-``, or a formula that does not parse.
+
+    The text is cut at its ``|-`` and its context commas.  Each piece,
+    stripped, is looked up in the lattice's formula memo, and a new piece is
+    parsed from depth 0 as the whole-text parser parses each top-level
+    formula.  The context tuple and the sequent get the keys :func:`_intern`
+    gives them, so the result is the object the whole-text path would
+    return."""
+    if "#" in text or "{" in text or text.count("|-") != 1:
+        return None
+    head, _, rhs = text.partition("|-")
+    pieces = head.split(",") if head.strip() else []
+    pieces.append(rhs)
+    parts = []
+    for piece in pieces:
+        piece = piece.strip()
+        f = formulas.get(piece)
+        if f is None:
+            try:
+                f = _intern(_FormulaParser(piece, lat).parse_formula_text(), nodes)
+            except ParseError:
+                return None
+            formulas[piece] = f
+        parts.append(f)
+    rhs = parts.pop()
+    return _shared(Sequent, (_shared(tuple, parts, nodes), rhs), nodes)
 
 
 def _intern(node, nodes: dict):
@@ -533,6 +571,12 @@ def _intern(node, nodes: dict):
         parts = [_intern(part, nodes) for part in node]
     else:
         parts = [_intern(getattr(node, n), nodes) for n in node.__slots__]
+    return _shared(cls, parts, nodes)
+
+
+def _shared(cls, parts, nodes: dict):
+    """The node of class ``cls`` (a record class or ``tuple``) over the
+    already-interned ``parts``, from ``nodes`` or added to it."""
     key = (cls, *map(id, parts))
     found = nodes.get(key)
     if found is None:
@@ -728,9 +772,10 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
     an unknown rule or a node deeper than ``MAX_DEPTH``.
 
     Each node is hash-consed into the lattice's node table, so equal subtrees
-    share one object within the file and across files.  The key is one level
-    deep: the class, the rule name (or the schema and the sorted bindings)
-    and the ids of the already-shared conclusion, witness and children."""
+    share one object within the file and across files.  The key is the
+    kernel's (``_rule_key``, ``_axiom_key``), one level deep: the class, the
+    rule name (or the schema and the sorted bindings) and the ids of the
+    already-shared conclusion, witness and children."""
     step, at_end, bindings = _node_patterns()
     nodes = lat._sequent_table[1]
     open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
@@ -745,7 +790,7 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             if not open_rules:
                 return None
             rule, seq, witness, children = open_rules.pop()
-            key = (RuleApp, rule, id(seq), id(witness), *map(id, children))
+            key = _rule_key(rule, seq, witness, children)
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = RuleApp(rule, seq, tuple(children), witness)
@@ -759,7 +804,7 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
                 return None
             if rule is None:
                 binds = tuple(sorted(bindings(binds)))
-                key = (AxiomApp, schema, binds, id(seq))
+                key = _axiom_key(schema, binds, seq)
                 node = nodes.get(key)
                 if node is None:
                     node = nodes[key] = AxiomApp(schema, binds, seq)
@@ -864,26 +909,39 @@ def _(s: Sequent) -> str:
     return ascii_sequent(s)
 
 
-def _derivation_lines(d: Derivation, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(d, AxiomApp):
-        binds = " ".join(f"{k}={v}" for k, v in d.bindings)
-        return [
-            f'{pad}(axiom {d.schema} (bind {binds}) (seq "{ascii_sequent(d.conclusion)}"))'
-        ]
-    head = f'{pad}(rule {d.rule} (seq "{ascii_sequent(d.conclusion)}")'
-    if d.witness is not None:
-        head += f" (witness {ascii_term(d.witness)})"
-    if not d.children:
-        return [head + ")"]
-    lines = [head]
-    for child in d.children:
-        lines.extend(_derivation_lines(child, indent + 1))
-    lines.append(pad + ")")
+def _derivation_lines(d: Derivation) -> list[str]:
+    """One line per node head in pre-order, each child two spaces deeper than
+    its parent, and a line closing each node that has children.  The walk
+    keeps an explicit stack, so a tree of any depth is written out.  Each
+    formula object is rendered once per call: ``texts`` maps its id to its
+    text, and the tree keeps every such formula alive until the call ends."""
+    texts = {}
+    lines = []
+    stack = [(d, "")]  # (node, indent) still to write, or (None, closing line)
+    while stack:
+        node, pad = stack.pop()
+        if node is None:
+            lines.append(pad)
+            continue
+        seq = _sequent(node.conclusion, _ASCII, texts)
+        if isinstance(node, AxiomApp):
+            binds = " ".join(f"{k}={v}" for k, v in node.bindings)
+            lines.append(f'{pad}(axiom {node.schema} (bind {binds}) (seq "{seq}"))')
+            continue
+        head = f'{pad}(rule {node.rule} (seq "{seq}")'
+        if node.witness is not None:
+            head += f" (witness {ascii_term(node.witness)})"
+        if not node.children:
+            lines.append(head + ")")
+            continue
+        lines.append(head)
+        stack.append((None, pad + ")"))
+        inner = pad + "  "
+        stack.extend([(child, inner) for child in reversed(node.children)])
     return lines
 
 
 @serialize.register(RuleApp)
 @serialize.register(AxiomApp)
 def _(d) -> str:
-    return "\n".join(_derivation_lines(d, 0)) + "\n"
+    return "\n".join(_derivation_lines(d)) + "\n"

@@ -195,17 +195,22 @@ def check_derivation(
     Each node found valid is remembered by identity (the memo holds the node,
     so its id is never reused) and skipped wherever it occurs again: in a
     shared subproof, in a later call on the same tree, in another tree that
-    shares it.  Without a map registry the memo lives on the lattice, next to
-    its node table; a registry gets a memo of its own call, so a verdict that
-    depends on a map is never remembered.  Only valid verdicts are kept, so
-    the first failing node, its path and its reason are those of a full walk.
+    shares it.  A parsed tree, one whose root the lattice's node table holds
+    (and so, as ``formats`` interns bottom-up, every node below it), is
+    remembered on the lattice, next to that table, so that memo never holds
+    more than the table.  Any other tree, and every tree checked with a map
+    registry, gets a memo of this call only, so neither a built node nor a
+    verdict that depends on a map outlives the call.  Only valid verdicts are
+    kept, so the first failing node, its path and its reason are those of a
+    full walk.
     """
-    if maps:
-        valid = {}
+    if maps or not _parsed(lat, d):
+        valid = {}  # this call's memo
     else:
-        maps, valid = {}, lat._sequent_table[2]
-    if id(d) in valid:
-        return CheckResult()
+        valid = lat._sequent_table[2]
+        if id(d) in valid:
+            return CheckResult()
+    maps = maps or {}
     stack = [[d, 0]]  # the node being checked and its ancestors, each with its next child
     while stack:
         frame = stack[-1]
@@ -228,6 +233,29 @@ def check_derivation(
         valid[id(node)] = node
         stack.pop()
     return CheckResult()
+
+
+def _rule_key(rule: str, conclusion: Sequent, witness, children) -> tuple:
+    """The key of a rule node in a lattice's node table, under which
+    ``formats`` hash-conses parsed nodes: one level deep, over the ids of the
+    already-shared conclusion, witness and children."""
+    return (RuleApp, rule, id(conclusion), id(witness), *map(id, children))
+
+
+def _axiom_key(schema: str, bindings: tuple, conclusion: Sequent) -> tuple:
+    """The key of an axiom leaf in a lattice's node table (see ``_rule_key``)."""
+    return (AxiomApp, schema, bindings, id(conclusion))
+
+
+def _parsed(lat: FiniteOrthoLattice, d: Derivation) -> bool:
+    """Whether ``d`` is the node the lattice's node table holds under its key."""
+    if isinstance(d, RuleApp):
+        key = _rule_key(d.rule, d.conclusion, d.witness, d.children)
+    elif isinstance(d, AxiomApp):
+        key = _axiom_key(d.schema, d.bindings, d.conclusion)
+    else:
+        return False
+    return lat._sequent_table[1].get(key) is d
 
 
 def _failure(stack: list, reason: str) -> CheckResult:

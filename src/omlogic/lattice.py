@@ -151,10 +151,11 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
-        # formats.parse_sequent's memo (text -> sequent), the hash-consing table
-        # of parsed formula and derivation nodes, and kernel.check_derivation's
-        # memo of nodes found valid; they live and die with this object
-        self._sequent_table: tuple[dict, dict, dict] = ({}, {}, {})
+        # formats.parse_sequent's memo (text -> sequent), the hash-consing
+        # table of parsed formula and derivation nodes, kernel.check_derivation's
+        # memo of parsed nodes found valid, and parse_sequent's memo of
+        # top-level formulas (text -> formula); they live and die with this object
+        self._sequent_table: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
 
     # -- basic access -------------------------------------------------------
 

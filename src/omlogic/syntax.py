@@ -466,11 +466,18 @@ def _wrap(f: Formula, s: _Surface, needed: bool) -> str:
     return f"({_render(f, s)})" if needed else _render(f, s)
 
 
-def _sequent(q: Sequent, s: _Surface) -> str:
-    rhs = f"{s.turnstile} {_render(q.succedent, s)}"
-    if not q.context:
-        return rhs
-    return ", ".join(_render(f, s) for f in q.context) + " " + rhs
+def _sequent(q: Sequent, s: _Surface, texts: dict) -> str:
+    """``texts`` maps formula ids to their text, so each formula object is
+    rendered once per dict; the caller keeps every formula whose id is a key
+    alive as long as the dict."""
+    parts = []
+    for f in (*q.context, q.succedent):
+        text = texts.get(id(f))
+        if text is None:
+            text = texts[id(f)] = _render(f, s)
+        parts.append(text)
+    rhs = f"{s.turnstile} {parts.pop()}"
+    return ", ".join(parts) + " " + rhs if parts else rhs
 
 
 def ascii_term(t: Term) -> str:
@@ -483,7 +490,7 @@ def ascii_formula(f: Formula) -> str:
 
 
 def ascii_sequent(s: Sequent) -> str:
-    return _sequent(s, _ASCII)
+    return _sequent(s, _ASCII, {})
 
 
 def pretty_formula(f: Formula) -> str:
@@ -492,4 +499,4 @@ def pretty_formula(f: Formula) -> str:
 
 
 def pretty_sequent(s: Sequent) -> str:
-    return _sequent(s, _PRETTY)
+    return _sequent(s, _PRETTY, {})

@@ -17,8 +17,10 @@ from omlogic.formats import (
     MAX_DEPTH,
     ParseError,
     _SEXPR_RE,
+    _TOKEN_RE,
     _DerivationParser,
     _FormulaParser,
+    _intern,
     _scan,
     _tokenize,
     parse_derivation,
@@ -28,8 +30,9 @@ from omlogic.formats import (
     parse_sequent,
     serialize,
 )
-from omlogic.kernel import check_derivation
+from omlogic.kernel import RuleApp, check_derivation
 from omlogic.lattice import boolean, hexagon, mo
+from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import perfect_measurement_map
 from omlogic.syntax import (
     Actual,
@@ -40,6 +43,7 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     Var,
+    ascii_sequent,
 )
 
 
@@ -644,3 +648,193 @@ class TestSharedNodes:
         parsed = parse_derivation(serialize(built), lat)
         assert parsed == built
         assert len(distinct_nodes(parsed)) == 798 <= len(distinct_nodes(built))
+
+
+def respace(text: str, rng: random.Random) -> str:
+    """``text`` with random whitespace, ASCII and Unicode, around every
+    formula token; two names keep at least one character between them."""
+    out, prev = [], None
+    for tok in _tokenize(text, _TOKEN_RE)[:-1]:
+        gap = "".join(rng.choice(SPACES) for _ in range(rng.choice([0, 0, 1, 2])))
+        if not gap and prev == tok.kind == "name":
+            gap = rng.choice(SPACES)
+        out.append(gap + tok.text)
+        prev = tok.kind
+    return "".join(out) + "".join(rng.choice(SPACES) for _ in range(rng.randrange(3)))
+
+
+def deep_sequents(levels: int) -> list[str]:
+    """Sequents with a formula nested ``levels`` deep in each position."""
+    out = []
+    for deep in deep_formulas(levels).values():
+        out += [f"{deep} |- In(a)", f"In(a), {deep} |- In(a)", f"R(b) |- {deep}"]
+    return out
+
+
+# Texts the split read path must leave to the token parser, or where it must
+# agree with it: comments, guards, quantifiers, empty pieces, separators in
+# the wrong place and broken formulas.
+SPLIT_CASES = [
+    "In(a) |- In(a) # , R(b)",
+    "In(a) # |- In(a)",
+    "In(a), # comment\n R(b) |- In(a) * R(b)",
+    "In(a) |- # no succedent\n In(a)",
+    "forall x {<= a, !<= b} . In(x), R(a) |- In(a)",
+    "forall x {<= a, !<= b, !in K(m)} . In(x) |- forall y {<= 1} . R(y)",
+    "In(a), forall x {<= a, } . In(x) |- In(a)",
+    "forall x . In(x) * R(x), In(a) |- forall y . In(y)",
+    "forall a . In(a) -o R(a), In(a) |- forall x . In(ortho(x))",
+    "In(a), forall x . In(x), In(x) |- In(a)",
+    ", In(a) |- In(a)", "In(a), |- In(a)", "In(a) |- ", "In(a),, R(b) |- In(a)",
+    " |- In(a)", "|-", "", "In(a)", "In(a), R(b)",
+    "In(a) |- In(a) |- In(a)", "|- |- In(a)", "In(a) |- In(a), R(b)",
+    "In(a) |-o In(a)", "In(a) - |- In(a)", "In(a) | - In(a)",
+    "In(a) * R(a) * In(a) |- In(a)", "In(0) |- In(a)", "In(a) |- R(ortho(1))",
+    "In(a) |- In(a) @", "In(a) |- In(q) + M(ortho(b))", "IND(blur), In(a) |- In(a)",
+    "(In(a) |- In(a))", "In(a) |- (In(a)", "In(a) |- In(a))",
+] + [text for levels in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)
+     for text in deep_sequents(levels)]
+
+
+def fresh_outcome(text: str) -> tuple:
+    """(parse_sequent's outcome, the token parser's) on one fresh lattice; a
+    sequent is compared by identity, an error by message, span and expected
+    set."""
+    lat = mo(2)
+    got = outcome(lambda: parse_sequent(text, lat))
+    expected = outcome(lambda: _intern(
+        _FormulaParser(text, lat).parse_sequent_text(), lat._sequent_table[1]))
+    return got, expected
+
+
+class TestSplitSequent:
+    """parse_sequent reads a new sequent piece by piece, with each top-level
+    formula parsed once per lattice; the whole-text token parser is its
+    oracle."""
+
+    def assert_same(self, text):
+        got, expected = fresh_outcome(text)
+        if isinstance(expected, Sequent):
+            assert got is expected, text
+        else:
+            assert got == expected, text
+
+    @pytest.mark.parametrize("text", SPLIT_CASES, ids=range(len(SPLIT_CASES)))
+    def test_cases(self, text):
+        self.assert_same(text)
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return sorted(composed_sequent_texts(mo(2))) + SPLIT_CASES[:10]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_respaced_equals_token_parser(self, texts, data):
+        text = data.draw(st.sampled_from(texts))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        respaced = respace(text, rng) if "#" not in text else text
+        cut = rng.randrange(len(respaced) + 1)
+        noise = rng.choice([",", " , ", "|-", "#", "{", "", "(", "*"])
+        for variant in (respaced, respaced[:cut] + noise + respaced[cut:]):
+            self.assert_same(variant)
+
+    def test_warm_memo(self):
+        # formula pieces and sequents have a memo each; whatever either holds,
+        # every text gets the token parser's outcome
+        lat = mo(2)
+        texts = ["In(a) |- In(a)", "In(a)", "In(a) |- In(a) |- In(a)", "In(a) |- In(a), In(a)",
+                 "In(a), In(a) |- In(a) |- In(a)", "In(a) |- R(b)", "R(b)", "|- R(b)"]
+        for text in texts + SPLIT_CASES + texts[::-1]:
+            got = outcome(lambda: parse_sequent(text, lat))
+            expected = outcome(lambda: _intern(
+                _FormulaParser(text, lat).parse_sequent_text(), lat._sequent_table[1]))
+            assert got is expected if isinstance(expected, Sequent) else got == expected, text
+
+    def test_seeded_corpus(self):
+        rng = random.Random(20261018)
+        for lat in (mo(2), boolean(3)):
+            for text in sorted(composed_sequent_texts(lat)):
+                respaced = respace(text, rng)
+                fresh = parse_lattice(serialize(lat))
+                seq = parse_sequent(respaced, fresh)
+                assert seq is _intern(
+                    _FormulaParser(text, fresh).parse_sequent_text(), fresh._sequent_table[1])
+                assert parse_sequent(text, lat) == seq
+
+    def test_piece_shared_by_two_sequents_parsed_once(self, monkeypatch):
+        calls = []
+        real = formats.normalize_formula
+        monkeypatch.setattr(formats, "normalize_formula", lambda *a: calls.append(a) or real(*a))
+        lat = mo(2)
+        first = parse_sequent("In(a) * R(a) |- In(a) + R(b)", lat)
+        assert len(calls) == 4
+        # the shared pieces, whatever their spacing, are memo hits
+        second = parse_sequent("　In(a) * R(a)\t, In(b) |-In(a) + R(b) ", lat)
+        assert len(calls) == 5
+        assert second.context[0] is first.context[0]
+        assert second.succedent is first.succedent
+        # a text the split path leaves to the token parser parses every atom
+        parse_sequent("In(a) * R(a) |- In(a) + R(b) # comment", lat)
+        assert len(calls) == 9
+
+    def test_strip_matches_token_whitespace(self):
+        # the split path strips pieces with str.strip, the tokenizer skips \s
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        stripped = {c for c in chars if not c.strip()}
+        assert stripped == set(re.findall(r"\s", chars)) == {c for c in chars if c.isspace()}
+        assert set(SPACES) <= stripped
+
+
+def preorder(d) -> list:
+    """The node occurrences of a derivation in pre-order."""
+    out, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(reversed(getattr(node, "children", ())))
+    return out
+
+
+class TestSerializeMemo:
+    """serialize renders each formula object once per call; every sequent it
+    writes must still be the plain renderer's text."""
+
+    def assert_oracle(self, d, lat):
+        text = serialize(d)
+        seqs = re.findall(r'\(seq "([^"]*)"\)', text)
+        assert seqs == [ascii_sequent(node.conclusion) for node in preorder(d)]
+        assert parse_derivation(text, lat) == d
+
+    @pytest.mark.parametrize("make", [lambda: mo(2), lambda: boolean(3)], ids=["mo2", "boolean3"])
+    def test_every_short_chain(self, make):
+        lat = make()
+        nz = lat.nonzero()
+        chains = 0
+        for k in (1, 2, 3):
+            for a, *measures in itertools.product(nz, repeat=k + 1):
+                self.assert_oracle(derive_chain(lat, a, measures), lat)
+                chains += 1
+        assert chains == sum(len(nz) ** (k + 1) for k in (1, 2, 3))
+
+    def test_seeded_mutants(self):
+        lat = mo(2)
+        pairs = list(itertools.product(lat.nonzero(), repeat=2))
+        for i in range(200):
+            rng = random.Random(20261018 + i)
+            kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
+            if kind == "capture":
+                m = capture_case(lat, rng)[1]
+            else:
+                m = mutate(derive_measurement(lat, *pairs[i % len(pairs)]), kind, rng, lat)
+            self.assert_oracle(m, lat)
+
+    def test_deep_flat_chain(self):
+        # far deeper than the recursion limit; the parser's limit is 100
+        seq = parse_sequent("In(a) |- In(a)", mo(2))
+        d = RuleApp("id", seq, ())
+        for _ in range(1199):
+            d = RuleApp("plus_r1", seq, (d,))
+        lines = ["  " * i + '(rule plus_r1 (seq "In(a) |- In(a)")' for i in range(1199)]
+        lines.append("  " * 1199 + '(rule id (seq "In(a) |- In(a)"))')
+        lines += ["  " * i + ")" for i in reversed(range(1199))]
+        assert serialize(d) == "\n".join(lines) + "\n"

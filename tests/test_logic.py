@@ -31,6 +31,7 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     Var,
+    actual,
     ascii_formula,
     ascii_sequent,
     free_vars,
@@ -570,5 +571,36 @@ class TestVerdictMemo:
         d = derive_chain(lat, "a", ["b", "a", "b"])
         assert check_derivation(lat, d).valid
         assert len(calls) == len(set(map(id, calls))) == 183
-        assert check_derivation(lat, d).valid and semantic_crosscheck(lat, d).ok
-        assert len(calls) == 183
+        # a built tree's verdicts last one call
+        assert check_derivation(lat, d).valid
+        assert len(calls) == 2 * 183
+        # a parsed tree's last as long as the lattice: checking it again and
+        # crosschecking it compute none
+        parsed = parse_derivation(serialize(d), lat)
+        calls.clear()
+        assert check_derivation(lat, parsed).valid
+        rules, todo = {}, [parsed]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, RuleApp) and id(node) not in rules:
+                rules[id(node)] = node
+                todo.extend(node.children)
+        assert len(calls) == len(set(map(id, calls))) == len(rules) < 183
+        assert check_derivation(lat, parsed).valid and semantic_crosscheck(lat, parsed).ok
+        assert len(calls) == len(rules)
+
+    def test_built_trees_leave_the_lattice_memo_alone(self):
+        lat = mo(2)
+        memo = lat._sequent_table[2]
+        parsed = parse_derivation(serialize(derive_measurement(lat, "a", "b")), lat)
+        assert check_derivation(lat, parsed).valid
+        size = len(memo)
+        assert size > 0
+        for _ in range(1000):
+            assert check_derivation(lat, derive_measurement(lat, "a", "b")).valid
+        assert len(memo) == size
+        # nor is a built node over a parsed subtree remembered on the lattice
+        wrapped = RuleApp("plus_r1", Sequent(parsed.conclusion.context, Plus(
+            parsed.conclusion.succedent, actual(lat, "a"))), (parsed,))
+        assert check_derivation(lat, wrapped).valid
+        assert len(memo) == size
