@@ -2,7 +2,8 @@
 
 Each schema is instantiated against a bound lattice: guards are checked as
 lattice relations, lattice-valued subterms (projections, meets, joins, map
-images) are computed, and the result is a closed sequent over constants.
+images) are computed, and the result is a closed sequent over constants,
+built in the lattice's store.
 Implication-shaped schemas conclude an empty-context sequent by default;
 ``unfold=True`` moves the antecedent into the context instead.
 """
@@ -70,7 +71,13 @@ def _need(bindings: dict[str, str], *names: str) -> list[str]:
 
 
 def _in_and_r(lat: FiniteOrthoLattice, x: str) -> Tensor:
-    return Tensor(actual(lat, x), reachable(lat, x))
+    return lat._store.make(Tensor, actual(lat, x), reachable(lat, x))
+
+
+def _implication(lat: FiniteOrthoLattice, antecedent, consequent) -> Sequent:
+    """The sequent |- antecedent -o consequent."""
+    make = lat._store.make
+    return make(Sequent, make(tuple), make(Lolli, antecedent, consequent))
 
 
 def _oql_meet(lat, bindings, maps):
@@ -82,15 +89,17 @@ def _oql_meet(lat, bindings, maps):
     m = lat.meet_set(xs)
     if m == "0":
         raise GuardViolation("meet of the bound properties is 0")
+    make = lat._store.make
     lhs = actual(lat, xs[0])
     for x in xs[1:]:
-        lhs = Tensor(lhs, actual(lat, x))
-    return Sequent((lhs,), actual(lat, m))
+        lhs = make(Tensor, lhs, actual(lat, x))
+    return make(Sequent, make(tuple, lhs), actual(lat, m))
 
 
 def _oql_join(lat, bindings, maps):
     x, y = _need(bindings, "x", "y")
-    return Sequent((actual(lat, x),), actual(lat, lat.join(x, y)))
+    make = lat._store.make
+    return make(Sequent, make(tuple, actual(lat, x)), actual(lat, lat.join(x, y)))
 
 
 def _trans(lat, bindings, maps):
@@ -98,9 +107,8 @@ def _trans(lat, bindings, maps):
     w = lat.sasaki(z, y)
     if w == "0":
         raise GuardViolation(f"projection of {y!r} onto {z!r} is 0")
-    return Sequent(
-        (), Lolli(Tensor(actual(lat, y), reachable(lat, z)), _in_and_r(lat, w))
-    )
+    antecedent = lat._store.make(Tensor, actual(lat, y), reachable(lat, z))
+    return _implication(lat, antecedent, _in_and_r(lat, w))
 
 
 def _adjust1(lat, bindings, maps):
@@ -110,11 +118,12 @@ def _adjust1(lat, bindings, maps):
         raise GuardViolation(f"y !<= x violated: {y} <= {x}")
     if lat.leq(y, lat.ortho(x)):
         raise GuardViolation(f"y !<= ortho(x) violated: {y} <= {lat.ortho(x)}")
-    antecedent = Tensor(measurement(lat, x), _in_and_r(lat, y))
-    consequent = Tensor(
-        actual(lat, y), Plus(reachable(lat, x), reachable(lat, lat.ortho(x)))
+    make = lat._store.make
+    antecedent = make(Tensor, measurement(lat, x), _in_and_r(lat, y))
+    consequent = make(
+        Tensor, actual(lat, y), make(Plus, reachable(lat, x), reachable(lat, lat.ortho(x)))
     )
-    return Sequent((), Lolli(antecedent, consequent))
+    return _implication(lat, antecedent, consequent)
 
 
 def _adjust2(lat, bindings, maps):
@@ -122,8 +131,8 @@ def _adjust2(lat, bindings, maps):
     lat.index(x)
     if not lat.leq(y, x):
         raise GuardViolation(f"y <= x violated: {y} !<= {x}")
-    antecedent = Tensor(measurement(lat, x), _in_and_r(lat, y))
-    return Sequent((), Lolli(antecedent, _in_and_r(lat, y)))
+    antecedent = lat._store.make(Tensor, measurement(lat, x), _in_and_r(lat, y))
+    return _implication(lat, antecedent, _in_and_r(lat, y))
 
 
 def _general_propagation(lat, bindings, maps):
@@ -137,10 +146,11 @@ def _general_propagation(lat, bindings, maps):
     if x == "0" or x in kill_set(f):
         raise GuardViolation(f"x !in K({alpha}) violated for {x!r}")
     branches = sorted(f.singleton(x), key=lat.index)
+    make = lat._store.make
     rhs = actual(lat, branches[0])
     for z in branches[1:]:
-        rhs = Plus(rhs, actual(lat, z))
-    return Sequent((), Lolli(Tensor(Induced(alpha), actual(lat, x)), rhs))
+        rhs = make(Plus, rhs, actual(lat, z))
+    return _implication(lat, make(Tensor, make(Induced, alpha), actual(lat, x)), rhs)
 
 
 SCHEMAS: dict[str, AxiomSchema] = {

@@ -42,25 +42,37 @@ __all__ = [
 ]
 
 
-def _id(f: Formula) -> RuleApp:
-    return RuleApp("id", Sequent((f,), f), ())
+def _plain(cls, *parts):
+    """Builds a node of class ``cls`` (a record class or ``tuple``) outside
+    any store, as ``Store.make`` builds one inside."""
+    return parts if cls is tuple else cls(*parts)
 
 
-def _modus_ponens(leaf: Derivation) -> RuleApp:
+def _rule(make, rule: str, context: tuple, succedent: Formula, *children) -> RuleApp:
+    """The ``rule`` node concluding ``context |- succedent``, built by ``make``."""
+    concl = make(Sequent, make(tuple, *context), succedent)
+    return make(RuleApp, rule, concl, make(tuple, *children), None)
+
+
+def _id(make, f: Formula) -> RuleApp:
+    return _rule(make, "id", (f,), f)
+
+
+def _modus_ponens(make, leaf: Derivation) -> RuleApp:
     """From a leaf concluding |- A -o B, derive A |- B (id + lolli_l + cut)."""
     lolli = leaf.conclusion.succedent
     assert isinstance(lolli, Lolli) and not leaf.conclusion.context
     a, b = lolli.antecedent, lolli.consequent
-    elim = RuleApp("lolli_l", Sequent((a, lolli), b), (_id(a), _id(b)))
-    return RuleApp("cut", Sequent((a,), b), (leaf, elim))
+    elim = _rule(make, "lolli_l", (a, lolli), b, _id(make, a), _id(make, b))
+    return _rule(make, "cut", (a,), b, leaf, elim)
 
 
 def _axiom_step(lat: FiniteOrthoLattice, schema: str, **bindings: str) -> RuleApp:
     """Modus ponens on one instance of an implication-shaped schema."""
-    leaf = AxiomApp(
-        schema, tuple(sorted(bindings.items())), instantiate_axiom(lat, schema, bindings)
-    )
-    return _modus_ponens(leaf)
+    make = lat._store.make
+    binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings.items())])
+    leaf = make(AxiomApp, schema, binds, instantiate_axiom(lat, schema, bindings))
+    return _modus_ponens(make, leaf)
 
 
 def _check_nonzero(lat: FiniteOrthoLattice, role: str, el: str) -> None:
@@ -73,31 +85,40 @@ def derive_distributivity(z: Formula, x: Formula, y: Formula) -> RuleApp:
     """Derivation of  z * (x + y) |- (z * x) + (z * y)  from id, tensor and
     plus rules only (the entailment direction actually used; the converse is
     neither assumed nor derived)."""
-    goal_rhs = Plus(Tensor(z, x), Tensor(z, y))
-    left = RuleApp(
-        "plus_r1",
-        Sequent((z, x), goal_rhs),
-        (RuleApp("tensor_r", Sequent((z, x), Tensor(z, x)), (_id(z), _id(x))),),
-    )
-    right = RuleApp(
-        "plus_r2",
-        Sequent((z, y), goal_rhs),
-        (RuleApp("tensor_r", Sequent((z, y), Tensor(z, y)), (_id(z), _id(y))),),
-    )
-    split = RuleApp("plus_l", Sequent((z, Plus(x, y)), goal_rhs), (left, right))
-    return RuleApp("tensor_l", Sequent((Tensor(z, Plus(x, y)),), goal_rhs), (split,))
+    return _distributivity(_plain, z, x, y)
+
+
+def _distributivity(make, z: Formula, x: Formula, y: Formula) -> RuleApp:
+    zx, zy = make(Tensor, z, x), make(Tensor, z, y)
+    goal_rhs = make(Plus, zx, zy)
+    left = _rule(make, "plus_r1", (z, x), goal_rhs,
+                 _rule(make, "tensor_r", (z, x), zx, _id(make, z), _id(make, x)))
+    right = _rule(make, "plus_r2", (z, y), goal_rhs,
+                  _rule(make, "tensor_r", (z, y), zy, _id(make, z), _id(make, y)))
+    x_or_y = make(Plus, x, y)
+    split = _rule(make, "plus_l", (z, x_or_y), goal_rhs, left, right)
+    return _rule(make, "tensor_l", (make(Tensor, z, x_or_y),), goal_rhs, split)
 
 
 def derive_measurement(lat: FiniteOrthoLattice, actual_el: str, measured: str) -> RuleApp:
     """Derivation for one two-outcome measurement on an entity whose actual
-    and reachable property is ``actual_el``.
+    and reachable property is ``actual_el``, built in the lattice's store,
+    which remembers it: a second call with the same elements returns the
+    same tree.
 
     When the actual property is comparable to neither outcome, the adjustment
     schema with the two-branch conclusion applies and the result ends in a
     disjunction of the two projected branches; when it lies under one of the
     outcomes, the degenerate adjustment applies and the entity is unchanged.
     """
-    a, b = actual_el, measured
+    cores = lat._store.cores
+    d = cores.get((actual_el, measured))
+    if d is None:
+        d = cores[actual_el, measured] = _measurement(lat, actual_el, measured)
+    return d
+
+
+def _measurement(lat: FiniteOrthoLattice, a: str, b: str) -> RuleApp:
     _check_nonzero(lat, "actual", a)
     _check_nonzero(lat, "measured", b)
     bo = lat.ortho(b)
@@ -105,25 +126,22 @@ def derive_measurement(lat: FiniteOrthoLattice, actual_el: str, measured: str) -
     if lat.leq(a, b) or lat.leq(a, bo):
         return _axiom_step(lat, "Adjust2", x=b if lat.leq(a, b) else bo, y=a)
 
+    make = lat._store.make
     # M(b) * (In(a) * R(a)) |- In(a) * (R(b) + R(b'))
     step1 = _axiom_step(lat, "Adjust1", x=b, y=a)
-    step2 = derive_distributivity(actual(lat, a), reachable(lat, b), reachable(lat, bo))
+    step2 = _distributivity(make, actual(lat, a), reachable(lat, b), reachable(lat, bo))
     # In(a) * R(z) |- In(w) * R(w), for z = b and z = b'
     step3, step4 = (_axiom_step(lat, "Trans", y=a, z=z) for z in (b, bo))
     d1, d2 = step3.conclusion.succedent, step4.conclusion.succedent
-    goal_rhs = Plus(d1, d2)
+    goal_rhs = make(Plus, d1, d2)
 
-    lift1 = RuleApp("plus_r1", Sequent(step3.conclusion.context, goal_rhs), (step3,))
-    lift2 = RuleApp("plus_r2", Sequent(step4.conclusion.context, goal_rhs), (step4,))
-    branch_plus = Plus(step3.conclusion.context[0], step4.conclusion.context[0])
-    joined = RuleApp("plus_l", Sequent((branch_plus,), goal_rhs), (lift1, lift2))
+    lift1 = _rule(make, "plus_r1", step3.conclusion.context, goal_rhs, step3)
+    lift2 = _rule(make, "plus_r2", step4.conclusion.context, goal_rhs, step4)
+    branch_plus = make(Plus, step3.conclusion.context[0], step4.conclusion.context[0])
+    joined = _rule(make, "plus_l", (branch_plus,), goal_rhs, lift1, lift2)
 
-    after_distribution = RuleApp(
-        "cut", Sequent(step2.conclusion.context, goal_rhs), (step2, joined)
-    )
-    return RuleApp(
-        "cut", Sequent(step1.conclusion.context, goal_rhs), (step1, after_distribution)
-    )
+    after_distribution = _rule(make, "cut", step2.conclusion.context, goal_rhs, step2, joined)
+    return _rule(make, "cut", step1.conclusion.context, goal_rhs, step1, after_distribution)
 
 
 def _plus_leaves(f: Formula) -> list[tuple[Formula, tuple[str, ...]]]:
@@ -145,8 +163,8 @@ def derive_chain(
     lat: FiniteOrthoLattice, actual_el: str, measures: Sequence[str]
 ) -> RuleApp:
     """Derivation for a sequence of two-outcome measurements, first to last,
-    on an entity whose actual and reachable property is ``actual_el``.  The
-    result concludes from the nested context
+    on an entity whose actual and reachable property is ``actual_el``, built
+    in the lattice's store.  The result concludes from the nested context
     M(m_k) * ( ... (M(m_1) * (In(a) * R(a)))) a disjunction of
     actual-and-reachable branches, one per surviving projected outcome of the
     measurements in order.
@@ -172,6 +190,7 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     """Extend a chain derivation by one more measurement: from M(then) * C,
     where ``base`` proves C |- S, conclude S with each branch In(u) * R(u)
     replaced by the conclusion of measuring ``then`` on u."""
+    make = lat._store.make
     stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
 
@@ -188,7 +207,7 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
 
     def mirror(f: Formula, path: tuple[str, ...]) -> Formula:
         if isinstance(f, Plus):
-            return Plus(mirror(f.left, path + ("L",)), mirror(f.right, path + ("R",)))
+            return make(Plus, mirror(f.left, path + ("L",)), mirror(f.right, path + ("R",)))
         return cores[path].conclusion.succedent
 
     goal_rhs = mirror(stage_one, ())
@@ -198,41 +217,29 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
         if isinstance(f, Plus):
             left = prove(f.left, path + ("L",))
             right = prove(f.right, path + ("R",))
-            return RuleApp("plus_l", Sequent((m_then, f), goal_rhs), (left, right))
+            return _rule(make, "plus_l", (m_then, f), goal_rhs, left, right)
         core = cores[path]  # [M(then) * f] |- S_u
         fused = core.conclusion.context[0]
-        pair = RuleApp(
-            "tensor_r", Sequent((m_then, f), fused), (_id(m_then), _id(f))
-        )
+        pair = _rule(make, "tensor_r", (m_then, f), fused, _id(make, m_then), _id(make, f))
         s_u = core.conclusion.succedent
-        out = RuleApp("cut", Sequent((m_then, f), s_u), (pair, core))
+        out = _rule(make, "cut", (m_then, f), s_u, pair, core)
         # climb from this leaf's disjunct position up to the full tree
         for depth in range(len(path), 0, -1):
             prefix = path[:depth]
             parent = _subformula(goal_rhs, prefix[:-1])
             rule = "plus_r1" if prefix[-1] == "L" else "plus_r2"
-            out = RuleApp(rule, Sequent((m_then, f), parent), (out,))
+            out = _rule(make, rule, (m_then, f), parent, out)
         return out
 
     body = prove(stage_one, ())
-    fused_body = RuleApp(
-        "tensor_l", Sequent((Tensor(m_then, stage_one),), goal_rhs), (body,)
-    )
+    m_stage_one = make(Tensor, m_then, stage_one)
+    fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
 
     base_ctx = base.conclusion.context[0]
-    widen = RuleApp(
-        "tensor_r",
-        Sequent((m_then, base_ctx), Tensor(m_then, stage_one)),
-        (_id(m_then), base),
-    )
-    fused_widen = RuleApp(
-        "tensor_l",
-        Sequent((Tensor(m_then, base_ctx),), Tensor(m_then, stage_one)),
-        (widen,),
-    )
-    return RuleApp(
-        "cut", Sequent((Tensor(m_then, base_ctx),), goal_rhs), (fused_widen, fused_body)
-    )
+    widen = _rule(make, "tensor_r", (m_then, base_ctx), m_stage_one, _id(make, m_then), base)
+    m_base = make(Tensor, m_then, base_ctx)
+    fused_widen = _rule(make, "tensor_l", (m_base,), m_stage_one, widen)
+    return _rule(make, "cut", (m_base,), goal_rhs, fused_widen, fused_body)
 
 
 # -- semantic crosscheck ---------------------------------------------------------

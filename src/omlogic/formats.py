@@ -4,17 +4,18 @@ Five value kinds travel through text: lattices and maps use line-oriented
 formats, formulas and sequents an infix grammar, and derivations a nested
 s-expression format.  All files are ASCII with ``#`` comments to end of line;
 parse errors carry a source span pointing inside the offending token plus the
-set of expected tokens.  Sequents are memoized per lattice object, with
-structurally equal parts shared through a table keyed on each node's class
-and the identities of its already-shared parts (see :func:`parse_sequent`).
+set of expected tokens.  Every formula, sequent and derivation node is built
+in the lattice's store (``omlogic.record.Store``), which holds one object per
+value, and sequents are memoized per lattice by their text (see
+:func:`parse_sequent`).
 
 Derivation files are read by a scanner that matches each node head, such as
-``(rule NAME (seq "...")``, with one compiled pattern, hands the sequent
-string to :func:`parse_sequent` and hash-conses each node into the same
-table, so equal subtrees share one object.  Wherever the scanner stops short
-(a mismatch, a bad sequent, an unknown rule, a node nested too deep), the
-token parser reads the whole file again and raises its error, so every error
-keeps the token parser's message and span.
+``(rule NAME (seq "...")``, with one compiled pattern and hands the sequent
+string to :func:`parse_sequent`, so equal subtrees share one object, and a
+derivation built over the lattice parses back to itself.  Wherever the
+scanner stops short (a mismatch, a bad sequent, an unknown rule, a node
+nested too deep), the token parser reads the whole file again and raises its
+error, so every error keeps the token parser's message and span.
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -27,7 +28,7 @@ import re
 from functools import cache, singledispatch
 from typing import NamedTuple
 
-from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp, _axiom_key, _rule_key
+from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.record import Record
@@ -49,6 +50,7 @@ from omlogic.syntax import (
     Var,
     _ASCII,
     _sequent,
+    _set,
     ascii_formula,
     ascii_sequent,
     ascii_term,
@@ -297,9 +299,9 @@ def _tokenize(text: str, pattern: re.Pattern) -> list[_Token]:
 
 # Deepest nesting either parser accepts: formula levels (parentheses, '-o',
 # 'forall', 'ortho' and each term of a '+' chain) or derivation levels.  The
-# parsers, the kernel and the printers recurse on the trees built here, so the
-# limit keeps every input far from Python's recursion limit; the proof corpus
-# needs depth 12.
+# parsers, normalize_formula and structural == recurse on the trees built here,
+# so the limit keeps every input far from Python's recursion limit; the proof
+# corpus needs depth 12.
 MAX_DEPTH = 100
 
 
@@ -347,6 +349,7 @@ class _FormulaParser(_Parser):
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
         self.bound: list[str] = []
+        self.make = lat._store.make
 
     def expect(self, text: str) -> _Token:
         tok = self.peek()
@@ -377,14 +380,14 @@ class _FormulaParser(_Parser):
         rhs = self.formula()
         if self.peek().kind != "eof":
             self.error(f"trailing input {self.peek().text!r}", {"end of input"})
-        return Sequent(tuple(ctx), rhs)
+        return self.make(Sequent, self.make(tuple, *ctx), rhs)
 
     def formula(self) -> Formula:
         self.descend()
         out = self.sum()
         if self.peek().kind == "lolli":
             self.advance()
-            out = Lolli(out, self.formula())
+            out = self.make(Lolli, out, self.formula())
         self.depth -= 1
         return out
 
@@ -394,7 +397,7 @@ class _FormulaParser(_Parser):
         while self.peek().text == "+":
             self.descend()  # the tree nests one level per term of the chain
             self.advance()
-            out = Plus(out, self.product())
+            out = self.make(Plus, out, self.product())
         self.depth = depth
         return out
 
@@ -409,7 +412,7 @@ class _FormulaParser(_Parser):
                 "'*' is non-associative; parenthesize nested conjunctions",
                 {"+", "-o", ")", ",", "|-", "end of input"},
             )
-        return Tensor(left, right)
+        return self.make(Tensor, left, right)
 
     def unit(self) -> Formula:
         tok = self.peek()
@@ -436,7 +439,7 @@ class _FormulaParser(_Parser):
                 self.error("expected a map name", {"<name>"})
             self.advance()
             self.expect(")")
-            return Induced(name.text)
+            return self.make(Induced, name.text)
         term = self.term()
         self.expect(")")
         ctor = {"In": Actual, "R": Reachable, "M": Measurement}[head.text]
@@ -454,15 +457,13 @@ class _FormulaParser(_Parser):
             inner = self.term()
             self.expect(")")
             self.depth -= 1
-            return OrthoTerm(inner)
+            return self.make(OrthoTerm, inner)
         if tok.kind != "name":
             self.error("expected a term", {"<name>", "ortho"})
         self.advance()
-        if tok.text in self.bound:
-            return Var(tok.text)
-        if tok.text in self.lat:
-            return Const(tok.text)
-        return Var(tok.text)
+        if tok.text in self.lat and tok.text not in self.bound:
+            return self.make(Const, tok.text)
+        return self.make(Var, tok.text)
 
     def forall(self) -> Formula:
         self.expect("forall")
@@ -485,13 +486,13 @@ class _FormulaParser(_Parser):
             body = self.formula()
         finally:
             self.bound.pop()
-        return Forall(var.text, tuple(guard), body)
+        return self.make(Forall, var.text, self.make(tuple, *guard), body)
 
     def constraint(self) -> Constraint:
         tok = self.peek()
         if tok.kind == "leq" or tok.kind == "nleq":
             self.advance()
-            return Constraint(tok.text, normalize_term(self.term(), self.lat))
+            return self.make(Constraint, tok.text, normalize_term(self.term(), self.lat))
         if tok.kind == "notin":
             self.advance()
             self.expect("K")
@@ -501,7 +502,7 @@ class _FormulaParser(_Parser):
                 self.error("expected a map name", {"<name>"})
             self.advance()
             self.expect(")")
-            return Constraint("!inK", name.text)
+            return self.make(Constraint, "!inK", name.text)
         self.error("expected a guard constraint", {"<=", "!<=", "!in"})
 
 
@@ -510,78 +511,48 @@ def parse_formula(text: str, lat: FiniteOrthoLattice) -> Formula:
 
 
 def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
-    """Parse a sequent, memoized per lattice object: a text seen before
-    returns the same object, and every new sequent is hash-consed into the
-    lattice's node table, so structurally equal parts of all its sequents
-    share one object.  A new sequent is built from its top-level formulas,
-    each parsed once per lattice (see :func:`_split_sequent`).  Errors are
-    not remembered."""
-    texts, nodes, _, formulas = lat._sequent_table
+    """Parse a sequent into the lattice's store, memoized by its text: a
+    text seen before returns the same object.  A new sequent is built from
+    its top-level formulas, each parsed once per lattice (see
+    :func:`_split_sequent`).  Errors are not remembered."""
+    texts = lat._store.texts
     seq = texts.get(text)
     if seq is None:
-        seq = texts[text] = _split_sequent(text, lat, formulas, nodes) or _intern(
-            _FormulaParser(text, lat).parse_sequent_text(), nodes
+        seq = texts[text] = (
+            _split_sequent(text, lat) or _FormulaParser(text, lat).parse_sequent_text()
         )
     return seq
 
 
-def _split_sequent(text: str, lat: FiniteOrthoLattice, formulas: dict, nodes: dict):
-    """The interned sequent of ``text`` built from its top-level formulas, or
-    None wherever the token parser must read the whole text: a comment (which
-    can swallow a separator), a guard (whose commas are not separators), other
+def _split_sequent(text: str, lat: FiniteOrthoLattice):
+    """The sequent of ``text`` built from its top-level formulas, or None
+    wherever the token parser must read the whole text: a comment (which can
+    swallow a separator), a guard (whose commas are not separators), other
     than one ``|-``, or a formula that does not parse.
 
     The text is cut at its ``|-`` and its context commas.  Each piece,
-    stripped, is looked up in the lattice's formula memo, and a new piece is
+    stripped, is looked up in the store's formula memo, and a new piece is
     parsed from depth 0 as the whole-text parser parses each top-level
-    formula.  The context tuple and the sequent get the keys :func:`_intern`
-    gives them, so the result is the object the whole-text path would
-    return."""
+    formula, so the result is the object the whole-text path would return."""
     if "#" in text or "{" in text or text.count("|-") != 1:
         return None
+    store = lat._store
     head, _, rhs = text.partition("|-")
     pieces = head.split(",") if head.strip() else []
     pieces.append(rhs)
     parts = []
     for piece in pieces:
         piece = piece.strip()
-        f = formulas.get(piece)
+        f = store.formulas.get(piece)
         if f is None:
             try:
-                f = _intern(_FormulaParser(piece, lat).parse_formula_text(), nodes)
+                f = _FormulaParser(piece, lat).parse_formula_text()
             except ParseError:
                 return None
-            formulas[piece] = f
+            store.formulas[piece] = f
         parts.append(f)
     rhs = parts.pop()
-    return _shared(Sequent, (_shared(tuple, parts, nodes), rhs), nodes)
-
-
-def _intern(node, nodes: dict):
-    """The copy of ``node`` in ``nodes``, built bottom-up from interned parts
-    (hash-consing, Filliatre & Conchon 2006).  Parts are records (whose
-    fields are their ``__slots__``), tuples and strings.  A string is its own
-    key; a record or tuple is keyed on its class and the ids of its interned
-    parts, so no key hashes a subtree.  Every part is a value of ``nodes``,
-    which keeps each id in a key alive as long as the table."""
-    cls = node.__class__
-    if cls is str:
-        return nodes.setdefault(node, node)
-    if cls is tuple:
-        parts = [_intern(part, nodes) for part in node]
-    else:
-        parts = [_intern(getattr(node, n), nodes) for n in node.__slots__]
-    return _shared(cls, parts, nodes)
-
-
-def _shared(cls, parts, nodes: dict):
-    """The node of class ``cls`` (a record class or ``tuple``) over the
-    already-interned ``parts``, from ``nodes`` or added to it."""
-    key = (cls, *map(id, parts))
-    found = nodes.get(key)
-    if found is None:
-        found = nodes[key] = tuple(parts) if cls is tuple else cls(*parts)
-    return found
+    return store.make(Sequent, store.make(tuple, *parts), rhs)
 
 
 # -- derivation s-expressions -------------------------------------------------------
@@ -771,13 +742,13 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
     None wherever the token parser must decide: a mismatch, a bad sequent,
     an unknown rule or a node deeper than ``MAX_DEPTH``.
 
-    Each node is hash-consed into the lattice's node table, so equal subtrees
-    share one object within the file and across files.  The key is the
-    kernel's (``_rule_key``, ``_axiom_key``), one level deep: the class, the
-    rule name (or the schema and the sorted bindings) and the ids of the
-    already-shared conclusion, witness and children."""
+    Each node is built in the lattice's store, so equal subtrees share one
+    object within the file, across files and with built derivations.  A rule
+    node and its children are first looked up under the keys ``Store.make``
+    gives them, which saves the call wherever the store holds them."""
     step, at_end, bindings = _node_patterns()
-    nodes = lat._sequent_table[1]
+    nodes, make = lat._store.nodes, lat._store.make
+    leaf = make(tuple)  # the children of a leaf
     open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
     pos = 0
     while True:
@@ -790,10 +761,13 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             if not open_rules:
                 return None
             rule, seq, witness, children = open_rules.pop()
-            key = _rule_key(rule, seq, witness, children)
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = RuleApp(rule, seq, tuple(children), witness)
+            kids = (
+                nodes.get((tuple, *map(id, children))) or make(tuple, *children)
+                if children else leaf
+            )
+            node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
+                RuleApp, rule, seq, kids, witness
+            )
         else:
             depth = len(open_rules) + 1
             if depth > MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
@@ -803,17 +777,14 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             except ParseError:
                 return None
             if rule is None:
-                binds = tuple(sorted(bindings(binds)))
-                key = _axiom_key(schema, binds, seq)
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = AxiomApp(schema, binds, seq)
+                binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings(binds))])
+                node = make(AxiomApp, schema, binds, seq)
             else:
                 if witness is not None:
                     found = _scan_witness(text, pos, depth, lat)
                     if found is None:
                         return None
-                    witness, pos = _intern(found[0], nodes), found[1]
+                    witness, pos = found
                 open_rules.append((rule, seq, witness, []))
                 continue
         if not open_rules:
@@ -839,9 +810,10 @@ def _scan_witness(text: str, pos: int, depth: int, lat: FiniteOrthoLattice):
         if m is None or depth + levels > MAX_DEPTH:
             return None
         pos = m.end()
-    term = Const(word) if word in lat else Var(word)
+    make = lat._store.make
+    term = make(Const if word in lat else Var, word)
     for _ in range(levels):
-        term = OrthoTerm(term)
+        term = make(OrthoTerm, term)
     for _ in range(levels + 1):  # each ortho's and then the witness's own
         m = closing(text, pos)
         if m is None:
@@ -851,12 +823,11 @@ def _scan_witness(text: str, pos: int, depth: int, lat: FiniteOrthoLattice):
 
 
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
-    """Parse a derivation s-expression.  A scanner reads each node head with
-    one pattern match and shares equal subtrees through the lattice's node
-    table; wherever it stops short, the token parser reads the whole text
-    again and raises its error."""
+    """Parse a derivation s-expression into the lattice's store.  A scanner
+    reads each node head with one pattern match; wherever it stops short,
+    the token parser reads the whole text again and raises its error."""
     d = _scan(text, lat)
-    return d if d is not None else _DerivationParser(text, lat).parse()
+    return d if d is not None else lat._store.intern(_DerivationParser(text, lat).parse())
 
 
 # -- serialization -------------------------------------------------------------------
@@ -913,8 +884,10 @@ def _derivation_lines(d: Derivation) -> list[str]:
     """One line per node head in pre-order, each child two spaces deeper than
     its parent, and a line closing each node that has children.  The walk
     keeps an explicit stack, so a tree of any depth is written out.  Each
-    formula object is rendered once per call: ``texts`` maps its id to its
-    text, and the tree keeps every such formula alive until the call ends."""
+    sequent is rendered once for its life: its text is kept on it.  A new
+    sequent renders each formula object once per call: ``texts`` maps its id
+    to its text, and the tree keeps every such formula alive until the call
+    ends."""
     texts = {}
     lines = []
     stack = [(d, "")]  # (node, indent) still to write, or (None, closing line)
@@ -923,7 +896,11 @@ def _derivation_lines(d: Derivation) -> list[str]:
         if node is None:
             lines.append(pad)
             continue
-        seq = _sequent(node.conclusion, _ASCII, texts)
+        conclusion = node.conclusion
+        seq = conclusion._text
+        if seq is None:
+            seq = _sequent(conclusion, _ASCII, texts)
+            _set(conclusion, "_text", seq)
         if isinstance(node, AxiomApp):
             binds = " ".join(f"{k}={v}" for k, v in node.bindings)
             lines.append(f'{pad}(axiom {node.schema} (bind {binds}) (seq "{seq}"))')

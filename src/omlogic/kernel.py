@@ -75,16 +75,6 @@ class RuleApp(Record):
         _set(self, "children", children)
         _set(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is not RuleApp:
-            return NotImplemented
-        return self is other or (
-            self.rule, self.conclusion, self.children, self.witness
-        ) == (other.rule, other.conclusion, other.children, other.witness)
-
-    def __hash__(self):
-        return hash((self.rule, self.conclusion, self.children, self.witness))
-
 
 class AxiomApp(Record):
     """An axiom leaf; ``bindings`` are sorted (variable, value) pairs."""
@@ -95,16 +85,6 @@ class AxiomApp(Record):
         _set(self, "schema", schema)
         _set(self, "bindings", bindings)
         _set(self, "conclusion", conclusion)
-
-    def __eq__(self, other):
-        if other.__class__ is not AxiomApp:
-            return NotImplemented
-        return self is other or (self.schema, self.bindings, self.conclusion) == (
-            other.schema, other.bindings, other.conclusion
-        )
-
-    def __hash__(self):
-        return hash((self.schema, self.bindings, self.conclusion))
 
 
 Derivation = Union[RuleApp, AxiomApp]
@@ -143,14 +123,6 @@ class CheckResult(Record):
 
     def __init__(self, failure: CheckFailure | None = None):
         _set(self, "failure", failure)
-
-    def __eq__(self, other):
-        if other.__class__ is not CheckResult:
-            return NotImplemented
-        return self is other or self.failure == other.failure
-
-    def __hash__(self):
-        return hash((self.failure,))
 
     @property
     def valid(self) -> bool:
@@ -192,22 +164,25 @@ def check_derivation(
     post-order) with its path from the root, a reason and its conclusion.
 
     The walk keeps an explicit stack, so a tree of any depth gets a verdict.
-    Each node found valid is remembered by identity (the memo holds the node,
-    so its id is never reused) and skipped wherever it occurs again: in a
-    shared subproof, in a later call on the same tree, in another tree that
-    shares it.  A parsed tree, one whose root the lattice's node table holds
-    (and so, as ``formats`` interns bottom-up, every node below it), is
-    remembered on the lattice, next to that table, so that memo never holds
-    more than the table.  Any other tree, and every tree checked with a map
-    registry, gets a memo of this call only, so neither a built node nor a
-    verdict that depends on a map outlives the call.  Only valid verdicts are
-    kept, so the first failing node, its path and its reason are those of a
-    full walk.
+    Each node found valid is remembered by identity and skipped wherever it
+    occurs again: in a shared subproof, in a later call on the same tree, in
+    another tree that shares it.  The tree is first taken into the lattice's
+    store (a tree built or parsed over the lattice is there already, and any
+    other is copied in once), so equal trees are one tree and the memo lives
+    in the store, which keeps every node it names alive.  A call with a map
+    registry checks the tree as given with a memo of its own, because its
+    verdicts depend on the maps.  Only valid verdicts are kept, so the first
+    failing node, its path and its reason are those of a full walk, and the
+    failure names the node of the tree as given.
     """
-    if maps or not _parsed(lat, d):
-        valid = {}  # this call's memo
+    given = d
+    if maps:
+        valid = set()  # this call's memo; d keeps every node in it alive
     else:
-        valid = lat._sequent_table[2]
+        valid = lat._store.verdicts
+        if id(d) in valid:  # an id there is a node the store keeps alive, so d
+            return CheckResult()
+        d = lat._store.intern(d)
         if id(d) in valid:
             return CheckResult()
     maps = maps or {}
@@ -229,40 +204,18 @@ def check_derivation(
         else:
             reason = f"not a derivation node: {node!r}"
         if reason is not None:
-            return _failure(stack, reason)
-        valid[id(node)] = node
+            return _failure(given, [frame[1] - 1 for frame in stack[:-1]], reason)
+        valid.add(id(node))
         stack.pop()
     return CheckResult()
 
 
-def _rule_key(rule: str, conclusion: Sequent, witness, children) -> tuple:
-    """The key of a rule node in a lattice's node table, under which
-    ``formats`` hash-conses parsed nodes: one level deep, over the ids of the
-    already-shared conclusion, witness and children."""
-    return (RuleApp, rule, id(conclusion), id(witness), *map(id, children))
-
-
-def _axiom_key(schema: str, bindings: tuple, conclusion: Sequent) -> tuple:
-    """The key of an axiom leaf in a lattice's node table (see ``_rule_key``)."""
-    return (AxiomApp, schema, bindings, id(conclusion))
-
-
-def _parsed(lat: FiniteOrthoLattice, d: Derivation) -> bool:
-    """Whether ``d`` is the node the lattice's node table holds under its key."""
-    if isinstance(d, RuleApp):
-        key = _rule_key(d.rule, d.conclusion, d.witness, d.children)
-    elif isinstance(d, AxiomApp):
-        key = _axiom_key(d.schema, d.bindings, d.conclusion)
-    else:
-        return False
-    return lat._sequent_table[1].get(key) is d
-
-
-def _failure(stack: list, reason: str) -> CheckResult:
-    """The verdict for the node on top of ``stack``, which failed; its path is
-    the child index each ancestor on the stack is at."""
-    node = stack[-1][0]
-    path = tuple([frame[1] - 1 for frame in stack[:-1]])
+def _failure(d: Derivation, path: list[int], reason: str) -> CheckResult:
+    """The verdict for the node of ``d`` at ``path``, which failed."""
+    node = d
+    for i in path:
+        node = node.children[i]
+    path = tuple(path)
     if isinstance(node, RuleApp):
         rule = node.rule
     elif isinstance(node, AxiomApp):

@@ -16,7 +16,7 @@ import itertools
 import re
 from typing import Iterable, Sequence
 
-from omlogic.record import Record
+from omlogic.record import Record, Store
 
 __all__ = [
     "LatticeError",
@@ -151,11 +151,9 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
-        # formats.parse_sequent's memo (text -> sequent), the hash-consing
-        # table of parsed formula and derivation nodes, kernel.check_derivation's
-        # memo of parsed nodes found valid, and parse_sequent's memo of
-        # top-level formulas (text -> formula); they live and die with this object
-        self._sequent_table: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+        # the formulas, sequents and derivations built or parsed over this
+        # lattice, one object per value, and their memos
+        self._store = Store()
 
     # -- basic access -------------------------------------------------------
 

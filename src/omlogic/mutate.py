@@ -2,7 +2,8 @@
 
 Used to harden the kernel: a checker with implicit exchange, weakening, or
 contraction, lazy guard evaluation, or a missing eigenvariable condition
-would accept at least one of these mutants.
+would accept at least one of these mutants.  Mutants are built in the
+lattice's store, like any other derivation over it.
 """
 
 from __future__ import annotations
@@ -25,25 +26,27 @@ def _walk(d: Derivation, path=()):
             yield from _walk(child, path + (i,))
 
 
-def _replace(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivation:
+def _replace(make, d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivation:
     if not path:
         return new
     kids = list(d.children)
-    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
-    return RuleApp(d.rule, d.conclusion, tuple(kids), d.witness)
+    kids[path[0]] = _replace(make, kids[path[0]], path[1:], new)
+    return make(RuleApp, d.rule, d.conclusion, make(tuple, *kids), d.witness)
 
 
-def _with_context(node: Derivation, ctx: tuple) -> Derivation:
-    seq = Sequent(ctx, node.conclusion.succedent)
+def _with_context(make, node: Derivation, ctx: list) -> Derivation:
+    seq = make(Sequent, make(tuple, *ctx), node.conclusion.succedent)
     if isinstance(node, RuleApp):
-        return RuleApp(node.rule, seq, node.children, node.witness)
-    return AxiomApp(node.schema, node.bindings, seq)
+        return make(RuleApp, node.rule, seq, node.children, node.witness)
+    return make(AxiomApp, node.schema, node.bindings, seq)
 
 
 def mutate(
     d: Derivation, kind: str, rng: random.Random, lat: FiniteOrthoLattice
 ) -> Derivation | None:
     """Apply one mutation kind; None when no node in the tree is eligible."""
+    make = lat._store.make
+    d = lat._store.intern(d)
     if kind == "exchange":
         candidates = []
         for path, node in _walk(d):
@@ -62,7 +65,7 @@ def mutate(
         i, j = rng.choice(pairs)
         ctx = list(node.conclusion.context)
         ctx[i], ctx[j] = ctx[j], ctx[i]
-        return _replace(d, path, _with_context(node, tuple(ctx)))
+        return _replace(make, d, path, _with_context(make, node, ctx))
 
     if kind == "contraction":
         candidates = [
@@ -74,7 +77,7 @@ def mutate(
         ctx = list(node.conclusion.context)
         i = rng.randrange(len(ctx))
         ctx.insert(i, ctx[i])
-        return _replace(d, path, _with_context(node, tuple(ctx)))
+        return _replace(make, d, path, _with_context(make, node, ctx))
 
     if kind == "weakening":
         candidates = [
@@ -85,7 +88,7 @@ def mutate(
         path, node = rng.choice(candidates)
         ctx = list(node.conclusion.context)
         del ctx[rng.randrange(len(ctx))]
-        return _replace(d, path, _with_context(node, tuple(ctx)))
+        return _replace(make, d, path, _with_context(make, node, ctx))
 
     if kind == "guard":
         candidates = [
@@ -107,8 +110,8 @@ def mutate(
                 bindings["y"] = rng.choice(violating)
             else:
                 bindings["x"] = "0"  # y <= 0 is unsatisfiable for nonzero y
-        mutated = AxiomApp(node.schema, tuple(sorted(bindings.items())), node.conclusion)
-        return _replace(d, path, mutated)
+        binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings.items())])
+        return _replace(make, d, path, make(AxiomApp, node.schema, binds, node.conclusion))
 
     if kind == "capture":
         raise ValueError("capture mutants are built by capture_case")
@@ -124,13 +127,15 @@ def capture_case(
     v = rng.choice(["u", "v", "w"])
     fresh = rng.choice(["p", "q", "r"])
     shape = rng.randrange(3)
-    t = Var(v)
-    body = [Actual(t), Reachable(t), Tensor(Actual(t), Reachable(t))][shape]
-    leaf = RuleApp("id", Sequent((body,), body), ())
-    valid = RuleApp(
-        "forall_r", Sequent((body,), Forall(fresh, (), body)), (leaf,)
-    )
-    captured = RuleApp(
-        "forall_r", Sequent((body,), Forall(v, (), body)), (leaf,)
-    )
-    return valid, captured
+    make = lat._store.make
+    t = make(Var, v)
+    in_t, r_t = make(Actual, t), make(Reachable, t)
+    body = [in_t, r_t, make(Tensor, in_t, r_t)][shape]
+    context, none = make(tuple, body), make(tuple)
+    leaf = make(RuleApp, "id", make(Sequent, context, body), none, None)
+
+    def forall_r(var):
+        seq = make(Sequent, context, make(Forall, var, none, body))
+        return make(RuleApp, "forall_r", seq, make(tuple, leaf), None)
+
+    return forall_r(fresh), forall_r(v)

@@ -8,19 +8,32 @@ costs no code generation at import, which matters because every ``omlogic``
 command starts a fresh interpreter.
 
 The classes built on hot paths (formula nodes, derivation nodes and kernel
-verdicts) write ``__init__``, ``__eq__`` and ``__hash__`` out with their fields
-named, which does what the generic versions here do without the loop.
+verdicts) write ``__init__`` out with their fields named, which does what the
+generic version here does without the loop.  Their equality is the generic
+one: nodes built in one :class:`Store` are equal only when they are the same
+object, which ``__eq__`` tests first.
+
+A :class:`Store` hash-conses records: it hands out one object per distinct
+value built through it, so equal values it owns are the same object.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+from operator import attrgetter
+
+__all__ = ["Record", "Store"]
 
 _set = object.__setattr__
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            # reads the fields in C: their tuple, or the value of a single field
+            cls._get = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         names = self.__slots__
@@ -30,7 +43,8 @@ class Record:
             _set(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        values = self._get(self)
+        return values if len(self.__slots__) > 1 else (values,)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -39,7 +53,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._values() == other._values()
+        return self is other or self._get(self) == self._get(other)
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -53,3 +67,71 @@ class Record:
     def __reduce__(self):
         """Copy and pickle through the constructor, which frozen fields need."""
         return type(self), self._values()
+
+
+class Store:
+    """The hash-consed nodes of one lattice, and the memos that hold them
+    (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+
+    Every node is built through :meth:`make` from parts the store already
+    owns, so it is keyed one level deep, on its class and the ids of its
+    parts (a string part by its value), and no key hashes a subtree.  The
+    table holds each node, and each node its parts, so an id in a key or in
+    ``verdicts`` is never reused while the store lives.  The store lives and
+    dies with its lattice and grows with distinct content, not with calls.
+    """
+
+    __slots__ = ("nodes", "texts", "formulas", "verdicts", "cores")
+
+    def __init__(self):
+        self.nodes: dict = {}  # key -> the one node of that value
+        self.texts: dict = {}  # sequent text -> sequent, for parse_sequent
+        self.formulas: dict = {}  # top-level formula text -> formula, for parse_sequent
+        self.verdicts: set = set()  # ids of the nodes check_derivation found valid
+        self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree
+
+    def make(self, cls, *parts):
+        """The node of class ``cls`` (a record class or ``tuple``) over
+        ``parts``, each a string or a node this store owns."""
+        key = (cls, *[id(p) if p.__class__ is not str else p for p in parts])
+        try:
+            return self.nodes[key]
+        except KeyError:
+            node = self.nodes[key] = parts if cls is tuple else cls(*parts)
+            return node
+
+    def owns(self, node) -> bool:
+        """Whether ``node`` is the one the store holds for its value.  A value
+        other than a record or a tuple is a part as it is, so owned."""
+        if node.__class__ is tuple:
+            parts = node
+        elif isinstance(node, Record):
+            parts = node._values()
+        else:
+            return True
+        key = (node.__class__, *[id(p) if p.__class__ is not str else p for p in parts])
+        return self.nodes.get(key) is node
+
+    def intern(self, node):
+        """The store's copy of ``node``: ``node`` itself when the store owns
+        it, else a copy built bottom-up through :meth:`make`.  The walk keeps
+        an explicit stack, stops at the parts the store owns and copies each
+        other object once, so a tree of any depth is interned and a shared
+        subtree is copied once."""
+        if self.owns(node):
+            return node
+        copies = {}  # id of a part of node -> its copy; node holds each part
+        stack = [(node, False)]  # (object, whether its parts are copied)
+        while stack:
+            obj, ready = stack.pop()
+            if ready:
+                parts = obj if obj.__class__ is tuple else obj._values()
+                copies[id(obj)] = self.make(obj.__class__, *[copies[id(p)] for p in parts])
+            elif id(obj) not in copies:
+                if self.owns(obj):
+                    copies[id(obj)] = obj
+                    continue
+                parts = obj if obj.__class__ is tuple else obj._values()
+                stack.append((obj, True))
+                stack.extend([(p, False) for p in parts])
+        return copies[id(node)]

@@ -59,14 +59,6 @@ class Const(Record):
     def __init__(self, name: str):
         _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self is other or self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Var(Record):
     __slots__ = ("name",)
@@ -74,28 +66,12 @@ class Var(Record):
     def __init__(self, name: str):
         _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self is other or self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class OrthoTerm(Record):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Term):
         _set(self, "arg", arg)
-
-    def __eq__(self, other):
-        if other.__class__ is not OrthoTerm:
-            return NotImplemented
-        return self is other or self.arg == other.arg
-
-    def __hash__(self):
-        return hash((self.arg,))
 
 
 Term = Union[Const, Var, OrthoTerm]
@@ -107,28 +83,12 @@ class Actual(Record):
     def __init__(self, term: Term):
         _set(self, "term", term)
 
-    def __eq__(self, other):
-        if other.__class__ is not Actual:
-            return NotImplemented
-        return self is other or self.term == other.term
-
-    def __hash__(self):
-        return hash((self.term,))
-
 
 class Reachable(Record):
     __slots__ = ("term",)
 
     def __init__(self, term: Term):
         _set(self, "term", term)
-
-    def __eq__(self, other):
-        if other.__class__ is not Reachable:
-            return NotImplemented
-        return self is other or self.term == other.term
-
-    def __hash__(self):
-        return hash((self.term,))
 
 
 class Measurement(Record):
@@ -137,28 +97,12 @@ class Measurement(Record):
     def __init__(self, term: Term):
         _set(self, "term", term)
 
-    def __eq__(self, other):
-        if other.__class__ is not Measurement:
-            return NotImplemented
-        return self is other or self.term == other.term
-
-    def __hash__(self):
-        return hash((self.term,))
-
 
 class Induced(Record):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: str):
         _set(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is not Induced:
-            return NotImplemented
-        return self is other or self.alpha == other.alpha
-
-    def __hash__(self):
-        return hash((self.alpha,))
 
 
 class Tensor(Record):
@@ -168,14 +112,6 @@ class Tensor(Record):
         _set(self, "left", left)
         _set(self, "right", right)
 
-    def __eq__(self, other):
-        if other.__class__ is not Tensor:
-            return NotImplemented
-        return self is other or (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
 
 class Plus(Record):
     __slots__ = ("left", "right")
@@ -184,14 +120,6 @@ class Plus(Record):
         _set(self, "left", left)
         _set(self, "right", right)
 
-    def __eq__(self, other):
-        if other.__class__ is not Plus:
-            return NotImplemented
-        return self is other or (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
 
 class Lolli(Record):
     __slots__ = ("antecedent", "consequent")
@@ -199,16 +127,6 @@ class Lolli(Record):
     def __init__(self, antecedent: Formula, consequent: Formula):
         _set(self, "antecedent", antecedent)
         _set(self, "consequent", consequent)
-
-    def __eq__(self, other):
-        if other.__class__ is not Lolli:
-            return NotImplemented
-        return self is other or (self.antecedent, self.consequent) == (
-            other.antecedent, other.consequent
-        )
-
-    def __hash__(self):
-        return hash((self.antecedent, self.consequent))
 
 
 class Constraint(Record):
@@ -221,14 +139,6 @@ class Constraint(Record):
         _set(self, "op", op)
         _set(self, "rhs", rhs)
 
-    def __eq__(self, other):
-        if other.__class__ is not Constraint:
-            return NotImplemented
-        return self is other or (self.op, self.rhs) == (other.op, other.rhs)
-
-    def __hash__(self):
-        return hash((self.op, self.rhs))
-
 
 class Forall(Record):
     __slots__ = ("var", "guard", "body")
@@ -238,23 +148,20 @@ class Forall(Record):
         _set(self, "guard", guard)
         _set(self, "body", body)
 
-    def __eq__(self, other):
-        if other.__class__ is not Forall:
-            return NotImplemented
-        return self is other or (self.var, self.guard, self.body) == (
-            other.var, other.guard, other.body
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.guard, self.body))
-
 
 Formula = Union[Actual, Reachable, Measurement, Induced, Tensor, Plus, Lolli, Forall]
 
 ATOMS = (Actual, Reachable, Measurement, Induced)
 
 
-class Sequent(Record):
+class _Rendered(Record):
+    """A slot below a record's fields: ``formats.serialize`` keeps a
+    sequent's text in ``_text`` once it has rendered it."""
+
+    __slots__ = ("_text",)
+
+
+class Sequent(_Rendered):
     """Ordered context and a single succedent.  Order is significant: there is
     no implicit exchange, weakening, or contraction."""
 
@@ -263,14 +170,7 @@ class Sequent(Record):
     def __init__(self, context: tuple[Formula, ...], succedent: Formula):
         _set(self, "context", context)
         _set(self, "succedent", succedent)
-
-    def __eq__(self, other):
-        if other.__class__ is not Sequent:
-            return NotImplemented
-        return self is other or (self.context, self.succedent) == (other.context, other.succedent)
-
-    def __hash__(self):
-        return hash((self.context, self.succedent))
+        _set(self, "_text", None)
 
 
 # -- normalization -------------------------------------------------------------
@@ -281,16 +181,20 @@ def normalize_term(
 ) -> Term:
     """Reduce complement formers: over constants evaluate via the lattice,
     and cancel double complements everywhere.  With ``var`` given, that
-    variable is first replaced by ``value``."""
+    variable is first replaced by ``value``.  The result is built in the
+    lattice's store."""
+    make = lat._store.make
     if isinstance(t, OrthoTerm):
         inner = normalize_term(t.arg, lat, var, value)
         if isinstance(inner, Const):
-            return Const(lat.ortho(inner.name))
+            return make(Const, lat.ortho(inner.name))
         if isinstance(inner, OrthoTerm):
             return inner.arg
-        return OrthoTerm(inner)
+        return make(OrthoTerm, inner)
     if isinstance(t, Var) and t.name == var:
         return normalize_term(value, lat)
+    if isinstance(t, (Const, Var)):
+        return make(t.__class__, t.name)
     return t
 
 
@@ -307,17 +211,19 @@ def measurement(lat: FiniteOrthoLattice, name: str) -> Measurement:
     pair {x, x'}: the nonzero member of least index."""
     lat.index(name)
     pair = [p for p in (name, lat.ortho(name)) if p != "0"]
-    rep = min(pair, key=lat.index)
-    return Measurement(Const(rep))
+    make = lat._store.make
+    return make(Measurement, make(Const, min(pair, key=lat.index)))
 
 
 def normalize_formula(
     f: Formula, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
 ) -> Formula:
-    """The normal form of ``f``: terms and guard bounds normalized, measurement
-    atoms canonical.  With ``var`` given, its free occurrences are first
-    replaced by ``value`` (a quantifier binding ``var`` shadows it, guard
-    included).  ``In``/``R`` of 0 raise :class:`ValueError`."""
+    """The normal form of ``f``, built in the lattice's store: terms and guard
+    bounds normalized, measurement atoms canonical.  With ``var`` given, its
+    free occurrences are first replaced by ``value`` (a quantifier binding
+    ``var`` shadows it, guard included).  ``In``/``R`` of 0 raise
+    :class:`ValueError`."""
+    make = lat._store.make
     if isinstance(f, (Actual, Reachable)):
         t = normalize_term(f.term, lat, var, value)
         if isinstance(t, Const):
@@ -325,32 +231,35 @@ def normalize_formula(
             if t.name == "0":
                 atom = "In" if isinstance(f, Actual) else "R"
                 raise ValueError(f"{atom} cannot hold the absurd property 0")
-        return type(f)(t)
+        return make(f.__class__, t)
     if isinstance(f, Measurement):
         t = normalize_term(f.term, lat, var, value)
         if isinstance(t, Const):
             return measurement(lat, t.name)
-        return Measurement(t)
+        return make(Measurement, t)
     if isinstance(f, Induced):
-        return f
+        return make(Induced, f.alpha)
     if isinstance(f, (Tensor, Plus)):
-        return type(f)(
+        return make(
+            f.__class__,
             normalize_formula(f.left, lat, var, value),
             normalize_formula(f.right, lat, var, value),
         )
     if isinstance(f, Lolli):
-        return Lolli(
+        return make(
+            Lolli,
             normalize_formula(f.antecedent, lat, var, value),
             normalize_formula(f.consequent, lat, var, value),
         )
     if isinstance(f, Forall):
         if f.var == var:
             var = value = None  # shadowed
-        guard = tuple(
-            c if c.op == "!inK" else Constraint(c.op, normalize_term(c.rhs, lat, var, value))
+        guard = make(tuple, *[
+            make(Constraint, c.op,
+                 c.rhs if c.op == "!inK" else normalize_term(c.rhs, lat, var, value))
             for c in f.guard
-        )
-        return Forall(f.var, guard, normalize_formula(f.body, lat, var, value))
+        ])
+        return make(Forall, f.var, guard, normalize_formula(f.body, lat, var, value))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -424,46 +333,50 @@ def _term(t: Term, s: _Surface) -> str:
 def _render(f: Formula, s: _Surface) -> str:
     """The multiplicative conjunction requires explicit parentheses for
     nesting; the additive disjunction is written left-associated; the
-    implication is right-associated and lowest."""
-    if isinstance(f, Actual):
-        return f"In({_term(f.term, s)})"
-    if isinstance(f, Reachable):
-        return f"R({_term(f.term, s)})"
-    if isinstance(f, Measurement):
-        return s.measurement.format(_term(f.term, s))
-    if isinstance(f, Induced):
-        return f"IND({f.alpha})"
-    if isinstance(f, Tensor):
-        return (
-            _wrap(f.left, s, not isinstance(f.left, ATOMS))
-            + s.tensor
-            + _wrap(f.right, s, not isinstance(f.right, ATOMS))
-        )
-    if isinstance(f, Plus):
-        return (
-            _wrap(f.left, s, isinstance(f.left, (Lolli, Forall)))
-            + s.plus
-            + _wrap(f.right, s, isinstance(f.right, (Plus, Lolli, Forall)))
-        )
-    if isinstance(f, Lolli):
-        return (
-            _wrap(f.antecedent, s, isinstance(f.antecedent, (Lolli, Forall)))
-            + s.lolli
-            + _render(f.consequent, s)
-        )
-    if isinstance(f, Forall):
-        head = s.forall.format(f.var)
-        if f.guard:
-            head += s.guard.format(", ".join(
-                s.ops[c.op] + (f"({c.rhs})" if c.op == "!inK" else _term(c.rhs, s))
-                for c in f.guard
-            ))
-        return f"{head} . {_render(f.body, s)}"
-    raise TypeError(f"not a formula: {f!r}")
+    implication is right-associated and lowest.  The walk keeps an explicit
+    stack of formulas and literal text, so a formula of any depth renders."""
+    out = []
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if f.__class__ is str:
+            out.append(f)
+        elif isinstance(f, Actual):
+            out.append(f"In({_term(f.term, s)})")
+        elif isinstance(f, Reachable):
+            out.append(f"R({_term(f.term, s)})")
+        elif isinstance(f, Measurement):
+            out.append(s.measurement.format(_term(f.term, s)))
+        elif isinstance(f, Induced):
+            out.append(f"IND({f.alpha})")
+        elif isinstance(f, Tensor):
+            todo += _wrap(f.right, not isinstance(f.right, ATOMS))
+            todo.append(s.tensor)
+            todo += _wrap(f.left, not isinstance(f.left, ATOMS))
+        elif isinstance(f, Plus):
+            todo += _wrap(f.right, isinstance(f.right, (Plus, Lolli, Forall)))
+            todo.append(s.plus)
+            todo += _wrap(f.left, isinstance(f.left, (Lolli, Forall)))
+        elif isinstance(f, Lolli):
+            todo += (f.consequent, s.lolli)
+            todo += _wrap(f.antecedent, isinstance(f.antecedent, (Lolli, Forall)))
+        elif isinstance(f, Forall):
+            head = s.forall.format(f.var)
+            if f.guard:
+                head += s.guard.format(", ".join(
+                    s.ops[c.op] + (f"({c.rhs})" if c.op == "!inK" else _term(c.rhs, s))
+                    for c in f.guard
+                ))
+            out.append(f"{head} . ")
+            todo.append(f.body)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out)
 
 
-def _wrap(f: Formula, s: _Surface, needed: bool) -> str:
-    return f"({_render(f, s)})" if needed else _render(f, s)
+def _wrap(f: Formula, needed: bool) -> tuple:
+    """``f`` as ``_render`` pushes it, in parentheses when ``needed``."""
+    return (")", f, "(") if needed else (f,)
 
 
 def _sequent(q: Sequent, s: _Surface, texts: dict) -> str:

@@ -20,7 +20,6 @@ from omlogic.formats import (
     _TOKEN_RE,
     _DerivationParser,
     _FormulaParser,
-    _intern,
     _scan,
     _tokenize,
     parse_derivation,
@@ -345,11 +344,12 @@ class TestRoundTripCorpus:
         assert serialize(parse_formula(serialize(f), lat)) == serialize(f)
 
 
-def composed_sequent_texts(lat) -> set[str]:
-    """Every sequent string of the serialized composed corpus on ``lat``."""
+def composed_sequent_texts(chains) -> set[str]:
+    """Every sequent string of the serialized two-measurement chains of
+    ``chains``, a family's short chains (see ``conftest.short_chains``)."""
     texts = set()
-    for spec in itertools.product(lat.nonzero(), repeat=3):
-        texts.update(re.findall(r'\(seq "([^"]*)"\)', serialize(derive_composed(lat, *spec))))
+    for d in chains[2]:
+        texts.update(re.findall(r'\(seq "([^"]*)"\)', serialize(d)))
     return texts
 
 
@@ -375,10 +375,10 @@ def assert_same_error(call):
 
 class TestSequentTable:
     @pytest.fixture(scope="class", params=["mo2", "boolean3"])
-    def corpus(self, request):
+    def corpus(self, request, short_chains):
         lat = mo(2) if request.param == "mo2" else boolean(3)
         rng = random.Random(20261018)
-        texts = sorted(composed_sequent_texts(lat))
+        texts = sorted(composed_sequent_texts(short_chains(request.param)[1]))
         texts += [serialize(gen.random_sequent(lat, rng)) for _ in range(200)]
         return lat, texts
 
@@ -406,7 +406,7 @@ class TestSequentTable:
         for text in texts:
             seq = parse_sequent(text, twin)
             assert seq == parse_sequent(text, lat)
-        assert twin._sequent_table is not lat._sequent_table
+        assert twin._store is not lat._store
 
     @pytest.mark.parametrize("text", [
         "In(a) |-", "In(a) * R(a) * In(a) |- In(a)", "In(0) |- In(a)",
@@ -420,7 +420,7 @@ class TestSequentTable:
         with pytest.raises(ParseError) as cached:
             parse_sequent(text, lat)
         assert (str(cached.value), cached.value.span) == (str(fresh.value), fresh.value.span)
-        assert text not in lat._sequent_table[0]
+        assert text not in lat._store.texts
 
 
 LEAF = '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (rule id (seq "In(a) |- In(a)")))\n'
@@ -702,8 +702,7 @@ def fresh_outcome(text: str) -> tuple:
     set."""
     lat = mo(2)
     got = outcome(lambda: parse_sequent(text, lat))
-    expected = outcome(lambda: _intern(
-        _FormulaParser(text, lat).parse_sequent_text(), lat._sequent_table[1]))
+    expected = outcome(lambda: lat._store.intern(_FormulaParser(text, lat).parse_sequent_text()))
     return got, expected
 
 
@@ -724,8 +723,8 @@ class TestSplitSequent:
         self.assert_same(text)
 
     @pytest.fixture(scope="class")
-    def texts(self):
-        return sorted(composed_sequent_texts(mo(2))) + SPLIT_CASES[:10]
+    def texts(self, short_chains):
+        return sorted(composed_sequent_texts(short_chains("mo2")[1])) + SPLIT_CASES[:10]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -746,19 +745,19 @@ class TestSplitSequent:
                  "In(a), In(a) |- In(a) |- In(a)", "In(a) |- R(b)", "R(b)", "|- R(b)"]
         for text in texts + SPLIT_CASES + texts[::-1]:
             got = outcome(lambda: parse_sequent(text, lat))
-            expected = outcome(lambda: _intern(
-                _FormulaParser(text, lat).parse_sequent_text(), lat._sequent_table[1]))
+            expected = outcome(
+                lambda: lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
+            )
             assert got is expected if isinstance(expected, Sequent) else got == expected, text
 
-    def test_seeded_corpus(self):
+    def test_seeded_corpus(self, short_chains):
         rng = random.Random(20261018)
-        for lat in (mo(2), boolean(3)):
-            for text in sorted(composed_sequent_texts(lat)):
+        for family, lat in (("mo2", mo(2)), ("boolean3", boolean(3))):
+            for text in sorted(composed_sequent_texts(short_chains(family)[1])):
                 respaced = respace(text, rng)
                 fresh = parse_lattice(serialize(lat))
                 seq = parse_sequent(respaced, fresh)
-                assert seq is _intern(
-                    _FormulaParser(text, fresh).parse_sequent_text(), fresh._sequent_table[1])
+                assert seq is fresh._store.intern(_FormulaParser(text, fresh).parse_sequent_text())
                 assert parse_sequent(text, lat) == seq
 
     def test_piece_shared_by_two_sequents_parsed_once(self, monkeypatch):
@@ -796,28 +795,38 @@ def preorder(d) -> list:
 
 
 class TestSerializeMemo:
-    """serialize renders each formula object once per call; every sequent it
-    writes must still be the plain renderer's text."""
+    """serialize renders each sequent once for its life; every sequent it
+    writes must still be the plain renderer's text, and the text must parse
+    back to the tree itself on its own lattice and to an equal tree on a
+    lattice whose store never saw it."""
 
-    def assert_oracle(self, d, lat):
+    @staticmethod
+    def plain_text(seq, texts: dict) -> str:
+        """``ascii_sequent(seq)``, worked out once per sequent object;
+        ``texts`` keeps every sequent it names alive."""
+        found = texts.get(id(seq))
+        if found is None:
+            found = texts[id(seq)] = (seq, ascii_sequent(seq))
+        return found[1]
+
+    def assert_oracle(self, d, lat, twin, texts):
         text = serialize(d)
         seqs = re.findall(r'\(seq "([^"]*)"\)', text)
-        assert seqs == [ascii_sequent(node.conclusion) for node in preorder(d)]
-        assert parse_derivation(text, lat) == d
+        assert seqs == [self.plain_text(node.conclusion, texts) for node in preorder(d)]
+        assert parse_derivation(text, lat) is d
+        assert parse_derivation(text, twin) == d
 
-    @pytest.mark.parametrize("make", [lambda: mo(2), lambda: boolean(3)], ids=["mo2", "boolean3"])
-    def test_every_short_chain(self, make):
-        lat = make()
-        nz = lat.nonzero()
-        chains = 0
-        for k in (1, 2, 3):
-            for a, *measures in itertools.product(nz, repeat=k + 1):
-                self.assert_oracle(derive_chain(lat, a, measures), lat)
-                chains += 1
-        assert chains == sum(len(nz) ** (k + 1) for k in (1, 2, 3))
+    @pytest.mark.parametrize("family", ["mo2", "boolean3"])
+    def test_every_short_chain(self, short_chains, family):
+        lat, chains = short_chains(family)
+        twin, texts = parse_lattice(serialize(lat)), {}
+        for k, built in chains.items():
+            assert len(built) == len(lat.nonzero()) ** (k + 1)
+            for d in built:
+                self.assert_oracle(d, lat, twin, texts)
 
     def test_seeded_mutants(self):
-        lat = mo(2)
+        lat, twin, texts = mo(2), mo(2), {}
         pairs = list(itertools.product(lat.nonzero(), repeat=2))
         for i in range(200):
             rng = random.Random(20261018 + i)
@@ -826,7 +835,7 @@ class TestSerializeMemo:
                 m = capture_case(lat, rng)[1]
             else:
                 m = mutate(derive_measurement(lat, *pairs[i % len(pairs)]), kind, rng, lat)
-            self.assert_oracle(m, lat)
+            self.assert_oracle(m, lat, twin, texts)
 
     def test_deep_flat_chain(self):
         # far deeper than the recursion limit; the parser's limit is 100

@@ -1,14 +1,15 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
 import gen
+from omlogic import syntax
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
 from omlogic.derive import (
     _modus_ponens,
     derive_chain,
-    derive_composed,
     derive_measurement,
     semantic_crosscheck,
 )
@@ -17,6 +18,7 @@ from omlogic.kernel import AxiomApp, RuleApp, check_derivation
 from omlogic.lattice import boolean, hexagon, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import PowersetMap, perfect_measurement_map
+from omlogic.record import Record
 from omlogic.syntax import (
     Actual,
     Const,
@@ -168,6 +170,86 @@ class TestSyntax:
             assert (pretty_sequent(s), ascii_sequent(s)) == (pretty, ascii_)
         f = Actual(OrthoTerm(OrthoTerm(Var("u"))))
         assert (pretty_formula(f), ascii_formula(f)) == ("In(u⊥⊥)", "In(ortho(ortho(u)))")
+
+
+def reference_render(f, s) -> str:
+    """The recursive renderer that ``syntax._render`` replaced, kept as its
+    oracle; it recurses two frames per level."""
+    term = syntax._term
+    if isinstance(f, Actual):
+        return f"In({term(f.term, s)})"
+    if isinstance(f, Reachable):
+        return f"R({term(f.term, s)})"
+    if isinstance(f, Measurement):
+        return s.measurement.format(term(f.term, s))
+    if isinstance(f, Induced):
+        return f"IND({f.alpha})"
+
+    def wrap(g, needed):
+        return f"({reference_render(g, s)})" if needed else reference_render(g, s)
+
+    if isinstance(f, Tensor):
+        return (wrap(f.left, not isinstance(f.left, syntax.ATOMS)) + s.tensor
+                + wrap(f.right, not isinstance(f.right, syntax.ATOMS)))
+    if isinstance(f, Plus):
+        return (wrap(f.left, isinstance(f.left, (Lolli, Forall))) + s.plus
+                + wrap(f.right, isinstance(f.right, (Plus, Lolli, Forall))))
+    if isinstance(f, Lolli):
+        return (wrap(f.antecedent, isinstance(f.antecedent, (Lolli, Forall))) + s.lolli
+                + reference_render(f.consequent, s))
+    head = s.forall.format(f.var)
+    if f.guard:
+        head += s.guard.format(", ".join(
+            s.ops[c.op] + (f"({c.rhs})" if c.op == "!inK" else term(c.rhs, s)) for c in f.guard
+        ))
+    return f"{head} . {reference_render(f.body, s)}"
+
+
+class TestRenderDepth:
+    """``_render`` walks an explicit stack, so a formula of any depth renders,
+    and at every depth the recursive renderer reaches it writes the same."""
+
+    SHAPES = {
+        "left plus": lambda f, g: Plus(f, g),
+        "right plus": lambda f, g: Plus(g, f),
+        "right tensor": lambda f, g: Tensor(g, f),
+        "left tensor": lambda f, g: Tensor(f, g),
+        "right lolli": lambda f, g: Lolli(g, f),
+        "left lolli": lambda f, g: Lolli(f, g),
+        "forall": lambda f, g: Forall("x", (Constraint("<=", Const("a")),), Plus(g, f)),
+    }
+
+    def test_long_plus_chain(self):
+        terms = [In("a") if i % 3 else R(Var("u")) for i in range(5000)]
+        f = terms[0]
+        for t in terms[1:]:
+            f = Plus(f, t)
+        for render, surface in ((ascii_formula, syntax._ASCII), (pretty_formula, syntax._PRETTY)):
+            assert render(f) == surface.plus.join(reference_render(t, surface) for t in terms)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_equals_recursive_renderer(self, shape):
+        # every depth up to 32, then every 32nd, until the reference's
+        # recursion gives out
+        grow = self.SHAPES[shape]
+        f, depth = In("a"), 0
+        while True:
+            for surface in (syntax._ASCII, syntax._PRETTY) if depth < 32 or depth % 32 == 0 else ():
+                try:
+                    expected = reference_render(f, surface)
+                except RecursionError:
+                    assert depth > 100
+                    return
+                assert syntax._render(f, surface) == expected, depth
+            f, depth = grow(f, R("b") if depth % 2 else Measurement(Const("b"))), depth + 1
+
+    def test_random_formulas(self):
+        rng = random.Random(20261018)
+        for lat in (mo(2), boolean(3)):
+            for _ in range(300):
+                f = gen.random_formula(lat, rng, rng.randrange(7))
+                for surface in (syntax._ASCII, syntax._PRETTY):
+                    assert syntax._render(f, surface) == reference_render(f, surface)
 
 
 class TestAxioms:
@@ -497,16 +579,13 @@ class TestDepth:
         assert failure.conclusion is node.conclusion
 
 
-def memo_corpus() -> list[tuple[str, str]]:
+def memo_corpus(short_chains) -> list[tuple[str, str]]:
     """(lattice, derivation text) for every measurement and composed
     derivation on mo(2) and boolean(3), then 500 seeded mutants on mo(2)."""
     out = []
-    for lat in (mo(2), boolean(3)):
-        nz = lat.nonzero()
-        out += [(lat.name, serialize(derive_measurement(lat, a, b)))
-                for a, b in itertools.product(nz, repeat=2)]
-        out += [(lat.name, serialize(derive_composed(lat, *spec)))
-                for spec in itertools.product(nz, repeat=3)]
+    for family in ("mo2", "boolean3"):
+        lat, chains = short_chains(family)
+        out += [(lat.name, serialize(d)) for d in chains[1] + chains[2]]
     lat = mo(2)
     pairs = list(itertools.product(lat.nonzero(), repeat=2))
     for i in range(500):
@@ -520,6 +599,18 @@ def memo_corpus() -> list[tuple[str, str]]:
     return out
 
 
+def store_parts(d) -> list:
+    """The distinct records and tuples in ``d``, each once."""
+    seen, todo = {}, [d]
+    while todo:
+        part = todo.pop()
+        if id(part) in seen or not isinstance(part, (tuple, Record)):
+            continue
+        seen[id(part)] = part
+        todo.extend(part if isinstance(part, tuple) else [getattr(part, f) for f in part.__slots__])
+    return list(seen.values())
+
+
 def verdicts(lat, text):
     d = parse_derivation(text, lat)
     return check_derivation(lat, d), semantic_crosscheck(lat, d)
@@ -529,10 +620,10 @@ class TestVerdictMemo:
     """Valid verdicts are remembered per lattice by node identity; the memo
     must never change a verdict."""
 
-    def test_warm_lattice_equals_fresh(self):
+    def test_warm_lattice_equals_fresh(self, short_chains):
         build = {lat().name: lat for lat in (lambda: mo(2), lambda: boolean(3))}
         warm = {name: make() for name, make in build.items()}
-        corpus = memo_corpus()
+        corpus = memo_corpus(short_chains)
         assert len(corpus) == 1042
         rejected = 0
         for name, text in corpus:
@@ -546,7 +637,7 @@ class TestVerdictMemo:
         maps = {"blur": perfect_measurement_map(lat, "b")}
         seq = instantiate_axiom(lat, "GeneralPropagation", {"alpha": "blur", "x": "a"}, maps)
         leaf = AxiomApp("GeneralPropagation", (("alpha", "blur"), ("x", "a")), seq)
-        text = serialize(_modus_ponens(leaf))
+        text = serialize(_modus_ponens(lat._store.make, leaf))
         reason = "guard violated: unknown propagation map 'blur'"
         for with_registry_first in (True, False):
             lat = mo(2)
@@ -560,47 +651,56 @@ class TestVerdictMemo:
                     assert result.failure.reason == reason
                     assert result.failure.path == (0,)
 
-    def test_shared_subproof_checked_once(self, monkeypatch):
+    @staticmethod
+    def rule_checks(monkeypatch) -> list:
+        """The rule nodes the kernel checks from now on, one entry per check."""
         from omlogic import kernel
 
         calls = []
         real = kernel._check_rule
         monkeypatch.setattr(kernel, "_check_rule", lambda *a: calls.append(a[1]) or real(*a))
+        return calls
+
+    def test_shared_subproof_checked_once(self, monkeypatch):
+        calls = self.rule_checks(monkeypatch)
         lat = mo(2)
-        # 258 node occurrences of 198 objects, 183 of them rule nodes
         d = derive_chain(lat, "a", ["b", "a", "b"])
         assert check_derivation(lat, d).valid
-        assert len(calls) == len(set(map(id, calls))) == 183
-        # a built tree's verdicts last one call
+        rules = [part for part in store_parts(d) if isinstance(part, RuleApp)]
+        assert len(calls) == len(set(map(id, calls))) == len(rules) == 126
+        # the verdicts last as long as the lattice: checking the built tree
+        # again, or the tree parsed back from it, computes none
         assert check_derivation(lat, d).valid
-        assert len(calls) == 2 * 183
-        # a parsed tree's last as long as the lattice: checking it again and
-        # crosschecking it compute none
         parsed = parse_derivation(serialize(d), lat)
-        calls.clear()
-        assert check_derivation(lat, parsed).valid
-        rules, todo = {}, [parsed]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, RuleApp) and id(node) not in rules:
-                rules[id(node)] = node
-                todo.extend(node.children)
-        assert len(calls) == len(set(map(id, calls))) == len(rules) < 183
-        assert check_derivation(lat, parsed).valid and semantic_crosscheck(lat, parsed).ok
+        assert parsed is d and check_derivation(lat, parsed).valid
         assert len(calls) == len(rules)
 
-    def test_built_trees_leave_the_lattice_memo_alone(self):
+    def test_crosscheck_after_check_is_a_lookup(self, monkeypatch):
+        calls = self.rule_checks(monkeypatch)
         lat = mo(2)
-        memo = lat._sequent_table[2]
-        parsed = parse_derivation(serialize(derive_measurement(lat, "a", "b")), lat)
-        assert check_derivation(lat, parsed).valid
-        size = len(memo)
-        assert size > 0
-        for _ in range(1000):
-            assert check_derivation(lat, derive_measurement(lat, "a", "b")).valid
-        assert len(memo) == size
-        # nor is a built node over a parsed subtree remembered on the lattice
-        wrapped = RuleApp("plus_r1", Sequent(parsed.conclusion.context, Plus(
-            parsed.conclusion.succedent, actual(lat, "a"))), (parsed,))
+        d = derive_chain(lat, "a", ["b", "a", "b"])
+        assert check_derivation(lat, d).valid
+        calls.clear()
+        assert semantic_crosscheck(lat, d).ok
+        assert calls == []
+
+    def test_built_trees_leave_the_lattice_memo_alone(self):
+        # 1,000 equal built or foreign trees add at most one tree's distinct
+        # nodes to the store
+        lat = mo(2)
+        store = lat._store
+        d = derive_measurement(lat, "a", "b")
+        assert check_derivation(lat, d).valid
+        size = (len(store.nodes), len(store.verdicts))
+        assert 0 < size[1] < size[0] <= len(store_parts(d))
+        foreign = pickle.dumps(derive_measurement(mo(2), "a", "b"))
+        for i in range(1000):
+            tree = derive_measurement(lat, "a", "b") if i % 2 else pickle.loads(foreign)
+            assert tree == d and (tree is d) == bool(i % 2)
+            assert check_derivation(lat, tree).valid
+        assert (len(store.nodes), len(store.verdicts)) == size
+        # a new node over a stored subtree adds only itself and its new parts
+        wrapped = RuleApp("plus_r1", Sequent(d.conclusion.context, Plus(
+            d.conclusion.succedent, actual(lat, "a"))), (d,))
         assert check_derivation(lat, wrapped).valid
-        assert len(memo) == size
+        assert (len(store.nodes), len(store.verdicts)) == (size[0] + 4, size[1] + 1)
