@@ -14,7 +14,7 @@ from omlogic.axioms import MapRegistry, instantiate_axiom, unfolded
 from omlogic.kernel import AxiomApp, CheckResult, Derivation, RuleApp, check_derivation
 from omlogic.lattice import FiniteOrthoLattice
 from omlogic.propagation import perfect_measurement_map
-from omlogic.record import Record
+from omlogic.record import Record, Store
 from omlogic.syntax import (
     Actual,
     Const,
@@ -40,12 +40,6 @@ __all__ = [
     "NoAlgebraicReading",
     "semantic_crosscheck",
 ]
-
-
-def _plain(cls, *parts):
-    """Builds a node of class ``cls`` (a record class or ``tuple``) outside
-    any store, as ``Store.make`` builds one inside."""
-    return parts if cls is tuple else cls(*parts)
 
 
 def _rule(make, rule: str, context: tuple, succedent: Formula, *children) -> RuleApp:
@@ -84,8 +78,9 @@ def _check_nonzero(lat: FiniteOrthoLattice, role: str, el: str) -> None:
 def derive_distributivity(z: Formula, x: Formula, y: Formula) -> RuleApp:
     """Derivation of  z * (x + y) |- (z * x) + (z * y)  from id, tensor and
     plus rules only (the entailment direction actually used; the converse is
-    neither assumed nor derived)."""
-    return _distributivity(_plain, z, x, y)
+    neither assumed nor derived).  The tree is built in a store of its own,
+    since no lattice is given."""
+    return _distributivity(Store().make, z, x, y)
 
 
 def _distributivity(make, z: Formula, x: Formula, y: Formula) -> RuleApp:
@@ -144,19 +139,11 @@ def _measurement(lat: FiniteOrthoLattice, a: str, b: str) -> RuleApp:
     return _rule(make, "cut", step1.conclusion.context, goal_rhs, step1, after_distribution)
 
 
-def _plus_leaves(f: Formula) -> list[tuple[Formula, tuple[str, ...]]]:
-    """Leaves of a plus tree with their left/right paths, left to right."""
+def _plus_leaves(f: Formula) -> list[Formula]:
+    """Leaves of a plus tree, left to right."""
     if isinstance(f, Plus):
-        return [(g, ("L",) + p) for g, p in _plus_leaves(f.left)] + [
-            (g, ("R",) + p) for g, p in _plus_leaves(f.right)
-        ]
-    return [(f, ())]
-
-
-def _subformula(f: Formula, path: tuple[str, ...]) -> Formula:
-    for step in path:
-        f = f.left if step == "L" else f.right
-    return f
+        return _plus_leaves(f.left) + _plus_leaves(f.right)
+    return [f]
 
 
 def derive_chain(
@@ -194,44 +181,41 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
 
-    # next-stage proof and conclusion for each branch so far; branches that
-    # hold the same element share one proof
-    cores: dict[tuple[str, ...], RuleApp] = {}
+    # the next-stage proof of each branch so far; branches that hold the same
+    # element share one proof
     by_element: dict[str, RuleApp] = {}
-    for leaf, path in _plus_leaves(stage_one):
+
+    def core(leaf: Formula) -> RuleApp:
         u = _in_and_r(leaf)
         assert u is not None
         if u not in by_element:
             by_element[u] = derive_measurement(lat, u, then)
-        cores[path] = by_element[u]
+        return by_element[u]
 
-    def mirror(f: Formula, path: tuple[str, ...]) -> Formula:
+    def mirror(f: Formula) -> Formula:
         if isinstance(f, Plus):
-            return make(Plus, mirror(f.left, path + ("L",)), mirror(f.right, path + ("R",)))
-        return cores[path].conclusion.succedent
+            return make(Plus, mirror(f.left), mirror(f.right))
+        return core(f).conclusion.succedent
 
-    goal_rhs = mirror(stage_one, ())
+    goal_rhs = mirror(stage_one)
 
-    def prove(f: Formula, path: tuple[str, ...]) -> RuleApp:
-        """(M(then), f) |- goal_rhs, recursing over the branch tree so far."""
+    def prove(f: Formula, goal: Formula, climb: tuple) -> RuleApp:
+        """(M(then), f) |- goal_rhs, recursing over the branch tree so far;
+        ``goal`` is f's mirror in goal_rhs, and ``climb`` the plus_r steps,
+        innermost first, from goal up to goal_rhs."""
         if isinstance(f, Plus):
-            left = prove(f.left, path + ("L",))
-            right = prove(f.right, path + ("R",))
+            left = prove(f.left, goal.left, (("plus_r1", goal),) + climb)
+            right = prove(f.right, goal.right, (("plus_r2", goal),) + climb)
             return _rule(make, "plus_l", (m_then, f), goal_rhs, left, right)
-        core = cores[path]  # [M(then) * f] |- S_u
-        fused = core.conclusion.context[0]
+        c = core(f)  # [M(then) * f] |- goal
+        fused = c.conclusion.context[0]
         pair = _rule(make, "tensor_r", (m_then, f), fused, _id(make, m_then), _id(make, f))
-        s_u = core.conclusion.succedent
-        out = _rule(make, "cut", (m_then, f), s_u, pair, core)
-        # climb from this leaf's disjunct position up to the full tree
-        for depth in range(len(path), 0, -1):
-            prefix = path[:depth]
-            parent = _subformula(goal_rhs, prefix[:-1])
-            rule = "plus_r1" if prefix[-1] == "L" else "plus_r2"
+        out = _rule(make, "cut", (m_then, f), goal, pair, c)
+        for rule, parent in climb:
             out = _rule(make, rule, (m_then, f), parent, out)
         return out
 
-    body = prove(stage_one, ())
+    body = prove(stage_one, goal_rhs, ())
     m_stage_one = make(Tensor, m_then, stage_one)
     fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
 
@@ -285,7 +269,7 @@ def _in(f: Formula) -> str | None:
 def _branch_set(f: Formula, read) -> frozenset[str] | None:
     """The elements ``read`` finds in the leaves of a plus tree; None when it
     finds none in some leaf."""
-    names = [read(leaf) for leaf, _ in _plus_leaves(f)]
+    names = [read(leaf) for leaf in _plus_leaves(f)]
     return None if None in names else frozenset(names)
 
 

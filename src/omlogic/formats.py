@@ -317,6 +317,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.lat = lat
+        self.make = lat._store.make  # every node is built in the lattice's store
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -349,7 +350,6 @@ class _FormulaParser(_Parser):
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
         self.bound: list[str] = []
-        self.make = lat._store.make
 
     def expect(self, text: str) -> _Token:
         tok = self.peek()
@@ -624,7 +624,7 @@ class _DerivationParser(_Parser):
         while self.peek().kind == "open":
             children.append(self.node())
         self.expect_close()
-        return RuleApp(name_tok.text, seq, tuple(children), witness)
+        return self.make(RuleApp, name_tok.text, seq, self.make(tuple, *children), witness)
 
     def axiom_node(self) -> AxiomApp:
         name_tok = self.peek()
@@ -646,7 +646,9 @@ class _DerivationParser(_Parser):
         self.expect_close()
         seq = self.seq_field()
         self.expect_close()
-        return AxiomApp(name_tok.text, tuple(sorted(bindings)), seq)
+        make = self.make
+        binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings)])
+        return make(AxiomApp, name_tok.text, binds, seq)
 
     def seq_field(self) -> Sequent:
         self.expect_open("seq")
@@ -678,10 +680,8 @@ class _DerivationParser(_Parser):
             inner = self.witness_term()
             self.expect_close()
             self.depth -= 1
-            return OrthoTerm(inner)
-        if tok.text in self.lat:
-            return Const(tok.text)
-        return Var(tok.text)
+            return self.make(OrthoTerm, inner)
+        return self.make(Const if tok.text in self.lat else Var, tok.text)
 
 
 _WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
@@ -827,7 +827,7 @@ def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
     reads each node head with one pattern match; wherever it stops short,
     the token parser reads the whole text again and raises its error."""
     d = _scan(text, lat)
-    return d if d is not None else lat._store.intern(_DerivationParser(text, lat).parse())
+    return d if d is not None else _DerivationParser(text, lat).parse()
 
 
 # -- serialization -------------------------------------------------------------------

@@ -117,7 +117,8 @@ class CheckFailure(Record):
 
 
 class CheckResult(Record):
-    """A verdict, built at every checked node; ``failure`` is None when valid."""
+    """The verdict of one :func:`check_derivation` call, built where it
+    returns; ``failure`` is None when valid."""
 
     __slots__ = ("failure",)
 

@@ -145,8 +145,8 @@ class FiniteOrthoLattice:
                 ortho[a] = b
         self._ortho = ortho
 
-        self._meet = [[self._glb(i, j) for j in range(n)] for i in range(n)]
-        self._join = [[self._lub(i, j) for j in range(n)] for i in range(n)]
+        self._meet = [[_bound(down, i, j) for j in range(n)] for i in range(n)]
+        self._join = [[_bound(up, i, j) for j in range(n)] for i in range(n)]
         self._zero = self._index["0"]
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
@@ -231,26 +231,6 @@ class FiniteOrthoLattice:
 
     def leq(self, a: str, b: str) -> bool:
         return bool(self._up[self.index(a)] >> self.index(b) & 1)
-
-    def _glb(self, i: int, j: int) -> int | None:
-        common = self._down[i] & self._down[j]
-        m = common
-        while m:
-            k = (m & -m).bit_length() - 1
-            if common & ~self._down[k] == 0:
-                return k
-            m &= m - 1
-        return None
-
-    def _lub(self, i: int, j: int) -> int | None:
-        common = self._up[i] & self._up[j]
-        m = common
-        while m:
-            k = (m & -m).bit_length() - 1
-            if common & ~self._up[k] == 0:
-                return k
-            m &= m - 1
-        return None
 
     def meet(self, a: str, b: str) -> str:
         m = self._meet[self.index(a)][self.index(b)]
@@ -346,124 +326,82 @@ class FiniteOrthoLattice:
             )
 
     def _verify(self) -> VerificationReport:
-        n = len(self)
-        els = self.elements
-        checks: list[LawCheck] = []
+        n, els, up, o = len(self), self.elements, self._up, self._ortho
+        meet, join = self._meet, self._join
+        zero, one = self._zero, self._index["1"]
+        paired = [(i, o[i]) for i in range(n) if o[i] is not None]  # (a, a') where a' exists
+        return _report([
+            ("structure", _first((els[i],) for i in range(n) if o[i] is None)),
+            ("reflexivity", None),  # closure guarantees it; kept for the record
+            ("antisymmetry", _first(
+                (els[i], els[j])
+                for i, j in itertools.product(range(n), repeat=2)
+                if i != j and up[i] >> j & 1 and up[j] >> i & 1
+            )),
+            ("transitivity", _first(
+                (els[i],)
+                for i in range(n)
+                if any(up[i] >> k & 1 and up[k] & ~up[i] for k in range(n))
+            )),
+            ("bounds", _first(
+                (els[i],) for i in range(n) if not (up[zero] >> i & 1 and up[i] >> one & 1)
+            )),
+            ("completeness", _first(
+                (els[i], els[j])
+                for i in range(n)
+                for j in range(i, n)
+                if meet[i][j] is None or join[i][j] is None
+            )),
+            ("ortho-involution", _first((els[i],) for i, oi in paired if o[oi] != i)),
+            ("ortho-antitone", _first(
+                (els[i], els[j])
+                for i, oi in paired
+                for j, oj in paired
+                if up[i] >> j & 1 and not up[oj] >> oi & 1
+            )),
+            ("complement-meet", _first(
+                (els[i],) for i, oi in paired if meet[i][oi] not in (None, zero)
+            )),
+            ("complement-join", _first(
+                (els[i],) for i, oi in paired if join[i][oi] not in (None, one)
+            )),
+            # a <= b  implies  a v (a' ^ b) = b
+            ("orthomodularity", _first(
+                (els[i], els[j])
+                for i, oi in paired
+                for j in range(n)
+                if up[i] >> j & 1
+                and meet[oi][j] is not None
+                and join[i][meet[oi][j]] not in (None, j)
+            )),
+        ])
 
-        def add(law: str, witness: tuple[str, ...] | None) -> None:
-            checks.append(LawCheck(law, witness is None, witness))
 
-        missing = [els[i] for i in range(n) if self._ortho[i] is None]
-        add("structure", (missing[0],) if missing else None)
+def _bound(rel: list[int], i: int, j: int) -> int | None:
+    """The greatest common lower bound of i and j when ``rel`` is ``_down``,
+    the least common upper bound when it is ``_up``; None when there is
+    none."""
+    common = rel[i] & rel[j]
+    m = common
+    while m:
+        k = (m & -m).bit_length() - 1
+        if common & ~rel[k] == 0:
+            return k
+        m &= m - 1
+    return None
 
-        add("reflexivity", None)  # closure guarantees it; kept for the record
-        w = None
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._up[i] >> j & 1 and self._up[j] >> i & 1:
-                    w = (els[i], els[j])
-                    break
-            if w:
-                break
-        add("antisymmetry", w)
-        w = None
-        for i in range(n):
-            m = self._up[i]
-            acc = m
-            while m:
-                k = (m & -m).bit_length() - 1
-                acc |= self._up[k]
-                m &= m - 1
-            if acc != self._up[i]:
-                w = (els[i],)
-                break
-        add("transitivity", w)
 
-        w = None
-        zero, one = self.index("0"), self.index("1")
-        for i in range(n):
-            if not (self._up[zero] >> i & 1 and self._up[i] >> one & 1):
-                w = (els[i],)
-                break
-        add("bounds", w)
+def _first(witnesses: Iterable[tuple[str, ...]]) -> tuple[str, ...] | None:
+    """The first of ``witnesses``, searched no further; None when there is
+    none.  A law's witness search is this over its candidate failures."""
+    return next(iter(witnesses), None)
 
-        w = None
-        for i in range(n):
-            for j in range(i, n):
-                if self._meet[i][j] is None or self._join[i][j] is None:
-                    w = (els[i], els[j])
-                    break
-            if w:
-                break
-        add("completeness", w)
 
-        def o(i: int) -> int | None:
-            return self._ortho[i]
-
-        w = None
-        for i in range(n):
-            oi = o(i)
-            if oi is not None and o(oi) != i:
-                w = (els[i],)
-                break
-        add("ortho-involution", w)
-
-        w = None
-        for i in range(n):
-            for j in range(n):
-                oi, oj = o(i), o(j)
-                if oi is None or oj is None:
-                    continue
-                if self._up[i] >> j & 1 and not self._up[oj] >> oi & 1:
-                    w = (els[i], els[j])
-                    break
-            if w:
-                break
-        add("ortho-antitone", w)
-
-        w = None
-        for i in range(n):
-            oi = o(i)
-            if oi is None:
-                continue
-            m = self._meet[i][oi]
-            if m is not None and m != zero:
-                w = (els[i],)
-                break
-        add("complement-meet", w)
-
-        w = None
-        for i in range(n):
-            oi = o(i)
-            if oi is None:
-                continue
-            j = self._join[i][oi]
-            if j is not None and j != one:
-                w = (els[i],)
-                break
-        add("complement-join", w)
-
-        # a <= b  implies  a v (a' ^ b) = b
-        w = None
-        for i in range(n):
-            oi = o(i)
-            if oi is None:
-                continue
-            for j in range(n):
-                if not self._up[i] >> j & 1:
-                    continue
-                m = self._meet[oi][j]
-                if m is None:
-                    continue
-                jn = self._join[i][m]
-                if jn is not None and jn != j:
-                    w = (els[i], els[j])
-                    break
-            if w:
-                break
-        add("orthomodularity", w)
-
-        return VerificationReport(tuple(checks))
+def _report(laws: Iterable[tuple[str, tuple[str, ...] | None]]) -> VerificationReport:
+    """The report of ``(law, first witness)`` pairs, read in order, so a lazy
+    ``laws`` runs each search after the one before; a law passes when its
+    search found no witness."""
+    return VerificationReport(tuple(LawCheck(law, w is None, w) for law, w in laws))
 
 
 def distributivity_oracle(lat: FiniteOrthoLattice, a: str, b: str) -> bool:

@@ -24,7 +24,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from omlogic.lattice import FiniteOrthoLattice, LawCheck, VerificationReport
+from omlogic.lattice import FiniteOrthoLattice, VerificationReport, _first, _report
 from omlogic.record import Record
 
 __all__ = [
@@ -522,18 +522,16 @@ def measurement_map_identities(lat: FiniteOrthoLattice) -> VerificationReport:
     els, ortho = lat.elements, lat._ortho
     maps = [perfect_measurement_map(lat, a) for a in els]
     n = len(lat)
-    w = next(((els[a],) for a in range(n) if maps[a] != maps[ortho[a]]), None)
-    checks = [LawCheck("ortho-pair-symmetry", w is None, w)]
-    w = next(
-        (
+    return _report([
+        ("ortho-pair-symmetry", _first(
+            (els[a],) for a in range(n) if maps[a] != maps[ortho[a]]
+        )),
+        ("pair-separation", _first(
             (els[a], els[b])
             for a, b in itertools.product(range(n), repeat=2)
             if (maps[a] == maps[b]) != (b in (a, ortho[a]))
-        ),
-        None,
-    )
-    checks.append(LawCheck("pair-separation", w is None, w))
-    return VerificationReport(tuple(checks))
+        )),
+    ])
 
 
 ORACLE_LIMIT = 12  # subset enumeration beyond this is pointless at a desk
@@ -572,13 +570,14 @@ def quantale_report(
     meet, join, ortho, down = lat._table("meet"), lat._table("join"), lat._ortho, lat._down
 
     def membership():
-        return next(((els[a],) for a in range(n) if sups[a] is None), None)
+        return _first((els[a],) for a in range(n) if sups[a] is None)
 
     def membership_oracle():
-        for a in range(n):
-            if not transition_oracle(measurements[a]).ok or sups[a] is None:
-                return (els[a],)
-        return None
+        return _first(
+            (els[a],)
+            for a in range(n)
+            if not transition_oracle(measurements[a]).ok or sups[a] is None
+        )
 
     def random_map_agreement():
         first = None  # draw every sample, so later laws see the same rng state
@@ -663,11 +662,8 @@ def quantale_report(
         ("branch-soundness", branch_soundness),
         ("compatibility-preservation", compatibility_preservation),
     ]
-    checks = []
-    for name, law in laws:  # in report order, which is also the order of rng draws
-        w = law()
-        checks.append(LawCheck(name, w is None, w))
-    return VerificationReport(tuple(checks))
+    # one law at a time, in report order, which is also the order of rng draws
+    return _report((name, law()) for name, law in laws)
 
 
 # -- seeded generators ---------------------------------------------------------

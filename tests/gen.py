@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from omlogic.derive import derive_composed, derive_measurement
@@ -50,6 +51,38 @@ def random_lattice(rng: random.Random) -> FiniteOrthoLattice:
             [(mapping[x], mapping[y]) for x, y in lat.ortho_pairs()],
         )
     return lat
+
+
+def random_structure(rng: random.Random, index: int = 0) -> FiniteOrthoLattice:
+    """A structure of 2 to 8 elements that is buildable but need not be a
+    lattice: elements in shuffled order, a ranked order with a few pairs
+    against the ranks (which may close a cycle), 0 and 1 sometimes left
+    unrelated, and a partial orthocomplement table that may pair an element
+    with itself."""
+    names = [f"e{i}" for i in range(rng.randint(0, 6))]
+    elements = ["0", "1"] + names
+    rng.shuffle(elements)
+    rank = {"0": 0, "1": 4, **{e: rng.randint(1, 3) for e in names}}
+    density = rng.choice([0.3, 0.6, 0.9])
+    leq = []
+    for x, y in itertools.product(elements, repeat=2):
+        if x == y:
+            continue
+        if x == "0" or y == "1":
+            keep = rank[x] < rank[y] and rng.random() < 0.97
+        elif rank[x] < rank[y]:
+            keep = rng.random() < density
+        else:
+            keep = rng.random() < 0.01
+        if keep:
+            leq.append((x, y))
+    rng.shuffle(names)
+    ortho = []
+    while len(names) >= 2 and rng.random() < 0.9:
+        ortho.append((names.pop(), names.pop()))
+    if names and rng.random() < 0.2:
+        ortho.append((names[-1], names[-1]))
+    return FiniteOrthoLattice(f"random{index}", elements, leq, ortho)
 
 
 def random_map(lat: FiniteOrthoLattice, rng: random.Random) -> PowersetMap:

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+import gen
 
 from omlogic.lattice import (
     FiniteOrthoLattice,
@@ -134,6 +137,7 @@ class TestVerify:
             [("a", "c"), ("b", "d")],
         )
         assert not lat.verify()["completeness"].passed
+        assert lat.verify()["completeness"].witness == ("a", "b")
 
     def test_cycle_breaks_antisymmetry(self):
         lat = FiniteOrthoLattice(
@@ -142,6 +146,135 @@ class TestVerify:
             [("a", "b")],
         )
         assert not lat.verify()["antisymmetry"].passed
+        assert lat.verify()["antisymmetry"].witness == ("a", "b")
+
+    def test_element_off_the_bounds(self):
+        # b lies under 1 but not over 0, so 0 and b have no meet, and a <= 1
+        # but not 1' = 0 <= a' = b
+        lat = FiniteOrthoLattice(
+            "unbounded", ["0", "a", "b", "1"], [("0", "a"), ("a", "1"), ("b", "1")], [("a", "b")]
+        )
+        assert failures(lat) == [
+            ("bounds", ("b",)),
+            ("completeness", ("0", "b")),
+            ("ortho-antitone", ("a", "1")),
+        ]
+
+    def test_self_orthocomplement_breaks_antitone(self):
+        # on the chain 0 < a < b < 1 with a' = a and b' = b, a <= b but not b' <= a'
+        lat = FiniteOrthoLattice(
+            "selfortho", ["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")],
+            [("a", "a"), ("b", "b")],
+        )
+        assert failures(lat) == [
+            ("ortho-antitone", ("a", "b")),
+            ("complement-meet", ("a",)),
+            ("complement-join", ("a",)),
+            ("orthomodularity", ("a", "b")),
+        ]
+
+    def test_complements_off_0_and_1(self):
+        # atoms a and b under c under 1: a ^ a' = 0 but a v a' = c, and c ^ c' = c;
+        # a <= 1 but a v (a' ^ 1) = c
+        lat = FiniteOrthoLattice(
+            "nocomp", ["0", "a", "b", "c", "1"],
+            [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")],
+            [("a", "b"), ("c", "c")],
+        )
+        assert failures(lat) == [
+            ("ortho-antitone", ("a", "c")),
+            ("complement-meet", ("c",)),
+            ("complement-join", ("a",)),
+            ("orthomodularity", ("a", "1")),
+        ]
+
+    def test_random_structures_match_the_laws_as_stated(self):
+        rng = random.Random(12)
+        failing = set()
+        for i in range(2000):
+            lat = gen.random_structure(rng, i)
+            report = lat.verify()
+            stated = [(law, w is None, w) for law, w in stated_laws(lat)]
+            assert [(c.law, c.passed, c.witness) for c in report.checks] == stated, lat.name
+            failing.update(c.law for c in report.failed())
+        assert failing == set(LAWS) - {"reflexivity", "transitivity", "ortho-involution"}
+
+
+def failures(lat):
+    return [(c.law, c.witness) for c in lat.verify().failed()]
+
+
+LAWS = (
+    "structure", "reflexivity", "antisymmetry", "transitivity", "bounds", "completeness",
+    "ortho-involution", "ortho-antitone", "complement-meet", "complement-join",
+    "orthomodularity",
+)
+
+
+def stated_laws(lat):
+    """Each law of ``lat.verify()`` with its first witness, restated on
+    element names, with the order's and the tables' entries read directly."""
+    els = lat.elements
+    index = lat.index
+    le = {(x, y) for x, y in itertools.product(els, repeat=2) if lat.leq(x, y)}
+    above = {x: {y for y in els if (x, y) in le} for x in els}
+
+    def o(x):
+        k = lat._ortho[index(x)]
+        return None if k is None else els[k]
+
+    def meet(x, y):
+        k = lat._meet[index(x)][index(y)]
+        return None if k is None else els[k]
+
+    def join(x, y):
+        k = lat._join[index(x)][index(y)]
+        return None if k is None else els[k]
+
+    def first(witnesses):
+        return next(iter(witnesses), None)
+
+    pairs = list(itertools.product(els, repeat=2))
+    paired = [x for x in els if o(x) is not None]
+    witnesses = {
+        "structure": first((x,) for x in els if o(x) is None),
+        "reflexivity": first((x,) for x in els if (x, x) not in le),
+        "antisymmetry": first(
+            (x, y) for x, y in pairs if x != y and (x, y) in le and (y, x) in le
+        ),
+        "transitivity": first(
+            (x,) for x in els if any(not above[y] <= above[x] for y in above[x])
+        ),
+        "bounds": first((x,) for x in els if ("0", x) not in le or (x, "1") not in le),
+        "completeness": first(
+            (x, y)
+            for i, x in enumerate(els)
+            for y in els[i:]
+            if meet(x, y) is None or join(x, y) is None
+        ),
+        "ortho-involution": first((x,) for x in paired if o(o(x)) != x),
+        "ortho-antitone": first(
+            (x, y)
+            for x in paired
+            for y in paired
+            if (x, y) in le and (o(y), o(x)) not in le
+        ),
+        "complement-meet": first(
+            (x,) for x in paired if meet(x, o(x)) is not None and meet(x, o(x)) != "0"
+        ),
+        "complement-join": first(
+            (x,) for x in paired if join(x, o(x)) is not None and join(x, o(x)) != "1"
+        ),
+        "orthomodularity": first(
+            (x, y)
+            for x in paired
+            for y in els
+            if (x, y) in le
+            and meet(o(x), y) is not None
+            and join(x, meet(o(x), y)) not in (None, y)
+        ),
+    }
+    return [(law, witnesses[law]) for law in LAWS]
 
 
 class TestQueries:
