@@ -12,10 +12,13 @@ value, and sequents are memoized per lattice by their text (see
 Derivation files are read by a scanner that matches each node head, such as
 ``(rule NAME (seq "...")``, with one compiled pattern and hands the sequent
 string to :func:`parse_sequent`, so equal subtrees share one object, and a
-derivation built over the lattice parses back to itself.  Wherever the
-scanner stops short (a mismatch, a bad sequent, an unknown rule, a node
-nested too deep), the token parser reads the whole file again and raises its
-error, so every error keeps the token parser's message and span.
+derivation built over the lattice parses back to itself.  The scanner reads
+the plain text that ``serialize`` writes: tokens separated by whitespace,
+with no comment and no ``(witness ...)``.  Wherever it stops short (a comment,
+a witness, a mismatch, a bad sequent, an unknown rule, a node nested too
+deep), the token parser reads the whole file again, and either returns the
+derivation or raises its error, so every error keeps the token parser's
+message and span.
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -574,9 +577,9 @@ _SEXPR_RE = re.compile(
 
 class _DerivationParser(_Parser):
     """The token parser for derivations.  :func:`parse_derivation` runs it
-    only where its scanner stops short, so that every error keeps this
-    parser's message, span and expected set; the tests use it as the
-    scanner's oracle."""
+    only where its scanner stops short: on comments, witnesses and every
+    error, which keeps this parser's message, span and expected set; the
+    tests use it as the scanner's oracle."""
 
     pattern = _SEXPR_RE
 
@@ -686,16 +689,11 @@ class _DerivationParser(_Parser):
 
 _WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
 _NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
-# Whitespace and comments between two tokens.  A comment must run to the end of
-# its line, so a gap splits into whitespace and comments one way only and a
-# failed match backtracks over it in linear time; without the lookahead, a
-# comment of n '#' could split 2^n ways.
-_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
 
 
 def _tokens(*parts: str) -> str:
-    """A pattern for ``parts`` in order, each after a gap."""
-    return "".join(_GAP + part for part in parts)
+    """A pattern for ``parts`` in order, each after optional whitespace."""
+    return "".join(r"\s*" + part for part in parts)
 
 
 @cache
@@ -706,41 +704,29 @@ def _node_patterns() -> tuple:
     import, which every CLI call would pay.
 
     The step pattern reads a ``)``, a whole rule head up to its children
-    (``(rule NAME (seq "...")``, then ``(witness`` if one follows) or a whole
-    axiom leaf (``(axiom NAME (bind k=v ...) (seq "..."))``).  Its groups
-    are: close, rule, rule sequent, witness, schema, bindings, axiom sequent.
+    (``(rule NAME (seq "...")``) or a whole axiom leaf (``(axiom NAME (bind
+    k=v ...) (seq "..."))``).  Its groups are: close, rule, rule sequent,
+    schema, bindings, axiom sequent.
     """
     seq = _tokens(r"\(", "seq" + _WORD_END, r'"([^"\n]*)"', r"\)")
-    rule = (
-        _tokens("rule" + _WORD_END, f"({_NAME})") + seq
-        + "(" + _tokens(r"\(", "witness" + _WORD_END) + ")?"
-    )
+    rule = _tokens("rule" + _WORD_END, f"({_NAME})") + seq
     axiom = (
         _tokens("axiom" + _WORD_END, f"({_NAME})", r"\(", "bind" + _WORD_END)
         + "((?:" + _tokens(_NAME, "=", _NAME) + ")*)" + _tokens(r"\)") + seq + _tokens(r"\)")
     )
     return (
-        re.compile(_GAP + r"(?:(\))|\((?:" + rule + "|" + axiom + "))").match,
-        re.compile(_GAP + r"\Z").match,
+        re.compile(r"\s*(?:(\))|\((?:" + rule + "|" + axiom + "))").match,
+        re.compile(r"\s*\Z").match,
         re.compile(_tokens(f"({_NAME})", "=", f"({_NAME})")).findall,
-    )
-
-
-@cache
-def _witness_patterns() -> tuple:
-    """(name, opening, closing): the ``match`` methods for a name, a ``(``
-    and a ``)``, each after a gap, which read a witness term."""
-    return (
-        re.compile(_tokens(f"({_NAME})")).match,
-        re.compile(_tokens(r"\(")).match,
-        re.compile(_tokens(r"\)")).match,
     )
 
 
 def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
     """The derivation in ``text``, read at one pattern match per node head, or
     None wherever the token parser must decide: a mismatch, a bad sequent,
-    an unknown rule or a node deeper than ``MAX_DEPTH``.
+    an unknown rule or a node deeper than ``MAX_DEPTH``.  The scanner reads
+    tokens separated by whitespace only, as ``serialize`` writes them, so a
+    comment or a witness outside a sequent string is a mismatch.
 
     Each node is built in the lattice's store, so equal subtrees share one
     object within the file, across files and with built derivations.  A rule
@@ -749,28 +735,27 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
     step, at_end, bindings = _node_patterns()
     nodes, make = lat._store.nodes, lat._store.make
     leaf = make(tuple)  # the children of a leaf
-    open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
+    open_rules = []  # (rule, conclusion, children) of each enclosing rule node
     pos = 0
     while True:
         m = step(text, pos)
         if m is None:
             return None
         pos = m.end()
-        closed, rule, rule_seq, witness, schema, binds, axiom_seq = m.groups()
+        closed, rule, rule_seq, schema, binds, axiom_seq = m.groups()
         if closed:
             if not open_rules:
                 return None
-            rule, seq, witness, children = open_rules.pop()
+            rule, seq, children = open_rules.pop()
             kids = (
                 nodes.get((tuple, *map(id, children))) or make(tuple, *children)
                 if children else leaf
             )
-            node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
-                RuleApp, rule, seq, kids, witness
+            node = nodes.get((RuleApp, rule, id(seq), id(kids), id(None))) or make(
+                RuleApp, rule, seq, kids, None
             )
         else:
-            depth = len(open_rules) + 1
-            if depth > MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
+            if len(open_rules) >= MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
                 return None
             try:
                 seq = parse_sequent(axiom_seq if rule is None else rule_seq, lat)
@@ -780,52 +765,18 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
                 binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings(binds))])
                 node = make(AxiomApp, schema, binds, seq)
             else:
-                if witness is not None:
-                    found = _scan_witness(text, pos, depth, lat)
-                    if found is None:
-                        return None
-                    witness, pos = found
-                open_rules.append((rule, seq, witness, []))
+                open_rules.append((rule, seq, []))
                 continue
         if not open_rules:
             return node if at_end(text, pos) else None
-        open_rules[-1][3].append(node)
-
-
-def _scan_witness(text: str, pos: int, depth: int, lat: FiniteOrthoLattice):
-    """(term, end) of the witness after ``(witness`` at ``pos``: a name inside
-    ``ortho(...)`` wrappers, each a nesting level below ``depth`` as the token
-    parser counts them, then the closing parentheses; None on a mismatch."""
-    name, opening, closing = _witness_patterns()
-    levels = 0
-    while True:
-        m = name(text, pos)
-        if m is None:
-            return None
-        pos, word = m.end(), m[1]
-        if word != "ortho":
-            break
-        m = opening(text, pos)
-        levels += 1
-        if m is None or depth + levels > MAX_DEPTH:
-            return None
-        pos = m.end()
-    make = lat._store.make
-    term = make(Const if word in lat else Var, word)
-    for _ in range(levels):
-        term = make(OrthoTerm, term)
-    for _ in range(levels + 1):  # each ortho's and then the witness's own
-        m = closing(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-    return term, pos
+        open_rules[-1][2].append(node)
 
 
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
     """Parse a derivation s-expression into the lattice's store.  A scanner
-    reads each node head with one pattern match; wherever it stops short,
-    the token parser reads the whole text again and raises its error."""
+    reads each node head of plain text with one pattern match; wherever it
+    stops short, the token parser reads the whole text again, and reads
+    comments and witnesses or raises its error."""
     d = _scan(text, lat)
     return d if d is not None else _DerivationParser(text, lat).parse()
 

@@ -67,7 +67,7 @@ def mutate(
         ctx[i], ctx[j] = ctx[j], ctx[i]
         return _replace(make, d, path, _with_context(make, node, ctx))
 
-    if kind == "contraction":
+    if kind in ("contraction", "weakening"):
         candidates = [
             (path, node) for path, node in _walk(d) if node.conclusion.context
         ]
@@ -76,18 +76,10 @@ def mutate(
         path, node = rng.choice(candidates)
         ctx = list(node.conclusion.context)
         i = rng.randrange(len(ctx))
-        ctx.insert(i, ctx[i])
-        return _replace(make, d, path, _with_context(make, node, ctx))
-
-    if kind == "weakening":
-        candidates = [
-            (path, node) for path, node in _walk(d) if node.conclusion.context
-        ]
-        if not candidates:
-            return None
-        path, node = rng.choice(candidates)
-        ctx = list(node.conclusion.context)
-        del ctx[rng.randrange(len(ctx))]
+        if kind == "contraction":
+            ctx.insert(i, ctx[i])
+        else:
+            del ctx[i]
         return _replace(make, d, path, _with_context(make, node, ctx))
 
     if kind == "guard":

@@ -474,15 +474,16 @@ SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", " ", 
 COMMENT_CHARS = list('"()#=x -\t') + [" ", "\r"]
 
 
-def reflow(text: str, rng: random.Random) -> str:
-    """``text`` with random whitespace and comments between any two tokens;
-    two names keep at least one character between them."""
+def reflow(text: str, rng: random.Random, comments: bool = True) -> str:
+    """``text`` with random whitespace, and comments unless ``comments`` is
+    false, between any two tokens; two names keep at least one character
+    between them."""
     tokens = _tokenize(text, _SEXPR_RE)[:-1]
     out, prev = [], None
     for tok in tokens:
         gap = []
         for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
-            if rng.random() < 0.3:
+            if comments and rng.random() < 0.3:
                 body = "".join(rng.choice(COMMENT_CHARS) for _ in range(rng.randrange(6)))
                 gap.append("#" + body + "\n")
             else:
@@ -491,7 +492,7 @@ def reflow(text: str, rng: random.Random) -> str:
             gap.append(rng.choice(SPACES))
         out.append("".join(gap) + tok.text)
         prev = tok.kind
-    return "".join(out) + rng.choice(["", "\n", " # end\n", "#"])
+    return "".join(out) + rng.choice(["", "\n", " # end\n", "#"] if comments else ["", "\n"])
 
 
 def scanner_corpus():
@@ -535,26 +536,34 @@ class TestScanner:
     @settings(max_examples=60, deadline=None)
     def test_reflowed_equals_token_parser(self, corpus, data):
         lat, text = data.draw(st.sampled_from(corpus))
+        assert "#" not in text  # so a '#' in a reflow starts a comment
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        reflowed = reflow(text, rng)
         expected = _DerivationParser(text, lat).parse()
-        assert _DerivationParser(reflowed, lat).parse() == expected
-        # the scanner reads the file itself, without the token parser
-        assert _scan(reflowed, lat) == expected
-        assert parse_derivation(reflowed, lat) == expected
+        for reflowed in (reflow(text, rng, comments=False), reflow(text, rng)):
+            assert _DerivationParser(reflowed, lat).parse() == expected
+            assert parse_derivation(reflowed, lat) == expected
+            # the scanner reads whitespace-separated tokens itself, without the
+            # token parser, and leaves a comment or a witness to it
+            plain = "#" not in reflowed and "(witness" not in text
+            assert _scan(reflowed, lat) == (expected if plain else None)
 
     def test_witness_terms(self):
         lat = mo(2)
-        d = _scan(WITNESS_TEXT, lat)
-        assert d.witness == OrthoTerm(OrthoTerm(Const("a")))
-        assert _scan(WITNESS_TEXT.replace("ortho(ortho(a))", "q"), lat).witness == Var("q")
+        assert parse_derivation(WITNESS_TEXT, lat).witness == OrthoTerm(OrthoTerm(Const("a")))
+        text = WITNESS_TEXT.replace("ortho(ortho(a))", "q")
+        assert parse_derivation(text, lat).witness == Var("q")
+        assert _scan(WITNESS_TEXT, lat) is None and _scan(text, lat) is None
         # each ortho is a nesting level below the node's own
+        got = []
         for levels in (MAX_DEPTH - 1, MAX_DEPTH):
             text = WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * levels + "a" + ")" * levels)
-            expected = outcome(lambda: _DerivationParser(text, lat).parse())
-            assert outcome(lambda: parse_derivation(text, lat)) == expected
-            assert (_scan(text, lat) is None) == (levels == MAX_DEPTH)
-        assert expected[0] == "1:658: nesting deeper than 100 levels"
+            assert _scan(text, lat) is None
+            got.append(outcome(lambda: parse_derivation(text, lat)))
+        term = Const("a")
+        for _ in range(MAX_DEPTH - 1):
+            term = OrthoTerm(term)
+        assert got[0].witness == term
+        assert got[1][0] == "1:658: nesting deeper than 100 levels"
 
     def test_malformed_same_error(self, corpus):
         rng = random.Random(7)
@@ -570,7 +579,7 @@ class TestScanner:
         assert errors > 1000
 
     @pytest.mark.parametrize("text, message", [
-        # a comment of n '#' could split 2^n ways if the scanner's gap allowed
+        # a comment of n '#' could split 2^n ways if a pattern's gap allowed
         # it: 24 of them would then take seconds, and 10,000 never end
         (LEAF[:-2] + "#" * 24 + "\n ~)\n", "3:2: unexpected character '~'"),
         (LEAF[:-2] + "#" * 10000 + "\n ~)\n", "3:2: unexpected character '~'"),
@@ -595,21 +604,20 @@ class TestScanner:
             "import omlogic.cli\n"
             "from omlogic import formats\n"
             "from omlogic.lattice import mo\n"
-            "sizes = lambda: (formats._node_patterns.cache_info().currsize,"
-            " formats._witness_patterns.cache_info().currsize)\n"
-            "print(sizes())\n"
+            "compiled = lambda: formats._node_patterns.cache_info().misses\n"
+            "print(compiled())\n"
             "formats.parse_derivation('(rule id (seq \"In(a) |- In(a)\"))', mo(2))\n"
-            "print(sizes())\n"
+            "print(compiled())\n"
             f"formats.parse_derivation({WITNESS_TEXT!r}, mo(2))\n"
-            "print(sizes())\n"
+            "print(compiled())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             cwd=Path(formats.__file__).parents[1],
         )
         assert proc.returncode == 0, proc.stderr
-        # importing compiles none; the witness patterns wait for the first witness
-        assert proc.stdout == "(0, 0)\n(1, 0)\n(1, 1)\n"
+        # importing compiles none; the first parse compiles them, once
+        assert proc.stdout == "0\n1\n1\n"
 
 
 def distinct_nodes(d) -> list:
