@@ -181,16 +181,12 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
 
-    # the next-stage proof of each branch so far; branches that hold the same
-    # element share one proof
-    by_element: dict[str, RuleApp] = {}
-
     def core(leaf: Formula) -> RuleApp:
+        """The next-stage proof of a branch; the store keeps one per element,
+        so branches that hold the same element share it."""
         u = _in_and_r(leaf)
         assert u is not None
-        if u not in by_element:
-            by_element[u] = derive_measurement(lat, u, then)
-        return by_element[u]
+        return derive_measurement(lat, u, then)
 
     def mirror(f: Formula) -> Formula:
         if isinstance(f, Plus):

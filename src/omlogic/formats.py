@@ -34,7 +34,7 @@ from typing import NamedTuple
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import PowersetMap, perfect_measurement_map
-from omlogic.record import Record
+from omlogic.record import Record, _set
 from omlogic.syntax import (
     Actual,
     Const,
@@ -52,12 +52,11 @@ from omlogic.syntax import (
     Term,
     Var,
     _ASCII,
+    _atom,
     _sequent,
-    _set,
     ascii_formula,
     ascii_sequent,
     ascii_term,
-    normalize_formula,
     normalize_term,
 )
 
@@ -236,8 +235,9 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
             raise ParseError(
                 "'measure' and 'on' lines cannot be mixed", SourceSpan(1, 1, 1)
             )
-        f = perfect_measurement_map(lat, measured)
-        return PowersetMap(lat, dict(f.items()), kind="measurement", label=name, measured=measured)
+        f = perfect_measurement_map(lat, measured)  # built fresh: no other map is relabelled
+        f.label = name
+        return f
     missing = [e for e in lat.nonzero() if e not in action]
     if missing:
         raise ParseError(
@@ -443,11 +443,11 @@ class _FormulaParser(_Parser):
             self.advance()
             self.expect(")")
             return self.make(Induced, name.text)
-        term = self.term()
+        term = normalize_term(self.term(), self.lat)
         self.expect(")")
-        ctor = {"In": Actual, "R": Reachable, "M": Measurement}[head.text]
+        cls = {"In": Actual, "R": Reachable, "M": Measurement}[head.text]
         try:
-            return normalize_formula(ctor(term), self.lat)
+            return _atom(self.lat, cls, term)
         except ValueError as err:  # In or R of 0
             self.error(str(err), token=head)
 
@@ -848,7 +848,7 @@ def _derivation_lines(d: Derivation) -> list[str]:
             lines.append(pad)
             continue
         conclusion = node.conclusion
-        seq = conclusion._text
+        seq = getattr(conclusion, "_text", None)  # unset until first rendered
         if seq is None:
             seq = _sequent(conclusion, _ASCII, texts)
             _set(conclusion, "_text", seq)

@@ -45,8 +45,6 @@ from omlogic.syntax import (
     substitute,
 )
 
-_set = object.__setattr__  # assigns a field of a frozen node in __init__
-
 __all__ = [
     "RuleApp",
     "AxiomApp",
@@ -70,10 +68,7 @@ class RuleApp(Record):
         children: tuple[Derivation, ...],
         witness: Term | None = None,
     ):
-        _set(self, "rule", rule)
-        _set(self, "conclusion", conclusion)
-        _set(self, "children", children)
-        _set(self, "witness", witness)
+        super().__init__(rule, conclusion, children, witness)
 
 
 class AxiomApp(Record):
@@ -81,10 +76,9 @@ class AxiomApp(Record):
 
     __slots__ = ("schema", "bindings", "conclusion")
 
-    def __init__(self, schema: str, bindings: tuple[tuple[str, str], ...], conclusion: Sequent):
-        _set(self, "schema", schema)
-        _set(self, "bindings", bindings)
-        _set(self, "conclusion", conclusion)
+    schema: str
+    bindings: tuple[tuple[str, str], ...]
+    conclusion: Sequent
 
 
 Derivation = Union[RuleApp, AxiomApp]
@@ -117,18 +111,20 @@ class CheckFailure(Record):
 
 
 class CheckResult(Record):
-    """The verdict of one :func:`check_derivation` call, built where it
-    returns; ``failure`` is None when valid."""
+    """The verdict of one :func:`check_derivation` call; ``failure`` is None
+    when valid."""
 
     __slots__ = ("failure",)
 
     def __init__(self, failure: CheckFailure | None = None):
-        _set(self, "failure", failure)
+        super().__init__(failure)
 
     @property
     def valid(self) -> bool:
         return self.failure is None
 
+
+_VALID = CheckResult()  # every valid verdict: records are immutable, so one is shared
 
 def _eval_guard(
     lat: FiniteOrthoLattice,
@@ -182,10 +178,10 @@ def check_derivation(
     else:
         valid = lat._store.verdicts
         if id(d) in valid:  # an id there is a node the store keeps alive, so d
-            return CheckResult()
+            return _VALID
         d = lat._store.intern(d)
         if id(d) in valid:
-            return CheckResult()
+            return _VALID
     maps = maps or {}
     stack = [[d, 0]]  # the node being checked and its ancestors, each with its next child
     while stack:
@@ -208,7 +204,7 @@ def check_derivation(
             return _failure(given, [frame[1] - 1 for frame in stack[:-1]], reason)
         valid.add(id(node))
         stack.pop()
-    return CheckResult()
+    return _VALID
 
 
 def _failure(d: Derivation, path: list[int], reason: str) -> CheckResult:

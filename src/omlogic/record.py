@@ -7,11 +7,12 @@ hash of the field tuple, and fields can be neither assigned nor deleted.  It
 costs no code generation at import, which matters because every ``omlogic``
 command starts a fresh interpreter.
 
-The classes built on hot paths (formula nodes, derivation nodes and kernel
-verdicts) write ``__init__`` out with their fields named, which does what the
-generic version here does without the loop.  Their equality is the generic
-one: nodes built in one :class:`Store` are equal only when they are the same
-object, which ``__eq__`` tests first.
+Every record is built by :meth:`Record.__init__`, which takes one value per
+field, in order, and raises :class:`TypeError` on any other count.  A class
+lists its fields as annotations under ``__slots__``, and writes an
+``__init__`` only to give trailing fields defaults, passing every field on to
+``super().__init__``.  Nodes built in one :class:`Store` are equal only when
+they are the same object, which ``__eq__`` tests first.
 
 A :class:`Store` hash-conses records: it hands out one object per distinct
 value built through it, so equal values it owns are the same object.
@@ -23,7 +24,7 @@ from operator import attrgetter
 
 __all__ = ["Record", "Store"]
 
-_set = object.__setattr__
+_set = object.__setattr__  # assigns a slot of a frozen record
 
 
 class Record:

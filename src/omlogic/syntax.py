@@ -21,8 +21,6 @@ from typing import NamedTuple, Union
 from omlogic.lattice import FiniteOrthoLattice
 from omlogic.record import Record
 
-_set = object.__setattr__  # assigns a field of a frozen node in __init__
-
 __all__ = [
     "Const",
     "Var",
@@ -56,22 +54,19 @@ __all__ = [
 class Const(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    name: str
 
 
 class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    name: str
 
 
 class OrthoTerm(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        _set(self, "arg", arg)
+    arg: Term
 
 
 Term = Union[Const, Var, OrthoTerm]
@@ -80,53 +75,46 @@ Term = Union[Const, Var, OrthoTerm]
 class Actual(Record):
     __slots__ = ("term",)
 
-    def __init__(self, term: Term):
-        _set(self, "term", term)
+    term: Term
 
 
 class Reachable(Record):
     __slots__ = ("term",)
 
-    def __init__(self, term: Term):
-        _set(self, "term", term)
+    term: Term
 
 
 class Measurement(Record):
     __slots__ = ("term",)
 
-    def __init__(self, term: Term):
-        _set(self, "term", term)
+    term: Term
 
 
 class Induced(Record):
     __slots__ = ("alpha",)
 
-    def __init__(self, alpha: str):
-        _set(self, "alpha", alpha)
+    alpha: str
 
 
 class Tensor(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    left: Formula
+    right: Formula
 
 
 class Plus(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    left: Formula
+    right: Formula
 
 
 class Lolli(Record):
     __slots__ = ("antecedent", "consequent")
 
-    def __init__(self, antecedent: Formula, consequent: Formula):
-        _set(self, "antecedent", antecedent)
-        _set(self, "consequent", consequent)
+    antecedent: Formula
+    consequent: Formula
 
 
 class Constraint(Record):
@@ -135,18 +123,16 @@ class Constraint(Record):
 
     __slots__ = ("op", "rhs")
 
-    def __init__(self, op: str, rhs: Term | str):
-        _set(self, "op", op)
-        _set(self, "rhs", rhs)
+    op: str
+    rhs: Term | str
 
 
 class Forall(Record):
     __slots__ = ("var", "guard", "body")
 
-    def __init__(self, var: str, guard: tuple[Constraint, ...], body: Formula):
-        _set(self, "var", var)
-        _set(self, "guard", guard)
-        _set(self, "body", body)
+    var: str
+    guard: tuple[Constraint, ...]
+    body: Formula
 
 
 Formula = Union[Actual, Reachable, Measurement, Induced, Tensor, Plus, Lolli, Forall]
@@ -155,8 +141,9 @@ ATOMS = (Actual, Reachable, Measurement, Induced)
 
 
 class _Rendered(Record):
-    """A slot below a record's fields: ``formats.serialize`` keeps a
-    sequent's text in ``_text`` once it has rendered it."""
+    """A slot below a record's fields, which the constructor leaves unset:
+    ``formats.serialize`` fills a sequent's ``_text`` the first time it
+    renders the sequent."""
 
     __slots__ = ("_text",)
 
@@ -167,10 +154,8 @@ class Sequent(_Rendered):
 
     __slots__ = ("context", "succedent")
 
-    def __init__(self, context: tuple[Formula, ...], succedent: Formula):
-        _set(self, "context", context)
-        _set(self, "succedent", succedent)
-        _set(self, "_text", None)
+    context: tuple[Formula, ...]
+    succedent: Formula
 
 
 # -- normalization -------------------------------------------------------------
@@ -198,21 +183,36 @@ def normalize_term(
     return t
 
 
+def _atom(lat: FiniteOrthoLattice, cls: type, term: Term) -> Formula:
+    """The ``cls`` atom (``Actual``, ``Reachable`` or ``Measurement``) of the
+    normalized ``term``, built in the lattice's store.  A constant must be an
+    element; ``In``/``R`` of 0 raise :class:`ValueError`; a measurement of a
+    constant is made canonical as :func:`measurement` says."""
+    make = lat._store.make
+    if isinstance(term, Const):
+        name = term.name
+        lat.index(name)
+        if cls is Measurement:
+            pair = [p for p in (name, lat.ortho(name)) if p != "0"]
+            term = make(Const, min(pair, key=lat.index))
+        elif name == "0":
+            atom = "In" if cls is Actual else "R"
+            raise ValueError(f"{atom} cannot hold the absurd property 0")
+    return make(cls, term)
+
+
 def actual(lat: FiniteOrthoLattice, name: str) -> Actual:
-    return normalize_formula(Actual(Const(name)), lat)
+    return _atom(lat, Actual, lat._store.make(Const, name))
 
 
 def reachable(lat: FiniteOrthoLattice, name: str) -> Reachable:
-    return normalize_formula(Reachable(Const(name)), lat)
+    return _atom(lat, Reachable, lat._store.make(Const, name))
 
 
 def measurement(lat: FiniteOrthoLattice, name: str) -> Measurement:
     """Measurement atom, canonicalized to one member of the unordered outcome
     pair {x, x'}: the nonzero member of least index."""
-    lat.index(name)
-    pair = [p for p in (name, lat.ortho(name)) if p != "0"]
-    make = lat._store.make
-    return make(Measurement, make(Const, min(pair, key=lat.index)))
+    return _atom(lat, Measurement, lat._store.make(Const, name))
 
 
 def normalize_formula(
@@ -224,19 +224,8 @@ def normalize_formula(
     ``var`` shadows it, guard included).  ``In``/``R`` of 0 raise
     :class:`ValueError`."""
     make = lat._store.make
-    if isinstance(f, (Actual, Reachable)):
-        t = normalize_term(f.term, lat, var, value)
-        if isinstance(t, Const):
-            lat.index(t.name)
-            if t.name == "0":
-                atom = "In" if isinstance(f, Actual) else "R"
-                raise ValueError(f"{atom} cannot hold the absurd property 0")
-        return make(f.__class__, t)
-    if isinstance(f, Measurement):
-        t = normalize_term(f.term, lat, var, value)
-        if isinstance(t, Const):
-            return measurement(lat, t.name)
-        return make(Measurement, t)
+    if isinstance(f, (Actual, Reachable, Measurement)):
+        return _atom(lat, f.__class__, normalize_term(f.term, lat, var, value))
     if isinstance(f, Induced):
         return make(Induced, f.alpha)
     if isinstance(f, (Tensor, Plus)):

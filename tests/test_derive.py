@@ -187,13 +187,13 @@ class TestDeriveChain:
 
     def test_branches_share_subproofs(self, monkeypatch):
         calls = []
-        real = derive_module.derive_measurement
+        real = derive_module._measurement
 
         def counted(lat, u, then):
             calls.append((u, then))
             return real(lat, u, then)
 
-        monkeypatch.setattr(derive_module, "derive_measurement", counted)
+        monkeypatch.setattr(derive_module, "_measurement", counted)
         d = derive_chain(mo(4), "c", ["a", "b"] * 4)
         # one call per distinct (element, measurement) of each stage: 1 + 7 * 2
         assert len(calls) <= 15

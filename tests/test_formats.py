@@ -770,8 +770,8 @@ class TestSplitSequent:
 
     def test_piece_shared_by_two_sequents_parsed_once(self, monkeypatch):
         calls = []
-        real = formats.normalize_formula
-        monkeypatch.setattr(formats, "normalize_formula", lambda *a: calls.append(a) or real(*a))
+        real = formats._atom
+        monkeypatch.setattr(formats, "_atom", lambda *a: calls.append(a) or real(*a))
         lat = mo(2)
         first = parse_sequent("In(a) * R(a) |- In(a) + R(b)", lat)
         assert len(calls) == 4

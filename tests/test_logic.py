@@ -13,9 +13,16 @@ from omlogic.derive import (
     derive_measurement,
     semantic_crosscheck,
 )
-from omlogic.formats import parse_derivation, parse_formula, parse_sequent, serialize
+from omlogic.formats import (
+    ParseError,
+    SourceSpan,
+    parse_derivation,
+    parse_formula,
+    parse_sequent,
+    serialize,
+)
 from omlogic.kernel import AxiomApp, RuleApp, check_derivation
-from omlogic.lattice import boolean, hexagon, mo
+from omlogic.lattice import LatticeError, boolean, hexagon, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.record import Record
@@ -203,6 +210,33 @@ def reference_render(f, s) -> str:
             s.ops[c.op] + (f"({c.rhs})" if c.op == "!inK" else term(c.rhs, s)) for c in f.guard
         ))
     return f"{head} . {reference_render(f.body, s)}"
+
+
+class TestAtoms:
+    """actual, reachable, measurement and the parser build each atom once,
+    in the lattice's store."""
+
+    def test_store_objects(self):
+        lat = mo(2)
+        assert actual(lat, "a") is parse_formula("In(a)", lat)
+        assert syntax.reachable(lat, "a'") is parse_formula("R(ortho(a))", lat)
+        assert measurement(lat, "a'") is measurement(lat, "a") is parse_formula("M(a')", lat)
+        assert normalize_formula(In("a"), lat) is actual(lat, "a")
+
+    @pytest.mark.parametrize("text, message, span", [
+        ("In(0)", "1:1: In cannot hold the absurd property 0", (1, 1, 2)),
+        ("R(ortho(1))", "1:1: R cannot hold the absurd property 0", (1, 1, 1)),
+    ])
+    def test_absurd_atom_errors(self, text, message, span):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, mo(2))
+        assert str(err.value) == message
+        assert err.value.span == SourceSpan(*span)
+
+    @pytest.mark.parametrize("build", [actual, syntax.reachable, measurement])
+    def test_unknown_element(self, build):
+        with pytest.raises(LatticeError, match="^unknown element 'zz' in lattice 'mo2'$"):
+            build(mo(2), "zz")
 
 
 class TestRenderDepth:

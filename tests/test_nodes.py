@@ -12,7 +12,7 @@ import pytest
 
 import gen
 from omlogic.derive import CrosscheckResult, semantic_crosscheck
-from omlogic.formats import ParseError, parse_sequent
+from omlogic.formats import ParseError, parse_sequent, serialize
 from omlogic.kernel import AxiomApp, CheckFailure, CheckResult, RuleApp, check_derivation
 from omlogic.lattice import LawCheck, boolean, hexagon, mo
 from omlogic.mutate import mutate
@@ -26,6 +26,10 @@ from omlogic.syntax import (
     Const,
     Constraint,
     Forall,
+    Induced,
+    Lolli,
+    Measurement,
+    OrthoTerm,
     Plus,
     Reachable,
     Sequent,
@@ -187,6 +191,35 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             node.extra = 1
         assert repr(node) == before
+
+
+NODE_CLASSES = (Const, Var, OrthoTerm, Actual, Reachable, Measurement, Induced, Tensor, Plus,
+                Lolli, Constraint, Forall, Sequent, AxiomApp)
+
+
+class TestConstructor:
+    """Every record is built by Record.__init__, one value per field."""
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+    def test_wrong_field_count_raises(self, cls):
+        assert "__init__" not in vars(cls)
+        n = len(cls.__slots__)
+        for count in (0, n - 1, n + 1):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes {n} fields, got {count}$"):
+                cls(*["x"] * count)
+
+    def test_rule_app_witness_default(self):
+        seq = Sequent((), Actual(Const("a")))
+        assert RuleApp("id", seq, ()).witness is None
+        assert RuleApp("id", seq, ()) == RuleApp("id", seq, (), None)
+        for count in (2, 5):
+            with pytest.raises(TypeError):
+                RuleApp(*["x"] * count)
+
+    def test_unserialized_sequent_serializes(self):
+        a = Actual(Const("a"))
+        d = RuleApp("id", Sequent((a,), a), ())
+        assert serialize(d) == serialize(d) == '(rule id (seq "In(a) |- In(a)"))\n'
 
 
 def test_copy_and_pickle():
