@@ -215,10 +215,10 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
             values = set()
             # comma-separated names, each stripped of surrounding whitespace
             for v in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", m.group(2)):
-                name, vcol = v.group(), m.start(2) + v.start() + 1
-                if name not in lat:
-                    _line_error(f"unknown element {name!r}", ln, vcol, name)
-                values.add(name)
+                value, vcol = v.group(), m.start(2) + v.start() + 1
+                if value not in lat:
+                    _line_error(f"unknown element {value!r}", ln, vcol, value)
+                values.add(value)
             action[el] = values
         elif head == "end":
             ended = True

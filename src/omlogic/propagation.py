@@ -345,43 +345,43 @@ def is_transition_map(f: PowersetMap) -> MapCheck:
 
 def transition_oracle(f: PowersetMap) -> MapCheck:
     """Enumerate every subset of the nonzero elements, bucket by join, and
-    compare image joins within each bucket.  Exponential; intended for
-    lattices with at most ~12 elements.  Independent of
-    :func:`is_transition_map`: it joins the images itself and never uses
-    join-irreducibles.
+    compare image joins within each bucket.  Exponential: 2^(n-1) subsets
+    for n elements.  Independent of :func:`is_transition_map`: it joins the
+    images itself and never uses join-irreducibles.
+
+    Subset joins and image joins are kept one byte per subset mask (bit i
+    stands for the i-th nonzero element), built by doubling: adding an
+    element appends the table so far translated through that element's join
+    row.  Element indices must fit in a byte, so lattices of more than 256
+    elements raise :class:`ValueError`.
     """
     lat = f.lattice
+    n = len(lat)
+    if n > 256:
+        raise ValueError(
+            f"transition_oracle handles at most 256 elements; {lat.name!r} has {n}"
+        )
     join, zero = lat._table("join"), lat._zero
-    domain = [b for b in range(len(lat)) if b != zero]
+    domain = [b for b in range(n) if b != zero]
     m = len(domain)
-    img_sup = []
+    rows = [bytes(row) + bytes(256 - n) for row in join]  # c -> b v c, as a byte table
+    set_join = img_join = bytes([zero])
     for b in domain:
         s = zero
-        for c in range(len(lat)):
-            if f._masks[b] >> c & 1:
-                s = join[s][c]
-        img_sup.append(s)
-    # subset joins and image joins by dynamic programming over bitmasks
-    set_join = [zero] * (1 << m)
-    img_join = [zero] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        set_join[mask] = join[set_join[rest]][domain[low]]
-        img_join[mask] = join[img_join[rest]][img_sup[low]]
-    buckets: dict[int, int] = {}
-    for mask in range(1 << m):
-        j = set_join[mask]
-        if j in buckets:
-            other = buckets[j]
-            if img_join[mask] != img_join[other]:
-                to_set = lambda mk: frozenset(
-                    lat.elements[domain[i]] for i in range(m) if mk >> i & 1
-                )
-                return MapCheck(False, (to_set(other), to_set(mask)))
-        else:
-            buckets[j] = mask
-    return MapCheck(True)
+        for c in _bits(f._masks[b]):
+            s = join[s][c]
+        set_join += set_join.translate(rows[b])
+        img_join += img_join.translate(rows[s])
+    # each join value answers with the image join of its first subset; every
+    # element is some subset's join: 0 of the empty set, the rest of themselves
+    first = bytes([img_join[set_join.find(v)] for v in range(n)]) + bytes(256 - n)
+    expected = set_join.translate(first)
+    if expected == img_join:
+        return MapCheck(True)
+    mask = next(k for k in range(1 << m) if expected[k] != img_join[k])
+    other = set_join.find(set_join[mask])
+    to_set = lambda mk: frozenset(lat.elements[domain[i]] for i in range(m) if mk >> i & 1)
+    return MapCheck(False, (to_set(other), to_set(mask)))
 
 
 def kill_set(f: PowersetMap) -> frozenset[str]:

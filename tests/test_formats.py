@@ -128,6 +128,14 @@ class TestMapFormat:
             parse_map("map m over mo2\n  on a ->{ a ,  zz }\nend\n", mo(2))
         assert (err.value.span.line, err.value.span.column) == (2, 17)
 
+    def test_on_lines_keep_map_name(self):
+        # the image names of an 'on' line must not overwrite the map's name
+        lat = mo(2)
+        rows = "\n".join(f"on {e} -> {{{e}}}" for e in lat.nonzero())
+        f = parse_map(f"map ident over mo2\n{rows}\nend\n", lat)
+        assert f.label == "ident"
+        assert serialize(f).startswith("map ident over mo2\n")
+
     def test_empty_image_allowed(self):
         lat = mo(2)
         rows = "\n".join(f"on {e} -> {{}}" for e in lat.nonzero())

@@ -66,6 +66,42 @@ def chain4():
     )
 
 
+def reference_oracle(f):
+    """The subset oracle as plain Python: subset joins and image joins by
+    dynamic programming over bitmasks, then one bucket per join value."""
+    lat = f.lattice
+    join, zero = lat._table("join"), lat._zero
+    domain = [b for b in range(len(lat)) if b != zero]
+    m = len(domain)
+    img_sup = []
+    for b in domain:
+        s = zero
+        for c in range(len(lat)):
+            if f._masks[b] >> c & 1:
+                s = join[s][c]
+        img_sup.append(s)
+    set_join = [zero] * (1 << m)
+    img_join = [zero] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        set_join[mask] = join[set_join[rest]][domain[low]]
+        img_join[mask] = join[img_join[rest]][img_sup[low]]
+    buckets = {}
+    for mask in range(1 << m):
+        j = set_join[mask]
+        if j in buckets:
+            other = buckets[j]
+            if img_join[mask] != img_join[other]:
+                to_set = lambda mk: frozenset(
+                    lat.elements[domain[i]] for i in range(m) if mk >> i & 1
+                )
+                return propagation.MapCheck(False, (to_set(other), to_set(mask)))
+        else:
+            buckets[j] = mask
+    return propagation.MapCheck(True)
+
+
 def v_poset():
     """0 < a, b and a 1 above nothing: no join for (0, 1), no orthocomplement
     for a or b."""
@@ -284,10 +320,37 @@ class TestTransitionMembership:
             lat, {"a": {"a"}, "a'": {"a'"}, "b": {"a"}, "b'": {"a"}, "1": {"1"}}
         )
         check = transition_oracle(f)
-        if not check.ok:
-            A, B = check.witness
-            assert lat.join_set(A) == lat.join_set(B)
-            assert lat.join_set(f.apply(A)) != lat.join_set(f.apply(B))
+        assert not check.ok
+        # mask 3 = {a, a'} opens the bucket of 1; mask 5 = {a, b} is the first
+        # subset in it whose image join differs
+        assert check.witness == (frozenset({"a", "a'"}), frozenset({"a", "b"}))
+        A, B = check.witness
+        assert lat.join_set(A) == lat.join_set(B)
+        assert lat.join_set(f.apply(A)) != lat.join_set(f.apply(B))
+
+    def test_oracle_matches_reference(self):
+        rng = random.Random(11)
+        lattices = [boolean(n) for n in range(1, 4)] + [mo(n) for n in range(1, 5)]
+        lattices += [hexagon(), mo2_reordered(), chain4()]
+        verdicts = set()
+        for lat in lattices:
+            maps = [random_union_preserving_map(lat, rng) for _ in range(40)]
+            if lat.name != "chain4":  # no ortholattice: random_join_map raises on it
+                maps += [random_transition_map(lat, rng) for _ in range(10)]
+            for f in maps:
+                check = transition_oracle(f)
+                assert check == reference_oracle(f), (lat.name, f._masks)
+                verdicts.add(check.ok)
+        assert verdicts == {True, False}
+
+    def test_oracle_rejects_more_than_256_elements(self):
+        # 0, 1 and 255 atoms: the oracle refuses before enumerating anything
+        atoms = [f"x{i}" for i in range(255)]
+        lat = FiniteOrthoLattice(
+            "atoms255", ["0", "1"] + atoms, [("0", x) for x in atoms] + [(x, "1") for x in atoms]
+        )
+        with pytest.raises(ValueError, match="at most 256 elements; 'atoms255' has 257"):
+            transition_oracle(identity_map(lat))
 
 
 class TestIncompleteLattice:
