@@ -64,6 +64,17 @@ def _load(path: str, parse, *context):
         raise _Exit(USAGE_ERROR, f"{path}: {err}")
 
 
+def _load_for_maps(path: str) -> FiniteOrthoLattice:
+    """Read a lattice for the propagation layer, whose byte tables hold at
+    most 256 elements; a larger lattice exits 2 before anything is verified."""
+    lat = _load(path, parse_lattice)
+    try:
+        lat._pad()
+    except ValueError as err:
+        raise _Exit(USAGE_ERROR, str(err))
+    return lat
+
+
 def _load_registry(lat: FiniteOrthoLattice, paths: list[str]) -> dict:
     maps = [_load(path, parse_map, lat) for path in paths]
     return {m.label: m for m in maps}
@@ -148,7 +159,7 @@ def _cmd_lattice_verify(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
     if args.measure:
         if args.measure not in lat:
             raise _Exit(USAGE_ERROR, f"unknown element {args.measure!r}")
@@ -176,7 +187,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_quantale_verify(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
     report = quantale_report(
         lat, random.Random(args.seed), args.random_maps, args.pairs, args.join_maps
     )
@@ -184,7 +195,7 @@ def _cmd_quantale_verify(args) -> int:
 
 
 def _cmd_counterexample_order(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
     witness = find_order_counterexample(lat)
     if witness is None:
         print("none")
@@ -214,7 +225,7 @@ def _cmd_counterexample_order(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
     report = measurement_map_identities(lat)
     return _emit_report(args, "prop1", list(report.checks))
 
@@ -272,7 +283,7 @@ def _cmd_axiom_instantiate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
     maps = _load_registry(lat, args.register)
     d = _load(args.derivation, parse_derivation, lat)
     try:

@@ -235,7 +235,10 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
             raise ParseError(
                 "'measure' and 'on' lines cannot be mixed", SourceSpan(1, 1, 1)
             )
-        f = perfect_measurement_map(lat, measured)  # built fresh: no other map is relabelled
+        try:
+            f = perfect_measurement_map(lat, measured)  # built fresh: no other map is relabelled
+        except ValueError as err:  # not orthomodular, or too large for the byte tables
+            raise ParseError(str(err), SourceSpan(1, 1, 1)) from err
         f.label = name
         return f
     missing = [e for e in lat.nonzero() if e not in action]

@@ -151,6 +151,11 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
+        # the propagation layer's byte tables, each built on first use
+        self._padding: bytes | None = None
+        self._rows: list[bytes] | None = None
+        self._sasaki: dict[int, bytes] = {}
+        self._measured: dict[int, list[int]] = {}
         # the formulas, sequents and derivations built or parsed over this
         # lattice, one object per value, and their memos
         self._store = Store()
@@ -308,6 +313,76 @@ class FiniteOrthoLattice:
                 k for k in range(len(self)) if k not in reducible
             )
         return self._irreducibles
+
+    # -- byte tables ------------------------------------------------------------
+    #
+    # The propagation layer holds join maps as bytes, one element index per
+    # element index, and computes with ``bytes.translate``.  A table by index
+    # followed by ``_pad()`` is a 256-byte translate table that is the identity
+    # past the last element, so both sides of a comparison agree there.
+
+    def _pad(self) -> bytes:
+        """The indices from ``len(self)`` to 255, as bytes.  Every byte table
+        is built through here, so this is where a lattice of more than 256
+        elements, whose indices do not fit in a byte, raises
+        :class:`ValueError`."""
+        if self._padding is None:
+            n = len(self)
+            if n > 256:
+                raise ValueError(
+                    f"the propagation layer handles at most 256 elements; "
+                    f"{self.name!r} has {n}"
+                )
+            self._padding = bytes(range(n, 256))
+        return self._padding
+
+    def _join_rows(self) -> list[bytes]:
+        """Each element's join row as a translate table: byte c of row i is
+        ``i v c`` for every element c.  Computed once."""
+        if self._rows is None:
+            pad = self._pad()
+            self._rows = [bytes(row) + pad for row in self._table("join")]
+        return self._rows
+
+    def _sasaki_row(self, a: int) -> bytes:
+        """The Sasaki projection onto a, ``a meet (b join ortho(a))``, of every
+        b, by index.  Computed once per element."""
+        row = self._sasaki.get(a)
+        if row is None:
+            self._pad()
+            onto, ao = self._table("meet")[a], self._ortho_of(a)
+            row = self._sasaki[a] = bytes([onto[r[ao]] for r in self._table("join")])
+        return row
+
+    def _measurement_masks(self, a: int) -> list[int]:
+        """The branches of measuring {a, a'}, by index: one bitmask per
+        element b, holding the nonzero Sasaki projections of b onto a and onto
+        a' (none onto an outcome whose opposite is above b), and empty for 0.
+        Computed once per element from the Sasaki rows.  Raises
+        :class:`ValueError` when a branch projects to 0, which an orthomodular
+        lattice never does; nothing is kept then."""
+        masks = self._measured.get(a)
+        if masks is None:
+            ao = self._ortho_of(a)
+            onto_a, onto_ao = self._sasaki_row(a), self._sasaki_row(ao)
+            up, zero, names = self._up, self._zero, self.elements
+            masks = [0] * len(self)
+            for b in range(len(self)):
+                if b == zero:
+                    continue
+                for onto, outcome, opposite in ((onto_a, a, ao), (onto_ao, ao, a)):
+                    if up[b] >> opposite & 1:
+                        continue  # b is under the opposite outcome: no branch
+                    if onto[b] == zero:
+                        raise ValueError(
+                            f"measuring {names[a]!r}: the branch onto {names[outcome]!r} "
+                            f"projects {names[b]!r} to 0 although {names[b]!r} is not "
+                            f"below {names[opposite]!r}, so lattice {self.name!r} is "
+                            "not orthomodular"
+                        )
+                    masks[b] |= 1 << onto[b]
+            self._measured[a] = masks
+        return masks
 
     # -- verification ---------------------------------------------------------
 

@@ -10,10 +10,11 @@ definite actual properties propagate.
 
 Maps are stored by element index: a powerset map holds one image bitmask per
 element (bit i stands for ``lattice.elements[i]``) and a join map one element
-index per element.  Everything here computes on those and on the lattice's
-meet, join and orthocomplement tables.  Element names appear only at the
-boundary: the public constructors, ``singleton``/``apply``/``items``/
-``__call__``, and witnesses.
+index per element, as ``bytes``.  Everything here computes on those and on
+the lattice's tables: meet, join and orthocomplement, and the byte tables of
+its join rows and Sasaki projections, which hold at most 256 elements.
+Element names appear only at the boundary: the public constructors,
+``singleton``/``apply``/``items``/``__call__``, and witnesses.
 """
 
 from __future__ import annotations
@@ -183,55 +184,58 @@ class PowersetMap:
             if b != lat._zero
         ]
 
-    def _sups(self) -> list[int]:
+    def _sups(self) -> bytes:
         """Join of each singleton image by element index, 0 for an empty
         image and for 0 itself.  Computed once."""
         if self._sup is None:
-            join, zero = self.lattice._table("join"), self.lattice._zero
+            rows, zero = self.lattice._join_rows(), self.lattice._zero
             sups = []
             for mask in self._masks:
                 s = zero
                 while mask:  # _bits, inlined: this loop is the hottest in the module
                     low = mask & -mask
-                    s = join[s][low.bit_length() - 1]
+                    s = rows[s][low.bit_length() - 1]
                     mask ^= low
                 sups.append(s)
-            self._sup = sups
+            self._sup = bytes(sups)
         return self._sup
 
 
-def _join_violation(lat: FiniteOrthoLattice, f: list[int]) -> tuple[int, int] | None:
+def _join_violation(lat: FiniteOrthoLattice, f: bytes) -> tuple[int, int] | None:
     """First (j, y) by index, j join-irreducible, with f(j v y) != f(j) v f(y)
-    for a self-map f given by index with f(0) = 0; None when there is none."""
-    join = lat._table("join")
+    for a self-map f given by index with f(0) = 0; None when there is none.
+    Row j of the join table translated through f is y -> f(j v y), and f
+    translated through row f(j) is y -> f(j) v f(y)."""
+    rows, ft = lat._join_rows(), f + lat._pad()
     for j in lat._join_irreducibles():
-        row, fj = join[j], join[f[j]]
-        for y, jy in enumerate(row):
-            if f[jy] != fj[f[y]]:
-                return j, y
+        row, fj = rows[j], rows[f[j]]
+        if row.translate(ft) != ft.translate(fj):
+            return j, next(y for y in range(len(f)) if ft[row[y]] != fj[f[y]])
     return None
 
 
 class JoinMap:
     """A self-map of the lattice, total on all elements including 0, stored
-    as one element index per element index.  Callers give ``table`` by
-    names; this module builds maps from already-valid indices with
-    ``_values``."""
+    as ``bytes``, one element index per element index.  Callers give
+    ``table`` by names; this module builds maps from already-valid indices
+    with ``_values``."""
 
     def __init__(
         self,
         lattice: FiniteOrthoLattice,
         table: Mapping[str, str] | None = None,
         *,
-        _values: list[int] | None = None,
+        _values: bytes | None = None,
     ):
         self.lattice = lattice
         if _values is None:
-            _values = []
+            lattice._pad()  # the indices must fit in a byte
+            values = []
             for e in lattice.elements:
                 if e not in table:
                     raise ValueError(f"join map missing element {e!r}")
-                _values.append(lattice.index(table[e]))
+                values.append(lattice.index(table[e]))
+            _values = bytes(values)
         self._values = _values
 
     def __eq__(self, other) -> bool:
@@ -277,38 +281,15 @@ def _same_lattice(*maps: PowersetMap | JoinMap) -> FiniteOrthoLattice:
     return lat
 
 
-def _sasaki_row(lat: FiniteOrthoLattice, a: int) -> list[int]:
-    """Sasaki projection onto a, ``a meet (b join ortho(a))``, of every b,
-    by index."""
-    meet, join = lat._table("meet"), lat._table("join")
-    onto, ao = meet[a], lat._ortho_of(a)
-    return [onto[row[ao]] for row in join]
-
-
 def perfect_measurement_map(lat: FiniteOrthoLattice, a: str) -> PowersetMap:
     """The two-outcome propagation map of measuring {a, a'}: each nonzero b is
     sent to its Sasaki projections onto a and onto a', keeping only nonzero
     branches (b not under the opposite outcome).
+
+    The lattice computes each element's image masks once; every call returns
+    a new map over them, so a caller may relabel it.
     """
-    i = lat.index(a)
-    io = lat._ortho_of(i)
-    onto_a, onto_ao = _sasaki_row(lat, i), _sasaki_row(lat, io)
-    up, zero, names = lat._up, lat._zero, lat.elements
-    masks = [0] * len(lat)
-    for b in range(len(lat)):
-        if b == zero:
-            continue
-        for onto, outcome, opposite in ((onto_a, i, io), (onto_ao, io, i)):
-            if up[b] >> opposite & 1:
-                continue  # b is under the opposite outcome: no branch
-            if onto[b] == zero:
-                # in an orthomodular lattice only b <= opposite projects to 0
-                raise ValueError(
-                    f"measuring {a!r}: the branch onto {names[outcome]!r} projects "
-                    f"{names[b]!r} to 0 although {names[b]!r} is not below "
-                    f"{names[opposite]!r}, so lattice {lat.name!r} is not orthomodular"
-                )
-            masks[b] |= 1 << onto[b]
+    masks = lat._measurement_masks(lat.index(a))
     return PowersetMap(lat, kind="measurement", measured=a, _masks=masks)
 
 
@@ -319,7 +300,7 @@ def identity_map(lat: FiniteOrthoLattice) -> PowersetMap:
 
 def sasaki_map(lat: FiniteOrthoLattice, a: str) -> JoinMap:
     """The Sasaki projection onto a as a join map."""
-    return JoinMap(lat, _values=_sasaki_row(lat, lat.index(a)))
+    return JoinMap(lat, _values=lat._sasaki_row(lat.index(a)))
 
 
 def is_transition_map(f: PowersetMap) -> MapCheck:
@@ -352,24 +333,19 @@ def transition_oracle(f: PowersetMap) -> MapCheck:
     Subset joins and image joins are kept one byte per subset mask (bit i
     stands for the i-th nonzero element), built by doubling: adding an
     element appends the table so far translated through that element's join
-    row.  Element indices must fit in a byte, so lattices of more than 256
-    elements raise :class:`ValueError`.
+    row, held by the lattice.  Element indices must fit in a byte, so
+    lattices of more than 256 elements raise :class:`ValueError`.
     """
     lat = f.lattice
     n = len(lat)
-    if n > 256:
-        raise ValueError(
-            f"transition_oracle handles at most 256 elements; {lat.name!r} has {n}"
-        )
-    join, zero = lat._table("join"), lat._zero
+    rows, zero = lat._join_rows(), lat._zero  # byte c of rows[b] is b v c
     domain = [b for b in range(n) if b != zero]
     m = len(domain)
-    rows = [bytes(row) + bytes(256 - n) for row in join]  # c -> b v c, as a byte table
     set_join = img_join = bytes([zero])
     for b in domain:
         s = zero
         for c in _bits(f._masks[b]):
-            s = join[s][c]
+            s = rows[s][c]
         set_join += set_join.translate(rows[b])
         img_join += img_join.translate(rows[s])
     # each join value answers with the image join of its first subset; every
@@ -443,15 +419,15 @@ def compose_join(f: JoinMap, g: JoinMap) -> JoinMap:
     lat = f.lattice
     if g.lattice != lat:
         raise LatticeMismatchError("join maps over different lattices")
-    return JoinMap(lat, _values=[f._values[v] for v in g._values])
+    return JoinMap(lat, _values=g._values.translate(f._values + lat._pad()))
 
 
 def pointwise_join(maps: Sequence[JoinMap]) -> JoinMap:
     lat = _same_lattice(*maps)
-    join = lat._table("join")
-    values = [lat._zero] * len(lat)
-    for m in maps:
-        values = [join[s][v] for s, v in zip(values, m._values)]
+    rows = lat._join_rows()
+    values = bytes([lat._zero]) * len(lat)
+    for m in maps:  # byte b: row values[b] of the join table at m(b)
+        values = bytes(map(bytes.__getitem__, map(rows.__getitem__, values), m._values))
     return JoinMap(lat, _values=values)
 
 
@@ -498,14 +474,14 @@ def find_order_counterexample(
     for a, name in enumerate(els):
         if name in ("0", "1"):
             continue
-        ao, onto_a = lat._ortho_of(a), _sasaki_row(lat, a)
+        ao, onto_a = lat._ortho_of(a), lat._sasaki_row(a)
         for a2 in range(len(lat)):
             if meet[a][a2] != zero or up[a2] >> ao & 1:
                 continue
             joined = join[a][a2]
             if not sasaki_preorder(lat, name, els[joined]):
                 continue
-            onto_joined = _sasaki_row(lat, joined)
+            onto_joined = lat._sasaki_row(joined)
             for x, (small, big) in enumerate(zip(onto_a, onto_joined)):
                 if not up[small] >> big & 1:
                     return CounterexampleWitness(
@@ -543,6 +519,31 @@ def _sup_or_none(f: PowersetMap) -> JoinMap | None:
         return sup_morphism(f)
     except TransitionMapError:
         return None
+
+
+def _measurement_pairs(measurements, sups, combine, expected) -> tuple[str, str] | None:
+    """First (a, b) by index, as names, where a or b has no join map or
+    ``sup_morphism`` does not send ``combine`` of their measurement maps to
+    ``expected`` of their join maps; None when there is none.  The verdict
+    depends only on the two maps, and measuring a and a' gives the same map,
+    so it is decided once per distinct pair of maps, each map keyed by the
+    first element measured to it.  Only passes are kept: the first failure
+    ends the search."""
+    els = measurements[0].lattice.elements
+    first: dict[tuple[int, ...], int] = {}
+    canon = [first.setdefault(tuple(f._masks), a) for a, f in enumerate(measurements)]
+    passed = set()
+    for a, b in itertools.product(range(len(measurements)), repeat=2):
+        key = (canon[a], canon[b])
+        if key in passed:
+            continue
+        sa, sb = sups[a], sups[b]
+        if sa is None or sb is None:
+            return (els[a], els[b])
+        if _sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
+            return (els[a], els[b])
+        passed.add(key)
+    return None
 
 
 def quantale_report(
@@ -592,15 +593,6 @@ def quantale_report(
 
     def join2(p, q):
         return pointwise_join([p, q])
-
-    def on_measurements(combine, expected):
-        for a, b in itertools.product(range(n), repeat=2):
-            sa, sb = sups[a], sups[b]
-            if sa is None or sb is None:
-                return (els[a], els[b])
-            if _sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
-                return (els[a], els[b])
-        return None
 
     def random_pairs():
         for i in range(pairs):
@@ -655,8 +647,10 @@ def quantale_report(
             ("random-map-agreement", random_map_agreement),
         ]
     laws += [
-        ("morphism-compose-measurements", lambda: on_measurements(quantale_compose, compose_join)),
-        ("morphism-union-measurements", lambda: on_measurements(union2, join2)),
+        ("morphism-compose-measurements",
+         lambda: _measurement_pairs(measurements, sups, quantale_compose, compose_join)),
+        ("morphism-union-measurements",
+         lambda: _measurement_pairs(measurements, sups, union2, join2)),
         ("morphism-random-pairs", random_pairs),
         ("surjectivity-lift-section", lift_section),
         ("branch-soundness", branch_soundness),
@@ -692,9 +686,9 @@ def random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
         if roll < 0.5:
             return sasaki_map(lat, rng.choice(lat.elements))
         if roll < 0.7:
-            return JoinMap(lat, _values=list(range(n)))
+            return JoinMap(lat, _values=bytes(range(n)))
         c = rng.choice(range(n))
-        return JoinMap(lat, _values=[zero if b == zero else c for b in range(n)])
+        return JoinMap(lat, _values=bytes([zero if b == zero else c for b in range(n)]))
 
     def chain() -> JoinMap:
         f = basic()

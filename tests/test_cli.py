@@ -13,7 +13,7 @@ from omlogic.cli import run
 from omlogic.derive import derive_chain, derive_measurement
 from omlogic.formats import parse_derivation, parse_lattice, serialize
 from omlogic.kernel import RuleApp
-from omlogic.lattice import hexagon, mo
+from omlogic.lattice import FiniteOrthoLattice, hexagon, mo
 from omlogic.syntax import Lolli, Sequent, ascii_sequent
 
 
@@ -54,6 +54,38 @@ class TestLatticeCommands:
         bad = tmp_path / "bad.lat"
         bad.write_text("lattice x\nelements 0 1\nleq 0 zz\nend\n")
         assert run(["lattice", "verify", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
+def mo128_file(tmp_path_factory):
+    """0, 1 and 128 orthocomplementary pairs of atoms: 258 elements, two more
+    than the propagation layer's byte tables hold."""
+    pairs = [(f"x{i}", f"x{i}'") for i in range(128)]
+    elements = ["0", *(e for pair in pairs for e in pair), "1"]
+    leq = [("0", e) for e in elements] + [(e, "1") for e in elements]
+    path = tmp_path_factory.mktemp("big") / "mo128.lat"
+    path.write_text(serialize(FiniteOrthoLattice("mo128", elements, leq, pairs)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["propagate", "--measure", "x0", "--set", "{x1}"],
+        ["prop1"],
+        ["counterexample", "order"],
+        ["quantale", "verify"],
+        ["crosscheck", "never-read.drv"],  # the lattice is refused first
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_more_than_256_elements_exit_2(mo128_file, argv, capsys):
+    assert run([*argv, "--lattice", mo128_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "the propagation layer handles at most 256 elements; 'mo128' has 258\n"
+    )
 
 
 class TestPropagate:

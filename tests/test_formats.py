@@ -136,6 +136,21 @@ class TestMapFormat:
         assert f.label == "ident"
         assert serialize(f).startswith("map ident over mo2\n")
 
+    def test_measured_maps_keep_their_own_labels(self):
+        # the lattice keeps the measurement masks, but each parse gets its own map
+        lat = mo(2)
+        f = parse_map("map first over mo2\nmeasure a\nend\n", lat)
+        g = parse_map("map second over mo2\nmeasure a\nend\n", lat)
+        assert (f.label, g.label) == ("first", "second")
+        assert f == g and f is not g
+        assert perfect_measurement_map(lat, "a").label is None
+
+    def test_measure_on_non_orthomodular_lattice_is_a_parse_error(self):
+        lat = hexagon()
+        for _ in range(2):  # a failed measurement is not kept: each parse raises
+            with pytest.raises(ParseError, match="'hexagon' is not orthomodular"):
+                parse_map("map m over hexagon\nmeasure a\nend\n", lat)
+
     def test_empty_image_allowed(self):
         lat = mo(2)
         rows = "\n".join(f"on {e} -> {{}}" for e in lat.nonzero())

@@ -102,6 +102,43 @@ def reference_oracle(f):
     return propagation.MapCheck(True)
 
 
+def reference_join_violation(lat, f):
+    """_join_violation on a list of indices, one row entry at a time."""
+    join = lat._table("join")
+    for j in lat._join_irreducibles():
+        row, fj = join[j], join[f[j]]
+        for y, jy in enumerate(row):
+            if f[jy] != fj[f[y]]:
+                return j, y
+    return None
+
+
+def reference_compose_join(f, g):
+    """compose_join on lists of indices: apply g, then f."""
+    return [f[v] for v in g]
+
+
+def reference_pointwise_join(lat, maps):
+    """pointwise_join on lists of indices, one join at a time."""
+    join = lat._table("join")
+    values = [lat._zero] * len(lat)
+    for m in maps:
+        values = [join[s][v] for s, v in zip(values, m)]
+    return values
+
+
+def unmemoized_pairs(measurements, sups, combine, expected):
+    """The measurement-pair law deciding every pair (a, b), equal maps or not."""
+    els = measurements[0].lattice.elements
+    for a, b in itertools.product(range(len(measurements)), repeat=2):
+        sa, sb = sups[a], sups[b]
+        if sa is None or sb is None:
+            return (els[a], els[b])
+        if propagation._sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
+            return (els[a], els[b])
+    return None
+
+
 def v_poset():
     """0 < a, b and a 1 above nothing: no join for (0, 1), no orthocomplement
     for a or b."""
@@ -343,6 +380,45 @@ class TestTransitionMembership:
                 verdicts.add(check.ok)
         assert verdicts == {True, False}
 
+    def test_byte_join_map_ops_match_reference(self):
+        rng = random.Random(13)
+        verdicts, witnesses = set(), set()
+        # with 1 first, a failure can show first at y = index 0
+        top_first = FiniteOrthoLattice(
+            "mo2_top_first", ["1", "a", "a'", "0", "b", "b'"], mo(2).covers(), mo(2).ortho_pairs()
+        )
+        for lat in (boolean(3), mo(3), hexagon(), chain4(), mo2_reordered(), top_first):
+            n, zero = len(lat), lat._zero
+            # arbitrary self-maps fixing 0, most of which do not preserve joins
+            maps = [
+                JoinMap(lat, _values=bytes([zero if b == zero else rng.randrange(n) for b in range(n)]))
+                for _ in range(60)
+            ]
+            joins = [sasaki_map(lat, e) for e in lat.elements]
+            if lat.verify().ok:
+                joins += [random_join_map(lat, rng) for _ in range(20)]
+            # each moved at one nonzero element, so they fail at few pairs
+            for f in joins:
+                values = bytearray(f._values)
+                values[rng.choice([b for b in range(n) if b != zero])] = rng.randrange(n)
+                maps += [f, JoinMap(lat, _values=bytes(values))]
+            for f in maps:
+                bad = propagation._join_violation(lat, f._values)
+                assert bad == reference_join_violation(lat, list(f._values)), (lat.name, f._values)
+                verdicts.add(bad is None)
+                witnesses.add(bad)
+            for _ in range(40):
+                f, g = rng.choice(maps), rng.choice(maps)
+                assert list(compose_join(f, g)._values) == reference_compose_join(
+                    list(f._values), list(g._values)
+                )
+                parts = rng.sample(maps, rng.randint(1, 3))
+                assert list(pointwise_join(parts)._values) == reference_pointwise_join(
+                    lat, [list(m._values) for m in parts]
+                )
+        assert verdicts == {True, False}
+        assert len(witnesses) > 10
+
     def test_oracle_rejects_more_than_256_elements(self):
         # 0, 1 and 255 atoms: the oracle refuses before enumerating anything
         atoms = [f"x{i}" for i in range(255)]
@@ -436,6 +512,25 @@ class TestQuantaleOps:
                 assert sup_morphism(quantale_union([f, g])) == pointwise_join(
                     [sup_morphism(f), sup_morphism(g)]
                 )
+
+    def test_memoized_pair_law_finds_the_first_failing_pair(self):
+        # deliberately wrong expectations: the memo must return the pair that
+        # deciding every pair returns, and must still find that nothing fails
+        wrong = [
+            (quantale_compose, lambda p, q: compose_join(q, p)),
+            (quantale_compose, lambda p, q: compose_join(p, p)),
+            (quantale_compose, lambda p, q: compose_join(q, q)),
+            (lambda f, g: quantale_union([f, g]), lambda p, q: p),
+        ]
+        found = set()
+        for lat in (mo(2), mo(3), boolean(2), mo2_reordered()):
+            measurements = [perfect_measurement_map(lat, a) for a in lat.elements]
+            sups = [propagation._sup_or_none(f) for f in measurements]
+            for combine, expected in wrong:
+                got = propagation._measurement_pairs(measurements, sups, combine, expected)
+                assert got == unmemoized_pairs(measurements, sups, combine, expected), lat.name
+                found.add(got)
+        assert {None, ("0", "a"), ("a", "0"), ("a", "b'")} <= found
 
     def test_morphism_laws_on_random_transition_pairs(self):
         rng = random.Random(29)
