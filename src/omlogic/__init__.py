@@ -3,7 +3,6 @@ non-commutative substructural proof kernel, with parsers and a CLI."""
 
 from omlogic.axioms import (
     SCHEMAS,
-    AxiomSchema,
     GuardViolation,
     UnknownSchemaError,
     instantiate_axiom,

@@ -11,11 +11,10 @@ Implication-shaped schemas conclude an empty-context sequent by default;
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping
+from typing import Mapping
 
 from omlogic.lattice import FiniteOrthoLattice
 from omlogic.propagation import PowersetMap, kill_set
-from omlogic.record import Record
 from omlogic.syntax import (
     Induced,
     Lolli,
@@ -30,7 +29,6 @@ from omlogic.syntax import (
 __all__ = [
     "GuardViolation",
     "UnknownSchemaError",
-    "AxiomSchema",
     "SCHEMAS",
     "instantiate_axiom",
     "unfolded",
@@ -45,19 +43,6 @@ class GuardViolation(Exception):
 
 class UnknownSchemaError(Exception):
     pass
-
-
-class AxiomSchema(Record):
-    """Name, parameter signature, guard description, and the instantiation
-    body.  ``params`` is documentation; variadic schemas validate keys
-    themselves."""
-
-    __slots__ = ("name", "params", "guard", "build")
-
-    name: str
-    params: tuple[str, ...]
-    guard: str
-    build: Callable[[FiniteOrthoLattice, dict[str, str], MapRegistry], Sequent]
 
 
 def _need(bindings: dict[str, str], *names: str) -> list[str]:
@@ -153,18 +138,15 @@ def _general_propagation(lat, bindings, maps):
     return _implication(lat, make(Tensor, make(Induced, alpha), actual(lat, x)), rhs)
 
 
-SCHEMAS: dict[str, AxiomSchema] = {
-    s.name: s
-    for s in (
-        AxiomSchema("OQL-Meet", ("x1", "..."), "meet nonzero", _oql_meet),
-        AxiomSchema("OQL-Join", ("x", "y"), "none", _oql_join),
-        AxiomSchema("Trans", ("y", "z"), "projection nonzero", _trans),
-        AxiomSchema("Adjust1", ("x", "y"), "y !<= x, y !<= ortho(x)", _adjust1),
-        AxiomSchema("Adjust2", ("x", "y"), "y <= x", _adjust2),
-        AxiomSchema(
-            "GeneralPropagation", ("alpha", "x"), "x !in K(alpha)", _general_propagation
-        ),
-    )
+# each schema's builder: it checks the bindings and the guard, and builds the
+# conclusion in the lattice's store
+SCHEMAS = {
+    "OQL-Meet": _oql_meet,
+    "OQL-Join": _oql_join,
+    "Trans": _trans,
+    "Adjust1": _adjust1,
+    "Adjust2": _adjust2,
+    "GeneralPropagation": _general_propagation,
 }
 
 
@@ -182,13 +164,16 @@ def instantiate_axiom(
     """
     if schema not in SCHEMAS:
         raise UnknownSchemaError(f"unknown axiom schema {schema!r}")
-    seq = SCHEMAS[schema].build(lat, dict(bindings), maps or {})
-    return unfolded(seq) if unfold else seq
+    seq = SCHEMAS[schema](lat, dict(bindings), maps or {})
+    return unfolded(lat, seq) if unfold else seq
 
 
-def unfolded(seq: Sequent) -> Sequent:
-    """An implication-shaped conclusion ``|- A -o B`` as ``A |- B``; any
-    other sequent unchanged."""
-    if not seq.context and isinstance(seq.succedent, Lolli):
-        return Sequent((seq.succedent.antecedent,), seq.succedent.consequent)
-    return seq
+def unfolded(lat: FiniteOrthoLattice, seq: Sequent) -> Sequent:
+    """An implication-shaped conclusion ``|- A -o B`` as ``A |- B``, built in
+    the lattice's store, which must own ``seq``; any other sequent
+    unchanged."""
+    f = seq.succedent
+    if seq.context or not isinstance(f, Lolli):
+        return seq
+    make = lat._store.make
+    return make(Sequent, make(tuple, f.antecedent), f.consequent)

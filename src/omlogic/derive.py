@@ -303,7 +303,7 @@ def semantic_crosscheck(
         return CrosscheckResult(
             False, reason=f"derivation invalid at {fail.path}: {fail.reason}"
         )
-    seq = unfolded(d.conclusion)
+    seq = unfolded(lat, lat._store.intern(d.conclusion))
     ctx = seq.context[0] if len(seq.context) == 1 else None
 
     chain = _measurement_chain(ctx)

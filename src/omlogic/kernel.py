@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from omlogic.axioms import GuardViolation, MapRegistry, SCHEMAS, instantiate_axiom, unfolded
+from omlogic.axioms import (
+    GuardViolation, MapRegistry, UnknownSchemaError, instantiate_axiom, unfolded
+)
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
 from omlogic.propagation import kill_set
 from omlogic.record import Record
@@ -127,20 +129,16 @@ class CheckResult(Record):
 _VALID = CheckResult()  # every valid verdict: records are immutable, so one is shared
 
 def _eval_guard(
-    lat: FiniteOrthoLattice,
-    guard: tuple[Constraint, ...],
-    subject: Term,
-    maps: MapRegistry,
+    lat: FiniteOrthoLattice, guard: tuple[Constraint, ...], w: str, maps: MapRegistry
 ) -> str | None:
-    """Evaluate a guard for a ground subject; returns the violated constraint
-    text, or None when all conjuncts hold."""
-    if not isinstance(subject, Const):
-        return f"witness {ascii_term(subject)} is not ground"
-    w = subject.name
+    """Evaluate a guard for the element ``w``; returns the violated
+    constraint text, or None when all conjuncts hold."""
     for c in guard:
         if c.op == "!inK":
             if c.rhs not in maps:
                 return f"unknown propagation map {c.rhs!r}"
+            if maps[c.rhs].lattice != lat:
+                return f"map {c.rhs!r} is over a different lattice"
             if w == "0" or w in kill_set(maps[c.rhs]):
                 return f"!in K({c.rhs}) fails for {w}"
             continue
@@ -160,28 +158,23 @@ def check_derivation(
     """Validate every node; the verdict carries the first failing node (in
     post-order) with its path from the root, a reason and its conclusion.
 
-    The walk keeps an explicit stack, so a tree of any depth gets a verdict.
-    Each node found valid is remembered by identity and skipped wherever it
-    occurs again: in a shared subproof, in a later call on the same tree, in
-    another tree that shares it.  The tree is first taken into the lattice's
-    store (a tree built or parsed over the lattice is there already, and any
-    other is copied in once), so equal trees are one tree and the memo lives
-    in the store, which keeps every node it names alive.  A call with a map
-    registry checks the tree as given with a memo of its own, because its
-    verdicts depend on the maps.  Only valid verdicts are kept, so the first
-    failing node, its path and its reason are those of a full walk, and the
-    failure names the node of the tree as given.
+    The tree is first taken into the lattice's store (a tree built or parsed
+    over the lattice is there already, and any other is copied in once), so
+    equal trees are one tree and every part the rules compare or build is
+    the store's.  The walk keeps an explicit stack, so a tree of any depth
+    gets a verdict.  Each node found valid is remembered by identity and
+    skipped wherever it occurs again: in a shared subproof, in a later call
+    on the same tree, in another tree that shares it.  The memo lives in the
+    store, which keeps every node it names alive; a call with a map registry
+    keeps a memo of its own, because its verdicts depend on the maps.  Only
+    valid verdicts are kept, so the first failing node, its path and its
+    reason are those of a full walk, and the failure names the node of the
+    tree as given.
     """
-    given = d
-    if maps:
-        valid = set()  # this call's memo; d keeps every node in it alive
-    else:
-        valid = lat._store.verdicts
-        if id(d) in valid:  # an id there is a node the store keeps alive, so d
-            return _VALID
-        d = lat._store.intern(d)
-        if id(d) in valid:
-            return _VALID
+    given, d = d, lat._store.intern(d)
+    valid = set() if maps else lat._store.verdicts
+    if id(d) in valid:
+        return _VALID
     maps = maps or {}
     stack = [[d, 0]]  # the node being checked and its ancestors, each with its next child
     while stack:
@@ -223,15 +216,13 @@ def _failure(d: Derivation, path: list[int], reason: str) -> CheckResult:
 
 
 def _check_axiom(lat, node: AxiomApp, maps) -> str | None:
-    if node.schema not in SCHEMAS:
-        return f"unknown axiom schema {node.schema!r}"
     try:
         base = instantiate_axiom(lat, node.schema, dict(node.bindings), maps)
     except GuardViolation as g:
         return f"guard violated: {g}"
-    except (LatticeError, ValueError) as err:
+    except (LatticeError, ValueError, UnknownSchemaError) as err:
         return str(err)
-    if node.conclusion not in (base, unfolded(base)):
+    if node.conclusion != base and node.conclusion != unfolded(lat, base):
         return "conclusion does not match the instantiated schema"
     return None
 
@@ -333,7 +324,7 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
             expected = (
                 right.context[:j]
                 + left.context
-                + (Lolli(left.succedent, f),)
+                + (lat._store.make(Lolli, left.succedent, f),)
                 + right.context[j + 1 :]
             )
             if ctx == expected:
@@ -353,30 +344,28 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
                 return f"eigenvariable {rhs.var!r} is free in the context"
         return None
 
-    if rule == "forall_l":
-        (p,) = prem
-        if node.witness is None:
-            return "forall_l requires an explicit witness term"
-        witness = normalize_term(node.witness, lat)
-        if not isinstance(witness, Const):
-            return f"witness {ascii_term(node.witness)} is not ground"
-        if rhs != p.succedent:
-            return "forall_l changes the succedent"
-        failure = None
-        for j, f in enumerate(ctx):
-            if not isinstance(f, Forall):
-                continue
-            try:
-                instance = substitute(f.body, f.var, witness, lat)
-            except ValueError as err:  # the witness makes an In or R atom absurd
-                failure = f"instance for witness {witness.name}: {err}"
-                continue
-            if p.context != ctx[:j] + (instance,) + ctx[j + 1 :]:
-                continue
-            violation = _eval_guard(lat, f.guard, witness, maps)
-            if violation is None:
-                return None
-            failure = f"guard violated: {violation}"
-        return failure or "no quantifier position matches the instantiated premise"
-
-    return f"unknown rule {rule!r}"
+    # forall_l, the last rule
+    (p,) = prem
+    if node.witness is None:
+        return "forall_l requires an explicit witness term"
+    witness = normalize_term(node.witness, lat)
+    if not isinstance(witness, Const):
+        return f"witness {ascii_term(node.witness)} is not ground"
+    if rhs != p.succedent:
+        return "forall_l changes the succedent"
+    failure = None
+    for j, f in enumerate(ctx):
+        if not isinstance(f, Forall):
+            continue
+        try:
+            instance = substitute(f.body, f.var, witness, lat)
+        except ValueError as err:  # the witness makes an In or R atom absurd
+            failure = f"instance for witness {witness.name}: {err}"
+            continue
+        if p.context != ctx[:j] + (instance,) + ctx[j + 1 :]:
+            continue
+        violation = _eval_guard(lat, f.guard, witness.name, maps)
+        if violation is None:
+            return None
+        failure = f"guard violated: {violation}"
+    return failure or "no quantifier position matches the instantiated premise"

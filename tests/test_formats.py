@@ -96,6 +96,34 @@ end
             parse_lattice("lattice x\nelements 0 1\nfoo 0 1\nend\n")
         assert "leq" in err.value.expected
 
+    @pytest.mark.parametrize("text, message, length", [
+        ("lattice x\nelements 0 1\nend\nleq 0 1\n", "4:1: content after 'end'", 3),
+        ("lattice x y\nelements 0 1\nend\n",
+         "1:1: malformed 'lattice' line (expected lattice <name>)", 7),
+        ("lattice x\nlattice y\nend\n",
+         "2:1: malformed 'lattice' line (expected lattice <name>)", 7),
+        ("elements 0 1\nlattice x\nend\n",
+         "1:1: file must start with 'lattice <name>' (expected lattice)", 8),
+        ("lattice x\nelements\nend\n", "2:1: 'elements' needs at least one name", 8),
+        ("lattice x\nelements 0 1\nleq 0\nend\n", "3:1: 'leq' takes two element names", 3),
+        ("lattice x\nelements 0 1\northo 0 1 1\nend\n",
+         "3:1: 'ortho' takes two element names", 5),
+        ("lattice x\nelements 0 a 1 a\nend\n", "2:16: duplicate element name 'a'", 1),
+        ("lattice x\nelements 0 1\nfoo 0 1\nend\n",
+         "3:1: unknown directive 'foo' (expected elements, end, leq, ortho)", 3),
+        ("# nothing\n\n", "1:1: empty lattice file (expected lattice)", 1),
+        ("lattice x\nelements 0 1\nleq 0 1\n", "4:1: missing 'end' (expected end)", 1),
+    ], ids=[
+        "content after end", "lattice line arity", "second lattice line", "no lattice line",
+        "empty elements", "leq arity", "ortho arity", "duplicate element", "unknown directive",
+        "empty file", "missing end",
+    ])
+    def test_line_error(self, text, message, length):
+        with pytest.raises(ParseError) as err:
+            parse_lattice(text)
+        assert str(err.value) == message
+        assert err.value.span.length == length
+
 
 class TestMapFormat:
     def test_measure_form_expands(self):
@@ -156,6 +184,42 @@ class TestMapFormat:
         rows = "\n".join(f"on {e} -> {{}}" for e in lat.nonzero())
         f = parse_map(f"map dead over mo2\n{rows}\nend\n", lat)
         assert all(not img for _, img in f.items())
+
+    @pytest.mark.parametrize("text, message, length", [
+        ("map m over\nmeasure a\nend\n",
+         "1:1: malformed 'map' line (expected map <name> over <lattice>)", 3),
+        ("map m onto mo2\nmeasure a\nend\n",
+         "1:1: malformed 'map' line (expected map <name> over <lattice>)", 3),
+        ("map m over mo2\nmap n over mo2\nend\n",
+         "2:1: malformed 'map' line (expected map <name> over <lattice>)", 3),
+        ("map m over mo3\nmeasure a\nend\n", "1:12: map is over lattice 'mo3', not 'mo2'", 3),
+        ("measure a\nend\n",
+         "1:1: file must start with 'map <name> over <lattice>' (expected map)", 7),
+        ("map m over mo2\nmeasure a b\nend\n", "2:1: 'measure' takes one element", 7),
+        ("map m over mo2\non a {a}\nend\n",
+         "2:1: malformed 'on' line (expected on <element> -> {…})", 2),
+        ("map m over mo2\non a -> {a}\non a -> {a}\nend\n",
+         "3:4: duplicate 'on' line for 'a'", 1),
+        ("map m over mo2\nmeasure a\non a -> {a}\nend\n",
+         "1:1: 'measure' and 'on' lines cannot be mixed", 1),
+        ("map m over mo2\non a -> {a}\nend\n",
+         "1:1: missing 'on' line for \"a'\" (expected on)", 1),
+        ("\n# empty\n", "1:1: empty map file (expected map)", 1),
+        ("map m over mo2\nmeasure a\nend\nmeasure b\n", "4:1: content after 'end'", 7),
+        ("map m over mo2\nmeasure a\nfoo\nend\n",
+         "3:1: unknown directive 'foo' (expected end, measure, on)", 3),
+        ("map m over mo2\nmeasure a\n", "3:1: missing 'end' (expected end)", 1),
+    ], ids=[
+        "map line arity", "map line without over", "second map line", "other lattice",
+        "no map line", "measure arity", "malformed on line", "duplicate on line",
+        "measure and on mixed", "missing on line", "empty file", "content after end",
+        "unknown directive", "missing end",
+    ])
+    def test_line_error(self, text, message, length):
+        with pytest.raises(ParseError) as err:
+            parse_map(text, mo(2))
+        assert str(err.value) == message
+        assert err.value.span.length == length
 
 
 class TestFormulaGrammar:

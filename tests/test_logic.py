@@ -362,7 +362,126 @@ class TestAxioms:
             instantiate_axiom(mo(2), "Trans", {"y": "b"})
 
 
+def _id(formula: str) -> str:
+    return f'(rule id (seq "{formula} |- {formula}"))'
+
+
+A, B = _id("In(a)"), _id("In(b)")
+
+
+def dead_map(lat) -> PowersetMap:
+    """A map on mo(2)'s element names whose kill set is {a}."""
+    return PowersetMap(lat, {"a": set(), "a'": {"a'"}, "b": {"b"}, "b'": {"b'"}, "1": {"1"}})
+
+
+# Every reason the kernel can give, on mo(2): (tree, path, rule, reason).  A
+# tree is derivation text, or a function of the lattice for what the parser
+# refuses; a tree whose text names K(kill) is checked with dead_map as "kill".
+REASONS = [
+    (lambda lat: RuleApp("weaken", Sequent((), actual(lat, "a")), ()),
+     (), "weaken", "unknown rule 'weaken'"),
+    ('(rule cut (seq "In(a) |- In(a)"))', (), "cut", "cut expects 2 premises, got 0"),
+    ('(rule id (seq "In(a) |- In(a)") (witness a))', (), "id", "id takes no witness"),
+    ('(rule id (seq "In(a) |- In(b)"))',
+     (), "id", "id requires a single context formula equal to the succedent"),
+    ('(rule plus_r1 (seq "In(a) |- In(a) + In(b)") (rule id (seq "In(a) |- In(b)")))',
+     (0,), "id", "id requires a single context formula equal to the succedent"),
+    (lambda lat: RuleApp("plus_r1", Sequent((), actual(lat, "a")), ("leaf",)),
+     (0,), "?", "not a derivation node: 'leaf'"),
+    (f'(rule cut (seq "In(a) |- In(b)") {A} {A})',
+     (), "cut", "cut conclusion succedent differs from the right premise"),
+    (f'(rule cut (seq "In(b) |- In(a)") {A} {A})',
+     (), "cut", "no cut-formula position reproduces the conclusion context"),
+    (f'(rule tensor_r (seq "In(a), In(b) |- In(a) + In(b)") {A} {B})',
+     (), "tensor_r", "tensor_r succedent is not a tensor"),
+    (f'(rule tensor_r (seq "In(a), In(b) |- In(b) * In(a)") {A} {B})',
+     (), "tensor_r", "tensor parts differ from the premise succedents"),
+    (f'(rule tensor_r (seq "In(b), In(a) |- In(a) * In(b)") {A} {B})',
+     (), "tensor_r", "context is not the ordered concatenation of the premises"),
+    (f'(rule tensor_l (seq "In(a) * In(b) |- In(b)") {A})',
+     (), "tensor_l", "tensor_l changes the succedent"),
+    (f'(rule tensor_l (seq "In(b) * In(a) |- In(a)") {A})',
+     (), "tensor_l", "no tensor position splits into the premise context"),
+    (f'(rule plus_r1 (seq "In(a) |- In(a) * In(b)") {A})',
+     (), "plus_r1", "plus_r1 succedent is not a plus"),
+    (f'(rule plus_r2 (seq "In(a) |- In(a) * In(b)") {A})',
+     (), "plus_r2", "plus_r2 succedent is not a plus"),
+    (f'(rule plus_r2 (seq "In(a) |- In(a) + In(b)") {A})',
+     (), "plus_r2", "selected disjunct differs from the premise succedent"),
+    (f'(rule plus_r2 (seq "In(b), In(b) |- In(a) + In(b)") {B})',
+     (), "plus_r2", "plus_r2 changes the context"),
+    (f'(rule plus_l (seq "In(a) + In(b) |- In(a)") {A} {B})',
+     (), "plus_l", "plus_l premises must share the conclusion succedent"),
+    (f'(rule plus_l (seq "In(b) + In(a) |- In(a)") {A} {A})',
+     (), "plus_l", "no plus position matches both premise contexts"),
+    (f'(rule lolli_r (seq "|- In(a) * In(a)") {A})',
+     (), "lolli_r", "lolli_r succedent is not an implication"),
+    (f'(rule lolli_r (seq "|- In(a) -o In(b)") {A})',
+     (), "lolli_r", "premise succedent differs from the consequent"),
+    (f'(rule lolli_r (seq "In(a) |- In(a) -o In(a)") {A})',
+     (), "lolli_r", "premise context must be the antecedent followed by the context"),
+    (f'(rule lolli_l (seq "In(a), In(a) -o In(b) |- In(a)") {A} {B})',
+     (), "lolli_l", "lolli_l conclusion succedent differs from the right premise"),
+    (f'(rule lolli_l (seq "In(a) -o In(b), In(a) |- In(b)") {A} {B})',
+     (), "lolli_l", "no implication position reproduces the conclusion context"),
+    (f'(rule forall_r (seq "In(a) |- In(a)") {A})',
+     (), "forall_r", "forall_r succedent is not a quantifier"),
+    (f'(rule forall_r (seq "In(a) |- forall x . In(b)") {A})',
+     (), "forall_r", "premise succedent differs from the quantifier body"),
+    (f'(rule forall_r (seq "In(a), In(a) |- forall x . In(a)") {A})',
+     (), "forall_r", "forall_r changes the context"),
+    (f'(rule forall_r (seq "In(x) |- forall x . In(x)") {_id("In(x)")})',
+     (), "forall_r", "eigenvariable 'x' is free in the context"),
+    (f'(rule forall_l (seq "forall x . In(x) |- In(a)") {A})',
+     (), "forall_l", "forall_l requires an explicit witness term"),
+    (f'(rule forall_l (seq "forall x . In(x) |- In(a)") (witness y) {A})',
+     (), "forall_l", "witness y is not ground"),
+    (f'(rule forall_l (seq "forall x . In(x) |- In(b)") (witness a) {A})',
+     (), "forall_l", "forall_l changes the succedent"),
+    (f'(rule forall_l (seq "forall x . In(ortho(x)) |- In(a)") (witness 1) {A})',
+     (), "forall_l", "instance for witness 1: In cannot hold the absurd property 0"),
+    (f'(rule forall_l (seq "forall x . In(x) |- In(a)") (witness b) {A})',
+     (), "forall_l", "no quantifier position matches the instantiated premise"),
+    (f'(rule forall_l (seq "forall x {{<= b}} . In(x) |- In(a)") (witness a) {A})',
+     (), "forall_l", "guard violated: <= b fails for a"),
+    (f'(rule forall_l (seq "forall x {{!<= a}} . In(x) |- In(a)") (witness a) {A})',
+     (), "forall_l", "guard violated: !<= a fails for a"),
+    (f'(rule forall_l (seq "forall x {{<= y}} . In(x) |- In(a)") (witness a) {A})',
+     (), "forall_l", "guard violated: guard bound y is not ground"),
+    (f'(rule forall_l (seq "forall x {{!in K(f)}} . In(x) |- In(a)") (witness a) {A})',
+     (), "forall_l", "guard violated: unknown propagation map 'f'"),
+    (f'(rule forall_l (seq "forall x {{!in K(kill)}} . In(x) |- In(a)") (witness a) {A})',
+     (), "forall_l", "guard violated: !in K(kill) fails for a"),
+    ('(axiom Nope (bind) (seq "In(a) |- In(a)"))',
+     (), "axiom Nope", "unknown axiom schema 'Nope'"),
+    ('(axiom Adjust1 (bind x=a y=a) (seq "In(a) |- In(a)"))',
+     (), "axiom Adjust1", "guard violated: y !<= x violated: a <= a"),
+    ('(axiom Trans (bind y=b z=q) (seq "In(a) |- In(a)"))',
+     (), "axiom Trans", "unknown element 'q' in lattice 'mo2'"),
+    ('(axiom OQL-Join (bind x=0 y=a) (seq "In(a) |- In(a)"))',
+     (), "axiom OQL-Join", "In cannot hold the absurd property 0"),
+    ('(axiom Trans (bind y=b z=a) (seq "In(a) |- In(a)"))',
+     (), "axiom Trans", "conclusion does not match the instantiated schema"),
+]
+
+
 class TestKernelRules:
+    @pytest.mark.parametrize("tree, path, rule, reason", REASONS, ids=[r[3] for r in REASONS])
+    def test_every_reason(self, tree, path, rule, reason):
+        lat = mo(2)
+        maps = None
+        if callable(tree):
+            d = tree(lat)
+        else:
+            d = parse_derivation(tree, lat)
+            maps = {"kill": dead_map(lat)} if "K(kill)" in tree else None
+        failure = check_derivation(lat, d, maps).failure
+        assert (failure.path, failure.rule, failure.reason) == (path, rule, reason)
+        node = d
+        for i in path:
+            node = node.children[i]
+        assert failure.conclusion == getattr(node, "conclusion", None)
+
     def test_id_leaf(self):
         lat = mo(2)
         d = RuleApp("id", Sequent((In("a"),), In("a")), ())
@@ -565,10 +684,7 @@ class TestQuantifierRules:
 
     def test_forall_l_kill_set_guard(self):
         lat = mo(2)
-        dead = PowersetMap(
-            lat, {"a": set(), "a'": {"a'"}, "b": {"b"}, "b'": {"b'"}, "1": {"1"}}
-        )
-        maps = {"f": dead}
+        maps = {"f": dead_map(lat)}
         quantified = Forall("x", (Constraint("!inK", "f"),), Actual(Var("x")))
 
         def node(el):
@@ -580,6 +696,23 @@ class TestQuantifierRules:
         assert check_derivation(lat, node("b"), maps).valid
         res = check_derivation(lat, node("a"), maps)
         assert not res.valid and "K(f)" in res.failure.reason
+
+    def test_forall_l_kill_guard_refuses_a_map_of_another_lattice(self):
+        # read by element name, this map over boolean(2) would kill a and spare b
+        lat = mo(2)
+        maps = {"kill": PowersetMap(boolean(2), {"a": set(), "b": {"b"}, "1": {"1"}})}
+        reason = "map 'kill' is over a different lattice"
+        for w in ("a", "b"):
+            text = (f'(rule forall_l (seq "forall x {{!in K(kill)}} . In(x) |- In({w})")'
+                    f' (witness {w}) {_id(f"In({w})")})')
+            failure = check_derivation(lat, parse_derivation(text, lat), maps).failure
+            assert (failure.path, failure.reason) == ((), f"guard violated: {reason}")
+        # the GeneralPropagation schema refuses the map with the same text
+        with pytest.raises(GuardViolation, match=f"^{reason}$"):
+            instantiate_axiom(lat, "GeneralPropagation", {"alpha": "kill", "x": "b"}, maps)
+        # a map over an equal lattice is read as over this one
+        text = f'(rule forall_l (seq "forall x {{!in K(kill)}} . In(x) |- In(b)") (witness b) {B})'
+        assert check_derivation(lat, parse_derivation(text, lat), {"kill": dead_map(mo(2))}).valid
 
 
 def plus_r1_chain(depth: int, corrupt_at: int | None = None) -> RuleApp:
