@@ -163,10 +163,7 @@ def _cmd_propagate(args) -> int:
     if args.measure:
         if args.measure not in lat:
             raise _Exit(USAGE_ERROR, f"unknown element {args.measure!r}")
-        try:
-            f = perfect_measurement_map(lat, args.measure)
-        except ValueError as err:
-            raise _Exit(CHECK_FAILED, str(err))
+        f = perfect_measurement_map(lat, args.measure)
     else:
         f = _load(args.map, parse_map, lat)
     initial = _parse_set(args.set, lat)
@@ -231,9 +228,12 @@ def _cmd_prop1(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    lat = _load(args.lattice, parse_lattice)
+    lat = _load_for_maps(args.lattice)
+    chain = [args.measure, *args.then]
+    for m in chain:  # a lattice that cannot measure m is refused before any proof
+        perfect_measurement_map(lat, m)
     try:
-        d = derive_chain(lat, args.actual, [args.measure, *args.then])
+        d = derive_chain(lat, args.actual, chain)
     except (GuardViolation, ValueError) as err:
         raise _Exit(CHECK_FAILED, str(err))
     verdict = check_derivation(lat, d)

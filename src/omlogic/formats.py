@@ -807,7 +807,7 @@ def _(lat: FiniteOrthoLattice) -> str:
 def _(f: PowersetMap) -> str:
     lat = f.lattice
     lines = [f"map {f.label or 'unnamed'} over {lat.name}"]
-    if f.kind == "measurement" and f.measured is not None:
+    if f.measured is not None:
         lines.append(f"measure {f.measured}")
     else:
         for el, img in f.items():

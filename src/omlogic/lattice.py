@@ -46,8 +46,9 @@ class IncompleteLatticeError(LatticeError):
     """A meet or join was requested for a pair that has none."""
 
 
-class NotOrthomodularError(LatticeError):
-    """An operation requiring a verified orthomodular lattice was refused."""
+class NotOrthomodularError(LatticeError, ValueError):
+    """An operation requiring a verified orthomodular lattice was refused.
+    Also a ValueError, so a caller catching that still catches the refusal."""
 
 
 class LawCheck(Record):
@@ -359,8 +360,8 @@ class FiniteOrthoLattice:
         element b, holding the nonzero Sasaki projections of b onto a and onto
         a' (none onto an outcome whose opposite is above b), and empty for 0.
         Computed once per element from the Sasaki rows.  Raises
-        :class:`ValueError` when a branch projects to 0, which an orthomodular
-        lattice never does; nothing is kept then."""
+        :class:`NotOrthomodularError` when a branch projects to 0, which an
+        orthomodular lattice never does; nothing is kept then."""
         masks = self._measured.get(a)
         if masks is None:
             ao = self._ortho_of(a)
@@ -374,7 +375,7 @@ class FiniteOrthoLattice:
                     if up[b] >> opposite & 1:
                         continue  # b is under the opposite outcome: no branch
                     if onto[b] == zero:
-                        raise ValueError(
+                        raise NotOrthomodularError(
                             f"measuring {names[a]!r}: the branch onto {names[outcome]!r} "
                             f"projects {names[b]!r} to 0 although {names[b]!r} is not "
                             f"below {names[opposite]!r}, so lattice {self.name!r} is "

@@ -89,8 +89,7 @@ def random_map(lat: FiniteOrthoLattice, rng: random.Random) -> PowersetMap:
     if rng.random() < 0.3 and lat.verify().ok:
         f = perfect_measurement_map(lat, rng.choice(lat.nonzero()))
         return PowersetMap(
-            lat, dict(f.items()), kind="measurement",
-            label=f"m{rng.randrange(100)}", measured=f.measured,
+            lat, dict(f.items()), label=f"m{rng.randrange(100)}", measured=f.measured,
         )
     domain = lat.nonzero()
     action = {b: {e for e in domain if rng.random() < 0.3} for b in domain}

@@ -76,6 +76,7 @@ def mo128_file(tmp_path_factory):
         ["counterexample", "order"],
         ["quantale", "verify"],
         ["crosscheck", "never-read.drv"],  # the lattice is refused first
+        ["prove", "measurement", "--actual", "x0", "--measure", "x1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -86,6 +87,69 @@ def test_more_than_256_elements_exit_2(mo128_file, argv, capsys):
     assert captured.err == (
         "the propagation layer handles at most 256 elements; 'mo128' has 258\n"
     )
+
+
+# what each command does on the hexagon, an ortholattice that is not
+# orthomodular: a command that measures is refused with the measurement's
+# text (exit 1); one that needs a verified lattice names the failing law
+# (exit 1); `check` and `axiom instantiate`, defined on any ortholattice, run
+HEX_MEASURE_A = (
+    "measuring 'a': the branch onto \"a'\" projects 'b' to 0 although 'b' is not "
+    "below 'a', so lattice 'hexagon' is not orthomodular\n"
+)
+HEX_MEASURE_B = (
+    "measuring 'b': the branch onto 'b' projects \"a'\" to 0 although \"a'\" is not "
+    "below \"b'\", so lattice 'hexagon' is not orthomodular\n"
+)
+HEX_UNVERIFIED = "lattice 'hexagon' fails: orthomodularity\n"
+HEX_VERIFY = "".join(
+    f"PASS {law}\n"
+    for law in ("structure", "reflexivity", "antisymmetry", "transitivity", "bounds",
+                "completeness", "ortho-involution", "ortho-antitone", "complement-meet",
+                "complement-join")
+) + "FAIL orthomodularity  witness (a, b)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["lattice", "verify", "LAT"], 1, HEX_VERIFY, ""),
+        (["propagate", "--lattice", "LAT", "--measure", "b", "--set", "{a'}"],
+         1, "", HEX_MEASURE_B),
+        (["propagate", "--lattice", "LAT", "--map", "MAP", "--set", "{a'}"],
+         2, "", "MAP: 1:1: " + HEX_MEASURE_A),
+        (["prop1", "--lattice", "LAT"], 1, "", HEX_UNVERIFIED),
+        (["quantale", "verify", "--lattice", "LAT"], 1, "", HEX_UNVERIFIED),
+        (["counterexample", "order", "--lattice", "LAT"], 1, "", HEX_UNVERIFIED),
+        (["prove", "measurement", "--lattice", "LAT", "--actual", "a", "--measure", "b"],
+         1, "", HEX_MEASURE_B),
+        (["prove", "measurement", "--lattice", "LAT", "--actual", "b", "--measure", "a"],
+         1, "", HEX_MEASURE_A),
+        (["prove", "measurement", "--lattice", "LAT", "--actual", "b", "--measure", "1"],
+         0, "M(1) * (In(b) * R(b)) |- In(b) * R(b)\n", ""),
+        (["check", "DRV", "--lattice", "LAT"], 0, "PASS derivation-valid\n", ""),
+        (["crosscheck", "DRV", "--lattice", "LAT"], 1, "", HEX_MEASURE_B),
+        (["axiom", "instantiate", "--lattice", "LAT", "--schema", "Trans",
+          "--bind", "y=b", "--bind", "z=a"], 0, "|- In(b) * R(a) -o In(a) * R(a)\n", ""),
+    ],
+    ids=[
+        "lattice verify", "propagate --measure", "propagate --map", "prop1",
+        "quantale verify", "counterexample order", "prove a by b", "prove b by a",
+        "prove b by 1", "check", "crosscheck", "axiom instantiate",
+    ],
+)
+def test_every_command_on_the_hexagon(tmp_path, capsys, argv, code, out, err):
+    files = {
+        "LAT": serialize(hexagon()),
+        "MAP": "map m over hexagon\nmeasure a\nend\n",
+        "DRV": serialize(derive_measurement(hexagon(), "a", "b")),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / name) if arg == name else arg for arg in argv]
+        err = err.replace(name, str(tmp_path / name))
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 class TestPropagate:

@@ -130,7 +130,7 @@ class TestMapFormat:
         lat = mo(2)
         f = parse_map("map blur over mo2\nmeasure a\nend\n", lat)
         assert f == perfect_measurement_map(lat, "a")
-        assert f.kind == "measurement"
+        assert f.measured == "a"
 
     def test_general_round_trip(self):
         lat = mo(2)

@@ -21,6 +21,7 @@ from omlogic.lattice import (
     mo,
 )
 from omlogic.propagation import (
+    CounterexampleWitness,
     JoinMap,
     LatticeMismatchError,
     PowersetMap,
@@ -136,6 +137,26 @@ def unmemoized_pairs(measurements, sups, combine, expected):
             return (els[a], els[b])
         if propagation._sup_or_none(combine(measurements[a], measurements[b])) != expected(sa, sb):
             return (els[a], els[b])
+    return None
+
+
+def reference_order_counterexample(lat):
+    """find_order_counterexample by element names, deciding the projection
+    preorder of each candidate pair with sasaki_preorder."""
+    lat.ensure_verified()
+    for a in lat.elements:
+        if a in ("0", "1"):
+            continue
+        for other in lat.elements:
+            if lat.meet(a, other) != "0" or lat.leq(other, lat.ortho(a)):
+                continue
+            joined = lat.join(a, other)
+            if not sasaki_preorder(lat, a, joined):
+                continue
+            for x in lat.elements:
+                small, big = lat.sasaki(a, x), lat.sasaki(joined, x)
+                if not lat.leq(small, big):
+                    return CounterexampleWitness(a, other, x, (small, big))
     return None
 
 
@@ -631,6 +652,19 @@ class TestOrderCounterexample:
 
         with pytest.raises(NotOrthomodularError):
             find_order_counterexample(hexagon())
+
+    def test_matches_name_level_reference(self):
+        rng = random.Random(17)
+        lattices = [boolean(n) for n in range(1, 5)] + [mo(n) for n in range(1, 8)]
+        lattices += [mo2_reordered()] + [gen.random_lattice(rng) for _ in range(40)]
+        lattices += [gen.random_structure(rng, i) for i in range(300)]
+        found = []
+        for lat in lattices:
+            if lat.verify().ok:
+                w = find_order_counterexample(lat)
+                assert w == reference_order_counterexample(lat), lat.name
+                found.append(w is not None)
+        assert len(found) > 60 and any(found) and not all(found)
 
     def test_all_mo_witnesses_recheck(self):
         for n in (2, 3, 4):
