@@ -174,7 +174,8 @@ def _cmd_propagate(args) -> int:
     if args.json:
         payload = {
             "command": "propagate",
-            "inputs": {"lattice": args.lattice, "measure": args.measure, "set": sorted(initial)},
+            "inputs": {"lattice": args.lattice, "map": args.map, "measure": args.measure,
+                       "set": sorted(initial)},
             "image": sorted(image, key=lat.index),
             "ok": True,
             "seed": None,

@@ -88,26 +88,50 @@ class ParseError(Exception):
         super().__init__(f"{span.line}:{span.column}: {message}{hint}")
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 # -- line-oriented formats -------------------------------------------------------
-
-
-def _line_tokens(text: str):
-    """Yield (line_number, line, [(column, token), ...]) for nonempty lines,
-    comments stripped."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
-        if toks:
-            yield ln, line, toks
 
 
 def _line_error(msg, ln, col, tok, expected=frozenset()):
     raise ParseError(msg, SourceSpan(ln, col, max(1, len(tok))), frozenset(expected))
+
+
+def _directives(text: str, usage: str, heads: set[str]):
+    """Yield (line number, line, [(column, token), ...]) for each directive of
+    a line file, its ``#`` comment stripped: first the header, shaped as
+    ``usage`` (``lattice <name>`` or ``map <name> over <lattice>``), then
+    each line whose head is one of ``heads``.  The frame is checked here, in
+    line order: blank lines are skipped, and a misshapen or missing header,
+    an unknown head, content after ``end``, an empty file and a missing
+    ``end`` raise :class:`ParseError`."""
+    shape = usage.split()
+    kind = shape[0]
+    header = ended = False
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        if not toks:
+            continue
+        col, head = toks[0]
+        if ended:
+            _line_error("content after 'end'", ln, col, head)
+        if head == kind:
+            if header or len(toks) != len(shape) or any(
+                word != tok for word, (_, tok) in zip(shape, toks) if word[0] != "<"
+            ):
+                _line_error(f"malformed '{kind}' line", ln, col, head, {usage})
+            header = True
+        elif not header:
+            _line_error(f"file must start with '{usage}'", ln, col, head, {kind})
+        elif head == "end":
+            ended = True
+            continue
+        elif head not in heads:
+            _line_error(f"unknown directive {head!r}", ln, col, head, heads | {"end"})
+        yield ln, line, toks
+    if not header:
+        raise ParseError(f"empty {kind} file", SourceSpan(1, 1, 1), frozenset({kind}))
+    if not ended:
+        raise ParseError("missing 'end'", SourceSpan(text.count("\n") + 1, 1, 1), frozenset({"end"}))
 
 
 def parse_lattice(text: str) -> FiniteOrthoLattice:
@@ -119,47 +143,27 @@ def parse_lattice(text: str) -> FiniteOrthoLattice:
         ortho <x> <y>         # symmetric; the pair 0 1 is implied
         end
     """
-    name = None
+    lines = _directives(text, "lattice <name>", {"elements", "leq", "ortho"})
+    _, _, [_, (_, name)] = next(lines)
     elements: list[str] = []
     leq: list[tuple[str, str]] = []
     ortho: list[tuple[str, str]] = []
-    ended = False
-    for ln, _, toks in _line_tokens(text):
+    for ln, _, toks in lines:
         col, head = toks[0]
-        if ended:
-            _line_error("content after 'end'", ln, col, head)
-        if head == "lattice":
-            if name is not None or len(toks) != 2:
-                _line_error("malformed 'lattice' line", ln, col, head, {"lattice <name>"})
-            name = toks[1][1]
-        elif name is None:
-            _line_error("file must start with 'lattice <name>'", ln, col, head, {"lattice"})
-        elif head == "elements":
+        if head == "elements":
             if len(toks) < 2:
                 _line_error("'elements' needs at least one name", ln, col, head)
             for c, t in toks[1:]:
                 if t in elements:
                     _line_error(f"duplicate element name {t!r}", ln, c, t)
                 elements.append(t)
-        elif head in ("leq", "ortho"):
-            if len(toks) != 3:
-                _line_error(f"'{head}' takes two element names", ln, col, head)
-            x, y = toks[1][1], toks[2][1]
-            for c, t in toks[1:]:
-                if t not in elements:
-                    _line_error(f"unknown element {t!r}", ln, c, t)
-            (leq if head == "leq" else ortho).append((x, y))
-        elif head == "end":
-            ended = True
-        else:
-            _line_error(
-                f"unknown directive {head!r}", ln, col, head,
-                {"elements", "leq", "ortho", "end"},
-            )
-    if name is None:
-        raise ParseError("empty lattice file", SourceSpan(1, 1, 1), frozenset({"lattice"}))
-    if not ended:
-        raise ParseError("missing 'end'", SourceSpan(text.count("\n") + 1, 1, 1), frozenset({"end"}))
+            continue
+        if len(toks) != 3:
+            _line_error(f"'{head}' takes two element names", ln, col, head)
+        for c, t in toks[1:]:
+            if t not in elements:
+                _line_error(f"unknown element {t!r}", ln, c, t)
+        (leq if head == "leq" else ortho).append((toks[1][1], toks[2][1]))
     try:
         return FiniteOrthoLattice(name, elements, leq, ortho)
     except LatticeError as err:
@@ -176,80 +180,53 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
     A perfect-measurement map may instead be written as a single line
     ``measure <a>``, expanded on load.
     """
-    name = None
+    lines = _directives(text, "map <name> over <lattice>", {"on", "measure"})
+    ln, _, [_, (_, name), _, (col, over)] = next(lines)
+    if over != lat.name:
+        _line_error(f"map is over lattice {over!r}, not {lat.name!r}", ln, col, over)
     measured = None
     action: dict[str, set[str]] = {}
-    ended = False
-    for ln, line, toks in _line_tokens(text):
+    for ln, line, toks in lines:
         col, head = toks[0]
-        if ended:
-            _line_error("content after 'end'", ln, col, head)
-        if head == "map":
-            words = [t for _, t in toks]
-            if name is not None or len(words) != 4 or words[2] != "over":
-                _line_error("malformed 'map' line", ln, col, head, {"map <name> over <lattice>"})
-            name = words[1]
-            if words[3] != lat.name:
-                _line_error(
-                    f"map is over lattice {words[3]!r}, not {lat.name!r}",
-                    ln, toks[3][0], words[3],
-                )
-        elif name is None:
-            _line_error("file must start with 'map <name> over <lattice>'", ln, col, head, {"map"})
-        elif head == "measure":
+        if head == "measure":
             if len(toks) != 2:
                 _line_error("'measure' takes one element", ln, col, head)
             c, el = toks[1]
             if el not in lat:
                 _line_error(f"unknown element {el!r}", ln, c, el)
             measured = el
-        elif head == "on":
-            m = re.fullmatch(r"\s*on\s+(\S+)\s+->\s*\{([^{}]*)\}\s*", line)
-            if not m:
-                _line_error("malformed 'on' line", ln, col, head, {"on <element> -> {…}"})
-            el = m.group(1)
-            if el not in lat:
-                _line_error(f"unknown element {el!r}", ln, toks[1][0], el)
-            if el in action:
-                _line_error(f"duplicate 'on' line for {el!r}", ln, toks[1][0], el)
-            values = set()
-            # comma-separated names, each stripped of surrounding whitespace
-            for v in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", m.group(2)):
-                value, vcol = v.group(), m.start(2) + v.start() + 1
-                if value not in lat:
-                    _line_error(f"unknown element {value!r}", ln, vcol, value)
-                values.add(value)
-            action[el] = values
-        elif head == "end":
-            ended = True
-        else:
-            _line_error(
-                f"unknown directive {head!r}", ln, col, head, {"on", "measure", "end"}
-            )
-    if name is None:
-        raise ParseError("empty map file", SourceSpan(1, 1, 1), frozenset({"map"}))
-    if not ended:
-        raise ParseError("missing 'end'", SourceSpan(text.count("\n") + 1, 1, 1), frozenset({"end"}))
-    if measured is not None:
-        if action:
-            raise ParseError(
-                "'measure' and 'on' lines cannot be mixed", SourceSpan(1, 1, 1)
-            )
-        try:
-            f = perfect_measurement_map(lat, measured)  # built fresh: no other map is relabelled
-        except ValueError as err:  # not orthomodular, or too large for the byte tables
-            raise ParseError(str(err), SourceSpan(1, 1, 1)) from err
-        f.label = name
-        return f
+            continue
+        m = re.fullmatch(r"\s*on\s+(\S+)\s+->\s*\{([^{}]*)\}\s*", line)
+        if not m:
+            _line_error("malformed 'on' line", ln, col, head, {"on <element> -> {…}"})
+        el = m.group(1)
+        if el not in lat:
+            _line_error(f"unknown element {el!r}", ln, toks[1][0], el)
+        if el in action:
+            _line_error(f"duplicate 'on' line for {el!r}", ln, toks[1][0], el)
+        values = set()
+        # comma-separated names, each stripped of surrounding whitespace
+        for v in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", m.group(2)):
+            value, vcol = v.group(), m.start(2) + v.start() + 1
+            if value not in lat:
+                _line_error(f"unknown element {value!r}", ln, vcol, value)
+            values.add(value)
+        action[el] = values
+    if measured is not None and action:
+        raise ParseError("'measure' and 'on' lines cannot be mixed", SourceSpan(1, 1, 1))
     missing = [e for e in lat.nonzero() if e not in action]
-    if missing:
+    if measured is None and missing:
         raise ParseError(
             f"missing 'on' line for {missing[0]!r}", SourceSpan(1, 1, 1), frozenset({"on"})
         )
     try:
-        return PowersetMap(lat, action, label=name)
-    except ValueError as err:
+        if measured is None:
+            return PowersetMap(lat, action, label=name)
+        f = perfect_measurement_map(lat, measured)  # built fresh: no other map is relabelled
+    except ValueError as err:  # a 0 in an image; a lattice not orthomodular or too large
         raise ParseError(str(err), SourceSpan(1, 1, 1)) from err
+    f.label = name
+    return f
 
 
 # -- formula and sequent grammar ---------------------------------------------------

@@ -24,6 +24,7 @@ reproduces the stored conclusion and its guard passes.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Union
 
 from omlogic.axioms import (
@@ -161,15 +162,15 @@ def check_derivation(
     The tree is first taken into the lattice's store (a tree built or parsed
     over the lattice is there already, and any other is copied in once), so
     equal trees are one tree and every part the rules compare or build is
-    the store's.  The walk keeps an explicit stack, so a tree of any depth
-    gets a verdict.  Each node found valid is remembered by identity and
-    skipped wherever it occurs again: in a shared subproof, in a later call
-    on the same tree, in another tree that shares it.  The memo lives in the
-    store, which keeps every node it names alive; a call with a map registry
-    keeps a memo of its own, because its verdicts depend on the maps.  Only
-    valid verdicts are kept, so the first failing node, its path and its
-    reason are those of a full walk, and the failure names the node of the
-    tree as given.
+    the store's: the rules compare parts by identity, never by walking them.
+    The walk keeps an explicit stack, so a tree of any depth gets a verdict.
+    Each node found valid is remembered by identity and skipped wherever it
+    occurs again: in a shared subproof, in a later call on the same tree, in
+    another tree that shares it.  The memo lives in the store, which keeps
+    every node it names alive; a call with a map registry keeps a memo of
+    its own, because its verdicts depend on the maps.  Only valid verdicts
+    are kept, so the first failing node, its path and its reason are those
+    of a full walk, and the failure names the node of the tree as given.
     """
     given, d = d, lat._store.intern(d)
     valid = set() if maps else lat._store.verdicts
@@ -215,6 +216,11 @@ def _failure(d: Derivation, path: list[int], reason: str) -> CheckResult:
     return CheckResult(CheckFailure(path, rule, reason, node.conclusion))
 
 
+def _same(a: tuple, b: tuple) -> bool:
+    """Whether two contexts hold the same store formulas, in order."""
+    return len(a) == len(b) and all(map(is_, a, b))
+
+
 def _check_axiom(lat, node: AxiomApp, maps) -> str | None:
     try:
         base = instantiate_axiom(lat, node.schema, dict(node.bindings), maps)
@@ -222,7 +228,7 @@ def _check_axiom(lat, node: AxiomApp, maps) -> str | None:
         return f"guard violated: {g}"
     except (LatticeError, ValueError, UnknownSchemaError) as err:
         return str(err)
-    if node.conclusion != base and node.conclusion != unfolded(lat, base):
+    if node.conclusion is not base and node.conclusion is not unfolded(lat, base):
         return "conclusion does not match the instantiated schema"
     return None
 
@@ -243,19 +249,19 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
     ctx, rhs = concl.context, concl.succedent
 
     if rule == "id":
-        if ctx == (rhs,):
+        if len(ctx) == 1 and ctx[0] is rhs:
             return None
         return "id requires a single context formula equal to the succedent"
 
     if rule == "cut":
         left, right = prem
-        if rhs != right.succedent:
+        if rhs is not right.succedent:
             return "cut conclusion succedent differs from the right premise"
         for j, f in enumerate(right.context):
-            if f != left.succedent:
+            if f is not left.succedent:
                 continue
             expected = right.context[:j] + left.context + right.context[j + 1 :]
-            if ctx == expected:
+            if _same(ctx, expected):
                 return None
         return "no cut-formula position reproduces the conclusion context"
 
@@ -263,21 +269,21 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
         left, right = prem
         if not isinstance(rhs, Tensor):
             return "tensor_r succedent is not a tensor"
-        if rhs.left != left.succedent or rhs.right != right.succedent:
+        if rhs.left is not left.succedent or rhs.right is not right.succedent:
             return "tensor parts differ from the premise succedents"
-        if ctx != left.context + right.context:
+        if not _same(ctx, left.context + right.context):
             return "context is not the ordered concatenation of the premises"
         return None
 
     if rule == "tensor_l":
         (p,) = prem
-        if rhs != p.succedent:
+        if rhs is not p.succedent:
             return "tensor_l changes the succedent"
         for j, f in enumerate(ctx):
             if not isinstance(f, Tensor):
                 continue
             expected = ctx[:j] + (f.left, f.right) + ctx[j + 1 :]
-            if p.context == expected:
+            if _same(p.context, expected):
                 return None
         return "no tensor position splits into the premise context"
 
@@ -286,22 +292,22 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
         if not isinstance(rhs, Plus):
             return f"{rule} succedent is not a plus"
         part = rhs.left if rule == "plus_r1" else rhs.right
-        if part != p.succedent:
+        if part is not p.succedent:
             return "selected disjunct differs from the premise succedent"
-        if ctx != p.context:
+        if not _same(ctx, p.context):
             return f"{rule} changes the context"
         return None
 
     if rule == "plus_l":
         left, right = prem
-        if left.succedent != rhs or right.succedent != rhs:
+        if left.succedent is not rhs or right.succedent is not rhs:
             return "plus_l premises must share the conclusion succedent"
         for j, f in enumerate(ctx):
             if not isinstance(f, Plus):
                 continue
             if (
-                left.context == ctx[:j] + (f.left,) + ctx[j + 1 :]
-                and right.context == ctx[:j] + (f.right,) + ctx[j + 1 :]
+                _same(left.context, ctx[:j] + (f.left,) + ctx[j + 1 :])
+                and _same(right.context, ctx[:j] + (f.right,) + ctx[j + 1 :])
             ):
                 return None
         return "no plus position matches both premise contexts"
@@ -310,15 +316,15 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
         (p,) = prem
         if not isinstance(rhs, Lolli):
             return "lolli_r succedent is not an implication"
-        if p.succedent != rhs.consequent:
+        if p.succedent is not rhs.consequent:
             return "premise succedent differs from the consequent"
-        if p.context != (rhs.antecedent,) + ctx:
+        if not _same(p.context, (rhs.antecedent,) + ctx):
             return "premise context must be the antecedent followed by the context"
         return None
 
     if rule == "lolli_l":
         left, right = prem
-        if rhs != right.succedent:
+        if rhs is not right.succedent:
             return "lolli_l conclusion succedent differs from the right premise"
         for j, f in enumerate(right.context):
             expected = (
@@ -327,7 +333,7 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
                 + (lat._store.make(Lolli, left.succedent, f),)
                 + right.context[j + 1 :]
             )
-            if ctx == expected:
+            if _same(ctx, expected):
                 return None
         return "no implication position reproduces the conclusion context"
 
@@ -335,9 +341,9 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
         (p,) = prem
         if not isinstance(rhs, Forall):
             return "forall_r succedent is not a quantifier"
-        if p.succedent != rhs.body:
+        if p.succedent is not rhs.body:
             return "premise succedent differs from the quantifier body"
-        if p.context != ctx:
+        if not _same(p.context, ctx):
             return "forall_r changes the context"
         for f in ctx:
             if rhs.var in free_vars(f):
@@ -351,7 +357,7 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
     witness = normalize_term(node.witness, lat)
     if not isinstance(witness, Const):
         return f"witness {ascii_term(node.witness)} is not ground"
-    if rhs != p.succedent:
+    if rhs is not p.succedent:
         return "forall_l changes the succedent"
     failure = None
     for j, f in enumerate(ctx):
@@ -362,7 +368,7 @@ def _check_rule(lat, node: RuleApp, maps) -> str | None:
         except ValueError as err:  # the witness makes an In or R atom absurd
             failure = f"instance for witness {witness.name}: {err}"
             continue
-        if p.context != ctx[:j] + (instance,) + ctx[j + 1 :]:
+        if not _same(p.context, ctx[:j] + (instance,) + ctx[j + 1 :]):
             continue
         violation = _eval_guard(lat, f.guard, witness.name, maps)
         if violation is None:

@@ -169,6 +169,28 @@ class TestPropagate:
         assert code == 0
         assert capsys.readouterr().out.strip() == "{a, a'}"
 
+    @pytest.mark.parametrize("source", ["measure", "map"])
+    def test_json_report(self, mo2_file, tmp_path, capsys, source):
+        map_file = tmp_path / "blur.map"
+        map_file.write_text("map blur over mo2\nmeasure a\nend\n")
+        value = "a" if source == "measure" else str(map_file)
+        report = tmp_path / "prop.json"
+        argv = ["propagate", "--lattice", mo2_file, f"--{source}", value, "--set", "{b}"]
+        assert run(argv + ["--json", str(report)]) == 0
+        assert capsys.readouterr().out == "{a, a'}\n"
+        assert json.loads(report.read_text()) == {
+            "command": "propagate",
+            "inputs": {
+                "lattice": mo2_file,
+                "map": value if source == "map" else None,
+                "measure": value if source == "measure" else None,
+                "set": ["b"],
+            },
+            "image": ["a", "a'"],
+            "ok": True,
+            "seed": None,
+        }
+
     def test_non_orthomodular_measurement(self, hexagon_file, capsys):
         argv = ["propagate", "--lattice", hexagon_file, "--measure", "b", "--set", "{a'}"]
         assert run(argv) == 1

@@ -113,10 +113,13 @@ end
          "3:1: unknown directive 'foo' (expected elements, end, leq, ortho)", 3),
         ("# nothing\n\n", "1:1: empty lattice file (expected lattice)", 1),
         ("lattice x\nelements 0 1\nleq 0 1\n", "4:1: missing 'end' (expected end)", 1),
+        ("lattice x\nelements a b\nend\n", "1:1: elements must include '0' and '1'", 1),
+        ("lattice x\nelements 0 a a' 1\northo a a'\northo a 1\nend\n",
+         "1:1: conflicting orthocomplement for 'a'", 1),
     ], ids=[
         "content after end", "lattice line arity", "second lattice line", "no lattice line",
         "empty elements", "leq arity", "ortho arity", "duplicate element", "unknown directive",
-        "empty file", "missing end",
+        "empty file", "missing end", "no bounds", "conflicting ortho",
     ])
     def test_line_error(self, text, message, length):
         with pytest.raises(ParseError) as err:
@@ -209,11 +212,16 @@ class TestMapFormat:
         ("map m over mo2\nmeasure a\nfoo\nend\n",
          "3:1: unknown directive 'foo' (expected end, measure, on)", 3),
         ("map m over mo2\nmeasure a\n", "3:1: missing 'end' (expected end)", 1),
+        ("map m over mo2\nmeasure zz\nend\n", "2:9: unknown element 'zz'", 2),
+        ("map m over mo2\non zz -> {a}\nend\n", "2:4: unknown element 'zz'", 2),
+        ("map m over mo2\non a -> {0}\non a' -> {a'}\non b -> {b}\non b' -> {b'}\n"
+         "on 1 -> {1}\nend\n", "1:1: images must not contain 0", 1),
     ], ids=[
         "map line arity", "map line without over", "second map line", "other lattice",
         "no map line", "measure arity", "malformed on line", "duplicate on line",
         "measure and on mixed", "missing on line", "empty file", "content after end",
-        "unknown directive", "missing end",
+        "unknown directive", "missing end", "unknown measured element",
+        "unknown on element", "zero in an image",
     ])
     def test_line_error(self, text, message, length):
         with pytest.raises(ParseError) as err:

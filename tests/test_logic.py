@@ -84,6 +84,15 @@ class TestSyntax:
         assert free_vars(f) == {"y"}
         g = substitute(f.body, "x", Const("a"), lat)
         assert g == Tensor(In("a"), Actual(Var("y")))
+        # an IND atom has none; ortho terms, both sides of -o and guard bounds do
+        h = Forall(
+            "x",
+            (Constraint("<=", OrthoTerm(Var("z"))), Constraint("!<=", Var("x")),
+             Constraint("!inK", "f")),
+            Lolli(Induced("f"), Actual(OrthoTerm(Var("y")))),
+        )
+        assert free_vars(h) == {"y", "z"}
+        assert free_vars(Lolli(Actual(Var("x")), Induced("f"))) == {"x"}
 
     def test_substitution_shadowing(self):
         lat = mo(2)
@@ -360,6 +369,18 @@ class TestAxioms:
     def test_unbound_variable(self):
         with pytest.raises(GuardViolation, match="unbound"):
             instantiate_axiom(mo(2), "Trans", {"y": "b"})
+
+    @pytest.mark.parametrize("schema, bindings, message", [
+        ("Adjust1", {"x": "a", "y": "a'"}, "y !<= ortho(x) violated: a' <= a'"),
+        ("GeneralPropagation", {"alpha": "kill", "x": "a"}, "x !in K(kill) violated for 'a'"),
+        ("Trans", {"y": "b", "z": "a", "w": "a"}, "unexpected binding 'w'"),
+        ("OQL-Meet", {"x1": "a", "y": "b"}, "bindings must be x1, x2, ... (at least one)"),
+    ], ids=["adjust1 ortho", "killed element", "extra binding", "meet binding name"])
+    def test_guard_text(self, schema, bindings, message):
+        lat = mo(2)
+        with pytest.raises(GuardViolation) as err:
+            instantiate_axiom(lat, schema, bindings, {"kill": dead_map(lat)})
+        assert str(err.value) == message
 
 
 def _id(formula: str) -> str:
@@ -744,6 +765,26 @@ class TestDepth:
         for i in failure.path:
             node = node.children[i]
         assert failure.conclusion is node.conclusion
+
+    @pytest.mark.parametrize("terms", [400, 5000])
+    def test_deep_formulas_that_differ(self, terms):
+        # left-nested '+' chains that differ only in their innermost atom:
+        # the rules compare the store's parts by identity, never by walking them
+        lat = mo(2)
+        make = lat._store.make
+
+        def chain(first):
+            f = actual(lat, first)
+            for _ in range(terms - 1):
+                f = make(Plus, f, actual(lat, "b"))
+            return f
+
+        a, a2 = chain("a"), chain("a'")
+        failure = check_derivation(lat, RuleApp("id", Sequent((a,), a2), ())).failure
+        assert (failure.rule, failure.reason) == (
+            "id", "id requires a single context formula equal to the succedent"
+        )
+        assert check_derivation(lat, RuleApp("id", Sequent((a2,), a2), ())).valid
 
 
 def memo_corpus(short_chains) -> list[tuple[str, str]]:

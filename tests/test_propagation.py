@@ -725,6 +725,11 @@ def small_report(lat):
     return quantale_report(lat, random.Random(0), random_maps=20, pairs=10, join_maps=10)
 
 
+def failing_laws(report) -> dict:
+    """Each failing law of ``report`` with its witness."""
+    return {c.law: c.witness for c in report.checks if not c.passed}
+
+
 class TestQuantaleReport:
     def test_oracle_branch_all_pass(self):
         lat = mo(3)
@@ -761,3 +766,59 @@ class TestQuantaleReport:
         assert not pairs.passed
         assert pairs.witness == ("compose closure sample 0",)
         assert report["morphism-union-measurements"].passed
+
+    # Each test below breaks one law by patching a name the report reads,
+    # and every other law keeps its verdict: on mo(2) all of them pass.
+
+    def test_disagreeing_membership_check_is_a_witness(self, monkeypatch):
+        # the fast check contradicts the oracle from the fourth random map on
+        calls = []
+
+        def flipped(f):
+            calls.append(f)
+            ok = transition_oracle(f).ok
+            return propagation.MapCheck(ok != (len(calls) > 3))
+
+        monkeypatch.setattr(propagation, "is_transition_map", flipped)
+        assert failing_laws(small_report(mo(2))) == {"random-map-agreement": ("3",)}
+        assert len(calls) == 20  # every sample is drawn after the first failure
+
+    def test_non_member_random_pair_is_a_witness(self, monkeypatch):
+        lat = mo(2)
+        monkeypatch.setattr(
+            propagation, "random_transition_map", lambda lat, rng: gen.non_transition_map(lat)
+        )
+        assert failing_laws(small_report(lat)) == {"morphism-random-pairs": ("member sample 0",)}
+
+    def test_wrong_random_composite_is_a_witness(self, monkeypatch):
+        # measurement maps compose as before; random pairs compose swapped
+        real = propagation.quantale_compose
+        monkeypatch.setattr(
+            propagation, "quantale_compose",
+            lambda f, g: real(f, g) if f.measured is not None else real(g, f),
+        )
+        assert failing_laws(small_report(mo(2))) == {"morphism-random-pairs": ("compose sample 5",)}
+
+    def test_wrong_lift_is_a_witness(self, monkeypatch):
+        # every lift is the lift of the projection onto a: still a member
+        real = propagation.lift_join_map
+        monkeypatch.setattr(
+            propagation, "lift_join_map", lambda f: real(sasaki_map(f.lattice, "a"))
+        )
+        assert failing_laws(small_report(mo(2))) == {"surjectivity-lift-section": ("sample 0",)}
+
+    @pytest.mark.parametrize("law, image, witness", [
+        # the identity keeps b, which lies under neither a nor a'
+        ("branch-soundness", identity_map, ("a", "b", "b")),
+        # everything goes to a: under a, but a' is compatible with a
+        ("compatibility-preservation",
+         lambda lat: PowersetMap(lat, {e: {"a"} for e in lat.nonzero()}), ("a", "a'")),
+    ])
+    def test_wrong_measurement_branches_are_a_witness(self, monkeypatch, law, image, witness):
+        # measuring a gives another member of the quantale
+        real = propagation.perfect_measurement_map
+        monkeypatch.setattr(
+            propagation, "perfect_measurement_map",
+            lambda lat, a: image(lat) if a == "a" else real(lat, a),
+        )
+        assert failing_laws(small_report(mo(2))) == {law: witness}
