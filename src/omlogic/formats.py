@@ -194,6 +194,8 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
             c, el = toks[1]
             if el not in lat:
                 _line_error(f"unknown element {el!r}", ln, c, el)
+            if measured is not None:
+                _line_error("duplicate 'measure' line", ln, col, head)
             measured = el
             continue
         m = re.fullmatch(r"\s*on\s+(\S+)\s+->\s*\{([^{}]*)\}\s*", line)

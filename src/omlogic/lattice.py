@@ -146,8 +146,8 @@ class FiniteOrthoLattice:
                 ortho[a] = b
         self._ortho = ortho
 
-        self._meet = [[_bound(down, i, j) for j in range(n)] for i in range(n)]
-        self._join = [[_bound(up, i, j) for j in range(n)] for i in range(n)]
+        self._meet = _bounds(down)
+        self._join = _bounds(up)
         self._zero = self._index["0"]
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
@@ -319,8 +319,8 @@ class FiniteOrthoLattice:
     #
     # The propagation layer holds join maps as bytes, one element index per
     # element index, and computes with ``bytes.translate``.  A table by index
-    # followed by ``_pad()`` is a 256-byte translate table that is the identity
-    # past the last element, so both sides of a comparison agree there.
+    # followed by ``_pad()`` is a 256-byte translate table; what is translated
+    # through it holds element indices only, so the padding is never read.
 
     def _pad(self) -> bytes:
         """The indices from ``len(self)`` to 255, as bytes.  Every byte table
@@ -453,18 +453,17 @@ class FiniteOrthoLattice:
         ])
 
 
-def _bound(rel: list[int], i: int, j: int) -> int | None:
-    """The greatest common lower bound of i and j when ``rel`` is ``_down``,
-    the least common upper bound when it is ``_up``; None when there is
-    none."""
-    common = rel[i] & rel[j]
-    m = common
-    while m:
-        k = (m & -m).bit_length() - 1
-        if common & ~rel[k] == 0:
-            return k
-        m &= m - 1
-    return None
+def _bounds(rel: list[int]) -> list[list[int | None]]:
+    """The meet table when ``rel`` is ``_down``, the join table when it is
+    ``_up``; None where a pair has no bound.  For a reflexive, transitive
+    order, k is the greatest common lower bound of i and j exactly when
+    ``down[k] == down[i] & down[j]`` (dually for ``_up``), so each entry is
+    one lookup of that mask, answered by the first index that has it."""
+    first: dict[int, int] = {}
+    for k, mask in enumerate(rel):
+        first.setdefault(mask, k)
+    get = first.get
+    return [[get(ri & rj) for rj in rel] for ri in rel]
 
 
 def _first(witnesses: Iterable[tuple[str, ...]]) -> tuple[str, ...] | None:

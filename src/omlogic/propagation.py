@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial, reduce
+from functools import partial
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -198,13 +198,14 @@ class PowersetMap:
 def _join_violation(lat: FiniteOrthoLattice, f: bytes) -> tuple[int, int] | None:
     """First (j, y) by index, j join-irreducible, with f(j v y) != f(j) v f(y)
     for a self-map f given by index with f(0) = 0; None when there is none.
-    Row j of the join table translated through f is y -> f(j v y), and f
-    translated through row f(j) is y -> f(j) v f(y)."""
-    rows, ft = lat._join_rows(), f + lat._pad()
+    The first n bytes of row j of the join table, translated through f, are
+    y -> f(j v y), and f translated through row f(j) is y -> f(j) v f(y);
+    only f is padded, to serve as a translate table."""
+    rows, n, ft = lat._join_rows(), len(f), f + lat._pad()
     for j in lat._join_irreducibles():
         row, fj = rows[j], rows[f[j]]
-        if row.translate(ft) != ft.translate(fj):
-            return j, next(y for y in range(len(f)) if ft[row[y]] != fj[f[y]])
+        if row[:n].translate(ft) != f.translate(fj):
+            return j, next(y for y in range(n) if ft[row[y]] != fj[f[y]])
     return None
 
 
@@ -396,17 +397,20 @@ def quantale_union(fs: Sequence[PowersetMap]) -> PowersetMap:
     if not fs:
         raise ValueError("union of no maps")
     lat = _same_lattice(*fs)
-    masks = [reduce(or_, images) for images in zip(*(f._masks for f in fs))]
+    masks = list(fs[0]._masks)
+    for f in fs[1:]:
+        masks = list(map(or_, masks, f._masks))
     return PowersetMap(lat, _masks=masks)
 
 
 def lift_join_map(f: JoinMap) -> PowersetMap:
     """View a join map as a powerset map: b -> {f(b)} with 0 images dropped."""
-    zero = f.lattice._zero
-    masks = [
-        0 if zero in (b, v) else 1 << v for b, v in enumerate(f._values)
-    ]
-    return PowersetMap(f.lattice, _masks=masks)
+    lat = f.lattice
+    bits = [1 << v for v in range(len(lat))]
+    bits[lat._zero] = 0
+    masks = list(map(bits.__getitem__, f._values))
+    masks[lat._zero] = 0
+    return PowersetMap(lat, _masks=masks)
 
 
 def compose_join(f: JoinMap, g: JoinMap) -> JoinMap:
@@ -416,13 +420,19 @@ def compose_join(f: JoinMap, g: JoinMap) -> JoinMap:
     return JoinMap(lat, _values=g._values.translate(f._values + lat._pad()))
 
 
-def pointwise_join(maps: Sequence[JoinMap]) -> JoinMap:
-    lat = _same_lattice(*maps)
+def _joined(lat: FiniteOrthoLattice, parts: Iterable[bytes]) -> bytes:
+    """The pointwise join of self-maps given by index: byte b is the join of
+    every part's byte b, 0 for no parts."""
     rows = lat._join_rows()
     values = bytes([lat._zero]) * len(lat)
-    for m in maps:  # byte b: row values[b] of the join table at m(b)
-        values = bytes(map(bytes.__getitem__, map(rows.__getitem__, values), m._values))
-    return JoinMap(lat, _values=values)
+    for part in parts:  # byte b: row values[b] of the join table at part[b]
+        values = bytes(map(bytes.__getitem__, map(rows.__getitem__, values), part))
+    return values
+
+
+def pointwise_join(maps: Sequence[JoinMap]) -> JoinMap:
+    lat = _same_lattice(*maps)
+    return JoinMap(lat, _values=_joined(lat, [m._values for m in maps]))
 
 
 def sasaki_preorder(lat: FiniteOrthoLattice, a: str, a2: str) -> bool:
@@ -667,26 +677,27 @@ def random_union_preserving_map(
 def random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
     """Random join-preserving self-map, assembled from Sasaki projections,
     the identity, and constant-on-nonzero maps, closed under composition and
-    pointwise join."""
-    n, zero = len(lat), lat._zero
+    pointwise join.  The parts are built as bytes, one element index per
+    element index, and only the result is a :class:`JoinMap`."""
+    n, zero, pad = len(lat), lat._zero, lat._pad()
 
-    def basic() -> JoinMap:
+    def basic() -> bytes:
         roll = rng.random()
         if roll < 0.5:
-            return sasaki_map(lat, rng.choice(lat.elements))
+            return lat._sasaki_row(rng.choice(range(n)))
         if roll < 0.7:
-            return JoinMap(lat, _values=bytes(range(n)))
+            return bytes(range(n))
         c = rng.choice(range(n))
-        return JoinMap(lat, _values=bytes([zero if b == zero else c for b in range(n)]))
+        return bytes([zero if b == zero else c for b in range(n)])
 
-    def chain() -> JoinMap:
+    def chain() -> bytes:
         f = basic()
-        for _ in range(rng.randint(0, 2)):
-            f = compose_join(rng.choice([f, basic()]), f)
+        for _ in range(rng.randint(0, 2)):  # compose_join: f first, then the choice
+            f = f.translate(rng.choice([f, basic()]) + pad)
         return f
 
     parts = [chain() for _ in range(rng.randint(1, 3))]
-    f = pointwise_join(parts)
+    f = JoinMap(lat, _values=_joined(lat, parts))
     bad = f.join_preserving_violation()
     if bad is not None:
         raise RuntimeError(f"random join map does not preserve the join of {bad}")

@@ -203,6 +203,7 @@ class TestMapFormat:
          "2:1: malformed 'on' line (expected on <element> -> {…})", 2),
         ("map m over mo2\non a -> {a}\non a -> {a}\nend\n",
          "3:4: duplicate 'on' line for 'a'", 1),
+        ("map m over mo2\nmeasure a\nmeasure b\nend\n", "3:1: duplicate 'measure' line", 7),
         ("map m over mo2\nmeasure a\non a -> {a}\nend\n",
          "1:1: 'measure' and 'on' lines cannot be mixed", 1),
         ("map m over mo2\non a -> {a}\nend\n",
@@ -219,8 +220,8 @@ class TestMapFormat:
     ], ids=[
         "map line arity", "map line without over", "second map line", "other lattice",
         "no map line", "measure arity", "malformed on line", "duplicate on line",
-        "measure and on mixed", "missing on line", "empty file", "content after end",
-        "unknown directive", "missing end", "unknown measured element",
+        "duplicate measure line", "measure and on mixed", "missing on line", "empty file",
+        "content after end", "unknown directive", "missing end", "unknown measured element",
         "unknown on element", "zero in an image",
     ])
     def test_line_error(self, text, message, length):

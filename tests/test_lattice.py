@@ -277,6 +277,64 @@ def stated_laws(lat):
     return [(law, witnesses[law]) for law in LAWS]
 
 
+def reference_bound(rel: list[int], i: int, j: int) -> int | None:
+    """The greatest common lower bound of i and j when ``rel`` is ``_down``,
+    the least common upper bound when it is ``_up``; None when there is
+    none."""
+    common = rel[i] & rel[j]
+    m = common
+    while m:
+        k = (m & -m).bit_length() - 1
+        if common & ~rel[k] == 0:
+            return k
+        m &= m - 1
+    return None
+
+
+class TestBoundTables:
+    """The meet and join tables, one mask lookup per entry, against the
+    per-pair search over common bounds."""
+
+    @staticmethod
+    def assert_tables_match(lat):
+        n = len(lat)
+        for table, rel in ((lat._meet, lat._down), (lat._join, lat._up)):
+            expected = [[reference_bound(rel, i, j) for j in range(n)] for i in range(n)]
+            assert table == expected, lat.name
+
+    @pytest.mark.parametrize(
+        "lat",
+        [boolean(n) for n in range(1, 7)] + [mo(n) for n in range(1, 9)] + [hexagon()],
+        ids=lambda lat: lat.name,
+    )
+    def test_generated_families(self, lat):
+        self.assert_tables_match(lat)
+
+    def test_hand_made_structures(self):
+        chain4 = FiniteOrthoLattice(
+            "chain4", ["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")], [("a", "b")]
+        )
+        # 0 < a, b and a 1 above nothing: (0, 1) has no join, (a, b) none either
+        v_poset = FiniteOrthoLattice("V", ["0", "a", "b", "1"], [("0", "a"), ("0", "b")])
+        top_first = FiniteOrthoLattice(
+            "mo2_top_first", ["1", "a", "a'", "0", "b", "b'"], mo(2).covers(), mo(2).ortho_pairs()
+        )
+        # a and b below each other: both bound every pair that either bounds,
+        # and the first listed answers
+        cycle = FiniteOrthoLattice(
+            "cyc", ["0", "b", "a", "1"], [("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")]
+        )
+        for lat in (chain4, v_poset, top_first, cycle):
+            self.assert_tables_match(lat)
+        assert v_poset._join[0][3] is None and v_poset._join[1][2] is None
+        assert cycle._meet[1][2] == cycle._join[1][2] == 1
+
+    def test_random_structures(self):
+        rng = random.Random(5)
+        for i in range(500):
+            self.assert_tables_match(gen.random_structure(rng, i))
+
+
 class TestQueries:
     def test_join_of_mo2_atoms(self):
         lat = mo(2)

@@ -128,6 +128,60 @@ def reference_pointwise_join(lat, maps):
     return values
 
 
+def reference_lift(f):
+    """lift_join_map on a list of indices: b -> {f(b)}, 0 images dropped."""
+    zero = f.lattice._zero
+    return [0 if zero in (b, v) else 1 << v for b, v in enumerate(f._values)]
+
+
+def reference_union(fs):
+    """quantale_union on lists of masks, one image at a time."""
+    masks = [0] * len(fs[0].lattice)
+    for f in fs:
+        masks = [m | image for m, image in zip(masks, f._masks)]
+    return masks
+
+
+def reference_random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
+    """Random join-preserving self-map, assembled from Sasaki projections,
+    the identity, and constant-on-nonzero maps, closed under composition and
+    pointwise join."""
+    n, zero = len(lat), lat._zero
+
+    def basic() -> JoinMap:
+        roll = rng.random()
+        if roll < 0.5:
+            return sasaki_map(lat, rng.choice(lat.elements))
+        if roll < 0.7:
+            return JoinMap(lat, _values=bytes(range(n)))
+        c = rng.choice(range(n))
+        return JoinMap(lat, _values=bytes([zero if b == zero else c for b in range(n)]))
+
+    def chain() -> JoinMap:
+        f = basic()
+        for _ in range(rng.randint(0, 2)):
+            f = compose_join(rng.choice([f, basic()]), f)
+        return f
+
+    parts = [chain() for _ in range(rng.randint(1, 3))]
+    f = pointwise_join(parts)
+    bad = f.join_preserving_violation()
+    if bad is not None:
+        raise RuntimeError(f"random join map does not preserve the join of {bad}")
+    return f
+
+
+def reference_random_transition_map(
+    lat: FiniteOrthoLattice, rng: random.Random
+) -> PowersetMap:
+    """Random member of the transition maps: a finite union of lifted join
+    maps, which always satisfies the equal-join condition."""
+    lifts = [
+        lift_join_map(reference_random_join_map(lat, rng)) for _ in range(rng.randint(1, 3))
+    ]
+    return quantale_union(lifts)
+
+
 def unmemoized_pairs(measurements, sups, combine, expected):
     """The measurement-pair law deciding every pair (a, b), equal maps or not."""
     els = measurements[0].lattice.elements
@@ -601,6 +655,40 @@ class TestLift:
         env = dict(os.environ, PYTHONPATH=str(Path(omlogic.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
         assert proc.returncode == 3, proc.stderr
+
+    def test_lift_and_union_match_list_references(self):
+        rng = random.Random(23)
+        for lat in (mo(2), mo(3), boolean(3), mo2_reordered(), chain4()):
+            n, zero = len(lat), lat._zero
+            # arbitrary self-maps fixing 0, so images of 0 and empty images occur
+            joins = [
+                JoinMap(lat, _values=bytes([zero if b == zero else rng.randrange(n) for b in range(n)]))
+                for _ in range(20)
+            ]
+            joins += [sasaki_map(lat, e) for e in lat.elements]
+            lifts = [lift_join_map(f) for f in joins]
+            assert [f._masks for f in lifts] == [reference_lift(f) for f in joins]
+            assert any(not mask for f in lifts for b, mask in enumerate(f._masks) if b != zero)
+            maps = lifts + [random_union_preserving_map(lat, rng) for _ in range(10)]
+            for k in (1, 2, 3):
+                for _ in range(20):
+                    fs = rng.sample(maps, k)
+                    assert quantale_union(fs)._masks == reference_union(fs)
+            f = lifts[0]
+            assert quantale_union([f])._masks is not f._masks
+
+    def test_generators_match_the_map_level_reference(self):
+        lats = [mo(n) for n in range(1, 6)] + [boolean(n) for n in range(1, 5)]
+        for lat in lats + [mo2_reordered()]:
+            for seed in range(50):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    f, g = random_join_map(lat, rng), reference_random_join_map(lat, ref)
+                    assert f._values == g._values, (lat.name, seed)
+                    assert rng.getstate() == ref.getstate()
+                    f, g = random_transition_map(lat, rng), reference_random_transition_map(lat, ref)
+                    assert f._masks == g._masks, (lat.name, seed)
+                    assert rng.getstate() == ref.getstate()
 
     def test_sup_after_lift_is_identity_on_join_maps(self):
         rng = random.Random(17)
