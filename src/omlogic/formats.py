@@ -9,16 +9,23 @@ in the lattice's store (``omlogic.record.Store``), which holds one object per
 value, and sequents are memoized per lattice by their text (see
 :func:`parse_sequent`).
 
-Derivation files are read by a scanner that matches each node head, such as
-``(rule NAME (seq "...")``, with one compiled pattern and hands the sequent
-string to :func:`parse_sequent`, so equal subtrees share one object, and a
-derivation built over the lattice parses back to itself.  The scanner reads
-the plain text that ``serialize`` writes: tokens separated by whitespace,
-with no comment and no ``(witness ...)``.  Wherever it stops short (a comment,
-a witness, a mismatch, a bad sequent, an unknown rule, a node nested too
-deep), the token parser reads the whole file again, and either returns the
-derivation or raises its error, so every error keeps the token parser's
-message and span.
+Derivation files are read by a scanner that splits the whole text into node
+heads, such as ``(rule NAME (seq "...")``, with one ``findall`` of one
+compiled pattern.  It looks each sequent string up in the store's text memo
+and each axiom leaf in its leaf memo, so equal subtrees share one object, and
+a derivation built over the lattice parses back to itself.  The scanner reads
+tokens separated by whitespace and ``#`` comments, so a commented file reads
+as fast as a plain one; a gap of whitespace and comments matches only one
+way, so no input makes the pattern backtrack through the ways to split it.
+The end of the text is one of the pattern's items, so trailing whitespace is
+one match, not one failed match from each of its positions.  Wherever the
+scanner stops short (a ``(witness ...)``, a mismatch, a bad sequent, an
+unknown rule, a node nested too deep), the token parser reads the whole file
+again, and either returns the derivation or raises its error, so every error
+keeps the token parser's message and span.
+
+``serialize`` keeps each derivation node's head line on the node, so writing
+a node again is one attribute read and one concatenation.
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -559,9 +566,9 @@ _SEXPR_RE = re.compile(
 
 class _DerivationParser(_Parser):
     """The token parser for derivations.  :func:`parse_derivation` runs it
-    only where its scanner stops short: on comments, witnesses and every
-    error, which keeps this parser's message, span and expected set; the
-    tests use it as the scanner's oracle."""
+    only where its scanner stops short: on witnesses and every error, which
+    keeps this parser's message, span and expected set; the tests use it as
+    the scanner's oracle."""
 
     pattern = _SEXPR_RE
 
@@ -671,60 +678,75 @@ class _DerivationParser(_Parser):
 
 _WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
 _NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
+# A gap: whitespace, then any ``#`` comments, each running to the end of its
+# line with the whitespace after it taken whole.  So a gap matches only one
+# way, and on a mismatch the engine gives it back one character at a time,
+# never trying ways to split it (Python 3.10 has no atomic groups).  The
+# comments are an alternative that starts with ``#``, not an optional
+# group, which the engine would enter at every gap of a plain file.
+_COMMENT = r"#[^\n]*(?![^\n])\s*"
+_GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 
 def _tokens(*parts: str) -> str:
-    """A pattern for ``parts`` in order, each after optional whitespace."""
-    return "".join(r"\s*" + part for part in parts)
+    """A pattern for ``parts`` in order, each after an optional gap of
+    whitespace and comments."""
+    return "".join(_GAP + part for part in parts)
 
 
 @cache
 def _node_patterns() -> tuple:
-    """(step, end, bindings): the ``match`` methods of the step pattern and of
-    the end of text, and ``findall`` over the bindings.  The scanner's
-    patterns are compiled on the first parse_derivation call rather than at
-    import, which every CLI call would pay.
+    """(items, words): ``findall`` of the scanner's item pattern, and of the
+    words of an axiom leaf.  They are compiled on the first parse_derivation
+    call rather than at import, which every CLI call would pay.
 
-    The step pattern reads a ``)``, a whole rule head up to its children
-    (``(rule NAME (seq "...")``) or a whole axiom leaf (``(axiom NAME (bind
-    k=v ...) (seq "..."))``).  Its groups are: close, rule, rule sequent,
-    schema, bindings, axiom sequent.
+    Each item is, after a gap, one of: a ``)``; a rule head up to its
+    children, ``(rule NAME (seq "...")``; a whole axiom leaf, ``(axiom NAME
+    (bind k=v ...) (seq "..."))``; any other non-space character, which
+    leaves the text to the token parser; or the end of the text.  Its groups
+    are: close, rule, rule sequent, axiom leaf, other.  The end of the text
+    is an item so that trailing whitespace is one match: without it,
+    ``findall`` would try the gap again from each of its positions.
+
+    The words of a leaf are its names and its quoted sequent, in order; a
+    comment is an empty word.
     """
-    seq = _tokens(r"\(", "seq" + _WORD_END, r'"([^"\n]*)"', r"\)")
-    rule = _tokens("rule" + _WORD_END, f"({_NAME})") + seq
-    axiom = (
-        _tokens("axiom" + _WORD_END, f"({_NAME})", r"\(", "bind" + _WORD_END)
-        + "((?:" + _tokens(_NAME, "=", _NAME) + ")*)" + _tokens(r"\)") + seq + _tokens(r"\)")
+    def seq(string: str) -> str:
+        return _tokens(r"\(", "seq" + _WORD_END, string, r"\)")
+
+    rule = r"\(" + _tokens("rule" + _WORD_END, f"({_NAME})") + seq(r'"([^"\n]*)"')
+    leaf = (
+        r"\(" + _tokens("axiom" + _WORD_END, _NAME, r"\(", "bind" + _WORD_END)
+        + "(?:" + _tokens(_NAME, "=", _NAME) + ")*"
+        + _tokens(r"\)") + seq(r'"[^"\n]*"') + _tokens(r"\)")
     )
     return (
-        re.compile(r"\s*(?:(\))|\((?:" + rule + "|" + axiom + "))").match,
-        re.compile(r"\s*\Z").match,
-        re.compile(_tokens(f"({_NAME})", "=", f"({_NAME})")).findall,
+        re.compile(_GAP + rf"(?:(\))|{rule}|({leaf})|(\S)|\Z)").findall,
+        re.compile(r'#[^\n]*|("[^"\n]*"|[A-Za-z0-9_\'-]+)').findall,
     )
+
+
+_END = ("",) * 5  # the item at the end of the text
 
 
 def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
-    """The derivation in ``text``, read at one pattern match per node head, or
-    None wherever the token parser must decide: a mismatch, a bad sequent,
-    an unknown rule or a node deeper than ``MAX_DEPTH``.  The scanner reads
-    tokens separated by whitespace only, as ``serialize`` writes them, so a
-    comment or a witness outside a sequent string is a mismatch.
+    """The derivation in ``text``, read with one ``findall`` over the text,
+    or None wherever the token parser must decide: a mismatch, a witness, a
+    bad sequent, an unknown rule or a node deeper than ``MAX_DEPTH``.
 
     Each node is built in the lattice's store, so equal subtrees share one
     object within the file, across files and with built derivations.  A rule
-    node and its children are first looked up under the keys ``Store.make``
-    gives them, which saves the call wherever the store holds them."""
-    step, at_end, bindings = _node_patterns()
-    nodes, make = lat._store.nodes, lat._store.make
+    head's sequent is looked up in the store's text memo, and an axiom leaf
+    in its leaf memo, by the leaf's text.  A rule node and its children are
+    first looked up under the keys ``Store.make`` gives them, which saves the
+    call wherever the store holds them."""
+    find_items, leaf_words = _node_patterns()
+    store = lat._store
+    nodes, make, texts, leaves = store.nodes, store.make, store.texts, store.leaves
     leaf = make(tuple)  # the children of a leaf
     open_rules = []  # (rule, conclusion, children) of each enclosing rule node
-    pos = 0
-    while True:
-        m = step(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        closed, rule, rule_seq, schema, binds, axiom_seq = m.groups()
+    items = iter(find_items(text))
+    for closed, rule, seq, axiom, _ in items:
         if closed:
             if not open_rules:
                 return None
@@ -736,29 +758,41 @@ def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
             node = nodes.get((RuleApp, rule, id(seq), id(kids), id(None))) or make(
                 RuleApp, rule, seq, kids, None
             )
-        else:
-            if len(open_rules) >= MAX_DEPTH or (rule is not None and rule not in RULE_ARITY):
+        elif len(open_rules) >= MAX_DEPTH:
+            return None
+        elif rule:
+            if rule not in RULE_ARITY:
                 return None
             try:
-                seq = parse_sequent(axiom_seq if rule is None else rule_seq, lat)
+                seq = texts.get(seq) or parse_sequent(seq, lat)
             except ParseError:
                 return None
-            if rule is None:
-                binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings(binds))])
-                node = make(AxiomApp, schema, binds, seq)
-            else:
-                open_rules.append((rule, seq, []))
-                continue
+            open_rules.append((rule, seq, []))
+            continue
+        elif axiom:
+            node = leaves.get(axiom)
+            if node is None:
+                # axiom, schema, bind, its keys and values in turn, seq, sequent
+                _, schema, _, *binds, _, quoted = filter(None, leaf_words(axiom))
+                try:
+                    seq = parse_sequent(quoted[1:-1], lat)
+                except ParseError:  # not remembered: the token parser reports it
+                    return None
+                pairs = sorted(zip(binds[::2], binds[1::2]))
+                binds = make(tuple, *[make(tuple, *b) for b in pairs])
+                node = leaves[axiom] = make(AxiomApp, schema, binds, seq)
+        else:  # another character, or the end of the text before the root
+            return None
         if not open_rules:
-            return node if at_end(text, pos) else None
+            return node if next(items) == _END else None
         open_rules[-1][2].append(node)
 
 
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
     """Parse a derivation s-expression into the lattice's store.  A scanner
-    reads each node head of plain text with one pattern match; wherever it
-    stops short, the token parser reads the whole text again, and reads
-    comments and witnesses or raises its error."""
+    reads the node heads and comments of the text with one ``findall``;
+    wherever it stops short, the token parser reads the whole text again,
+    and reads witnesses or raises its error."""
     d = _scan(text, lat)
     return d if d is not None else _DerivationParser(text, lat).parse()
 
@@ -813,11 +847,30 @@ def _(s: Sequent) -> str:
     return ascii_sequent(s)
 
 
+def _head_line(node: Derivation, texts: dict) -> str:
+    """The line that writes ``node``'s head, unindented: the whole line of a
+    leaf, the line before the children of a rule node that has them.  A
+    sequent is rendered once for its life: its text is kept on it."""
+    conclusion = node.conclusion
+    seq = getattr(conclusion, "_text", None)  # unset until first rendered
+    if seq is None:
+        seq = _sequent(conclusion, _ASCII, texts)
+        _set(conclusion, "_text", seq)
+    if isinstance(node, AxiomApp):
+        binds = " ".join(f"{k}={v}" for k, v in node.bindings)
+        return f'(axiom {node.schema} (bind {binds}) (seq "{seq}"))'
+    head = f'(rule {node.rule} (seq "{seq}")'
+    if node.witness is not None:
+        head += f" (witness {ascii_term(node.witness)})"
+    return head if node.children else head + ")"
+
+
 def _derivation_lines(d: Derivation) -> list[str]:
     """One line per node head in pre-order, each child two spaces deeper than
     its parent, and a line closing each node that has children.  The walk
     keeps an explicit stack, so a tree of any depth is written out.  Each
-    sequent is rendered once for its life: its text is kept on it.  A new
+    node's head line is made once for its life and kept on the node, so
+    writing a node again is one attribute read and one concatenation.  A new
     sequent renders each formula object once per call: ``texts`` maps its id
     to its text, and the tree keeps every such formula alive until the call
     ends."""
@@ -829,25 +882,15 @@ def _derivation_lines(d: Derivation) -> list[str]:
         if node is None:
             lines.append(pad)
             continue
-        conclusion = node.conclusion
-        seq = getattr(conclusion, "_text", None)  # unset until first rendered
-        if seq is None:
-            seq = _sequent(conclusion, _ASCII, texts)
-            _set(conclusion, "_text", seq)
-        if isinstance(node, AxiomApp):
-            binds = " ".join(f"{k}={v}" for k, v in node.bindings)
-            lines.append(f'{pad}(axiom {node.schema} (bind {binds}) (seq "{seq}"))')
-            continue
-        head = f'{pad}(rule {node.rule} (seq "{seq}")'
-        if node.witness is not None:
-            head += f" (witness {ascii_term(node.witness)})"
-        if not node.children:
-            lines.append(head + ")")
-            continue
-        lines.append(head)
-        stack.append((None, pad + ")"))
-        inner = pad + "  "
-        stack.extend([(child, inner) for child in reversed(node.children)])
+        line = getattr(node, "_text", None)  # unset until first written
+        if line is None:
+            line = _head_line(node, texts)
+            _set(node, "_text", line)
+        lines.append(pad + line)
+        if isinstance(node, RuleApp) and node.children:
+            stack.append((None, pad + ")"))
+            inner = pad + "  "
+            stack.extend([(child, inner) for child in reversed(node.children)])
     return lines
 
 

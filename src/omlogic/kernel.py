@@ -42,6 +42,7 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     Term,
+    _Rendered,
     ascii_term,
     free_vars,
     normalize_term,
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 
-class RuleApp(Record):
+class RuleApp(_Rendered):
     """An inference step; ``witness`` is the instance term of ``forall_l``."""
 
     __slots__ = ("rule", "conclusion", "children", "witness")
@@ -74,7 +75,7 @@ class RuleApp(Record):
         super().__init__(rule, conclusion, children, witness)
 
 
-class AxiomApp(Record):
+class AxiomApp(_Rendered):
     """An axiom leaf; ``bindings`` are sorted (variable, value) pairs."""
 
     __slots__ = ("schema", "bindings", "conclusion")

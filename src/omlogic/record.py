@@ -80,14 +80,21 @@ class Store:
     table holds each node, and each node its parts, so an id in a key or in
     ``verdicts`` is never reused while the store lives.  The store lives and
     dies with its lattice and grows with distinct content, not with calls.
+
+    Its memos map texts to the nodes read from them: ``texts`` each sequent
+    string and ``formulas`` each top-level formula string
+    (``formats.parse_sequent``), and ``leaves`` the text of each axiom leaf
+    that ``formats.parse_derivation`` scanned, exactly as the file wrote it,
+    comments included.  A text that does not parse is never remembered.
     """
 
-    __slots__ = ("nodes", "texts", "formulas", "verdicts", "cores")
+    __slots__ = ("nodes", "texts", "formulas", "leaves", "verdicts", "cores")
 
     def __init__(self):
         self.nodes: dict = {}  # key -> the one node of that value
         self.texts: dict = {}  # sequent text -> sequent, for parse_sequent
         self.formulas: dict = {}  # top-level formula text -> formula, for parse_sequent
+        self.leaves: dict = {}  # axiom leaf text -> leaf, for parse_derivation
         self.verdicts: set = set()  # ids of the nodes check_derivation found valid
         self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree
 

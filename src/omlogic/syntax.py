@@ -141,9 +141,10 @@ ATOMS = (Actual, Reachable, Measurement, Induced)
 
 
 class _Rendered(Record):
-    """A slot below a record's fields, which the constructor leaves unset:
-    ``formats.serialize`` fills a sequent's ``_text`` the first time it
-    renders the sequent."""
+    """A slot below a record's fields, which the constructor leaves unset and
+    ``repr``, equality, hashing and copies ignore.  ``formats.serialize``
+    fills it the first time it writes the record: a sequent's ``_text`` is
+    its text, a derivation node's its head line, unindented."""
 
     __slots__ = ("_text",)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -33,6 +34,7 @@ from omlogic.kernel import RuleApp, check_derivation
 from omlogic.lattice import boolean, hexagon, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import perfect_measurement_map
+from omlogic.record import Store
 from omlogic.syntax import (
     Actual,
     Const,
@@ -638,9 +640,9 @@ class TestScanner:
         for reflowed in (reflow(text, rng, comments=False), reflow(text, rng)):
             assert _DerivationParser(reflowed, lat).parse() == expected
             assert parse_derivation(reflowed, lat) == expected
-            # the scanner reads whitespace-separated tokens itself, without the
-            # token parser, and leaves a comment or a witness to it
-            plain = "#" not in reflowed and "(witness" not in text
+            # the scanner reads whitespace and comments between tokens itself,
+            # without the token parser, and leaves a witness to it
+            plain = "(witness" not in text
             assert _scan(reflowed, lat) == (expected if plain else None)
 
     def test_witness_terms(self):
@@ -695,6 +697,32 @@ class TestScanner:
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("gap", [
+        "#" * 24 + "\n", "#" * 10000 + "\n", " # #\n" * 20000, "\n" + " " * 100000,
+    ], ids=["comment", "long comment", "comment lines", "long blank run"])
+    def test_no_backtracking_inside_head(self, gap):
+        # a mismatch after a gap inside a node head gives the gap back one
+        # character at a time: a gap that could split its comments would
+        # try 2^n ways for n '#'
+        text = "(rule plus_r1" + gap + "~)"
+        start = time.perf_counter()
+        got = outcome(lambda: parse_derivation(text, mo(2)))
+        assert time.perf_counter() - start < 1.0
+        assert got == outcome(lambda: _DerivationParser(text, mo(2)).parse())
+        assert got[0].endswith("unexpected character '~'")
+
+    @pytest.mark.parametrize("tail", [" " * 100000, "\n" * 100000, "# x\n" * 20000],
+                             ids=["spaces", "newlines", "comment lines"])
+    def test_trailing_gap_one_match(self, tail):
+        # the end of the text is a scanner item, so a long tail is one match,
+        # not one failed match from each of its positions
+        lat = mo(2)
+        d = derive_composed(lat, "a", "b", "a")
+        text = serialize(d) + tail
+        start = time.perf_counter()
+        assert parse_derivation(text, lat) is d
+        assert time.perf_counter() - start < 1.0
+
     def test_patterns_compiled_on_first_use(self):
         code = (
             "import omlogic.cli\n"
@@ -714,6 +742,42 @@ class TestScanner:
         assert proc.returncode == 0, proc.stderr
         # importing compiles none; the first parse compiles them, once
         assert proc.stdout == "0\n1\n1\n"
+
+
+class TestLeafMemo:
+    """The scanner reads an axiom leaf by one lookup of its text in the
+    store's leaf memo; a leaf that does not parse is left to the token
+    parser and never remembered."""
+
+    TEXT = '(axiom Adjust1 (bind y=b x=a) (seq "In(a) |- In(a)"))'
+
+    def test_each_lattice_its_own_leaf(self):
+        mo2, b3 = mo(2), boolean(3)
+        leaves = [parse_derivation(self.TEXT, lat) for lat in (mo2, b3)]
+        assert leaves[0] == leaves[1] and leaves[0] is not leaves[1]
+        for lat, leaf in zip((mo2, b3), leaves):
+            assert lat._store.leaves == {self.TEXT: leaf}
+            assert lat._store.owns(leaf) and parse_derivation(self.TEXT, lat) is leaf
+        assert not mo2._store.owns(leaves[1])
+
+    def test_commented_leaf(self):
+        lat = mo(2)
+        plain = parse_derivation(self.TEXT, lat)
+        noisy = ('( # "(seq x=b)\n axiom Adjust1#)\n(bind y=b # x=q\n x=a)(seq#"\n'
+                 '"In(a) |- In(a)" #")"\n)# end\n)')
+        assert _DerivationParser(noisy, lat).parse() is plain
+        assert _scan(noisy, lat) is plain
+        assert len(lat._store.leaves) == 2
+
+    @pytest.mark.parametrize("text", [
+        '(axiom Adjust1 (bind x=a) (seq "In(a) |-"))',
+        '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (axiom Trans (bind) (seq "In(0) |- In(a)")))',
+    ])
+    def test_bad_leaf_not_remembered(self, text):
+        lat = mo(2)
+        got = [outcome(lambda: parse_derivation(text, lat)) for _ in range(2)]
+        assert got[0] == got[1] == outcome(lambda: _DerivationParser(text, lat).parse())
+        assert isinstance(got[0], tuple) and not lat._store.leaves
 
 
 def distinct_nodes(d) -> list:
@@ -898,6 +962,21 @@ def preorder(d) -> list:
     return out
 
 
+def seeded_mutants(lat) -> list:
+    """200 seeded mutants of measurement derivations over ``lat``, a lattice
+    of the mo(2) family, one mutation kind after another."""
+    pairs = list(itertools.product(lat.nonzero(), repeat=2))
+    out = []
+    for i in range(200):
+        rng = random.Random(20261018 + i)
+        kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
+        if kind == "capture":
+            out.append(capture_case(lat, rng)[1])
+        else:
+            out.append(mutate(derive_measurement(lat, *pairs[i % len(pairs)]), kind, rng, lat))
+    return out
+
+
 class TestSerializeMemo:
     """serialize renders each sequent once for its life; every sequent it
     writes must still be the plain renderer's text, and the text must parse
@@ -931,14 +1010,7 @@ class TestSerializeMemo:
 
     def test_seeded_mutants(self):
         lat, twin, texts = mo(2), mo(2), {}
-        pairs = list(itertools.product(lat.nonzero(), repeat=2))
-        for i in range(200):
-            rng = random.Random(20261018 + i)
-            kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
-            if kind == "capture":
-                m = capture_case(lat, rng)[1]
-            else:
-                m = mutate(derive_measurement(lat, *pairs[i % len(pairs)]), kind, rng, lat)
+        for m in seeded_mutants(lat):
             self.assert_oracle(m, lat, twin, texts)
 
     def test_deep_flat_chain(self):
@@ -951,3 +1023,62 @@ class TestSerializeMemo:
         lines.append("  " * 1199 + '(rule id (seq "In(a) |- In(a)"))')
         lines += ["  " * i + ")" for i in reversed(range(1199))]
         assert serialize(d) == "\n".join(lines) + "\n"
+
+
+# sha256 of the bytes serialize wrote for TestHeadLines.trees, recorded
+# before serialize kept any node's head line; the cached writer must write
+# the same bytes
+WRITER_DIGEST = "63e5f9c6b45c7371106e780d5434844c0a4bb4bd6d2ba57fbe4a74cf3d961e98"
+
+
+class TestHeadLines:
+    """serialize keeps each node's head line on the node, outside its fields;
+    the bytes it writes are those of a writer that renders every node
+    afresh."""
+
+    @pytest.fixture(scope="class")
+    def trees(self, short_chains) -> list:
+        """Every chain of one to three measurements on mo(2) and boolean(3),
+        seeded mutants on mo(2) and seeded random derivations, witnesses
+        among them."""
+        out = []
+        for family in ("mo2", "boolean3"):
+            lat, chains = short_chains(family)
+            out += [d for k in (1, 2, 3) for d in chains[k]]
+        out += seeded_mutants(mo(2))
+        rng = random.Random(20261018)
+        out += [gen.random_derivation(rng)[1] for _ in range(40)]
+        for term in ("ortho(ortho(a))", "q", "ortho(b)"):
+            out.append(parse_derivation(WITNESS_TEXT.replace("ortho(ortho(a))", term), mo(2)))
+        return out
+
+    @staticmethod
+    def digest(texts) -> str:
+        return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+    def test_bytes_pinned(self, trees):
+        assert self.digest(map(serialize, trees)) == WRITER_DIGEST
+
+    def test_second_call_and_fresh_store(self, trees):
+        first = [serialize(d) for d in trees]
+        assert [serialize(d) for d in trees] == first  # every head line kept
+        store, copied = Store(), {}
+
+        def copy(obj):
+            """``obj`` built again in ``store``, each distinct object once."""
+            if obj is None or obj.__class__ is str:
+                return obj
+            if id(obj) not in copied:
+                parts = obj if obj.__class__ is tuple else obj._values()
+                copied[id(obj)] = store.make(obj.__class__, *map(copy, parts))
+            return copied[id(obj)]
+
+        copies = [copy(d) for d in trees]  # equal trees, nothing written yet
+        assert not any(hasattr(node, "_text") for c in copies for node in distinct_nodes(c))
+        assert [serialize(c) for c in copies] == first
+
+    def test_head_line_is_the_nodes_line(self):
+        d = parse_derivation(WITNESS_TEXT, mo(2))
+        serialize(d)
+        assert d._text == WITNESS_TEXT.split("\n")[0]
+        assert d.children[0]._text == '(rule id (seq "In(a) |- In(a)"))'

@@ -228,3 +228,20 @@ def test_copy_and_pickle():
             assert twin == d and repr(twin) == repr(d)
     result = CrosscheckResult(False, reason="r")
     assert copy.deepcopy(result) == result and copy.deepcopy(result) is not result
+
+
+def test_head_lines_outside_fields():
+    """serialize keeps each node's head line in a slot outside its fields;
+    repr, equality, hashing, copies and the recorded digests ignore it."""
+    ds = [d for _, d in derivations()]
+    hashes = [hash(d) for d in ds]
+    for d in ds:
+        serialize(d)
+    assert all(d._text.startswith(("(rule ", "(axiom ")) for d in ds)
+    assert digest(ds) == EXPECTED["derivations"]
+    assert [hash(d) for d in ds] == hashes
+    for d in ds:
+        assert "_text" not in repr(d)
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)), rebuild(d)):
+            assert twin == d and hash(twin) == hash(d)
+            assert getattr(twin, "_text", None) is None
