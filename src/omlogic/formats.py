@@ -4,9 +4,12 @@ Five value kinds travel through text: lattices and maps use line-oriented
 formats, formulas and sequents an infix grammar, and derivations a nested
 s-expression format.  All files are ASCII with ``#`` comments to end of line;
 parse errors carry a source span pointing inside the offending token plus the
-set of expected tokens.  Every formula, sequent and derivation node is built
-in the lattice's store (``omlogic.record.Store``), which holds one object per
-value, and sequents are memoized per lattice by their text (see
+set of expected tokens.  The formula and derivation token parsers read their
+tokens as strings, from one ``findall`` of their grammar's pattern, each token
+after a gap of whitespace and comments; where a token starts is worked out
+only when an error is raised.  Every formula, sequent and derivation node is
+built in the lattice's store (``omlogic.record.Store``), which holds one
+object per value, and sequents are memoized per lattice by their text (see
 :func:`parse_sequent`).
 
 Derivation files are read by a scanner that splits the whole text into node
@@ -25,7 +28,11 @@ again, and either returns the derivation or raises its error, so every error
 keeps the token parser's message and span.
 
 ``serialize`` keeps each derivation node's head line on the node, so writing
-a node again is one attribute read and one concatenation.
+a node again is one attribute read and one concatenation, and the ASCII text
+of each sequent and of each of its formulas on that object, so each is
+rendered once for its life.  It fills no text memo of the reader: it does not
+know which store it writes for, and a sequent built in a store need not parse
+back to itself (``In(0)``, or a variable spelled like an element).
 
 The multiplicative conjunction ``*`` is non-associative and the grammar makes
 that unavoidable: a second ``*`` at the same level is a parse error, so
@@ -36,7 +43,8 @@ from __future__ import annotations
 
 import re
 from functools import cache, singledispatch
-from typing import NamedTuple
+from itertools import islice
+from operator import itemgetter
 
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
@@ -58,9 +66,8 @@ from omlogic.syntax import (
     Tensor,
     Term,
     Var,
-    _ASCII,
+    _ascii,
     _atom,
-    _sequent,
     ascii_formula,
     ascii_sequent,
     ascii_term,
@@ -241,26 +248,24 @@ def parse_map(text: str, lat: FiniteOrthoLattice) -> PowersetMap:
 # -- formula and sequent grammar ---------------------------------------------------
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<lolli>-o)
-  | (?P<turnstile>\|-)
-  | (?P<nleq>!<=)
-  | (?P<notin>!in)
-  | (?P<leq><=)
-  | (?P<name>[A-Za-z0-9_][A-Za-z0-9_']*)
-  | (?P<punct>[()*+,.{}])
-    """,
-    re.VERBOSE,
-)
+# A gap: whitespace, then any ``#`` comments, each running to the end of its
+# line with the whitespace after it taken whole.  So a gap matches only one
+# way, and on a mismatch the engine gives it back one character at a time,
+# never trying ways to split it (Python 3.10 has no atomic groups).  The
+# comments are an alternative that starts with ``#``, not an optional
+# group, which the engine would enter at every gap of a plain file.
+_COMMENT = r"#[^\n]*(?![^\n])\s*"
+_GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    start: int  # offset into the tokenized text
+def _token_pattern(tokens: str) -> re.Pattern:
+    """The pattern of one token grammar for :func:`_tokenize`: a gap, then
+    one of ``tokens`` or the end of the text (group 1), or else the rest of
+    the text from a character that starts no token (group 2)."""
+    return re.compile(rf"{_GAP}(?:({tokens}|\Z)|(\S[\s\S]*))")
+
+
+_TOKEN_RE = _token_pattern(r"-o|\|-|!<=|!in|<=|[A-Za-z0-9_][A-Za-z0-9_']*|[()*+,.{}]")
 
 
 def _span(text: str, start: int, length: int) -> SourceSpan:
@@ -270,23 +275,18 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, length)
 
 
-def _tokenize(text: str, pattern: re.Pattern) -> list[_Token]:
-    """Split text into tokens of ``pattern``'s named groups, dropping ``ws``
-    and ``comment``; the list ends with an ``eof`` token.  A gap between two
-    matches is an unexpected character."""
-    out = []
-    pos = 0
-    for m in pattern.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind != "ws" and kind != "comment":
-            out.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", _span(text, pos, 1))
-    out.append(_Token("eof", "", pos))
-    return out
+def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
+    """The tokens of ``text`` as strings, from one ``findall`` of
+    ``pattern`` (see :func:`_token_pattern`); the list ends with ``""``.  A
+    stray character takes the rest of the text, so it is the item before the
+    end's, and raises :class:`ParseError`.  Where a token starts is worked
+    out only for an error (see :meth:`_Parser.span`)."""
+    items = pattern.findall(text)
+    stray = items[-2][1] if len(items) > 1 else ""
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r}",
+                         _span(text, len(text) - len(stray), 1))
+    return list(map(itemgetter(0), items))
 
 
 # Deepest nesting either parser accepts: formula levels (parentheses, '-o',
@@ -299,9 +299,12 @@ MAX_DEPTH = 100
 
 class _Parser:
     """Token cursor shared by the formula and derivation parsers, which set
-    ``pattern`` to their token grammar."""
+    ``pattern`` to their token grammar and ``marks`` to its operators and
+    punctuation, with ``""`` for the end.  Tokens are compared as text: a
+    name is any token outside ``marks`` that is not a quoted string."""
 
     pattern: re.Pattern
+    marks: frozenset[str]
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         self.text = text
@@ -311,19 +314,32 @@ class _Parser:
         self.lat = lat
         self.make = lat._store.make  # every node is built in the lattice's store
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def span(self, tok: _Token) -> SourceSpan:
-        return _span(self.text, tok.start, len(tok.text) or 1)
+    def is_name(self, tok: str) -> bool:
+        return tok not in self.marks and tok[0] != '"'
 
-    def error(self, message: str, expected=frozenset(), token: _Token | None = None):
-        raise ParseError(message, self.span(token or self.peek()), frozenset(expected))
+    def name(self, message: str, expected: str = "<name>") -> str:
+        """The next token, which must be a name."""
+        if not self.is_name(self.peek()):
+            self.error(message, {expected})
+        return self.advance()
+
+    def span(self, i: int) -> SourceSpan:
+        """The span of token ``i``: its start is that of the ``i``-th match
+        of ``pattern``, found again only when an error is raised."""
+        start = next(islice(self.pattern.finditer(self.text), i, None)).start(1)
+        return _span(self.text, start, len(self.tokens[i]) or 1)
+
+    def error(self, message: str, expected=frozenset(), at: int | None = None):
+        """Raise at token ``at``, by default the next one."""
+        raise ParseError(message, self.span(self.pos if at is None else at), frozenset(expected))
 
     def descend(self) -> None:
         """Enter one nesting level at the next token; callers step back out
@@ -338,15 +354,16 @@ _ATOM_HEADS = ("In", "R", "M", "IND")
 
 class _FormulaParser(_Parser):
     pattern = _TOKEN_RE
+    marks = frozenset(["-o", "|-", "!<=", "!in", "<=", *"()*+,.{}", ""])
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
         self.bound: list[str] = []
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> str:
         tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", {text})
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}", {text})
         return self.advance()
 
     # grammar: formula := lolli; lolli := sum [-o lolli];
@@ -355,29 +372,29 @@ class _FormulaParser(_Parser):
 
     def parse_formula_text(self) -> Formula:
         f = self.formula()
-        if self.peek().kind != "eof":
-            self.error(f"trailing input {self.peek().text!r}", {"end of input"})
+        if self.peek():
+            self.error(f"trailing input {self.peek()!r}", {"end of input"})
         return f
 
     def parse_sequent_text(self) -> Sequent:
         ctx: list[Formula] = []
-        if self.peek().kind != "turnstile":
+        if self.peek() != "|-":
             ctx.append(self.formula())
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.advance()
                 ctx.append(self.formula())
-        if self.peek().kind != "turnstile":
+        if self.peek() != "|-":
             self.error("expected '|-'", {"|-", ","})
         self.advance()
         rhs = self.formula()
-        if self.peek().kind != "eof":
-            self.error(f"trailing input {self.peek().text!r}", {"end of input"})
+        if self.peek():
+            self.error(f"trailing input {self.peek()!r}", {"end of input"})
         return self.make(Sequent, self.make(tuple, *ctx), rhs)
 
     def formula(self) -> Formula:
         self.descend()
         out = self.sum()
-        if self.peek().kind == "lolli":
+        if self.peek() == "-o":
             self.advance()
             out = self.make(Lolli, out, self.formula())
         self.depth -= 1
@@ -386,7 +403,7 @@ class _FormulaParser(_Parser):
     def sum(self) -> Formula:
         depth = self.depth
         out = self.product()
-        while self.peek().text == "+":
+        while self.peek() == "+":
             self.descend()  # the tree nests one level per term of the chain
             self.advance()
             out = self.make(Plus, out, self.product())
@@ -395,11 +412,11 @@ class _FormulaParser(_Parser):
 
     def product(self) -> Formula:
         left = self.unit()
-        if self.peek().text != "*":
+        if self.peek() != "*":
             return left
         self.advance()
         right = self.unit()
-        if self.peek().text == "*":
+        if self.peek() == "*":
             self.error(
                 "'*' is non-associative; parenthesize nested conjunctions",
                 {"+", "-o", ")", ",", "|-", "end of input"},
@@ -408,41 +425,45 @@ class _FormulaParser(_Parser):
 
     def unit(self) -> Formula:
         tok = self.peek()
-        if tok.text == "(":
+        if tok == "(":
             self.advance()
             f = self.formula()
             self.expect(")")
             return f
-        if tok.text == "forall":
+        if tok == "forall":
             return self.forall()
-        if tok.kind == "name" and tok.text in _ATOM_HEADS:
+        if tok in _ATOM_HEADS:
             return self.atom()
         self.error(
-            f"expected a formula, found {tok.text or 'end of input'!r}",
+            f"expected a formula, found {tok or 'end of input'!r}",
             {"In", "R", "M", "IND", "(", "forall"},
         )
 
     def atom(self) -> Formula:
+        at = self.pos
         head = self.advance()
         self.expect("(")
-        if head.text == "IND":
-            name = self.peek()
-            if name.kind != "name":
-                self.error("expected a map name", {"<name>"})
-            self.advance()
+        if head == "IND":
+            name = self.name("expected a map name")
             self.expect(")")
-            return self.make(Induced, name.text)
-        term = normalize_term(self.term(), self.lat)
+            return self.make(Induced, name)
+        term = self.normal_term()
         self.expect(")")
-        cls = {"In": Actual, "R": Reachable, "M": Measurement}[head.text]
+        cls = {"In": Actual, "R": Reachable, "M": Measurement}[head]
         try:
             return _atom(self.lat, cls, term)
         except ValueError as err:  # In or R of 0
-            self.error(str(err), token=head)
+            self.error(str(err), at=at)
+
+    def normal_term(self) -> Term:
+        """A term in normal form: a plain name from :meth:`term` is already
+        the store's node, so only a complement is normalized."""
+        t = self.term()
+        return normalize_term(t, self.lat) if t.__class__ is OrthoTerm else t
 
     def term(self) -> Term:
         tok = self.peek()
-        if tok.text == "ortho":
+        if tok == "ortho":
             self.descend()
             self.advance()
             self.expect("(")
@@ -450,51 +471,45 @@ class _FormulaParser(_Parser):
             self.expect(")")
             self.depth -= 1
             return self.make(OrthoTerm, inner)
-        if tok.kind != "name":
+        if not self.is_name(tok):
             self.error("expected a term", {"<name>", "ortho"})
         self.advance()
-        if tok.text in self.lat and tok.text not in self.bound:
-            return self.make(Const, tok.text)
-        return self.make(Var, tok.text)
+        if tok in self.lat and tok not in self.bound:
+            return self.make(Const, tok)
+        return self.make(Var, tok)
 
     def forall(self) -> Formula:
         self.expect("forall")
-        var = self.peek()
-        if var.kind != "name":
-            self.error("expected a variable name", {"<name>"})
-        self.advance()
+        var = self.name("expected a variable name")
         guard: list[Constraint] = []
-        if self.peek().text == "{":
+        if self.peek() == "{":
             self.advance()
-            if self.peek().text != "}":
+            if self.peek() != "}":
                 guard.append(self.constraint())
-                while self.peek().text == ",":
+                while self.peek() == ",":
                     self.advance()
                     guard.append(self.constraint())
             self.expect("}")
         self.expect(".")
-        self.bound.append(var.text)
+        self.bound.append(var)
         try:
             body = self.formula()
         finally:
             self.bound.pop()
-        return self.make(Forall, var.text, self.make(tuple, *guard), body)
+        return self.make(Forall, var, self.make(tuple, *guard), body)
 
     def constraint(self) -> Constraint:
         tok = self.peek()
-        if tok.kind == "leq" or tok.kind == "nleq":
+        if tok == "<=" or tok == "!<=":
             self.advance()
-            return self.make(Constraint, tok.text, normalize_term(self.term(), self.lat))
-        if tok.kind == "notin":
+            return self.make(Constraint, tok, self.normal_term())
+        if tok == "!in":
             self.advance()
             self.expect("K")
             self.expect("(")
-            name = self.peek()
-            if name.kind != "name":
-                self.error("expected a map name", {"<name>"})
-            self.advance()
+            name = self.name("expected a map name")
             self.expect(")")
-            return self.make(Constraint, "!inK", name.text)
+            return self.make(Constraint, "!inK", name)
         self.error("expected a guard constraint", {"<=", "!<=", "!in"})
 
 
@@ -550,18 +565,7 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
 # -- derivation s-expressions -------------------------------------------------------
 
 
-_SEXPR_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<open>\()
-  | (?P<close>\))
-  | (?P<string>"[^"\n]*")
-  | (?P<eq>=)
-  | (?P<name>[A-Za-z0-9_'-][A-Za-z0-9_'-]*)
-    """,
-    re.VERBOSE,
-)
+_SEXPR_RE = _token_pattern(r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*""")
 
 
 class _DerivationParser(_Parser):
@@ -571,25 +575,25 @@ class _DerivationParser(_Parser):
     the scanner's oracle."""
 
     pattern = _SEXPR_RE
+    marks = frozenset(["(", ")", "=", ""])
 
     def expect_open(self, *heads: str) -> str:
-        if self.peek().kind != "open":
+        if self.peek() != "(":
             self.error("expected '('", {"("})
         self.advance()
         head = self.peek()
-        if head.kind != "name" or (heads and head.text not in heads):
-            self.error(f"unexpected node head {head.text!r}", set(heads))
-        self.advance()
-        return head.text
+        if head not in heads:
+            self.error(f"unexpected node head {head!r}", set(heads))
+        return self.advance()
 
     def expect_close(self):
-        if self.peek().kind != "close":
+        if self.peek() != ")":
             self.error("expected ')'", {")"})
         self.advance()
 
     def parse(self) -> Derivation:
         node = self.node()
-        if self.peek().kind != "eof":
+        if self.peek():
             self.error("trailing input after derivation", {"end of input"})
         return node
 
@@ -601,58 +605,52 @@ class _DerivationParser(_Parser):
         return node
 
     def rule_node(self) -> RuleApp:
-        name_tok = self.peek()
-        if name_tok.kind != "name" or name_tok.text not in RULE_ARITY:
-            self.error(f"unknown rule {name_tok.text!r}", set(RULE_ARITY))
+        rule = self.peek()
+        if rule not in RULE_ARITY:
+            self.error(f"unknown rule {rule!r}", set(RULE_ARITY))
         self.advance()
         seq = self.seq_field()
         witness = None
-        if self.peek().kind == "open" and self.tokens[self.pos + 1].text == "witness":
+        if self.peek() == "(" and self.tokens[self.pos + 1] == "witness":
             self.advance()
             self.advance()
             witness = self.witness_term()
             self.expect_close()
         children = []
-        while self.peek().kind == "open":
+        while self.peek() == "(":
             children.append(self.node())
         self.expect_close()
-        return self.make(RuleApp, name_tok.text, seq, self.make(tuple, *children), witness)
+        return self.make(RuleApp, rule, seq, self.make(tuple, *children), witness)
 
     def axiom_node(self) -> AxiomApp:
-        name_tok = self.peek()
-        if name_tok.kind != "name":
-            self.error("expected a schema name", {"<schema>"})
-        self.advance()
+        schema = self.name("expected a schema name", "<schema>")
         self.expect_open("bind")
         bindings = []
-        while self.peek().kind == "name":
+        while self.is_name(self.peek()):
             var = self.advance()
-            if self.peek().kind != "eq":
+            if self.peek() != "=":
                 self.error("expected '=' in binding", {"="})
             self.advance()
-            val = self.peek()
-            if val.kind != "name":
-                self.error("expected a binding value", {"<name>"})
-            self.advance()
-            bindings.append((var.text, val.text))
+            bindings.append((var, self.name("expected a binding value")))
         self.expect_close()
         seq = self.seq_field()
         self.expect_close()
         make = self.make
         binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings)])
-        return make(AxiomApp, name_tok.text, binds, seq)
+        return make(AxiomApp, schema, binds, seq)
 
     def seq_field(self) -> Sequent:
         self.expect_open("seq")
+        at = self.pos
         tok = self.peek()
-        if tok.kind != "string":
+        if tok[:1] != '"':
             self.error("expected a quoted sequent", {'"<sequent>"'})
         self.advance()
         try:
-            seq = parse_sequent(tok.text[1:-1], self.lat)
+            seq = parse_sequent(tok[1:-1], self.lat)
         except ParseError as err:
             # str(err) already ends in its expected-token hint
-            wrapped = ParseError(f"in sequent string: {err}", self.span(tok))
+            wrapped = ParseError(f"in sequent string: {err}", self.span(at))
             wrapped.expected = err.expected
             raise wrapped from err
         self.expect_close()
@@ -661,11 +659,11 @@ class _DerivationParser(_Parser):
     def witness_term(self) -> Term:
         # witness terms share the formula term grammar: name | ortho(name)
         tok = self.peek()
-        if tok.kind != "name":
+        if not self.is_name(tok):
             self.error("expected a witness term", {"<name>", "ortho"})
         self.advance()
-        if tok.text == "ortho":
-            if self.peek().kind != "open":
+        if tok == "ortho":
+            if self.peek() != "(":
                 self.error("expected '('", {"("})
             self.descend()
             self.advance()
@@ -673,19 +671,11 @@ class _DerivationParser(_Parser):
             self.expect_close()
             self.depth -= 1
             return self.make(OrthoTerm, inner)
-        return self.make(Const if tok.text in self.lat else Var, tok.text)
+        return self.make(Const if tok in self.lat else Var, tok)
 
 
 _WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
 _NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
-# A gap: whitespace, then any ``#`` comments, each running to the end of its
-# line with the whitespace after it taken whole.  So a gap matches only one
-# way, and on a mismatch the engine gives it back one character at a time,
-# never trying ways to split it (Python 3.10 has no atomic groups).  The
-# comments are an alternative that starts with ``#``, not an optional
-# group, which the engine would enter at every gap of a plain file.
-_COMMENT = r"#[^\n]*(?![^\n])\s*"
-_GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 
 def _tokens(*parts: str) -> str:
@@ -847,15 +837,10 @@ def _(s: Sequent) -> str:
     return ascii_sequent(s)
 
 
-def _head_line(node: Derivation, texts: dict) -> str:
+def _head_line(node: Derivation) -> str:
     """The line that writes ``node``'s head, unindented: the whole line of a
-    leaf, the line before the children of a rule node that has them.  A
-    sequent is rendered once for its life: its text is kept on it."""
-    conclusion = node.conclusion
-    seq = getattr(conclusion, "_text", None)  # unset until first rendered
-    if seq is None:
-        seq = _sequent(conclusion, _ASCII, texts)
-        _set(conclusion, "_text", seq)
+    leaf, the line before the children of a rule node that has them."""
+    seq = _ascii(node.conclusion)
     if isinstance(node, AxiomApp):
         binds = " ".join(f"{k}={v}" for k, v in node.bindings)
         return f'(axiom {node.schema} (bind {binds}) (seq "{seq}"))'
@@ -870,11 +855,9 @@ def _derivation_lines(d: Derivation) -> list[str]:
     its parent, and a line closing each node that has children.  The walk
     keeps an explicit stack, so a tree of any depth is written out.  Each
     node's head line is made once for its life and kept on the node, so
-    writing a node again is one attribute read and one concatenation.  A new
-    sequent renders each formula object once per call: ``texts`` maps its id
-    to its text, and the tree keeps every such formula alive until the call
-    ends."""
-    texts = {}
+    writing a node again is one attribute read and one concatenation; so is
+    the text of each sequent and of each of its formulas (see
+    ``syntax._ascii``)."""
     lines = []
     stack = [(d, "")]  # (node, indent) still to write, or (None, closing line)
     while stack:
@@ -884,7 +867,7 @@ def _derivation_lines(d: Derivation) -> list[str]:
             continue
         line = getattr(node, "_text", None)  # unset until first written
         if line is None:
-            line = _head_line(node, texts)
+            line = _head_line(node)
             _set(node, "_text", line)
         lines.append(pad + line)
         if isinstance(node, RuleApp) and node.children:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from omlogic.lattice import FiniteOrthoLattice
-from omlogic.record import Record
+from omlogic.record import Record, _set
 
 __all__ = [
     "Const",
@@ -72,45 +72,56 @@ class OrthoTerm(Record):
 Term = Union[Const, Var, OrthoTerm]
 
 
-class Actual(Record):
+class _Rendered(Record):
+    """A slot below a record's fields, which the constructor leaves unset and
+    ``repr``, equality, hashing and copies ignore.  It is filled the first
+    time the record is written in ASCII, so each object is rendered once for
+    its life: a formula's or a sequent's ``_text`` is its ASCII text (see
+    :func:`_ascii`), a derivation node's its head line, unindented (see
+    ``formats.serialize``).  The pretty surface never reads it."""
+
+    __slots__ = ("_text",)
+
+
+class Actual(_Rendered):
     __slots__ = ("term",)
 
     term: Term
 
 
-class Reachable(Record):
+class Reachable(_Rendered):
     __slots__ = ("term",)
 
     term: Term
 
 
-class Measurement(Record):
+class Measurement(_Rendered):
     __slots__ = ("term",)
 
     term: Term
 
 
-class Induced(Record):
+class Induced(_Rendered):
     __slots__ = ("alpha",)
 
     alpha: str
 
 
-class Tensor(Record):
+class Tensor(_Rendered):
     __slots__ = ("left", "right")
 
     left: Formula
     right: Formula
 
 
-class Plus(Record):
+class Plus(_Rendered):
     __slots__ = ("left", "right")
 
     left: Formula
     right: Formula
 
 
-class Lolli(Record):
+class Lolli(_Rendered):
     __slots__ = ("antecedent", "consequent")
 
     antecedent: Formula
@@ -127,7 +138,7 @@ class Constraint(Record):
     rhs: Term | str
 
 
-class Forall(Record):
+class Forall(_Rendered):
     __slots__ = ("var", "guard", "body")
 
     var: str
@@ -138,15 +149,6 @@ class Forall(Record):
 Formula = Union[Actual, Reachable, Measurement, Induced, Tensor, Plus, Lolli, Forall]
 
 ATOMS = (Actual, Reachable, Measurement, Induced)
-
-
-class _Rendered(Record):
-    """A slot below a record's fields, which the constructor leaves unset and
-    ``repr``, equality, hashing and copies ignore.  ``formats.serialize``
-    fills it the first time it writes the record: a sequent's ``_text`` is
-    its text, a derivation node's its head line, unindented."""
-
-    __slots__ = ("_text",)
 
 
 class Sequent(_Rendered):
@@ -369,18 +371,21 @@ def _wrap(f: Formula, needed: bool) -> tuple:
     return (")", f, "(") if needed else (f,)
 
 
-def _sequent(q: Sequent, s: _Surface, texts: dict) -> str:
-    """``texts`` maps formula ids to their text, so each formula object is
-    rendered once per dict; the caller keeps every formula whose id is a key
-    alive as long as the dict."""
-    parts = []
-    for f in (*q.context, q.succedent):
-        text = texts.get(id(f))
-        if text is None:
-            text = texts[id(f)] = _render(f, s)
-        parts.append(text)
-    rhs = f"{s.turnstile} {parts.pop()}"
-    return ", ".join(parts) + " " + rhs if parts else rhs
+def _ascii(x: Formula | Sequent) -> str:
+    """The ASCII text of a formula or a sequent, kept in its ``_text`` slot:
+    each object is rendered once for its life."""
+    text = getattr(x, "_text", None)  # unset until first rendered
+    if text is None:
+        text = _sequent(x, _ASCII) if x.__class__ is Sequent else _render(x, _ASCII)
+        _set(x, "_text", text)
+    return text
+
+
+def _sequent(q: Sequent, s: _Surface) -> str:
+    """On the ASCII surface each formula's text is kept on the formula."""
+    render = _ascii if s is _ASCII else lambda f: _render(f, s)
+    rhs = f"{s.turnstile} {render(q.succedent)}"
+    return ", ".join(map(render, q.context)) + " " + rhs if q.context else rhs
 
 
 def ascii_term(t: Term) -> str:
@@ -389,11 +394,11 @@ def ascii_term(t: Term) -> str:
 
 def ascii_formula(f: Formula) -> str:
     """Canonical surface form, the one files use."""
-    return _render(f, _ASCII)
+    return _ascii(f)
 
 
 def ascii_sequent(s: Sequent) -> str:
-    return _sequent(s, _ASCII, {})
+    return _ascii(s)
 
 
 def pretty_formula(f: Formula) -> str:
@@ -402,4 +407,4 @@ def pretty_formula(f: Formula) -> str:
 
 
 def pretty_sequent(s: Sequent) -> str:
-    return _sequent(s, _PRETTY, {})
+    return _sequent(s, _PRETTY)

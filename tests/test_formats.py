@@ -17,8 +17,7 @@ from omlogic.derive import derive_chain, derive_composed, derive_measurement
 from omlogic.formats import (
     MAX_DEPTH,
     ParseError,
-    _SEXPR_RE,
-    _TOKEN_RE,
+    SourceSpan,
     _DerivationParser,
     _FormulaParser,
     _scan,
@@ -572,13 +571,19 @@ SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", " ", 
 COMMENT_CHARS = list('"()#=x -\t') + [" ", "\r"]
 
 
+def tokens(text: str, parser) -> list[tuple[str, bool]]:
+    """(token, whether it is a name) for each token of ``text`` in the
+    grammar of ``parser``, a parser class, without the end's ``""``."""
+    return [(tok, tok not in parser.marks and tok[0] != '"')
+            for tok in _tokenize(text, parser.pattern) if tok]
+
+
 def reflow(text: str, rng: random.Random, comments: bool = True) -> str:
     """``text`` with random whitespace, and comments unless ``comments`` is
     false, between any two tokens; two names keep at least one character
     between them."""
-    tokens = _tokenize(text, _SEXPR_RE)[:-1]
-    out, prev = [], None
-    for tok in tokens:
+    out, prev = [], False
+    for tok, name in tokens(text, _DerivationParser):
         gap = []
         for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
             if comments and rng.random() < 0.3:
@@ -586,10 +591,10 @@ def reflow(text: str, rng: random.Random, comments: bool = True) -> str:
                 gap.append("#" + body + "\n")
             else:
                 gap.append("".join(rng.choice(SPACES) for _ in range(rng.randint(1, 3))))
-        if not gap and prev == tok.kind == "name":
+        if not gap and prev and name:
             gap.append(rng.choice(SPACES))
-        out.append("".join(gap) + tok.text)
-        prev = tok.kind
+        out.append("".join(gap) + tok)
+        prev = name
     return "".join(out) + rng.choice(["", "\n", " # end\n", "#"] if comments else ["", "\n"])
 
 
@@ -621,6 +626,27 @@ def outcome(call):
         return call()
     except ParseError as err:
         return (str(err), err.span, err.expected)
+
+
+def described(result) -> str:
+    """An :func:`outcome` as one line: an error's message, span and sorted
+    expected set, or the value serialized."""
+    if isinstance(result, tuple):
+        message, span, expected = result
+        return repr((message, (span.line, span.column, span.length), sorted(expected)))
+    return serialize(result)
+
+
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the described outcomes of test_malformed_same_error's 1,500
+# texts and of TestSplitSequent.test_malformed_pinned's 2,000, recorded
+# before the tokenizer returned strings and found token starts only for an
+# error: every message, span and expected set must stay as it was
+MALFORMED_DERIVATIONS = "c7b5962af49071b67d50859b0fa2620f87f6ff1dce1876cd09070d7c9ac044f4"
+MALFORMED_SEQUENTS = "3b7fb21099dadfc5c75f93d81ca2f6f30bcb1d50e6b10159ab317b652b71bbc9"
 
 
 class TestScanner:
@@ -666,6 +692,7 @@ class TestScanner:
     def test_malformed_same_error(self, corpus):
         rng = random.Random(7)
         errors = 0
+        outcomes = []
         for i in range(1500):
             lat, text = corpus[i % len(corpus)]
             if i % 2:
@@ -674,7 +701,9 @@ class TestScanner:
             got = outcome(lambda: parse_derivation(bad, lat))
             assert got == outcome(lambda: _DerivationParser(bad, lat).parse()), bad
             errors += isinstance(got, tuple)
+            outcomes.append(described(got))
         assert errors > 1000
+        assert sha256(outcomes) == MALFORMED_DERIVATIONS
 
     @pytest.mark.parametrize("text, message", [
         # a comment of n '#' could split 2^n ways if a pattern's gap allowed
@@ -821,13 +850,13 @@ class TestSharedNodes:
 def respace(text: str, rng: random.Random) -> str:
     """``text`` with random whitespace, ASCII and Unicode, around every
     formula token; two names keep at least one character between them."""
-    out, prev = [], None
-    for tok in _tokenize(text, _TOKEN_RE)[:-1]:
+    out, prev = [], False
+    for tok, name in tokens(text, _FormulaParser):
         gap = "".join(rng.choice(SPACES) for _ in range(rng.choice([0, 0, 1, 2])))
-        if not gap and prev == tok.kind == "name":
+        if not gap and prev and name:
             gap = rng.choice(SPACES)
-        out.append(gap + tok.text)
-        prev = tok.kind
+        out.append(gap + tok)
+        prev = name
     return "".join(out) + "".join(rng.choice(SPACES) for _ in range(rng.randrange(3)))
 
 
@@ -904,6 +933,24 @@ class TestSplitSequent:
         noise = rng.choice([",", " , ", "|-", "#", "{", "", "(", "*"])
         for variant in (respaced, respaced[:cut] + noise + respaced[cut:]):
             self.assert_same(variant)
+
+    def test_malformed_pinned(self, texts):
+        # respaced texts with noise, stray characters among it, read by
+        # parse_sequent and by the whole-text token parser
+        rng = random.Random(20261019)
+        lat = mo(2)
+        noises = [",", " , ", "|-", "#", "{", "", "(", "*", "@", "!", "-", "|", "<", "'", "~"]
+        outcomes = []
+        for _ in range(2000):
+            text = rng.choice(texts)
+            respaced = respace(text, rng) if "#" not in text else text
+            cut = rng.randrange(len(respaced) + 1)
+            variant = respaced[:cut] + rng.choice(noises) + respaced[cut:]
+            outcomes.append(described(outcome(lambda: parse_sequent(variant, lat))))
+            outcomes.append(described(
+                outcome(lambda: _FormulaParser(variant, lat).parse_sequent_text())
+            ))
+        assert sha256(outcomes) == MALFORMED_SEQUENTS
 
     def test_warm_memo(self):
         # formula pieces and sequents have a memo each; whatever either holds,
@@ -1012,6 +1059,29 @@ class TestSerializeMemo:
         lat, twin, texts = mo(2), mo(2), {}
         for m in seeded_mutants(lat):
             self.assert_oracle(m, lat, twin, texts)
+
+    def test_written_text_not_remembered(self):
+        # serialize fills no text memo of the reader: it does not know which
+        # store it writes for, and a sequent built in a store need not parse
+        # back to itself, so a reader's answer would depend on what was
+        # written before
+        lat = mo(2)
+        make = lat._store.make
+        for term, parsed in ((make(Const, "0"), None), (make(Var, "a"), Const("a"))):
+            atom = make(Actual, term)
+            d = make(RuleApp, "id", make(Sequent, make(tuple, atom), atom), make(tuple), None)
+            text = serialize(d)
+            assert text == f'(rule id (seq "In({term.name}) |- In({term.name})"))\n'
+            assert not lat._store.texts and not lat._store.formulas
+            got = [outcome(lambda: parse_derivation(text, target)) for target in (lat, mo(2))]
+            if parsed is None:
+                assert got[0] == got[1] == (
+                    "1:15: in sequent string: 1:1: In cannot hold the absurd property 0",
+                    SourceSpan(1, 15, 16), frozenset(),
+                )
+            else:  # the Var spelled like an element reads as the element
+                assert got[0] == got[1] and got[0] is not d
+                assert got[0].conclusion.succedent.term is make(Const, "a") == parsed
 
     def test_deep_flat_chain(self):
         # far deeper than the recursion limit; the parser's limit is 100

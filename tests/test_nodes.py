@@ -35,6 +35,10 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     Var,
+    _ASCII,
+    _render,
+    ascii_sequent,
+    pretty_formula,
 )
 
 LATTICES = {"mo2": mo(2), "boolean3": boolean(3), "hexagon": hexagon()}
@@ -231,17 +235,29 @@ def test_copy_and_pickle():
 
 
 def test_head_lines_outside_fields():
-    """serialize keeps each node's head line in a slot outside its fields;
-    repr, equality, hashing, copies and the recorded digests ignore it."""
+    """serialize keeps each node's head line, and the ASCII text of each
+    sequent and of each of its formulas, in a slot outside their fields;
+    repr, equality, hashing, copies and the recorded digests ignore it, and
+    the pretty surface never reads it."""
     ds = [d for _, d in derivations()]
-    hashes = [hash(d) for d in ds]
+    formulas = list({id(f): f for d in ds for node in parts(d) if isinstance(node, Sequent)
+                     for f in (*node.context, node.succedent)}.values())
+    assert len(formulas) > 100
+    hashes = [hash(x) for x in ds + formulas]
+    pretty = [pretty_formula(f) for f in formulas]
     for d in ds:
         serialize(d)
     assert all(d._text.startswith(("(rule ", "(axiom ")) for d in ds)
+    assert [f._text for f in formulas] == [_render(f, _ASCII) for f in formulas]
+    assert [pretty_formula(f) for f in formulas] == pretty
     assert digest(ds) == EXPECTED["derivations"]
-    assert [hash(d) for d in ds] == hashes
-    for d in ds:
-        assert "_text" not in repr(d)
-        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)), rebuild(d)):
-            assert twin == d and hash(twin) == hash(d)
+    assert [hash(x) for x in ds + formulas] == hashes
+    for x in ds + formulas:
+        assert "_text" not in repr(x)
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), rebuild(x)):
+            assert twin == x and hash(twin) == hash(x)
             assert getattr(twin, "_text", None) is None
+    for name in sorted(LATTICES):
+        seqs = sequents(name)
+        assert [ascii_sequent(q) for q in seqs] == [q._text for q in seqs]
+        assert digest(seqs) == EXPECTED[name]
