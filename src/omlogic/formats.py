@@ -12,20 +12,18 @@ built in the lattice's store (``omlogic.record.Store``), which holds one
 object per value, and sequents are memoized per lattice by their text (see
 :func:`parse_sequent`).
 
-Derivation files are read by a scanner that splits the whole text into node
-heads, such as ``(rule NAME (seq "...")``, with one ``findall`` of one
-compiled pattern.  It looks each sequent string up in the store's text memo
-and each axiom leaf in its leaf memo, so equal subtrees share one object, and
-a derivation built over the lattice parses back to itself.  The scanner reads
-tokens separated by whitespace and ``#`` comments, so a commented file reads
-as fast as a plain one; a gap of whitespace and comments matches only one
-way, so no input makes the pattern backtrack through the ways to split it.
-The end of the text is one of the pattern's items, so trailing whitespace is
-one match, not one failed match from each of its positions.  Wherever the
-scanner stops short (a ``(witness ...)``, a mismatch, a bad sequent, an
-unknown rule, a node nested too deep), the token parser reads the whole file
-again, and either returns the derivation or raises its error, so every error
-keeps the token parser's message and span.
+Derivation files are read by one loop over the items of one ``findall``.
+An item is a rule head up to its children, ``(rule NAME (seq "...")``, a
+whole axiom leaf, or a token, so a well-formed node head is one item, and a
+witness is read token by token in the same loop.  Each sequent string is
+looked up in the store's text memo and each leaf in its leaf memo, so equal
+subtrees share one object, and a derivation built over the lattice parses
+back to itself.  Tokens are separated by whitespace and ``#`` comments, so a
+commented file reads as fast as a plain one.  A gap matches only one way, so
+no input makes the pattern try ways to split it, and the end of the text is
+an item, so trailing whitespace is one match.
+Wherever this fused read raises, the loop reads the text again over the
+token grammar alone, so every error is that grammar's, token by token.
 
 ``serialize`` keeps each derivation node's head line on the node, so writing
 a node again is one attribute read and one concatenation, and the ASCII text
@@ -42,7 +40,7 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from functools import cache, singledispatch
+from functools import cache, cached_property, singledispatch
 from itertools import islice
 from operator import itemgetter
 
@@ -116,11 +114,12 @@ def _directives(text: str, usage: str, heads: set[str]):
     each line whose head is one of ``heads``.  The frame is checked here, in
     line order: blank lines are skipped, and a misshapen or missing header,
     an unknown head, content after ``end``, an empty file and a missing
-    ``end`` raise :class:`ParseError`."""
+    ``end`` raise :class:`ParseError`.  A line ends at ``\n`` only, as
+    :func:`_span` counts lines; other line breaks are whitespace."""
     shape = usage.split()
     kind = shape[0]
     header = ended = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.partition("#")[0]
         toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
         if not toks:
@@ -258,11 +257,13 @@ _COMMENT = r"#[^\n]*(?![^\n])\s*"
 _GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 
-def _token_pattern(tokens: str) -> re.Pattern:
-    """The pattern of one token grammar for :func:`_tokenize`: a gap, then
-    one of ``tokens`` or the end of the text (group 1), or else the rest of
-    the text from a character that starts no token (group 2)."""
-    return re.compile(rf"{_GAP}(?:({tokens}|\Z)|(\S[\s\S]*))")
+def _token_pattern(tokens: str, fused: str = "") -> re.Pattern:
+    """The pattern of one token grammar for :func:`_findall`: a gap, then
+    one of ``tokens`` or the end of the text (the last group but one), or
+    else the rest of the text from a character that starts no token (the
+    last group).  ``fused`` holds alternatives, with their own groups, tried
+    before a token."""
+    return re.compile(rf"{_GAP}(?:{fused}({tokens}|\Z)|(\S[\s\S]*))")
 
 
 _TOKEN_RE = _token_pattern(r"-o|\|-|!<=|!in|<=|[A-Za-z0-9_][A-Za-z0-9_']*|[()*+,.{}]")
@@ -275,25 +276,32 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, length)
 
 
-def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
-    """The tokens of ``text`` as strings, from one ``findall`` of
-    ``pattern`` (see :func:`_token_pattern`); the list ends with ``""``.  A
-    stray character takes the rest of the text, so it is the item before the
-    end's, and raises :class:`ParseError`.  Where a token starts is worked
-    out only for an error (see :meth:`_Parser.span`)."""
+def _findall(text: str, pattern: re.Pattern) -> list[tuple]:
+    """The items of ``text``, from one ``findall`` of ``pattern`` (see
+    :func:`_token_pattern`): each a tuple of its groups, the last but one a
+    token, or ``""`` in the items of the end, which close the list.  A stray
+    character takes the rest of the text, so it is the last group of the
+    item before the end's, and raises :class:`ParseError`."""
     items = pattern.findall(text)
-    stray = items[-2][1] if len(items) > 1 else ""
+    stray = items[-2][-1] if len(items) > 1 else ""
     if stray:
         raise ParseError(f"unexpected character {stray[0]!r}",
                          _span(text, len(text) - len(stray), 1))
-    return list(map(itemgetter(0), items))
+    return items
 
 
-# Deepest nesting either parser accepts: formula levels (parentheses, '-o',
+def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
+    """The tokens of ``text`` as strings, ending with ``""``.  Where a token
+    starts is worked out only for an error (see :meth:`_Parser.span`)."""
+    return list(map(itemgetter(-2), _findall(text, pattern)))
+
+
+# Deepest nesting either reader accepts: formula levels (parentheses, '-o',
 # 'forall', 'ortho' and each term of a '+' chain) or derivation levels.  The
-# parsers, normalize_formula and structural == recurse on the trees built here,
-# so the limit keeps every input far from Python's recursion limit; the proof
-# corpus needs depth 12.
+# formula parser and witness terms recurse per level, and normalize_formula
+# and structural == recurse on the trees built here, so the limit keeps every
+# input far from Python's recursion limit.  The derivation reader keeps its
+# open nodes on a list, not on the call stack; the proof corpus needs depth 12.
 MAX_DEPTH = 100
 
 
@@ -308,7 +316,6 @@ class _Parser:
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         self.text = text
-        self.tokens = _tokenize(text, self.pattern)
         self.pos = 0
         self.depth = 0
         self.lat = lat
@@ -334,7 +341,8 @@ class _Parser:
     def span(self, i: int) -> SourceSpan:
         """The span of token ``i``: its start is that of the ``i``-th match
         of ``pattern``, found again only when an error is raised."""
-        start = next(islice(self.pattern.finditer(self.text), i, None)).start(1)
+        match = next(islice(self.pattern.finditer(self.text), i, None))
+        start = match.start(self.pattern.groups - 1)
         return _span(self.text, start, len(self.tokens[i]) or 1)
 
     def error(self, message: str, expected=frozenset(), at: int | None = None):
@@ -358,6 +366,7 @@ class _FormulaParser(_Parser):
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
+        self.tokens = _tokenize(text, self.pattern)
         self.bound: list[str] = []
 
     def expect(self, text: str) -> str:
@@ -565,17 +574,133 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
 # -- derivation s-expressions -------------------------------------------------------
 
 
-_SEXPR_RE = _token_pattern(r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*""")
+_SEXPR_TOKENS = r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*"""
+# The token grammar of derivations.  Its items have the groups of the fused
+# pattern (see _fused_patterns), held by an alternative that never matches.
+_SEXPR_RE = _token_pattern(_SEXPR_TOKENS, "(?!)()()()|")
+_WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
+_NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
+
+
+def _tokens(*parts: str) -> str:
+    """A pattern for ``parts`` in order, each after an optional gap of
+    whitespace and comments."""
+    return "".join(_GAP + part for part in parts)
+
+
+@cache
+def _fused_patterns() -> tuple:
+    """(items, words), compiled on the first parse_derivation call, not at
+    import.  Items: after a gap, a rule head up to its children, ``(rule NAME
+    (seq "...")``; a whole axiom leaf, ``(axiom NAME (bind k=v ...) (seq
+    "..."))``; or a token of ``_SEXPR_RE``.  Groups: rule, rule sequent,
+    leaf, token, stray.  Words: ``findall`` of a leaf's names and quoted
+    sequent, in order, with a comment as an empty word."""
+    def seq(string: str) -> str:
+        return _tokens(r"\(", "seq" + _WORD_END, string, r"\)")
+
+    rule = r"\(" + _tokens("rule" + _WORD_END, f"({_NAME})") + seq(r'"([^"\n]*)"')
+    leaf = (
+        r"\(" + _tokens("axiom" + _WORD_END, _NAME, r"\(", "bind" + _WORD_END)
+        + "(?:" + _tokens(_NAME, "=", _NAME) + ")*"
+        + _tokens(r"\)") + seq(r'"[^"\n]*"') + _tokens(r"\)")
+    )
+    return (
+        _token_pattern(_SEXPR_TOKENS, f"{rule}|({leaf})|"),
+        re.compile(r'#[^\n]*|("[^"\n]*"|[A-Za-z0-9_\'-]+)').findall,
+    )
 
 
 class _DerivationParser(_Parser):
-    """The token parser for derivations.  :func:`parse_derivation` runs it
-    only where its scanner stops short: on witnesses and every error, which
-    keeps this parser's message, span and expected set; the tests use it as
-    the scanner's oracle."""
+    """The derivation reader over the fused pattern or the token grammar."""
 
     pattern = _SEXPR_RE
     marks = frozenset(["(", ")", "=", ""])
+
+    def __init__(self, text: str, lat: FiniteOrthoLattice, pattern: re.Pattern = _SEXPR_RE):
+        super().__init__(text, lat)
+        self.pattern = pattern
+        self.items = _findall(text, pattern)
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        """The token of each item, ``""`` for a fused one; made only once a
+        token is read or an error raised."""
+        return list(map(itemgetter(-2), self.items))
+
+    def read(self) -> Derivation:
+        """The derivation of the text, built in the lattice's store.  A fused
+        head's sequent is looked up in the store's text memo, a fused leaf in
+        its leaf memo, and a rule node and its children first under the keys
+        ``Store.make`` gives them, which saves the call wherever the store
+        holds them.  Tokens are read by :meth:`token_node`."""
+        store = self.lat._store
+        nodes, make, texts, leaves = store.nodes, store.make, store.texts, store.leaves
+        leaf_words = _fused_patterns()[1]
+        no_children = make(tuple)
+        open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
+        items, pos = self.items, 0
+        while True:
+            rule, seq, leaf, tok, _ = items[pos]
+            pos += 1
+            if tok == ")" and open_rules:
+                rule, seq, witness, children = open_rules.pop()
+                kids = (
+                    nodes.get((tuple, *map(id, children))) or make(tuple, *children)
+                    if children else no_children
+                )
+                node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
+                    RuleApp, rule, seq, kids, witness
+                )
+            elif rule and len(open_rules) < MAX_DEPTH and rule in RULE_ARITY:
+                open_rules.append((rule, texts.get(seq) or parse_sequent(seq, self.lat), None, []))
+                continue
+            elif leaf and len(open_rules) < MAX_DEPTH:
+                node = leaves.get(leaf)
+                if node is None:
+                    # axiom, schema, bind, its keys and values in turn, seq, sequent
+                    _, schema, _, *binds, _, quoted = filter(None, leaf_words(leaf))
+                    seq = parse_sequent(quoted[1:-1], self.lat)  # raises: not remembered
+                    pairs = sorted(zip(binds[::2], binds[1::2]))
+                    binds = make(tuple, *[make(tuple, *b) for b in pairs])
+                    node = leaves[leaf] = make(AxiomApp, schema, binds, seq)
+            else:  # a token; a fused head too deep or of an unknown rule reads as "" and raises
+                self.pos = pos - 1
+                node = self.token_node(open_rules)
+                pos = self.pos
+                if node is None:
+                    continue
+            if not open_rules:
+                if any(items[pos]):
+                    self.pos = pos
+                    self.error("trailing input after derivation", {"end of input"})
+                return node
+            open_rules[-1][3].append(node)
+
+    def token_node(self, open_rules: list) -> AxiomApp | None:
+        """Read from the next token a witness of the innermost rule node,
+        straight after its head, or a node head, with every error the
+        token grammar gives.  Return an axiom leaf, or None once a witness
+        is read or a rule head is put on ``open_rules``."""
+        self.depth = len(open_rules)
+        if open_rules:
+            if self.peek() != "(":
+                self.error("expected ')'", {")"})
+            rule, seq, witness, children = open_rules[-1]
+            if witness is None and not children and self.tokens[self.pos + 1] == "witness":
+                self.pos += 2
+                open_rules[-1] = (rule, seq, self.witness_term(), children)
+                self.expect_close()
+                return None
+        self.descend()
+        if self.expect_open("rule", "axiom") == "axiom":
+            return self.axiom_node()
+        rule = self.peek()
+        if rule not in RULE_ARITY:
+            self.error(f"unknown rule {rule!r}", set(RULE_ARITY))
+        self.advance()
+        open_rules.append((rule, self.seq_field(), None, []))
+        return None
 
     def expect_open(self, *heads: str) -> str:
         if self.peek() != "(":
@@ -590,37 +715,6 @@ class _DerivationParser(_Parser):
         if self.peek() != ")":
             self.error("expected ')'", {")"})
         self.advance()
-
-    def parse(self) -> Derivation:
-        node = self.node()
-        if self.peek():
-            self.error("trailing input after derivation", {"end of input"})
-        return node
-
-    def node(self) -> Derivation:
-        self.descend()
-        head = self.expect_open("rule", "axiom")
-        node = self.rule_node() if head == "rule" else self.axiom_node()
-        self.depth -= 1
-        return node
-
-    def rule_node(self) -> RuleApp:
-        rule = self.peek()
-        if rule not in RULE_ARITY:
-            self.error(f"unknown rule {rule!r}", set(RULE_ARITY))
-        self.advance()
-        seq = self.seq_field()
-        witness = None
-        if self.peek() == "(" and self.tokens[self.pos + 1] == "witness":
-            self.advance()
-            self.advance()
-            witness = self.witness_term()
-            self.expect_close()
-        children = []
-        while self.peek() == "(":
-            children.append(self.node())
-        self.expect_close()
-        return self.make(RuleApp, rule, seq, self.make(tuple, *children), witness)
 
     def axiom_node(self) -> AxiomApp:
         schema = self.name("expected a schema name", "<schema>")
@@ -674,117 +768,15 @@ class _DerivationParser(_Parser):
         return self.make(Const if tok in self.lat else Var, tok)
 
 
-_WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
-_NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
-
-
-def _tokens(*parts: str) -> str:
-    """A pattern for ``parts`` in order, each after an optional gap of
-    whitespace and comments."""
-    return "".join(_GAP + part for part in parts)
-
-
-@cache
-def _node_patterns() -> tuple:
-    """(items, words): ``findall`` of the scanner's item pattern, and of the
-    words of an axiom leaf.  They are compiled on the first parse_derivation
-    call rather than at import, which every CLI call would pay.
-
-    Each item is, after a gap, one of: a ``)``; a rule head up to its
-    children, ``(rule NAME (seq "...")``; a whole axiom leaf, ``(axiom NAME
-    (bind k=v ...) (seq "..."))``; any other non-space character, which
-    leaves the text to the token parser; or the end of the text.  Its groups
-    are: close, rule, rule sequent, axiom leaf, other.  The end of the text
-    is an item so that trailing whitespace is one match: without it,
-    ``findall`` would try the gap again from each of its positions.
-
-    The words of a leaf are its names and its quoted sequent, in order; a
-    comment is an empty word.
-    """
-    def seq(string: str) -> str:
-        return _tokens(r"\(", "seq" + _WORD_END, string, r"\)")
-
-    rule = r"\(" + _tokens("rule" + _WORD_END, f"({_NAME})") + seq(r'"([^"\n]*)"')
-    leaf = (
-        r"\(" + _tokens("axiom" + _WORD_END, _NAME, r"\(", "bind" + _WORD_END)
-        + "(?:" + _tokens(_NAME, "=", _NAME) + ")*"
-        + _tokens(r"\)") + seq(r'"[^"\n]*"') + _tokens(r"\)")
-    )
-    return (
-        re.compile(_GAP + rf"(?:(\))|{rule}|({leaf})|(\S)|\Z)").findall,
-        re.compile(r'#[^\n]*|("[^"\n]*"|[A-Za-z0-9_\'-]+)').findall,
-    )
-
-
-_END = ("",) * 5  # the item at the end of the text
-
-
-def _scan(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
-    """The derivation in ``text``, read with one ``findall`` over the text,
-    or None wherever the token parser must decide: a mismatch, a witness, a
-    bad sequent, an unknown rule or a node deeper than ``MAX_DEPTH``.
-
-    Each node is built in the lattice's store, so equal subtrees share one
-    object within the file, across files and with built derivations.  A rule
-    head's sequent is looked up in the store's text memo, and an axiom leaf
-    in its leaf memo, by the leaf's text.  A rule node and its children are
-    first looked up under the keys ``Store.make`` gives them, which saves the
-    call wherever the store holds them."""
-    find_items, leaf_words = _node_patterns()
-    store = lat._store
-    nodes, make, texts, leaves = store.nodes, store.make, store.texts, store.leaves
-    leaf = make(tuple)  # the children of a leaf
-    open_rules = []  # (rule, conclusion, children) of each enclosing rule node
-    items = iter(find_items(text))
-    for closed, rule, seq, axiom, _ in items:
-        if closed:
-            if not open_rules:
-                return None
-            rule, seq, children = open_rules.pop()
-            kids = (
-                nodes.get((tuple, *map(id, children))) or make(tuple, *children)
-                if children else leaf
-            )
-            node = nodes.get((RuleApp, rule, id(seq), id(kids), id(None))) or make(
-                RuleApp, rule, seq, kids, None
-            )
-        elif len(open_rules) >= MAX_DEPTH:
-            return None
-        elif rule:
-            if rule not in RULE_ARITY:
-                return None
-            try:
-                seq = texts.get(seq) or parse_sequent(seq, lat)
-            except ParseError:
-                return None
-            open_rules.append((rule, seq, []))
-            continue
-        elif axiom:
-            node = leaves.get(axiom)
-            if node is None:
-                # axiom, schema, bind, its keys and values in turn, seq, sequent
-                _, schema, _, *binds, _, quoted = filter(None, leaf_words(axiom))
-                try:
-                    seq = parse_sequent(quoted[1:-1], lat)
-                except ParseError:  # not remembered: the token parser reports it
-                    return None
-                pairs = sorted(zip(binds[::2], binds[1::2]))
-                binds = make(tuple, *[make(tuple, *b) for b in pairs])
-                node = leaves[axiom] = make(AxiomApp, schema, binds, seq)
-        else:  # another character, or the end of the text before the root
-            return None
-        if not open_rules:
-            return node if next(items) == _END else None
-        open_rules[-1][2].append(node)
-
-
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
-    """Parse a derivation s-expression into the lattice's store.  A scanner
-    reads the node heads and comments of the text with one ``findall``;
-    wherever it stops short, the token parser reads the whole text again,
-    and reads witnesses or raises its error."""
-    d = _scan(text, lat)
-    return d if d is not None else _DerivationParser(text, lat).parse()
+    """Parse a derivation s-expression into the lattice's store.  The fused
+    read takes each well-formed node head as one item; wherever it raises,
+    the same loop reads the text again over the token grammar, so every
+    error has that grammar's message, span and expected set."""
+    try:
+        return _DerivationParser(text, lat, _fused_patterns()[0]).read()
+    except ParseError:
+        return _DerivationParser(text, lat).read()
 
 
 # -- serialization -------------------------------------------------------------------

@@ -84,8 +84,9 @@ class Store:
     Its memos map texts to the nodes read from them: ``texts`` each sequent
     string and ``formulas`` each top-level formula string
     (``formats.parse_sequent``), and ``leaves`` the text of each axiom leaf
-    that ``formats.parse_derivation`` scanned, exactly as the file wrote it,
-    comments included.  A text that does not parse is never remembered.
+    that ``formats.parse_derivation`` read whole, as one item, exactly as the
+    file wrote it, comments included.  A text that does not parse is never
+    remembered.
     """
 
     __slots__ = ("nodes", "texts", "formulas", "leaves", "verdicts", "cores")

@@ -20,7 +20,6 @@ from omlogic.formats import (
     SourceSpan,
     _DerivationParser,
     _FormulaParser,
-    _scan,
     _tokenize,
     parse_derivation,
     parse_formula,
@@ -91,6 +90,26 @@ end
     def test_duplicate_element(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_lattice("lattice x\nelements 0 1 a a\nend\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("lattice x\nelements 0 1 a\x85leq 0 zz\nend\n", "2:20: duplicate element name '0'"),
+        ("lattice x\x0belements 0 1\nfoo\nend\n",
+         "1:1: malformed 'lattice' line (expected lattice <name>)"),
+    ], ids=["next line", "vertical tab"])
+    def test_lines_end_only_at_newline(self, text, message):
+        # a line ends at '\n' only, as in every other error of the program;
+        # other line breaks that str.splitlines() knows are whitespace
+        with pytest.raises(ParseError) as err:
+            parse_lattice(text)
+        assert str(err.value) == message
+
+    def test_crlf_lines(self):
+        text = serialize(mo(2))
+        assert parse_lattice(text.replace("\n", "\r\n")) == parse_lattice(text)
+        text = ("map g over mo2\non a -> {a}\non a' -> {a'}\non b -> {b}\non b' -> {b'}\n"
+                "on 1 -> {1}\nend\n")
+        crlf = parse_map(text.replace("\n", "\r\n"), mo(2))
+        assert serialize(crlf) == serialize(parse_map(text, mo(2)))
 
     def test_unknown_directive_expected_set(self):
         with pytest.raises(ParseError) as err:
@@ -397,6 +416,23 @@ class TestDepthLimit:
             parse_derivation(plus_r1_chain(MAX_DEPTH + 1), lat)
         assert err.value.span.line == MAX_DEPTH + 1
 
+    @pytest.mark.parametrize("witness, message", [
+        ("a", None), ("ortho(a)", "100:64: nesting deeper than 100 levels"),
+    ], ids=["name", "ortho"])
+    def test_witness_at_depth_limit(self, witness, message):
+        # a witness adds no level of its own, but each ortho in it does: so
+        # its node may be the 100th level, and an ortho there is the 101st
+        text = (
+            '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n' * (MAX_DEPTH - 1)
+            + f'(rule forall_l (seq "forall x . In(x) |- In(a)") (witness {witness}))'
+            + ")" * (MAX_DEPTH - 1) + "\n"
+        )
+        got = outcome(lambda: parse_derivation(text, mo(2)))
+        if message is None:
+            assert got.children[0].rule == "plus_r1"
+        else:
+            assert got[0] == message
+
     def test_derivation_beyond_recursion_limit(self):
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_derivation(plus_r1_chain(sys.getrecursionlimit() + 500), mo(2))
@@ -650,7 +686,9 @@ MALFORMED_SEQUENTS = "3b7fb21099dadfc5c75f93d81ca2f6f30bcb1d50e6b10159ab317b652b
 
 
 class TestScanner:
-    """parse_derivation's scanner against the token parser, its oracle."""
+    """parse_derivation on reflowed, commented, witnessed and malformed text,
+    against answers recorded when a scanner and a token parser each read
+    derivations: the built tree, exact messages and the digests above."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -662,32 +700,45 @@ class TestScanner:
         lat, text = data.draw(st.sampled_from(corpus))
         assert "#" not in text  # so a '#' in a reflow starts a comment
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        expected = _DerivationParser(text, lat).parse()
+        expected = parse_derivation(text, lat)
         for reflowed in (reflow(text, rng, comments=False), reflow(text, rng)):
-            assert _DerivationParser(reflowed, lat).parse() == expected
-            assert parse_derivation(reflowed, lat) == expected
-            # the scanner reads whitespace and comments between tokens itself,
-            # without the token parser, and leaves a witness to it
-            plain = "(witness" not in text
-            assert _scan(reflowed, lat) == (expected if plain else None)
+            assert parse_derivation(reflowed, lat) is expected
 
     def test_witness_terms(self):
         lat = mo(2)
         assert parse_derivation(WITNESS_TEXT, lat).witness == OrthoTerm(OrthoTerm(Const("a")))
         text = WITNESS_TEXT.replace("ortho(ortho(a))", "q")
         assert parse_derivation(text, lat).witness == Var("q")
-        assert _scan(WITNESS_TEXT, lat) is None and _scan(text, lat) is None
         # each ortho is a nesting level below the node's own
         got = []
         for levels in (MAX_DEPTH - 1, MAX_DEPTH):
             text = WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * levels + "a" + ")" * levels)
-            assert _scan(text, lat) is None
             got.append(outcome(lambda: parse_derivation(text, lat)))
         term = Const("a")
         for _ in range(MAX_DEPTH - 1):
             term = OrthoTerm(term)
         assert got[0].witness == term
         assert got[1][0] == "1:658: nesting deeper than 100 levels"
+
+    def test_witness_read_in_one_pass(self, monkeypatch):
+        reads = []
+        read = _DerivationParser.read
+
+        def counted(parser):
+            reads.append(parser.pattern is formats._SEXPR_RE)
+            return read(parser)
+
+        monkeypatch.setattr(_DerivationParser, "read", counted)
+        lat = mo(2)
+        noisy = WITNESS_TEXT.replace("(witness ", "( # the term\n witness#)\n ")
+        for text in (WITNESS_TEXT, noisy):
+            assert parse_derivation(text, lat).witness == OrthoTerm(OrthoTerm(Const("a")))
+        # each a fused read, with no error and no second read
+        assert reads == [False, False]
+        with pytest.raises(ParseError, match="^1:71: expected '\\('"):
+            parse_derivation(WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(ortho a)"), lat)
+        # an error is read again over the token grammar, which words it
+        assert reads == [False, False, False, True]
 
     def test_malformed_same_error(self, corpus):
         rng = random.Random(7)
@@ -699,7 +750,6 @@ class TestScanner:
                 text = reflow(text, rng)
             bad = malformed(text, rng)
             got = outcome(lambda: parse_derivation(bad, lat))
-            assert got == outcome(lambda: _DerivationParser(bad, lat).parse()), bad
             errors += isinstance(got, tuple)
             outcomes.append(described(got))
         assert errors > 1000
@@ -726,10 +776,13 @@ class TestScanner:
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("gap", [
-        "#" * 24 + "\n", "#" * 10000 + "\n", " # #\n" * 20000, "\n" + " " * 100000,
+    @pytest.mark.parametrize("gap, message", [
+        ("#" * 24 + "\n", "2:1: unexpected character '~'"),
+        ("#" * 10000 + "\n", "2:1: unexpected character '~'"),
+        (" # #\n" * 20000, "20001:1: unexpected character '~'"),
+        ("\n" + " " * 100000, "2:100001: unexpected character '~'"),
     ], ids=["comment", "long comment", "comment lines", "long blank run"])
-    def test_no_backtracking_inside_head(self, gap):
+    def test_no_backtracking_inside_head(self, gap, message):
         # a mismatch after a gap inside a node head gives the gap back one
         # character at a time: a gap that could split its comments would
         # try 2^n ways for n '#'
@@ -737,8 +790,7 @@ class TestScanner:
         start = time.perf_counter()
         got = outcome(lambda: parse_derivation(text, mo(2)))
         assert time.perf_counter() - start < 1.0
-        assert got == outcome(lambda: _DerivationParser(text, mo(2)).parse())
-        assert got[0].endswith("unexpected character '~'")
+        assert got[0] == message
 
     @pytest.mark.parametrize("tail", [" " * 100000, "\n" * 100000, "# x\n" * 20000],
                              ids=["spaces", "newlines", "comment lines"])
@@ -757,7 +809,7 @@ class TestScanner:
             "import omlogic.cli\n"
             "from omlogic import formats\n"
             "from omlogic.lattice import mo\n"
-            "compiled = lambda: formats._node_patterns.cache_info().misses\n"
+            "compiled = lambda: formats._fused_patterns.cache_info().misses\n"
             "print(compiled())\n"
             "formats.parse_derivation('(rule id (seq \"In(a) |- In(a)\"))', mo(2))\n"
             "print(compiled())\n"
@@ -774,9 +826,9 @@ class TestScanner:
 
 
 class TestLeafMemo:
-    """The scanner reads an axiom leaf by one lookup of its text in the
-    store's leaf memo; a leaf that does not parse is left to the token
-    parser and never remembered."""
+    """parse_derivation reads a whole axiom leaf by one lookup of its text in
+    the store's leaf memo; a leaf that does not parse raises, and is never
+    remembered."""
 
     TEXT = '(axiom Adjust1 (bind y=b x=a) (seq "In(a) |- In(a)"))'
 
@@ -794,19 +846,24 @@ class TestLeafMemo:
         plain = parse_derivation(self.TEXT, lat)
         noisy = ('( # "(seq x=b)\n axiom Adjust1#)\n(bind y=b # x=q\n x=a)(seq#"\n'
                  '"In(a) |- In(a)" #")"\n)# end\n)')
-        assert _DerivationParser(noisy, lat).parse() is plain
-        assert _scan(noisy, lat) is plain
+        assert parse_derivation(noisy, lat) is plain
+        # read as one leaf, whose text is remembered as the file wrote it
         assert len(lat._store.leaves) == 2
 
-    @pytest.mark.parametrize("text", [
-        '(axiom Adjust1 (bind x=a) (seq "In(a) |-"))',
-        '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (axiom Trans (bind) (seq "In(0) |- In(a)")))',
-    ])
+    BAD_LEAVES = {
+        '(axiom Adjust1 (bind x=a) (seq "In(a) |-"))':
+            "1:32: in sequent string: 1:9: expected a formula, found 'end of input'"
+            " (expected (, IND, In, M, R, forall)",
+        '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n  (axiom Trans (bind) (seq "In(0) |- In(a)")))':
+            "2:28: in sequent string: 1:1: In cannot hold the absurd property 0",
+    }
+
+    @pytest.mark.parametrize("text", list(BAD_LEAVES))
     def test_bad_leaf_not_remembered(self, text):
         lat = mo(2)
         got = [outcome(lambda: parse_derivation(text, lat)) for _ in range(2)]
-        assert got[0] == got[1] == outcome(lambda: _DerivationParser(text, lat).parse())
-        assert isinstance(got[0], tuple) and not lat._store.leaves
+        assert got[0] == got[1] and got[0][0] == self.BAD_LEAVES[text]
+        assert not lat._store.leaves
 
 
 def distinct_nodes(d) -> list:
