@@ -358,6 +358,7 @@ class _Parser:
 
 
 _ATOM_HEADS = ("In", "R", "M", "IND")
+_ATOM_CLASSES = {"In": Actual, "R": Reachable, "M": Measurement}
 
 
 class _FormulaParser(_Parser):
@@ -458,9 +459,8 @@ class _FormulaParser(_Parser):
             return self.make(Induced, name)
         term = self.normal_term()
         self.expect(")")
-        cls = {"In": Actual, "R": Reachable, "M": Measurement}[head]
         try:
-            return _atom(self.lat, cls, term)
+            return _atom(self.lat, _ATOM_CLASSES[head], term)
         except ValueError as err:  # In or R of 0
             self.error(str(err), at=at)
 
@@ -529,8 +529,9 @@ def parse_formula(text: str, lat: FiniteOrthoLattice) -> Formula:
 def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     """Parse a sequent into the lattice's store, memoized by its text: a
     text seen before returns the same object.  A new sequent is built from
-    its top-level formulas, each parsed once per lattice (see
-    :func:`_split_sequent`).  Errors are not remembered."""
+    its top-level formulas, each read once per lattice, and a new formula
+    from the operands of its top-level operator, each looked up in the
+    store first (see :func:`_split_sequent`).  Errors are not remembered."""
     texts = lat._store.texts
     seq = texts.get(text)
     if seq is None:
@@ -547,9 +548,12 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
     than one ``|-``, or a formula that does not parse.
 
     The text is cut at its ``|-`` and its context commas.  Each piece,
-    stripped, is looked up in the store's formula memo, and a new piece is
-    parsed from depth 0 as the whole-text parser parses each top-level
-    formula, so the result is the object the whole-text path would return."""
+    stripped, is looked up in the store's formula memo; a new piece is built
+    by :func:`_cut_formula` or else parsed from depth 0 as the whole-text
+    parser parses each top-level formula, so the result is the object the
+    whole-text path would return.  The memo remembers each piece, and each
+    operand that :func:`_cut_formula` read, under its stripped text, so
+    every key parses as a whole formula to its value."""
     if "#" in text or "{" in text or text.count("|-") != 1:
         return None
     store = lat._store
@@ -561,14 +565,121 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
         piece = piece.strip()
         f = store.formulas.get(piece)
         if f is None:
-            try:
-                f = _FormulaParser(piece, lat).parse_formula_text()
-            except ParseError:
+            f = _cut_formula(piece, lat) or _parsed_formula(piece, lat)
+            if f is None:
                 return None
             store.formulas[piece] = f
         parts.append(f)
     rhs = parts.pop()
     return store.make(Sequent, store.make(tuple, *parts), rhs)
+
+
+def _parsed_formula(text: str, lat: FiniteOrthoLattice) -> Formula | None:
+    """The token parser's formula of the whole of ``text``, or None where it
+    raises."""
+    try:
+        return _FormulaParser(text, lat).parse_formula_text()
+    except ParseError:
+        return None
+
+
+# Each binary operator in the order a new formula is cut at it, lowest
+# precedence first: which of its top-level occurrences the cut takes, and
+# how many it looks for before it decides.
+_CUTS = (("-o", Lolli, 0, 1), ("+", Plus, -1, None), ("*", Tensor, 0, 2))
+
+
+def _cut_formula(piece: str, lat: FiniteOrthoLattice) -> Formula | None:
+    """The formula of ``piece``, a stripped formula text missing from the
+    store's formula memo, built from what the store knows, or None where
+    the token parser must read the piece.
+
+    The piece is cut at its lowest-precedence operator at parenthesis depth
+    0: the first ``-o`` (right-associative), else the last ``+``
+    (left-associative), else a single ``*``.  Each operand, stripped, is
+    read by :func:`_operand`; a piece with no such operator is one operand,
+    which the caller parses when no lookup gives it.  The tree is then the
+    token parser's on the whole piece: an operand that parses alone parses
+    the same between its operators, and the lowest-precedence operator is
+    the root.  So the piece is refused, and every error stays the token
+    parser's, where an operand does not parse, where a second top-level
+    ``*`` stands, where a ``forall`` binder's scope could run past an
+    operator, and where its nesting could pass ``MAX_DEPTH``, counting one
+    level for the piece and one for each ``(``, ``+`` and ``-o``."""
+    if "forall" in piece or (
+        1 + piece.count("(") + piece.count("+") + piece.count("-o") > MAX_DEPTH
+    ):
+        return None
+    for op, cls, pick, limit in _CUTS:
+        found = _top_level(piece, op, limit)
+        if found:
+            break
+    else:
+        return _known(piece, lat)
+    if len(found) == 2 and op == "*":
+        return None  # non-associative: the token parser raises
+    cut = found[pick]
+    left = _operand(piece[:cut].strip(), lat)
+    right = _operand(piece[cut + len(op):].strip(), lat) if left else None
+    return lat._store.make(cls, left, right) if right else None
+
+
+def _top_level(piece: str, op: str, limit: int | None) -> list[int]:
+    """The offsets of ``op`` at parenthesis depth 0 in ``piece``, up to the
+    first ``limit`` of them.  One pass: the depth at each occurrence counts
+    the parentheses since the one before."""
+    found, depth, last = [], 0, 0
+    at = piece.find(op)
+    while at >= 0:
+        depth += piece.count("(", last, at) - piece.count(")", last, at)
+        last = at
+        if not depth:
+            found.append(at)
+            if len(found) == limit:
+                break
+        at = piece.find(op, at + 1)
+    return found
+
+
+def _operand(text: str, lat: FiniteOrthoLattice) -> Formula | None:
+    """The formula of ``text``, one operand of a cut, stripped, remembered in
+    the store's formula memo; None where it does not parse."""
+    formulas = lat._store.formulas
+    f = formulas.get(text)
+    if f is None:
+        f = _known(text, lat) or _parsed_formula(text, lat)
+        if f is not None:
+            formulas[text] = f
+    return f
+
+
+@cache
+def _plain_atom():
+    """``fullmatch`` of a plain atom, ``In|R|M(name)``, with its head and
+    name as groups; compiled on first use, not at import."""
+    return re.compile(r"(In|R|M)\s*\(\s*([A-Za-z0-9_][A-Za-z0-9_']*)\s*\)").fullmatch
+
+
+def _known(text: str, lat: FiniteOrthoLattice) -> Formula | None:
+    """The formula of ``text``, a stripped formula text missing from the
+    store's formula memo, where no parse is needed: one pair of parentheses
+    around a remembered formula (a key of the memo parses as a whole
+    formula), or a plain atom built as the token parser builds it.  None
+    otherwise, and for an atom the token parser refuses: ``ortho`` is a
+    keyword of the term grammar, and ``In``/``R`` of 0 raise."""
+    if text[:1] == "(" and text[-1:] == ")":
+        f = lat._store.formulas.get(text[1:-1].strip())
+        if f is not None:
+            return f
+    m = _plain_atom()(text)
+    if m is None or m[2] == "ortho":
+        return None
+    head, name = m.groups()
+    term = lat._store.make(Const if name in lat else Var, name)
+    try:
+        return _atom(lat, _ATOM_CLASSES[head], term)
+    except ValueError:  # In or R of 0
+        return None
 
 
 # -- derivation s-expressions -------------------------------------------------------
@@ -628,15 +739,16 @@ class _DerivationParser(_Parser):
         token is read or an error raised."""
         return list(map(itemgetter(-2), self.items))
 
-    def read(self) -> Derivation:
+    def read(self, leaf_words=None) -> Derivation:
         """The derivation of the text, built in the lattice's store.  A fused
         head's sequent is looked up in the store's text memo, a fused leaf in
         its leaf memo, and a rule node and its children first under the keys
         ``Store.make`` gives them, which saves the call wherever the store
-        holds them.  Tokens are read by :meth:`token_node`."""
+        holds them.  A new fused leaf is split by ``leaf_words``, the words
+        of :func:`_fused_patterns`, which the token grammar never needs.
+        Tokens are read by :meth:`token_node`."""
         store = self.lat._store
         nodes, make, texts, leaves = store.nodes, store.make, store.texts, store.leaves
-        leaf_words = _fused_patterns()[1]
         no_children = make(tuple)
         open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
         items, pos = self.items, 0
@@ -773,8 +885,9 @@ def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
     read takes each well-formed node head as one item; wherever it raises,
     the same loop reads the text again over the token grammar, so every
     error has that grammar's message, span and expected set."""
+    items, words = _fused_patterns()
     try:
-        return _DerivationParser(text, lat, _fused_patterns()[0]).read()
+        return _DerivationParser(text, lat, items).read(words)
     except ParseError:
         return _DerivationParser(text, lat).read()
 

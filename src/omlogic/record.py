@@ -82,8 +82,10 @@ class Store:
     dies with its lattice and grows with distinct content, not with calls.
 
     Its memos map texts to the nodes read from them: ``texts`` each sequent
-    string and ``formulas`` each top-level formula string
-    (``formats.parse_sequent``), and ``leaves`` the text of each axiom leaf
+    string and ``formulas`` each top-level formula string and each operand
+    string a new one was cut into, stripped (``formats.parse_sequent``), so
+    every key of ``formulas`` parses as a whole formula to its value; and
+    ``leaves`` the text of each axiom leaf
     that ``formats.parse_derivation`` read whole, as one item, exactly as the
     file wrote it, comments included.  A text that does not parse is never
     remembered.
@@ -94,7 +96,7 @@ class Store:
     def __init__(self):
         self.nodes: dict = {}  # key -> the one node of that value
         self.texts: dict = {}  # sequent text -> sequent, for parse_sequent
-        self.formulas: dict = {}  # top-level formula text -> formula, for parse_sequent
+        self.formulas: dict = {}  # formula or operand text -> formula, for parse_sequent
         self.leaves: dict = {}  # axiom leaf text -> leaf, for parse_derivation
         self.verdicts: set = set()  # ids of the nodes check_derivation found valid
         self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree

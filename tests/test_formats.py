@@ -36,6 +36,7 @@ from omlogic.record import Store
 from omlogic.syntax import (
     Actual,
     Const,
+    Forall,
     OrthoTerm,
     Plus,
     Reachable,
@@ -724,9 +725,9 @@ class TestScanner:
         reads = []
         read = _DerivationParser.read
 
-        def counted(parser):
+        def counted(parser, *words):
             reads.append(parser.pattern is formats._SEXPR_RE)
-            return read(parser)
+            return read(parser, *words)
 
         monkeypatch.setattr(_DerivationParser, "read", counted)
         lat = mo(2)
@@ -947,7 +948,32 @@ SPLIT_CASES = [
     "In(a) |- In(a) @", "In(a) |- In(q) + M(ortho(b))", "IND(blur), In(a) |- In(a)",
     "(In(a) |- In(a))", "In(a) |- (In(a)", "In(a) |- In(a))",
 ] + [text for levels in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)
-     for text in deep_sequents(levels)]
+     for text in deep_sequents(levels)] + [
+    # a new formula is cut at its top-level operator and each operand looked
+    # up: `ortho` is a keyword, never an atom's term, and a quantifier's
+    # scope runs past the operators of its body, whatever the memo holds
+    "In(ortho) * R(a) |- R(a)", "In(a) + M(ortho) |- R(a)", "In(a) |- R(ortho ) -o In(a)",
+    "forall u . In(u) |- In(a)", "In(u) * R(u) |- forall u . In(u) * R(u)",
+    "forall u . In(u) -o R(u), In(u) + R(u) |- R(a)",
+    # a parenthesized operand whose inner text is remembered
+    "In(a) * R(a) |- In(b) + ( In(a) * R(a) )", "(In(a) * R(a)) * M(b) |- R(a)",
+    "( (In(a) * R(a)) ) |- (R(a))",
+    # a second top-level `*`, alone or in the last term of a sum
+    "In(a) * R(a) * M(b) |- R(a)", "In(a) + In(b) * R(b) * M(b) |- R(a)",
+    "In(a) * (R(a) * M(b)) * R(b) |- R(a)",
+    # operands the token parser refuses or reads itself
+    "In(a) * In(0) |- R(a)", "R(a) |- In(a) -o R(0)", "In(a) + R( 0 ) |- M(0) * R(a)",
+    "In(ortho(a)) * R(a) |- R(ortho(a)) + In(a)", "IND(alpha) * In(a) |- IND(alpha) -o R(a)",
+    "In(In) * R(M) |- R(IND) + R(q')", "In(a) * R(a) -o In(a) + R(a) |- R(a) -o R(a) -o M(a)",
+    "In(a)-oR(a) |- In(a)+R(a)*M(a)", "In(a) * |- R(a)", "+ R(a) |- R(a)", "In(a) -o |- R(a)",
+    "In(a) | -o R(a) |- R(a)", "In(a) * R(a) @ |- R(a)", "In (a) * R (a) |- R(a b)",
+    # unbalanced parentheses
+    "In(a)) * (R(a) |- R(a)", "(In(a) * R(a) |- R(a)", "In(a) * R(a)) |- R(a)",
+    "In(a) + (R(a) |- R(a)", "In(a) |- R(a) + In(a))", "In(a) |- (R(a) -o In(a)",
+    # flat sums at the depth limit and one term past it
+    "In(a) |- " + " + ".join(["R(a)"] * MAX_DEPTH),
+    "In(a) |- " + " + ".join(["R(a)"] * (MAX_DEPTH + 1)),
+]
 
 
 def fresh_outcome(text: str) -> tuple:
@@ -1037,16 +1063,92 @@ class TestSplitSequent:
         real = formats._atom
         monkeypatch.setattr(formats, "_atom", lambda *a: calls.append(a) or real(*a))
         lat = mo(2)
+        # each piece is cut at its operator, and In(a), an operand of both,
+        # is built once: In(a), R(a), then R(b)
         first = parse_sequent("In(a) * R(a) |- In(a) + R(b)", lat)
-        assert len(calls) == 4
-        # the shared pieces, whatever their spacing, are memo hits
+        assert len(calls) == 3
+        # the shared pieces, whatever their spacing, are memo hits; In(b) is
+        # the one new atom
         second = parse_sequent("　In(a) * R(a)\t, In(b) |-In(a) + R(b) ", lat)
-        assert len(calls) == 5
+        assert len(calls) == 4
         assert second.context[0] is first.context[0]
         assert second.succedent is first.succedent
         # a text the split path leaves to the token parser parses every atom
         parse_sequent("In(a) * R(a) |- In(a) + R(b) # comment", lat)
-        assert len(calls) == 9
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_ortho_is_no_atom_term(self, warm):
+        # `ortho` is a keyword of the term grammar: the token parser wants
+        # its '(' where a plain atom's pattern would see a name
+        lat = mo(2)
+        if warm:
+            parse_sequent("In(a) * R(a) |- R(a) + In(a)", lat)
+        text = "In(ortho) * R(a) |- R(a)"
+        for read in (lambda: parse_sequent(text, lat),
+                     lambda: _FormulaParser(text, lat).parse_sequent_text()):
+            with pytest.raises(ParseError) as err:
+                read()
+            assert str(err.value) == "1:9: expected '(', found ')' (expected ()"
+        assert "In(ortho)" not in lat._store.formulas
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_forall_scope_not_cut(self, warm):
+        # a remembered `forall u . In(u)` must not become the left operand of
+        # the '*' its scope runs past
+        lat = mo(2)
+        if warm:
+            parse_sequent("forall u . In(u) |- In(a)", lat)
+            assert "forall u . In(u)" in lat._store.formulas
+        text = "In(u) * R(u) |- forall u . In(u) * R(u)"
+        seq = parse_sequent(text, lat)
+        u = Var("u")
+        assert seq.succedent == Forall("u", (), Tensor(Actual(u), Reachable(u)))
+        assert seq is lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
+
+    def test_operands_remembered(self, monkeypatch):
+        # each operand of a cut is remembered under its stripped text, and a
+        # parenthesized operand is found under its inner text: this sequent
+        # is built with no token parse at all
+        parses = []
+        real = formats._FormulaParser
+        monkeypatch.setattr(formats, "_FormulaParser", lambda *a: parses.append(a) or real(*a))
+        lat = mo(2)
+        formulas = lat._store.formulas
+        seq = parse_sequent("In(a) * R(a) |- In(b) + ( In(a) * R(a) )", lat)
+        assert parses == []
+        assert list(formulas) == ["In(a)", "R(a)", "In(a) * R(a)", "In(b)", "( In(a) * R(a) )",
+                                  "In(b) + ( In(a) * R(a) )"]
+        assert formulas["( In(a) * R(a) )"] is formulas["In(a) * R(a)"] is seq.context[0]
+        assert seq.succedent == Plus(In("b"), Tensor(In("a"), R("a")))
+        # an operand no lookup gives is read by the token parser alone
+        parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
+        assert [text for text, _ in parses] == ["In(b) * R(b)", "(R(b) * M(b))"]
+        # operators inside parentheses are not the piece's: this one is cut
+        # at its one '*' at depth 0, into two remembered operands
+        parse_sequent("R(b) |- (In(b) * R(b) + (R(b) * M(b))) * R(b)", lat)
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("terms", [MAX_DEPTH, 24])
+    def test_long_sum_cut_once(self, terms):
+        # a sum of a few MB, with long names and inner parentheses, is cut
+        # once, at its last top-level '+', or left whole to the token parser
+        # where its nesting could pass MAX_DEPTH: the memo holds the piece
+        # and at most its two operands, never a key per term
+        size = 2_400_000 // terms
+        names = [f"n{i}_" + "x" * size for i in range(terms)]
+        parts = [f"(In({n}) * R({n}))" if i % 4 == 0 else f"R({n})" for i, n in enumerate(names)]
+        piece = " + ".join(parts)
+        text = f"In(a) |- {piece}"
+        assert len(text) > 2_000_000
+        lat = mo(2)
+        seq = parse_sequent(text, lat)
+        assert seq is lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
+        operands = {" + ".join(parts[:-1]), parts[-1]}
+        keys = set(lat._store.formulas) - {"In(a)"}
+        cut = 1 + piece.count("(") + piece.count("+") <= MAX_DEPTH
+        assert cut == (terms < MAX_DEPTH)
+        assert keys == ({piece} | operands if cut else {piece})
 
     def test_strip_matches_token_whitespace(self):
         # the split path strips pieces with str.strip, the tokenizer skips \s
