@@ -531,7 +531,8 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     text seen before returns the same object.  A new sequent is built from
     its top-level formulas, each read once per lattice, and a new formula
     from the operands of its top-level operator, each looked up in the
-    store first (see :func:`_split_sequent`).  Errors are not remembered."""
+    store first and cut the same way (see :func:`_split_sequent`).  Errors
+    are not remembered."""
     texts = lat._store.texts
     seq = texts.get(text)
     if seq is None:
@@ -548,12 +549,14 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
     than one ``|-``, or a formula that does not parse.
 
     The text is cut at its ``|-`` and its context commas.  Each piece,
-    stripped, is looked up in the store's formula memo; a new piece is built
-    by :func:`_cut_formula` or else parsed from depth 0 as the whole-text
-    parser parses each top-level formula, so the result is the object the
-    whole-text path would return.  The memo remembers each piece, and each
-    operand that :func:`_cut_formula` read, under its stripped text, so
-    every key parses as a whole formula to its value."""
+    stripped, is looked up in the store's formula memo.  A new piece is read
+    by :func:`_cut_formula` unless it holds ``forall`` (a binder's scope can
+    run past an operator) or its nesting could pass ``MAX_DEPTH``, counting
+    one level for the piece and one for each ``(``, ``+`` and ``-o``.  Where
+    that gives nothing, the token parser reads the piece from depth 0, as
+    the whole-text parser reads each top-level formula: the one token parse
+    of the split, so every result and error is the whole-text path's.  The
+    memo remembers each piece, and the two operands of its own cut."""
     if "#" in text or "{" in text or text.count("|-") != 1:
         return None
     store = lat._store
@@ -565,63 +568,79 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
         piece = piece.strip()
         f = store.formulas.get(piece)
         if f is None:
-            f = _cut_formula(piece, lat) or _parsed_formula(piece, lat)
+            if "forall" not in piece and (
+                1 + piece.count("(") + piece.count("+") + piece.count("-o") <= MAX_DEPTH
+            ):
+                f = _cut_formula(piece, lat, keep=True)
             if f is None:
-                return None
+                try:
+                    f = _FormulaParser(piece, lat).parse_formula_text()
+                except ParseError:
+                    return None
             store.formulas[piece] = f
         parts.append(f)
     rhs = parts.pop()
     return store.make(Sequent, store.make(tuple, *parts), rhs)
 
 
-def _parsed_formula(text: str, lat: FiniteOrthoLattice) -> Formula | None:
-    """The token parser's formula of the whole of ``text``, or None where it
-    raises."""
-    try:
-        return _FormulaParser(text, lat).parse_formula_text()
-    except ParseError:
-        return None
-
-
 # Each binary operator in the order a new formula is cut at it, lowest
-# precedence first: which of its top-level occurrences the cut takes, and
-# how many it looks for before it decides.
-_CUTS = (("-o", Lolli, 0, 1), ("+", Plus, -1, None), ("*", Tensor, 0, 2))
+# precedence first, and how many of its top-level occurrences the cut looks
+# for: the first '-o' (right-associative), every '+' (left-associative) and
+# up to two '*' (non-associative, so a second one is an error).
+_CUTS = (("-o", Lolli, 1), ("+", Plus, None), ("*", Tensor, 2))
 
 
-def _cut_formula(piece: str, lat: FiniteOrthoLattice) -> Formula | None:
-    """The formula of ``piece``, a stripped formula text missing from the
-    store's formula memo, built from what the store knows, or None where
-    the token parser must read the piece.
-
-    The piece is cut at its lowest-precedence operator at parenthesis depth
-    0: the first ``-o`` (right-associative), else the last ``+``
-    (left-associative), else a single ``*``.  Each operand, stripped, is
-    read by :func:`_operand`; a piece with no such operator is one operand,
-    which the caller parses when no lookup gives it.  The tree is then the
-    token parser's on the whole piece: an operand that parses alone parses
-    the same between its operators, and the lowest-precedence operator is
-    the root.  So the piece is refused, and every error stays the token
-    parser's, where an operand does not parse, where a second top-level
-    ``*`` stands, where a ``forall`` binder's scope could run past an
-    operator, and where its nesting could pass ``MAX_DEPTH``, counting one
-    level for the piece and one for each ``(``, ``+`` and ``-o``."""
-    if "forall" in piece or (
-        1 + piece.count("(") + piece.count("+") + piece.count("-o") > MAX_DEPTH
-    ):
-        return None
-    for op, cls, pick, limit in _CUTS:
-        found = _top_level(piece, op, limit)
+def _cut_formula(text: str, lat: FiniteOrthoLattice, keep: bool = False) -> Formula | None:
+    """The formula of ``text``, a stripped formula text with no ``forall``,
+    built with no token parse, or None where the token parser must read it.
+    The first that applies: the store's formula memo; a plain atom; a cut
+    at the top-level occurrences of the lowest-precedence operator at
+    parenthesis depth 0 found in ``_CUTS``, each operand, stripped, read by
+    this function and the results folded from the left; with no such
+    operator, one pair of parentheses, whose inside is read the same way.
+    Every key of the memo parses as a whole formula to its value, and an
+    operand that parses alone parses the same between its operators, so
+    the tree is the token parser's.  None where an operand gives nothing,
+    where a second top-level ``*`` stands, and for an atom of ``ortho`` (a
+    term keyword), of 0, of a complement, or ``IND``.  With ``keep``, the
+    root's two operands, the text before the last cut and the part after
+    it, are remembered; deeper ones are not, so a long sum leaves at most
+    three keys."""
+    formulas = lat._store.formulas
+    f = formulas.get(text)
+    if f is not None:
+        return f
+    m = _plain_atom()(text)
+    if m is not None:
+        head, name = m.groups()
+        if name == "ortho":
+            return None
+        term = lat._store.make(Const if name in lat else Var, name)
+        try:
+            return _atom(lat, _ATOM_CLASSES[head], term)
+        except ValueError:  # In or R of 0
+            return None
+    for op, cls, limit in _CUTS:
+        found = _top_level(text, op, limit)
         if found:
             break
     else:
-        return _known(piece, lat)
+        if text[:1] == "(" and text[-1:] == ")":
+            return _cut_formula(text[1:-1].strip(), lat)
+        return None
     if len(found) == 2 and op == "*":
         return None  # non-associative: the token parser raises
-    cut = found[pick]
-    left = _operand(piece[:cut].strip(), lat)
-    right = _operand(piece[cut + len(op):].strip(), lat) if left else None
-    return lat._store.make(cls, left, right) if right else None
+    f = None
+    for start, end in zip((-len(op), *found), (*found, len(text))):
+        part = text[start + len(op):end].strip()
+        g = _cut_formula(part, lat)
+        if g is None:
+            return None
+        if keep and end == len(text):
+            formulas[text[:start].strip()] = f
+            formulas[part] = g
+        f = g if f is None else lat._store.make(cls, f, g)
+    return f
 
 
 def _top_level(piece: str, op: str, limit: int | None) -> list[int]:
@@ -641,45 +660,11 @@ def _top_level(piece: str, op: str, limit: int | None) -> list[int]:
     return found
 
 
-def _operand(text: str, lat: FiniteOrthoLattice) -> Formula | None:
-    """The formula of ``text``, one operand of a cut, stripped, remembered in
-    the store's formula memo; None where it does not parse."""
-    formulas = lat._store.formulas
-    f = formulas.get(text)
-    if f is None:
-        f = _known(text, lat) or _parsed_formula(text, lat)
-        if f is not None:
-            formulas[text] = f
-    return f
-
-
 @cache
 def _plain_atom():
     """``fullmatch`` of a plain atom, ``In|R|M(name)``, with its head and
     name as groups; compiled on first use, not at import."""
     return re.compile(r"(In|R|M)\s*\(\s*([A-Za-z0-9_][A-Za-z0-9_']*)\s*\)").fullmatch
-
-
-def _known(text: str, lat: FiniteOrthoLattice) -> Formula | None:
-    """The formula of ``text``, a stripped formula text missing from the
-    store's formula memo, where no parse is needed: one pair of parentheses
-    around a remembered formula (a key of the memo parses as a whole
-    formula), or a plain atom built as the token parser builds it.  None
-    otherwise, and for an atom the token parser refuses: ``ortho`` is a
-    keyword of the term grammar, and ``In``/``R`` of 0 raise."""
-    if text[:1] == "(" and text[-1:] == ")":
-        f = lat._store.formulas.get(text[1:-1].strip())
-        if f is not None:
-            return f
-    m = _plain_atom()(text)
-    if m is None or m[2] == "ortho":
-        return None
-    head, name = m.groups()
-    term = lat._store.make(Const if name in lat else Var, name)
-    try:
-        return _atom(lat, _ATOM_CLASSES[head], term)
-    except ValueError:  # In or R of 0
-        return None
 
 
 # -- derivation s-expressions -------------------------------------------------------

@@ -82,10 +82,10 @@ class Store:
     dies with its lattice and grows with distinct content, not with calls.
 
     Its memos map texts to the nodes read from them: ``texts`` each sequent
-    string and ``formulas`` each top-level formula string and each operand
-    string a new one was cut into, stripped (``formats.parse_sequent``), so
-    every key of ``formulas`` parses as a whole formula to its value; and
-    ``leaves`` the text of each axiom leaf
+    string and ``formulas`` each top-level formula string and the two
+    operands its cut gave, stripped, but no deeper operand
+    (``formats.parse_sequent``), so every key of ``formulas`` parses as a
+    whole formula to its value; and ``leaves`` the text of each axiom leaf
     that ``formats.parse_derivation`` read whole, as one item, exactly as the
     file wrote it, comments included.  A text that does not parse is never
     remembered.

@@ -207,6 +207,14 @@ class TestPropagate:
     def test_zero_in_set_rejected(self, mo2_file):
         assert run(["propagate", "--lattice", mo2_file, "--measure", "a", "--set", "{0}"]) == 2
 
+    @pytest.mark.parametrize("value, message", [
+        ("a,b", "expected a set like '{a, b}', got 'a,b'"),
+        ("{q}", "unknown element 'q'"),
+    ])
+    def test_bad_set(self, mo2_file, capsys, value, message):
+        assert run(["propagate", "--lattice", mo2_file, "--measure", "a", "--set", value]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestQuantaleVerify:
     def test_mo2_all_pass(self, mo2_file):
@@ -305,6 +313,30 @@ class TestProveCheckCrosscheck:
         assert capsys.readouterr().err == (
             f"{drv}: 1:15: in sequent string: 1:8: {atom} cannot hold the absurd property 0\n"
         )
+
+    def test_zero_actual(self, mo2_file, capsys):
+        argv = ["prove", "measurement", "--lattice", mo2_file, "--actual", "0", "--measure", "b"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "actual property must be nonzero\n"
+
+    def test_check_directory(self, mo2_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["check", ".", "--lattice", mo2_file]) == 2
+        assert capsys.readouterr().err.startswith("cannot read .: ")
+
+    def test_crosscheck_invalid_derivation(self, mo2_file, tmp_path, capsys):
+        drv, report = tmp_path / "bad.drv", tmp_path / "r.json"
+        drv.write_text('(rule id (seq "In(a) |- In(b)"))\n')
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file, "--json", str(report)]) == 1
+        reason = (
+            "derivation invalid at (): id requires a single context formula equal to the succedent"
+        )
+        assert capsys.readouterr().out.splitlines()[0] == f"disagree: {reason}"
+        data = json.loads(report.read_text())
+        assert data["ok"] is False
+        assert data["checks"] == [
+            {"name": "logic-algebra-agreement", "passed": False, "witness": [reason]}
+        ]
 
     def test_composed_pipeline(self, mo2_file, tmp_path):
         drv = tmp_path / "c.drv"
@@ -523,6 +555,11 @@ class TestAxiomInstantiate:
         assert (
             run(["axiom", "instantiate", "--lattice", mo2_file, "--schema", "Nope"]) == 2
         )
+
+    def test_binding_without_value(self, mo2_file, capsys):
+        argv = ["axiom", "instantiate", "--lattice", mo2_file, "--schema", "Trans", "--bind", "y"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "bindings look like var=element, got 'y'\n"
 
 
 class TestEntryPoint:

@@ -37,6 +37,7 @@ from omlogic.syntax import (
     Actual,
     Const,
     Forall,
+    Measurement,
     OrthoTerm,
     Plus,
     Reachable,
@@ -1107,9 +1108,9 @@ class TestSplitSequent:
         assert seq is lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
 
     def test_operands_remembered(self, monkeypatch):
-        # each operand of a cut is remembered under its stripped text, and a
-        # parenthesized operand is found under its inner text: this sequent
-        # is built with no token parse at all
+        # each operand of a piece's cut is remembered under its stripped
+        # text, and a parenthesized operand is found under its inner text:
+        # this sequent is built with no token parse at all
         parses = []
         real = formats._FormulaParser
         monkeypatch.setattr(formats, "_FormulaParser", lambda *a: parses.append(a) or real(*a))
@@ -1121,13 +1122,28 @@ class TestSplitSequent:
                                   "In(b) + ( In(a) * R(a) )"]
         assert formulas["( In(a) * R(a) )"] is formulas["In(a) * R(a)"] is seq.context[0]
         assert seq.succedent == Plus(In("b"), Tensor(In("a"), R("a")))
-        # an operand no lookup gives is read by the token parser alone
-        parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
-        assert [text for text, _ in parses] == ["In(b) * R(b)", "(R(b) * M(b))"]
+        # an operand no lookup gives is cut the same way, down to plain
+        # atoms; only the piece's own two operands are remembered
+        seq = parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
+        assert parses == []
+        assert list(formulas)[6:] == ["R(b)", "In(b) * R(b)", "(R(b) * M(b))",
+                                      "In(b) * R(b) + (R(b) * M(b))"]
+        b = Const("b")
+        assert seq.succedent == Plus(Tensor(In("b"), R("b")), Tensor(R("b"), Measurement(b)))
         # operators inside parentheses are not the piece's: this one is cut
-        # at its one '*' at depth 0, into two remembered operands
+        # at its one '*' at depth 0, into an operand whose inner text is
+        # remembered and a remembered atom
         parse_sequent("R(b) |- (In(b) * R(b) + (R(b) * M(b))) * R(b)", lat)
-        assert len(parses) == 2
+        assert parses == []
+        assert list(formulas)[10:] == ["(In(b) * R(b) + (R(b) * M(b)))",
+                                       "(In(b) * R(b) + (R(b) * M(b))) * R(b)"]
+        # a complement is no plain atom: the whole piece, and only the
+        # piece, goes to the token parser, and the operand holding it is
+        # not remembered
+        seq = parse_sequent("R(b) |- R(b) + (In(b) * In(ortho(a)))", lat)
+        assert [text for text, _ in parses] == ["R(b) + (In(b) * In(ortho(a)))"]
+        assert list(formulas)[12:] == ["R(b) + (In(b) * In(ortho(a)))"]
+        assert seq.succedent == Plus(R("b"), Tensor(In("b"), In("a'")))
 
     @pytest.mark.parametrize("terms", [MAX_DEPTH, 24])
     def test_long_sum_cut_once(self, terms):

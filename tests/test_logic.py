@@ -7,6 +7,7 @@ import pytest
 import gen
 from omlogic import syntax
 from omlogic.axioms import GuardViolation, UnknownSchemaError, instantiate_axiom
+from omlogic.cli import run
 from omlogic.derive import (
     _modus_ponens,
     derive_chain,
@@ -661,6 +662,48 @@ class TestQuantifierRules:
             (leaf,),
             witness=Const("a"),
         )
+        assert check_derivation(lat, d).valid
+
+    def test_forall_l_skips_other_context_formulas(self, tmp_path, capsys):
+        # the quantifier is the second context formula: the first is passed
+        # over, and the instance takes the quantifier's place
+        lat = mo(2)
+        quantified = Forall("x", (), Actual(Var("x")))
+        a, b = In("a"), In("b")
+        leaf = RuleApp(
+            "tensor_r",
+            Sequent((b, a), Tensor(b, a)),
+            (RuleApp("id", Sequent((b,), b), ()), RuleApp("id", Sequent((a,), a), ())),
+        )
+        d = RuleApp("forall_l", Sequent((b, quantified), Tensor(b, a)), (leaf,), witness=Const("a"))
+        assert check_derivation(lat, d).valid
+        (tmp_path / "mo2.lat").write_text(serialize(lat))
+        (tmp_path / "w.drv").write_text(serialize(d))
+        assert run(["check", str(tmp_path / "w.drv"), "--lattice", str(tmp_path / "mo2.lat")]) == 0
+        assert "PASS derivation-valid" in capsys.readouterr().out
+
+    def test_forall_l_instance_out_of_place(self):
+        # the premise is valid, but its In(a) stands before In(b), where no
+        # quantifier of the conclusion stands
+        lat = mo(2)
+        quantified = Forall("x", (), Actual(Var("x")))
+        a, b = In("a"), In("b")
+        leaf = RuleApp(
+            "tensor_r",
+            Sequent((a, b), Tensor(a, b)),
+            (RuleApp("id", Sequent((a,), a), ()), RuleApp("id", Sequent((b,), b), ())),
+        )
+        assert check_derivation(lat, leaf).valid
+        d = RuleApp("forall_l", Sequent((b, quantified), Tensor(a, b)), (leaf,), witness=Const("a"))
+        res = check_derivation(lat, d)
+        assert res.failure.path == ()
+        assert res.failure.reason == "no quantifier position matches the instantiated premise"
+
+    def test_forall_r_over_ground_context(self):
+        # a ground context has no free variable to capture
+        lat = mo(2)
+        leaf = RuleApp("id", Sequent((In("a"),), In("a")), ())
+        d = RuleApp("forall_r", Sequent((In("a"),), Forall("x", (), In("a"))), (leaf,))
         assert check_derivation(lat, d).valid
 
     def test_forall_l_nested_guard(self):
