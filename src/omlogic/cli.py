@@ -96,16 +96,20 @@ def _format_set(names, lat: FiniteOrthoLattice) -> str:
 
 
 def _write_output(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    """Write ``text`` to the file ``path``, or to stdout; an unwritable file exits 2."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise _Exit(USAGE_ERROR, f"cannot write {path}: {err}")
 
 
 def _write_json(path: str, payload: dict) -> None:
     import json  # only reports need it, so plain runs skip the import
 
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_output(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
@@ -243,7 +247,7 @@ def _cmd_prove(args) -> int:
     render = pretty_sequent if args.unicode else ascii_sequent
     print(render(d.conclusion))
     if args.output:
-        Path(args.output).write_text(serialize(d))
+        _write_output(args.output, serialize(d))
     return OK
 
 

@@ -140,10 +140,15 @@ def _measurement(lat: FiniteOrthoLattice, a: str, b: str) -> RuleApp:
 
 
 def _plus_leaves(f: Formula) -> list[Formula]:
-    """Leaves of a plus tree, left to right."""
-    if isinstance(f, Plus):
-        return _plus_leaves(f.left) + _plus_leaves(f.right)
-    return [f]
+    """Leaves of a plus tree, left to right, found with an explicit stack."""
+    leaves, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Plus):
+            todo += (f.right, f.left)
+        else:
+            leaves.append(f)
+    return leaves
 
 
 def derive_chain(

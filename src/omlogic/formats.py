@@ -297,9 +297,9 @@ def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
 
 
 # Deepest nesting either reader accepts: formula levels (parentheses, '-o',
-# 'forall', 'ortho' and each term of a '+' chain) or derivation levels.  The
-# formula parser and witness terms recurse per level, and normalize_formula
-# and structural == recurse on the trees built here, so the limit keeps every
+# 'forall' and 'ortho'; a '+' chain is read in a loop) or derivation levels.
+# The formula parser, witness terms and rendered terms recurse per level, and
+# == across stores recurses on the trees built here, so the limit keeps every
 # input far from Python's recursion limit.  The derivation reader keeps its
 # open nodes on a list, not on the call stack; the proof corpus needs depth 12.
 MAX_DEPTH = 100
@@ -411,13 +411,10 @@ class _FormulaParser(_Parser):
         return out
 
     def sum(self) -> Formula:
-        depth = self.depth
         out = self.product()
         while self.peek() == "+":
-            self.descend()  # the tree nests one level per term of the chain
             self.advance()
             out = self.make(Plus, out, self.product())
-        self.depth = depth
         return out
 
     def product(self) -> Formula:
@@ -552,7 +549,7 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
     stripped, is looked up in the store's formula memo.  A new piece is read
     by :func:`_cut_formula` unless it holds ``forall`` (a binder's scope can
     run past an operator) or its nesting could pass ``MAX_DEPTH``, counting
-    one level for the piece and one for each ``(``, ``+`` and ``-o``.  Where
+    one level for the piece and one for each ``(`` and ``-o``.  Where
     that gives nothing, the token parser reads the piece from depth 0, as
     the whole-text parser reads each top-level formula: the one token parse
     of the split, so every result and error is the whole-text path's.  The
@@ -568,9 +565,7 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
         piece = piece.strip()
         f = store.formulas.get(piece)
         if f is None:
-            if "forall" not in piece and (
-                1 + piece.count("(") + piece.count("+") + piece.count("-o") <= MAX_DEPTH
-            ):
+            if "forall" not in piece and 1 + piece.count("(") + piece.count("-o") <= MAX_DEPTH:
                 f = _cut_formula(piece, lat, keep=True)
             if f is None:
                 try:

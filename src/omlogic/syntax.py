@@ -16,6 +16,7 @@ of a triple conjunction are distinct formulas.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Union
 
 from omlogic.lattice import FiniteOrthoLattice
@@ -161,29 +162,79 @@ class Sequent(_Rendered):
     succedent: Formula
 
 
-# -- normalization -------------------------------------------------------------
+# -- normalization, variables and substitution -----------------------------------
 
 
-def normalize_term(
-    t: Term, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
-) -> Term:
-    """Reduce complement formers: over constants evaluate via the lattice,
-    and cancel double complements everywhere.  With ``var`` given, that
-    variable is first replaced by ``value``.  The result is built in the
-    lattice's store."""
-    make = lat._store.make
-    if isinstance(t, OrthoTerm):
-        inner = normalize_term(t.arg, lat, var, value)
-        if isinstance(inner, Const):
-            return make(Const, lat.ortho(inner.name))
-        if isinstance(inner, OrthoTerm):
-            return inner.arg
-        return make(OrthoTerm, inner)
-    if isinstance(t, Var) and t.name == var:
-        return normalize_term(value, lat)
-    if isinstance(t, (Const, Var)):
-        return make(t.__class__, t.name)
-    return t
+_NODES = frozenset([Const, Var, OrthoTerm, Actual, Reachable, Measurement, Induced,
+                    Tensor, Plus, Lolli, Forall, Constraint, tuple])
+
+
+def _fold(root, lat: FiniteOrthoLattice | None, free):
+    """The one walk over a formula or a term, in post-order, with an
+    explicit stack, so a tree of any depth is walked.  ``free`` is called
+    with the name of each variable occurrence that no enclosing quantifier
+    binds (a quantifier's guard is in its scope) and returns the term to put
+    in its place, or None to keep it.  With ``lat``, each node is rebuilt in
+    the lattice's store from its folded parts, in normal form (see
+    :func:`normalize_formula`), and the root's is returned; without, nothing
+    is built and None is returned."""
+    make = lat._store.make if lat is not None else None
+    bound = Counter()  # variable name -> the enclosing quantifiers that bind it
+    done = []  # the folded parts, in order; a string part as it is
+    todo = [(root, None)]  # (node, the number of its parts once they are pushed)
+    while todo:
+        x, n = todo.pop()
+        cls = x.__class__
+        if n is None:
+            if cls is str:
+                done.append(x)
+                continue
+            if cls not in _NODES:
+                raise TypeError(f"not a formula: {x!r}")
+            if cls is Var and not bound[x.name]:
+                term = free(x.name)
+                if term is not None:
+                    done.append(term)
+                    continue
+            if cls is Forall:
+                bound[x.var] += 1
+            parts = x if cls is tuple else x._values()
+            todo.append((x, len(parts)))
+            todo += [(p, None) for p in reversed(parts)]
+            continue
+        parts = done[len(done) - n:]
+        del done[len(done) - n:]
+        if cls is Forall:
+            bound[x.var] -= 1
+        if make is None:
+            x = None
+        elif cls is OrthoTerm and parts[0].__class__ is Const:
+            x = make(Const, lat.ortho(parts[0].name))
+        elif cls is OrthoTerm and parts[0].__class__ is OrthoTerm:
+            x = parts[0].arg  # a double complement cancels
+        elif cls in (Actual, Reachable, Measurement):
+            x = _atom(lat, cls, *parts)
+        else:
+            x = make(cls, *parts)
+        done.append(x)
+    return done[0]
+
+
+def normalize_formula(
+    f: Formula | Term, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
+) -> Formula | Term:
+    """The normal form of a formula or a term ``f``, built in the lattice's
+    store: complement formers evaluated over constants through the lattice
+    and double complements cancelled everywhere, guard bounds included, and
+    measurement atoms canonical.  With ``var`` given, its free occurrences
+    are first replaced by the normal form of ``value`` (a quantifier binding
+    ``var`` shadows it, guard included).  ``In``/``R`` of 0 raise
+    :class:`ValueError`."""
+    sub = {} if var is None else {var: _fold(value, lat, {}.get)}
+    return _fold(f, lat, sub.get)
+
+
+normalize_term = normalize_formula  # one normalizer for both sorts
 
 
 def _atom(lat: FiniteOrthoLattice, cls: type, term: Term) -> Formula:
@@ -218,70 +269,11 @@ def measurement(lat: FiniteOrthoLattice, name: str) -> Measurement:
     return _atom(lat, Measurement, lat._store.make(Const, name))
 
 
-def normalize_formula(
-    f: Formula, lat: FiniteOrthoLattice, var: str | None = None, value: Term | None = None
-) -> Formula:
-    """The normal form of ``f``, built in the lattice's store: terms and guard
-    bounds normalized, measurement atoms canonical.  With ``var`` given, its
-    free occurrences are first replaced by ``value`` (a quantifier binding
-    ``var`` shadows it, guard included).  ``In``/``R`` of 0 raise
-    :class:`ValueError`."""
-    make = lat._store.make
-    if isinstance(f, (Actual, Reachable, Measurement)):
-        return _atom(lat, f.__class__, normalize_term(f.term, lat, var, value))
-    if isinstance(f, Induced):
-        return make(Induced, f.alpha)
-    if isinstance(f, (Tensor, Plus)):
-        return make(
-            f.__class__,
-            normalize_formula(f.left, lat, var, value),
-            normalize_formula(f.right, lat, var, value),
-        )
-    if isinstance(f, Lolli):
-        return make(
-            Lolli,
-            normalize_formula(f.antecedent, lat, var, value),
-            normalize_formula(f.consequent, lat, var, value),
-        )
-    if isinstance(f, Forall):
-        if f.var == var:
-            var = value = None  # shadowed
-        guard = make(tuple, *[
-            make(Constraint, c.op,
-                 c.rhs if c.op == "!inK" else normalize_term(c.rhs, lat, var, value))
-            for c in f.guard
-        ])
-        return make(Forall, f.var, guard, normalize_formula(f.body, lat, var, value))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# -- variables and substitution --------------------------------------------------
-
-
-def _term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, OrthoTerm):
-        return _term_vars(t.arg)
-    return frozenset()
-
-
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Actual, Reachable, Measurement)):
-        return _term_vars(f.term)
-    if isinstance(f, Induced):
-        return frozenset()
-    if isinstance(f, (Tensor, Plus)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Lolli):
-        return free_vars(f.antecedent) | free_vars(f.consequent)
-    if isinstance(f, Forall):
-        inner = free_vars(f.body)
-        for c in f.guard:
-            if c.op != "!inK":
-                inner |= _term_vars(c.rhs)
-        return inner - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    """The variables that occur free in ``f``."""
+    found: set[str] = set()
+    _fold(f, None, found.add)
+    return frozenset(found)
 
 
 def substitute(f: Formula, var: str, value: Term, lat: FiniteOrthoLattice) -> Formula:

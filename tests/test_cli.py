@@ -467,6 +467,39 @@ class TestDeepInput:
         assert err.startswith(f"{tmp_path / 'deep.drv'}: 101:1: nesting deeper than 100 levels")
 
 
+    def test_long_sum_crosscheck(self, mo2_file, tmp_path, capsys):
+        # a sum adds no nesting level: 10,000 terms parse and check, and
+        # crosscheck finds no algebraic reading in them
+        drv = tmp_path / "sum.drv"
+        chain = " + ".join(["In(a)"] * 10_000)
+        drv.write_text(f'(rule id (seq "{chain} |- {chain}"))\n')
+        assert run(["check", str(drv), "--lattice", mo2_file]) == 0
+        capsys.readouterr()
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{drv}: no algebraic reading")
+        assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 naming it, as an input
+    that cannot be read does, never with a traceback."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["lattice", "gen", "--family", "mo", "--n", "2"], "-o"),
+        (["prove", "measurement", "--lattice", "L", "--actual", "a", "--measure", "b"], "-o"),
+        (["lattice", "verify", "L"], "--json"),
+    ], ids=["lattice gen", "prove", "json report"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_exit_2(self, mo2_file, tmp_path, capsys, argv, option, where):
+        path = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+        argv = [mo2_file if a == "L" else a for a in argv]
+        assert run(argv + [option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: [Errno ")
+        assert err.count("\n") == 1
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 is an input error (exit 2) naming the path
     and the first bad byte, never a UnicodeDecodeError traceback."""

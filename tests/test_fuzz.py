@@ -120,7 +120,7 @@ FIXED = {
     ),
     "long plus chain": lambda: (
         "D", '(rule id (seq "' + " + ".join(["In(a)"] * 5000) + ' |- In(a)"))\n',
-        ["check", "D", "--lattice", "L"], 2,
+        ["check", "D", "--lattice", "L"], 1,
     ),
     "deep nodes": lambda: ("D", "(rule id (seq " * 5000, ["check", "D", "--lattice", "L"], 2),
     # a few MB: a context of 400,000 formulas, and a long comment before a

@@ -222,6 +222,127 @@ def reference_render(f, s) -> str:
     return f"{head} . {reference_render(f.body, s)}"
 
 
+def reference_normalize_term(t, lat, var=None, value=None):
+    """The recursive term normalizer that ``syntax._fold`` replaced, kept
+    with the two walks below as its oracle."""
+    make = lat._store.make
+    if isinstance(t, OrthoTerm):
+        inner = reference_normalize_term(t.arg, lat, var, value)
+        if isinstance(inner, Const):
+            return make(Const, lat.ortho(inner.name))
+        if isinstance(inner, OrthoTerm):
+            return inner.arg
+        return make(OrthoTerm, inner)
+    if isinstance(t, Var) and t.name == var:
+        return reference_normalize_term(value, lat)
+    if isinstance(t, (Const, Var)):
+        return make(t.__class__, t.name)
+    return t
+
+
+def reference_normalize_formula(f, lat, var=None, value=None):
+    make, term = lat._store.make, reference_normalize_term
+    if isinstance(f, (Actual, Reachable, Measurement)):
+        return syntax._atom(lat, f.__class__, term(f.term, lat, var, value))
+    if isinstance(f, Induced):
+        return make(Induced, f.alpha)
+    if isinstance(f, (Tensor, Plus)):
+        return make(
+            f.__class__,
+            reference_normalize_formula(f.left, lat, var, value),
+            reference_normalize_formula(f.right, lat, var, value),
+        )
+    if isinstance(f, Lolli):
+        return make(
+            Lolli,
+            reference_normalize_formula(f.antecedent, lat, var, value),
+            reference_normalize_formula(f.consequent, lat, var, value),
+        )
+    if isinstance(f, Forall):
+        if f.var == var:
+            var = value = None  # shadowed
+        guard = make(tuple, *[
+            make(Constraint, c.op, c.rhs if c.op == "!inK" else term(c.rhs, lat, var, value))
+            for c in f.guard
+        ])
+        return make(Forall, f.var, guard, reference_normalize_formula(f.body, lat, var, value))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_term_vars(t):
+    if isinstance(t, Var):
+        return frozenset({t.name})
+    if isinstance(t, OrthoTerm):
+        return reference_term_vars(t.arg)
+    return frozenset()
+
+
+def reference_free_vars(f):
+    if isinstance(f, (Actual, Reachable, Measurement)):
+        return reference_term_vars(f.term)
+    if isinstance(f, Induced):
+        return frozenset()
+    if isinstance(f, (Tensor, Plus)):
+        return reference_free_vars(f.left) | reference_free_vars(f.right)
+    if isinstance(f, Lolli):
+        return reference_free_vars(f.antecedent) | reference_free_vars(f.consequent)
+    if isinstance(f, Forall):
+        inner = reference_free_vars(f.body)
+        for c in f.guard:
+            if c.op != "!inK":
+                inner |= reference_term_vars(c.rhs)
+        return inner - {f.var}
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def outcome(call):
+    """The result of ``call``, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err)
+
+
+def same(got, want) -> bool:
+    """Whether two outcomes are the same store object or the same error."""
+    return got is want or (got.__class__ is str and got == want)
+
+
+class TestFoldEqualsRecursiveWalks:
+    """``syntax._fold`` gives what the recursive walks it replaced gave: the
+    same store object, the same free variables and the same error, with and
+    without a substitution, through shadowing binders and guard bounds."""
+
+    @pytest.mark.parametrize("lat", [mo(2), boolean(3), hexagon()], ids=lambda lat: lat.name)
+    def test_random_formulas(self, lat):
+        rng = random.Random(20261020)
+        z = Var("z")
+        values = [Const(e) for e in lat.elements] + [
+            z, OrthoTerm(z), OrthoTerm(OrthoTerm(z)), OrthoTerm(Const(lat.nonzero()[0])),
+        ]
+        shadowed = errors = 0
+        for _ in range(400):
+            f = gen.random_formula(lat, rng, rng.randint(0, 5))
+            text = ascii_formula(f)
+            assert free_vars(f) == reference_free_vars(f), text
+            assert same(outcome(lambda: normalize_formula(f, lat)),
+                        outcome(lambda: reference_normalize_formula(f, lat))), text
+            for var in gen.VAR_POOL[:3]:
+                value = rng.choice(values)
+                got = outcome(lambda: substitute(f, var, value, lat))
+                want = outcome(lambda: reference_normalize_formula(f, lat, var, value))
+                assert same(got, want), (text, var, value)
+                errors += want.__class__ is str
+                shadowed += f"forall {var} " in text
+        for _ in range(200):
+            t = gen.random_term(lat, rng, 1)
+            for _ in range(rng.randrange(3)):
+                t = OrthoTerm(t)
+            value = rng.choice(values)
+            assert normalize_term(t, lat) is reference_normalize_term(t, lat)
+            assert normalize_term(t, lat, "u", value) is reference_normalize_term(t, lat, "u", value)
+        assert shadowed and errors  # the corpus reaches both
+
 class TestAtoms:
     """actual, reachable, measurement and the parser build each atom once,
     in the lattice's store."""
@@ -828,6 +949,54 @@ class TestDepth:
             "id", "id requires a single context formula equal to the succedent"
         )
         assert check_derivation(lat, RuleApp("id", Sequent((a2,), a2), ())).valid
+
+
+def long_sum(lat, term, terms: int = 10_000):
+    """A store-built left-nested '+' chain of ``terms`` atoms over ``term``,
+    In and R by turns."""
+    make = lat._store.make
+    f = make(Actual, term)
+    for i in range(terms - 1):
+        f = make(Plus, f, make(Reachable if i % 2 else Actual, term))
+    return f
+
+
+class TestFoldDepth:
+    """The fold keeps an explicit stack, so the normalizer, substitution,
+    free variables and the quantifier rules reach far past the recursion
+    limit."""
+
+    def test_normal_form_is_itself(self):
+        lat = mo(2)
+        f = long_sum(lat, lat._store.make(OrthoTerm, lat._store.make(Var, "x")))
+        assert normalize_formula(f, lat) is f
+        assert free_vars(f) == {"x"}
+        assert substitute(f, "x", Const("a"), lat) is long_sum(lat, lat._store.make(Const, "a'"))
+
+    def test_forall_l_valid(self):
+        lat = mo(2)
+        make = lat._store.make
+        body, instance = long_sum(lat, make(Var, "x")), long_sum(lat, make(Const, "a"))
+        quantified = make(Forall, "x", make(tuple), body)
+        leaf = RuleApp("id", make(Sequent, make(tuple, instance), instance), ())
+        d = RuleApp("forall_l", make(Sequent, make(tuple, quantified), instance), (leaf,),
+                    make(Const, "a"))
+        assert check_derivation(lat, d).valid
+
+    def test_forall_r_eigenvariable(self):
+        lat = mo(2)
+        make = lat._store.make
+        body = long_sum(lat, make(Var, "x"))
+        leaf = RuleApp("id", make(Sequent, make(tuple, body), body), ())
+        goal = make(Forall, "x", make(tuple), body)
+        d = RuleApp("forall_r", make(Sequent, make(tuple, body), goal), (leaf,))
+        assert check_derivation(lat, d).failure.reason == "eigenvariable 'x' is free in the context"
+
+    def test_sequent_round_trip(self):
+        lat = mo(2)
+        f = long_sum(lat, lat._store.make(Const, "a"))
+        s = lat._store.make(Sequent, lat._store.make(tuple, f), f)
+        assert parse_sequent(serialize(s), lat) is s
 
 
 def memo_corpus(short_chains) -> list[tuple[str, str]]:
