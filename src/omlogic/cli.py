@@ -112,11 +112,9 @@ def _write_json(path: str, payload: dict) -> None:
     _write_output(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        witness = "" if c.witness is None else f"  witness ({', '.join(c.witness)})"
-        print(f"{mark} {c.law}{witness}")
+def _emit_report(args, command: str, checks: list[LawCheck], extra=None, lines=()) -> int:
+    """Write the ``--json`` report, then print ``lines`` and one line per
+    check, so a report that cannot be written leaves stdout empty."""
     ok = all(c.passed for c in checks)
     if getattr(args, "json", None):
         payload = {
@@ -140,6 +138,12 @@ def _emit_report(args, command: str, checks: list[LawCheck], extra=None) -> int:
         if extra:
             payload.update(extra)
         _write_json(args.json, payload)
+    for line in lines:
+        print(line)
+    for c in checks:
+        mark = "PASS" if c.passed else "FAIL"
+        witness = "" if c.witness is None else f"  witness ({', '.join(c.witness)})"
+        print(f"{mark} {c.law}{witness}")
     return OK if ok else CHECK_FAILED
 
 
@@ -174,7 +178,6 @@ def _cmd_propagate(args) -> int:
     if "0" in initial:
         raise _Exit(USAGE_ERROR, "actuality sets never contain 0")
     image = f.apply(initial)
-    print(_format_set(image, lat))
     if args.json:
         payload = {
             "command": "propagate",
@@ -185,6 +188,7 @@ def _cmd_propagate(args) -> int:
             "seed": None,
         }
         _write_json(args.json, payload)
+    print(_format_set(image, lat))
     return OK
 
 
@@ -200,11 +204,10 @@ def _cmd_counterexample_order(args) -> int:
     lat = _load_for_maps(args.lattice)
     witness = find_order_counterexample(lat)
     if witness is None:
-        print("none")
         checks = [LawCheck("counterexample-search", True, None)]
-        return _emit_report(args, "counterexample order", checks, {"witness": None})
+        return _emit_report(args, "counterexample order", checks, {"witness": None}, ["none"])
     ok = witness.recheck(lat)
-    print(
+    line = (
         f"witness: element={witness.element} other={witness.other} "
         f"argument={witness.argument} images=({witness.images[0]}, {witness.images[1]})"
     )
@@ -223,7 +226,7 @@ def _cmd_counterexample_order(args) -> int:
             "images": list(witness.images),
         }
     }
-    return _emit_report(args, "counterexample order", checks, extra)
+    return _emit_report(args, "counterexample order", checks, extra, [line])
 
 
 def _cmd_prop1(args) -> int:
@@ -256,15 +259,16 @@ def _cmd_check(args) -> int:
     maps = _load_registry(lat, args.register)
     d = _load(args.derivation, parse_derivation, lat)
     verdict = check_derivation(lat, d, maps)
+    lines = []
     if verdict.valid:
         checks = [LawCheck("derivation-valid", True, None)]
     else:
         f = verdict.failure
-        print(f"invalid at node {list(f.path)} ({f.rule}): {f.reason}")
+        lines.append(f"invalid at node {list(f.path)} ({f.rule}): {f.reason}")
         if f.conclusion is not None:
-            print(f"  at: {ascii_sequent(f.conclusion)}")
+            lines.append(f"  at: {ascii_sequent(f.conclusion)}")
         checks = [LawCheck("derivation-valid", False, (f.rule, f.reason))]
-    return _emit_report(args, "check", checks)
+    return _emit_report(args, "check", checks, lines=lines)
 
 
 def _cmd_axiom_instantiate(args) -> int:
@@ -296,7 +300,7 @@ def _cmd_crosscheck(args) -> int:
     except NoAlgebraicReading as err:
         raise _Exit(USAGE_ERROR, f"{args.derivation}: {err}")
     if result.ok:
-        print(
+        line = (
             f"agree ({result.shape}): branches {_format_set(result.found, lat)} "
             f"match the propagated actuality set"
         )
@@ -305,7 +309,7 @@ def _cmd_crosscheck(args) -> int:
             f"branches {_format_set(result.found, lat)} != "
             f"propagated {_format_set(result.expected, lat)}"
         )
-        print(f"disagree: {reason}")
+        line = f"disagree: {reason}"
     checks = [
         LawCheck(
             "logic-algebra-agreement",
@@ -318,7 +322,7 @@ def _cmd_crosscheck(args) -> int:
         "expected": sorted(result.expected, key=lat.index) if result.expected else None,
         "found": sorted(result.found, key=lat.index) if result.found else None,
     }
-    return _emit_report(args, "crosscheck", checks, extra)
+    return _emit_report(args, "crosscheck", checks, extra, [line])
 
 
 # -- argument wiring ---------------------------------------------------------------

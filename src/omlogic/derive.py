@@ -159,7 +159,9 @@ def derive_chain(
     in the lattice's store.  The result concludes from the nested context
     M(m_k) * ( ... (M(m_1) * (In(a) * R(a)))) a disjunction of
     actual-and-reachable branches, one per surviving projected outcome of the
-    measurements in order.
+    measurements in order.  Each further measurement adds one stage, whose
+    proof holds one subproof per distinct subtree of the stage before
+    (:func:`_extend`), though the conclusion may hold 2^k branches.
     """
     if not measures:
         raise ValueError("a measurement chain needs at least one measurement")
@@ -180,43 +182,35 @@ def derive_composed(
 
 def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     """Extend a chain derivation by one more measurement: from M(then) * C,
-    where ``base`` proves C |- S, conclude S with each branch In(u) * R(u)
-    replaced by the conclusion of measuring ``then`` on u."""
+    where ``base`` proves C |- S, conclude S', which is S with each branch
+    In(u) * R(u) replaced by the conclusion of measuring ``then`` on u.  The
+    proof is built bottom-up: each distinct subtree f of S gets one proof of
+    (M(then), f) |- f'.  A branch cuts its measurement proof; a sum L + R is
+    plus_l over the proofs of its sides, each lifted once into L' + R'."""
     make = lat._store.make
-    stage_one = base.conclusion.succedent
     m_then = measurement(lat, then)
+    proofs: dict[int, RuleApp] = {}  # by id: S is hash-consed, so one per distinct subtree
 
-    def core(leaf: Formula) -> RuleApp:
-        """The next-stage proof of a branch; the store keeps one per element,
-        so branches that hold the same element share it."""
-        u = _in_and_r(leaf)
-        assert u is not None
-        return derive_measurement(lat, u, then)
-
-    def mirror(f: Formula) -> Formula:
+    def prove(f: Formula) -> RuleApp:
+        if id(f) in proofs:
+            return proofs[id(f)]
         if isinstance(f, Plus):
-            return make(Plus, mirror(f.left), mirror(f.right))
-        return core(f).conclusion.succedent
+            left, right = prove(f.left), prove(f.right)
+            goal = make(Plus, left.conclusion.succedent, right.conclusion.succedent)
+            d = _rule(make, "plus_l", (m_then, f), goal,
+                      _rule(make, "plus_r1", (m_then, f.left), goal, left),
+                      _rule(make, "plus_r2", (m_then, f.right), goal, right))
+        else:  # a branch In(u) * R(u)
+            c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
+            pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
+                         _id(make, m_then), _id(make, f))
+            d = _rule(make, "cut", (m_then, f), c.conclusion.succedent, pair, c)
+        proofs[id(f)] = d
+        return d
 
-    goal_rhs = mirror(stage_one)
-
-    def prove(f: Formula, goal: Formula, climb: tuple) -> RuleApp:
-        """(M(then), f) |- goal_rhs, recursing over the branch tree so far;
-        ``goal`` is f's mirror in goal_rhs, and ``climb`` the plus_r steps,
-        innermost first, from goal up to goal_rhs."""
-        if isinstance(f, Plus):
-            left = prove(f.left, goal.left, (("plus_r1", goal),) + climb)
-            right = prove(f.right, goal.right, (("plus_r2", goal),) + climb)
-            return _rule(make, "plus_l", (m_then, f), goal_rhs, left, right)
-        c = core(f)  # [M(then) * f] |- goal
-        fused = c.conclusion.context[0]
-        pair = _rule(make, "tensor_r", (m_then, f), fused, _id(make, m_then), _id(make, f))
-        out = _rule(make, "cut", (m_then, f), goal, pair, c)
-        for rule, parent in climb:
-            out = _rule(make, rule, (m_then, f), parent, out)
-        return out
-
-    body = prove(stage_one, goal_rhs, ())
+    stage_one = base.conclusion.succedent
+    body = prove(stage_one)
+    goal_rhs = body.conclusion.succedent
     m_stage_one = make(Tensor, m_then, stage_one)
     fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
 

@@ -55,7 +55,7 @@ def mutate(
                 (i, j)
                 for i in range(len(ctx))
                 for j in range(i + 1, len(ctx))
-                if ctx[i] != ctx[j]
+                if ctx[i] is not ctx[j]  # the tree is interned: no walk over either
             ]
             if pairs:
                 candidates.append((path, node, pairs))

@@ -499,6 +499,35 @@ class TestUnwritableOutput:
         assert err.startswith(f"cannot write {path}: [Errno ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "verify", "L"],
+        ["propagate", "--lattice", "L", "--measure", "a", "--set", "{b}"],
+        ["quantale", "verify", "--lattice", "L", "--random-maps", "2", "--pairs", "2",
+         "--join-maps", "2"],
+        ["counterexample", "order", "--lattice", "L"],
+        ["prop1", "--lattice", "L"],
+        ["check", "D", "--lattice", "L"],
+        ["check", "BAD", "--lattice", "L"],
+        ["crosscheck", "D", "--lattice", "L"],
+    ], ids=["lattice verify", "propagate", "quantale verify", "counterexample order", "prop1",
+            "check valid", "check invalid", "crosscheck"])
+    def test_json_written_before_stdout(self, mo2_file, tmp_path, capsys, argv):
+        # an unwritable report leaves stdout empty; a written one leaves it
+        # as a run without --json prints it
+        drv, bad = tmp_path / "k.drv", tmp_path / "bad.drv"
+        drv.write_text(serialize(derive_chain(mo(2), "a", ["b", "a"])))
+        bad.write_text('(rule id (seq "In(a) |- In(b)"))\n')
+        argv = [{"L": mo2_file, "D": str(drv), "BAD": str(bad)}.get(a, a) for a in argv]
+        code = run(argv)
+        plain = capsys.readouterr().out
+        assert plain
+        path = tmp_path / "missing" / "r.json"
+        assert run(argv + ["--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot write {path}: [Errno ")
+        assert run(argv + ["--json", str(tmp_path / "r.json")]) == code
+        assert capsys.readouterr().out == plain
+
 
 class TestUndecodableInput:
     """A file that is not UTF-8 is an input error (exit 2) naming the path

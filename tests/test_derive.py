@@ -7,6 +7,9 @@ import pytest
 import omlogic.derive as derive_module
 from omlogic.derive import (
     NoAlgebraicReading,
+    _id,
+    _in_and_r,
+    _rule,
     derive_chain,
     derive_composed,
     derive_distributivity,
@@ -14,7 +17,7 @@ from omlogic.derive import (
     semantic_crosscheck,
 )
 from omlogic.formats import parse_derivation, serialize
-from omlogic.kernel import check_derivation
+from omlogic.kernel import RuleApp, check_derivation
 from omlogic.lattice import boolean, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import perfect_measurement_map, quantale_compose
@@ -26,6 +29,7 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     ascii_sequent,
+    measurement,
 )
 
 
@@ -198,9 +202,10 @@ class TestDeriveChain:
         # one call per distinct (element, measurement) of each stage: 1 + 7 * 2
         assert len(calls) <= 15
         text = serialize(d)
-        # the digest of the same chain built with one subproof per branch
+        # the digest of the same chain with each stage built bottom-up, one
+        # subproof per distinct subtree of the stage before
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "84963cfbe986565b34ab10b49df01366597bc7b4bc5d6f5d52a28d8e624d80e5"
+            "269803b945cf962fd8e3f99be57664f5c0542778326972825269ffbc03f8c883"
         )
 
     def test_empty_chain_rejected(self):
@@ -210,6 +215,130 @@ class TestDeriveChain:
     def test_zero_in_later_measurement_rejected(self):
         with pytest.raises(ValueError, match="measured property must be nonzero"):
             derive_chain(mo(2), "a", ["b", "a", "0"])
+
+
+def reference_extend(lat, base, then):
+    """The chain step the bottom-up ``derive._extend`` replaced: it builds
+    the next goal with a separate ``mirror`` walk, and every branch proof
+    climbs through plus_r steps to that whole goal."""
+    make = lat._store.make
+    stage_one = base.conclusion.succedent
+    m_then = measurement(lat, then)
+
+    def core(leaf):
+        u = _in_and_r(leaf)
+        assert u is not None
+        return derive_measurement(lat, u, then)
+
+    def mirror(f):
+        if isinstance(f, Plus):
+            return make(Plus, mirror(f.left), mirror(f.right))
+        return core(f).conclusion.succedent
+
+    goal_rhs = mirror(stage_one)
+
+    def prove(f, goal, climb):
+        if isinstance(f, Plus):
+            left = prove(f.left, goal.left, (("plus_r1", goal),) + climb)
+            right = prove(f.right, goal.right, (("plus_r2", goal),) + climb)
+            return _rule(make, "plus_l", (m_then, f), goal_rhs, left, right)
+        c = core(f)
+        fused = c.conclusion.context[0]
+        pair = _rule(make, "tensor_r", (m_then, f), fused, _id(make, m_then), _id(make, f))
+        out = _rule(make, "cut", (m_then, f), goal, pair, c)
+        for rule, parent in climb:
+            out = _rule(make, rule, (m_then, f), parent, out)
+        return out
+
+    body = prove(stage_one, goal_rhs, ())
+    m_stage_one = make(Tensor, m_then, stage_one)
+    fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
+    base_ctx = base.conclusion.context[0]
+    widen = _rule(make, "tensor_r", (m_then, base_ctx), m_stage_one, _id(make, m_then), base)
+    m_base = make(Tensor, m_then, base_ctx)
+    fused_widen = _rule(make, "tensor_l", (m_base,), m_stage_one, widen)
+    return _rule(make, "cut", (m_base,), goal_rhs, fused_widen, fused_body)
+
+
+def reference_chain(lat, a, measures):
+    d = derive_measurement(lat, a, measures[0])
+    for m in measures[1:]:
+        d = reference_extend(lat, d, m)
+    return d
+
+
+def distinct_nodes(d) -> int:
+    seen, todo = set(), [d]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(getattr(node, "children", ()))
+    return len(seen)
+
+
+class TestChainEqualsReference:
+    """``derive_chain`` builds each stage bottom-up and gives what the
+    top-down builder it replaced gave: the same conclusion object, a valid
+    tree whose branches are the algebra's, the same text for one or two
+    measurements, and never more distinct nodes."""
+
+    @staticmethod
+    def faults(lat, a, measures, d) -> list[str]:
+        """What ``d`` gets wrong, by name.  Nothing here asserts: a failure
+        report shows its frame's arguments, and a chain's repr writes out
+        every path through the tree."""
+        ref = reference_chain(lat, a, measures)
+        result = semantic_crosscheck(lat, d)
+        checks = {
+            "conclusion": d.conclusion is ref.conclusion,
+            "valid": check_derivation(lat, d).valid,
+            "crosscheck": result.ok and result.found == chain_image(lat, a, measures),
+            "text": len(measures) > 2 or serialize(d) == serialize(ref),
+            "nodes": distinct_nodes(d) <= distinct_nodes(ref),
+        }
+        return [f"{a} {measures}: {name}" for name, ok in checks.items() if not ok]
+
+    @pytest.mark.parametrize("family", ["mo2", "boolean3"])
+    def test_every_short_chain(self, short_chains, family):
+        lat, chains = short_chains(family)
+        nz = lat.nonzero()
+        faults = [
+            fault
+            for k, built in chains.items()
+            for (a, *ms), d in zip(itertools.product(nz, repeat=k + 1), built)
+            for fault in self.faults(lat, a, ms, d)
+        ]
+        assert faults == []
+
+    @pytest.mark.parametrize("lat", [mo(4), boolean(3)], ids=lambda l: l.name)
+    def test_seeded_longer_chains(self, lat):
+        rng = random.Random(20261020)
+        nz = lat.nonzero()
+        faults = []
+        for k in range(4, 9):
+            for _ in range(10):
+                a, *ms = (rng.choice(nz) for _ in range(k + 1))
+                faults += self.faults(lat, a, ms, derive_chain(lat, a, ms))
+        assert faults == []
+
+    def test_alternating_chain_counts(self, monkeypatch):
+        # counts only: the 2,724 distinct nodes and 41.7 MB of the reference
+        # are not built
+        lat = mo(4)
+        d = derive_chain(lat, "c", ["a", "b"] * 5)
+        nodes = distinct_nodes(d)
+        assert nodes == 230
+        size = len(serialize(d))
+        assert size == 6_499_266
+        # one measurement proof per distinct branch of each stage
+        calls = []
+        real = derive_module.derive_measurement
+        monkeypatch.setattr(derive_module, "derive_measurement",
+                            lambda *args: calls.append(args) or real(*args))
+        lat = mo(4)
+        valid = check_derivation(lat, derive_chain(lat, "c", ["a", "b"] * 7)).valid
+        assert len(calls) == 27 and valid
 
 
 class TestSemanticCrosscheck:
@@ -309,6 +438,31 @@ class TestMutations:
             mutant = mutate(d, kind, rng, lat)
             assert mutant is not None
             assert not check_derivation(lat, mutant).valid, kind
+
+    def test_exchange_of_long_sums(self):
+        # the two context formulas are distinct 2,000-term sums; telling them
+        # apart must walk neither
+        lat = mo(2)
+        make = lat._store.make
+
+        def long_sum(name):
+            term = make(Const, name)
+            f = make(Actual, term)
+            for i in range(1999):
+                f = make(Plus, f, make(Reachable if i % 2 else Actual, term))
+            return f
+
+        def id_leaf(f):
+            return make(RuleApp, "id", make(Sequent, make(tuple, f), f), make(tuple), None)
+
+        x, y = long_sum("a"), long_sum("b")
+        seq = make(Sequent, make(tuple, x, y), make(Tensor, x, y))
+        d = make(RuleApp, "tensor_r", seq, make(tuple, id_leaf(x), id_leaf(y)), None)
+        assert check_derivation(lat, d).valid
+        mutant = mutate(d, "exchange", random.Random(0), lat)
+        swapped = mutant.conclusion.context[0] is y and mutant.conclusion.context[1] is x
+        valid = check_derivation(lat, mutant).valid
+        assert swapped and not valid
 
     def test_seeded_sweep_all_rejected(self):
         lat = mo(2)

@@ -1087,7 +1087,7 @@ class TestVerdictMemo:
         d = derive_chain(lat, "a", ["b", "a", "b"])
         assert check_derivation(lat, d).valid
         rules = [part for part in store_parts(d) if isinstance(part, RuleApp)]
-        assert len(calls) == len(set(map(id, calls))) == len(rules) == 126
+        assert len(calls) == len(set(map(id, calls))) == len(rules) == 123
         # the verdicts last as long as the lattice: checking the built tree
         # again, or the tree parsed back from it, computes none
         assert check_derivation(lat, d).valid
