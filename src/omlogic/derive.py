@@ -158,10 +158,10 @@ def derive_chain(
     on an entity whose actual and reachable property is ``actual_el``, built
     in the lattice's store.  The result concludes from the nested context
     M(m_k) * ( ... (M(m_1) * (In(a) * R(a)))) a disjunction of
-    actual-and-reachable branches, one per surviving projected outcome of the
-    measurements in order.  Each further measurement adds one stage, whose
-    proof holds one subproof per distinct subtree of the stage before
-    (:func:`_extend`), though the conclusion may hold 2^k branches.
+    actual-and-reachable branches.  Each further measurement adds one stage,
+    whose proof holds one subproof per distinct subtree of the stage before
+    (:func:`_extend`); sibling sums that reach the same next stage are
+    merged, so the chain's size follows its distinct branches, not 2^k.
     """
     if not measures:
         raise ValueError("a measurement chain needs at least one measurement")
@@ -182,11 +182,13 @@ def derive_composed(
 
 def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     """Extend a chain derivation by one more measurement: from M(then) * C,
-    where ``base`` proves C |- S, conclude S', which is S with each branch
-    In(u) * R(u) replaced by the conclusion of measuring ``then`` on u.  The
+    where ``base`` proves C |- S, conclude S': S with each branch In(u) * R(u)
+    replaced by the conclusion of measuring ``then`` on u, and each sum of two
+    equal sides by that side.  The
     proof is built bottom-up: each distinct subtree f of S gets one proof of
     (M(then), f) |- f'.  A branch cuts its measurement proof; a sum L + R is
-    plus_l over the proofs of its sides, each lifted once into L' + R'."""
+    plus_l over the proofs of its sides, each lifted once into L' + R'; when
+    L' is R', plus_l concludes L' itself (A + A |- A needs no lift)."""
     make = lat._store.make
     m_then = measurement(lat, then)
     proofs: dict[int, RuleApp] = {}  # by id: S is hash-consed, so one per distinct subtree
@@ -196,10 +198,12 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
             return proofs[id(f)]
         if isinstance(f, Plus):
             left, right = prove(f.left), prove(f.right)
-            goal = make(Plus, left.conclusion.succedent, right.conclusion.succedent)
-            d = _rule(make, "plus_l", (m_then, f), goal,
-                      _rule(make, "plus_r1", (m_then, f.left), goal, left),
-                      _rule(make, "plus_r2", (m_then, f.right), goal, right))
+            goal = left.conclusion.succedent
+            if goal is not right.conclusion.succedent:
+                goal = make(Plus, goal, right.conclusion.succedent)
+                left = _rule(make, "plus_r1", (m_then, f.left), goal, left)
+                right = _rule(make, "plus_r2", (m_then, f.right), goal, right)
+            d = _rule(make, "plus_l", (m_then, f), goal, left, right)
         else:  # a branch In(u) * R(u)
             c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
             pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],

@@ -19,19 +19,32 @@ __all__ = ["MUTATION_KINDS", "mutate", "capture_case"]
 MUTATION_KINDS = ("exchange", "contraction", "weakening", "guard", "capture")
 
 
-def _walk(d: Derivation, path=()):
-    yield path, d
-    if isinstance(d, RuleApp):
-        for i, child in enumerate(d.children):
-            yield from _walk(child, path + (i,))
+def _walk(d: Derivation):
+    """Each node of ``d`` with its path from the root, in pre-order, found
+    with an explicit stack."""
+    todo = [((), d)]
+    while todo:
+        path, d = todo.pop()
+        yield path, d
+        if isinstance(d, RuleApp):
+            i = len(d.children)
+            while i:  # the last child first, so the first is popped next
+                i -= 1
+                todo.append((path + (i,), d.children[i]))
 
 
 def _replace(make, d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivation:
-    if not path:
-        return new
-    kids = list(d.children)
-    kids[path[0]] = _replace(make, kids[path[0]], path[1:], new)
-    return make(RuleApp, d.rule, d.conclusion, make(tuple, *kids), d.witness)
+    """``d`` with its node at ``path`` replaced by ``new``: the nodes on the
+    path are rebuilt, deepest first."""
+    spine = []
+    for i in path:
+        spine.append(d)
+        d = d.children[i]
+    for parent, i in zip(reversed(spine), reversed(path)):
+        kids = list(parent.children)
+        kids[i] = new
+        new = make(RuleApp, parent.rule, parent.conclusion, make(tuple, *kids), parent.witness)
+    return new
 
 
 def _with_context(make, node: Derivation, ctx: list) -> Derivation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from omlogic.derive import derive_composed, derive_measurement
+from omlogic.derive import derive_measurement
 from omlogic.lattice import FiniteOrthoLattice, boolean, hexagon, mo
 from omlogic.propagation import PowersetMap, perfect_measurement_map
 from omlogic.syntax import (
@@ -24,6 +24,7 @@ from omlogic.syntax import (
     Var,
     normalize_formula,
 )
+from reference import chain, unmerged_extend
 
 VAR_POOL = ("u", "v", "w", "p", "q", "r")
 NAME_POOL = ("north", "south", "spin_up", "spin_dn", "left", "right", "x1", "x2", "y1", "y2", "z1", "z2", "t1", "t2")
@@ -168,14 +169,16 @@ def random_sequent(lat, rng: random.Random) -> Sequent:
 
 
 def random_derivation(rng: random.Random):
+    """A measurement or a two-measurement chain on mo(2) or boolean(3).  The
+    chain's second stage is built by ``reference.unmerged_extend``, as when
+    the digests of the corpora drawn from here were recorded."""
     lat = mo(2) if rng.random() < 0.5 else boolean(3)
     names = lat.nonzero()
     if rng.random() < 0.5:
         d = derive_measurement(lat, rng.choice(names), rng.choice(names))
     else:
-        d = derive_composed(
-            lat, rng.choice(names), rng.choice(names), rng.choice(names)
-        )
+        d = chain(lat, rng.choice(names), [rng.choice(names), rng.choice(names)],
+                  unmerged_extend)
     return lat, d
 
 

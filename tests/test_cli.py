@@ -466,6 +466,26 @@ class TestDeepInput:
         err = self.check_exit(tmp_path, mo2_file, capsys, text + "\n")
         assert err.startswith(f"{tmp_path / 'deep.drv'}: 101:1: nesting deeper than 100 levels")
 
+    def test_chain_depth_limit(self, tmp_path, capsys):
+        # a chain is 3k + 5 derivation levels deep: 30 alternating
+        # measurements on mo(4) check and crosscheck, and the file that
+        # prove composed writes for 32 is refused at the reader's cap
+        lat_file = tmp_path / "mo4.lat"
+        lat_file.write_text(serialize(mo(4)))
+        codes = {}
+        for k in (30, 32):
+            first, *rest = (["a", "b"] * 16)[:k]
+            drv = tmp_path / f"k{k}.drv"
+            argv = ["prove", "composed", "--lattice", str(lat_file), "--actual", "c",
+                    "--measure", first, *(w for m in rest for w in ("--then", m)), "-o", str(drv)]
+            assert run(argv) == 0
+            codes[k] = [run([cmd, str(drv), "--lattice", str(lat_file)])
+                        for cmd in ("check", "crosscheck")]
+        assert codes == {30: [0, 0], 32: [2, 2]}
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{tmp_path / 'k32.drv'}: 194:201: nesting deeper than 100 levels\n" * 2
+
 
     def test_long_sum_crosscheck(self, mo2_file, tmp_path, capsys):
         # a sum adds no nesting level: 10,000 terms parse and check, and

@@ -7,9 +7,7 @@ import pytest
 import omlogic.derive as derive_module
 from omlogic.derive import (
     NoAlgebraicReading,
-    _id,
-    _in_and_r,
-    _rule,
+    _plus_leaves,
     derive_chain,
     derive_composed,
     derive_distributivity,
@@ -29,8 +27,8 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     ascii_sequent,
-    measurement,
 )
+from reference import chain, reference_extend
 
 
 def In(x):
@@ -50,8 +48,10 @@ def chain_image(lat, a, measures):
     return composite.apply({a})
 
 
-def count_branches(f):
-    return count_branches(f.left) + count_branches(f.right) if isinstance(f, Plus) else 1
+def repeats_disjunct(d) -> bool:
+    """Whether some branch occurs twice in the disjunction ``d`` concludes."""
+    leaves = _plus_leaves(d.conclusion.succedent)
+    return len(set(map(id, leaves))) < len(leaves)
 
 
 class TestDistributivity:
@@ -162,7 +162,7 @@ class TestDeriveComposed:
 
 
 class TestDeriveChain:
-    """Chains of three to five measurements, each an extension of the last."""
+    """Chains of measurements, each an extension of the last."""
 
     def check_chain(self, lat, a, measures):
         d = derive_chain(lat, a, measures)
@@ -178,8 +178,9 @@ class TestDeriveChain:
         lat = mo(4)
         measures = ["a", "b"] * 3
         d = self.check_chain(lat, "c", measures[:k])
-        # every measurement splits every branch in two
-        assert count_branches(d.conclusion.succedent) == 2**k
+        # every measurement splits every branch in two, and the two sums that
+        # result are one: In(a) * R(a) + In(a') * R(a') or the same over b
+        assert len(_plus_leaves(d.conclusion.succedent)) == 2
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_boolean(self, k):
@@ -203,10 +204,44 @@ class TestDeriveChain:
         assert len(calls) <= 15
         text = serialize(d)
         # the digest of the same chain with each stage built bottom-up, one
-        # subproof per distinct subtree of the stage before
+        # subproof per distinct subtree of the stage before, and sibling sums
+        # that reach the same next stage merged
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "269803b945cf962fd8e3f99be57664f5c0542778326972825269ffbc03f8c883"
+            "8fcfb8a74d94cf815df1bdb372836b2137dc3aff42c19acecaaa7e125846b0d7"
         )
+
+    @pytest.mark.parametrize("family", ["mo2", "boolean3"])
+    def test_short_chains_repeat_no_disjunct(self, short_chains, family):
+        _, chains = short_chains(family)
+        repeated = sum(repeats_disjunct(d) for built in chains.values() for d in built)
+        assert repeated == 0
+
+    @pytest.mark.parametrize("lat", [mo(2), boolean(3), mo(4)], ids=lambda l: l.name)
+    def test_seeded_chains_repeat_no_disjunct(self, lat):
+        # 400 chains of one to eight measurements; each is valid and reaches
+        # the algebra's branch set, each branch once
+        rng = random.Random(20261021)
+        nz = lat.nonzero()
+        faults = []
+        for _ in range(400):
+            a, *ms = (rng.choice(nz) for _ in range(rng.randint(2, 9)))
+            d = derive_chain(lat, a, ms)
+            result = semantic_crosscheck(lat, d)
+            if repeats_disjunct(d) or not (result.ok and result.found == chain_image(lat, a, ms)):
+                faults.append(f"{a} {ms}")
+        assert faults == []
+
+    @pytest.mark.parametrize("k", [20, 30])
+    def test_long_chain_round_trips(self, k):
+        # alternating a and b on mo(4): k stages of 3 levels each, under the
+        # reader's nesting cap of 100 up to k = 31
+        measures = (["a", "b"] * 15)[:k]
+        text = serialize(derive_chain(mo(4), "c", measures))
+        fresh = mo(4)
+        parsed = parse_derivation(text, fresh)
+        result = semantic_crosscheck(fresh, parsed)
+        rewritten = serialize(parsed) == text
+        assert rewritten and result.ok and result.found == chain_image(fresh, "c", measures)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one measurement"):
@@ -217,54 +252,15 @@ class TestDeriveChain:
             derive_chain(mo(2), "a", ["b", "a", "0"])
 
 
-def reference_extend(lat, base, then):
-    """The chain step the bottom-up ``derive._extend`` replaced: it builds
-    the next goal with a separate ``mirror`` walk, and every branch proof
-    climbs through plus_r steps to that whole goal."""
-    make = lat._store.make
-    stage_one = base.conclusion.succedent
-    m_then = measurement(lat, then)
-
-    def core(leaf):
-        u = _in_and_r(leaf)
-        assert u is not None
-        return derive_measurement(lat, u, then)
-
-    def mirror(f):
+def plus_nodes(f) -> list:
+    """Every sum in the plus tree ``f``, with an explicit stack."""
+    sums, todo = [], [f]
+    while todo:
+        f = todo.pop()
         if isinstance(f, Plus):
-            return make(Plus, mirror(f.left), mirror(f.right))
-        return core(f).conclusion.succedent
-
-    goal_rhs = mirror(stage_one)
-
-    def prove(f, goal, climb):
-        if isinstance(f, Plus):
-            left = prove(f.left, goal.left, (("plus_r1", goal),) + climb)
-            right = prove(f.right, goal.right, (("plus_r2", goal),) + climb)
-            return _rule(make, "plus_l", (m_then, f), goal_rhs, left, right)
-        c = core(f)
-        fused = c.conclusion.context[0]
-        pair = _rule(make, "tensor_r", (m_then, f), fused, _id(make, m_then), _id(make, f))
-        out = _rule(make, "cut", (m_then, f), goal, pair, c)
-        for rule, parent in climb:
-            out = _rule(make, rule, (m_then, f), parent, out)
-        return out
-
-    body = prove(stage_one, goal_rhs, ())
-    m_stage_one = make(Tensor, m_then, stage_one)
-    fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
-    base_ctx = base.conclusion.context[0]
-    widen = _rule(make, "tensor_r", (m_then, base_ctx), m_stage_one, _id(make, m_then), base)
-    m_base = make(Tensor, m_then, base_ctx)
-    fused_widen = _rule(make, "tensor_l", (m_base,), m_stage_one, widen)
-    return _rule(make, "cut", (m_base,), goal_rhs, fused_widen, fused_body)
-
-
-def reference_chain(lat, a, measures):
-    d = derive_measurement(lat, a, measures[0])
-    for m in measures[1:]:
-        d = reference_extend(lat, d, m)
-    return d
+            sums.append(f)
+            todo += (f.right, f.left)
+    return sums
 
 
 def distinct_nodes(d) -> int:
@@ -278,23 +274,28 @@ def distinct_nodes(d) -> int:
 
 
 class TestChainEqualsReference:
-    """``derive_chain`` builds each stage bottom-up and gives what the
-    top-down builder it replaced gave: the same conclusion object, a valid
-    tree whose branches are the algebra's, the same text for one or two
-    measurements, and never more distinct nodes."""
+    """``derive_chain`` builds each stage bottom-up and agrees with the
+    top-down builder it replaced (``reference.reference_extend``): the same
+    context and the same branch set, though no sum in its conclusion has two
+    equal sides, a valid tree whose branches are the algebra's, the same
+    text for one measurement, and never more distinct nodes."""
 
     @staticmethod
     def faults(lat, a, measures, d) -> list[str]:
         """What ``d`` gets wrong, by name.  Nothing here asserts: a failure
         report shows its frame's arguments, and a chain's repr writes out
         every path through the tree."""
-        ref = reference_chain(lat, a, measures)
+        ref = chain(lat, a, measures, reference_extend)
         result = semantic_crosscheck(lat, d)
+        succedent = d.conclusion.succedent
         checks = {
-            "conclusion": d.conclusion is ref.conclusion,
+            "context": d.conclusion.context is ref.conclusion.context,
+            "leaves": set(_plus_leaves(succedent)) == set(_plus_leaves(ref.conclusion.succedent)),
+            "no equal sides": not any(isinstance(f, Plus) and f.left is f.right
+                                      for f in plus_nodes(succedent)),
             "valid": check_derivation(lat, d).valid,
             "crosscheck": result.ok and result.found == chain_image(lat, a, measures),
-            "text": len(measures) > 2 or serialize(d) == serialize(ref),
+            "text": len(measures) > 1 or serialize(d) == serialize(ref),
             "nodes": distinct_nodes(d) <= distinct_nodes(ref),
         }
         return [f"{a} {measures}: {name}" for name, ok in checks.items() if not ok]
@@ -328,9 +329,9 @@ class TestChainEqualsReference:
         lat = mo(4)
         d = derive_chain(lat, "c", ["a", "b"] * 5)
         nodes = distinct_nodes(d)
-        assert nodes == 230
+        assert nodes == 174
         size = len(serialize(d))
-        assert size == 6_499_266
+        assert size == 88_878
         # one measurement proof per distinct branch of each stage
         calls = []
         real = derive_module.derive_measurement
@@ -463,6 +464,22 @@ class TestMutations:
         swapped = mutant.conclusion.context[0] is y and mutant.conclusion.context[1] is x
         valid = check_derivation(lat, mutant).valid
         assert swapped and not valid
+
+    def test_deep_chain_under_weakening(self):
+        # 1,500 plus_r1 levels, far past the recursion limit: the walk and
+        # the rebuild of the path to the mutated node use explicit stacks
+        lat = mo(2)
+        make = lat._store.make
+        a, r = make(Actual, make(Const, "a")), make(Reachable, make(Const, "a"))
+        ctx, f = make(tuple, a), a
+        d = make(RuleApp, "id", make(Sequent, ctx, a), make(tuple), None)
+        for _ in range(1500):
+            f = make(Plus, f, r)
+            d = make(RuleApp, "plus_r1", make(Sequent, ctx, f), make(tuple, d), None)
+        valid = check_derivation(lat, d).valid
+        mutant = mutate(d, "weakening", random.Random(0), lat)
+        rejected = mutant is not d and not check_derivation(lat, mutant).valid
+        assert valid and rejected
 
     def test_seeded_sweep_all_rejected(self):
         lat = mo(2)
