@@ -125,18 +125,25 @@ def _measurement(lat: FiniteOrthoLattice, a: str, b: str) -> RuleApp:
     # M(b) * (In(a) * R(a)) |- In(a) * (R(b) + R(b'))
     step1 = _axiom_step(lat, "Adjust1", x=b, y=a)
     step2 = _distributivity(make, actual(lat, a), reachable(lat, b), reachable(lat, bo))
-    # In(a) * R(z) |- In(w) * R(w), for z = b and z = b'
+    # In(a) * R(z) |- In(w) * R(w), for z = b and z = b', joined over their sum
     step3, step4 = (_axiom_step(lat, "Trans", y=a, z=z) for z in (b, bo))
-    d1, d2 = step3.conclusion.succedent, step4.conclusion.succedent
-    goal_rhs = make(Plus, d1, d2)
-
-    lift1 = _rule(make, "plus_r1", step3.conclusion.context, goal_rhs, step3)
-    lift2 = _rule(make, "plus_r2", step4.conclusion.context, goal_rhs, step4)
-    branch_plus = make(Plus, step3.conclusion.context[0], step4.conclusion.context[0])
-    joined = _rule(make, "plus_l", (branch_plus,), goal_rhs, lift1, lift2)
-
+    joined = _sum(make, step3, step4)
+    goal_rhs = joined.conclusion.succedent
     after_distribution = _rule(make, "cut", step2.conclusion.context, goal_rhs, step2, joined)
     return _rule(make, "cut", step1.conclusion.context, goal_rhs, step1, after_distribution)
+
+
+def _sum(make, left: RuleApp, right: RuleApp) -> RuleApp:
+    """From proofs of G, L |- L' and G, R |- R', plus_l concluding
+    G, L + R |- L' + R', each side lifted once by plus_r; when L' is R',
+    plus_l concludes L' itself (A + A |- A needs no lift)."""
+    lctx, rctx = left.conclusion.context, right.conclusion.context
+    goal, other = left.conclusion.succedent, right.conclusion.succedent
+    if goal is not other:
+        goal = make(Plus, goal, other)
+        left = _rule(make, "plus_r1", lctx, goal, left)
+        right = _rule(make, "plus_r2", rctx, goal, right)
+    return _rule(make, "plus_l", (*lctx[:-1], make(Plus, lctx[-1], rctx[-1])), goal, left, right)
 
 
 def _plus_leaves(f: Formula) -> list[Formula]:
@@ -161,7 +168,9 @@ def derive_chain(
     actual-and-reachable branches.  Each further measurement adds one stage,
     whose proof holds one subproof per distinct subtree of the stage before
     (:func:`_extend`); sibling sums that reach the same next stage are
-    merged, so the chain's size follows its distinct branches, not 2^k.
+    merged, so the chain's size follows its distinct branches, not 2^k.  One
+    cut and one tensor_l join a stage to the chain so far, so each stage adds
+    two derivation levels outside its own proof.
     """
     if not measures:
         raise ValueError("a measurement chain needs at least one measurement")
@@ -184,11 +193,11 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     """Extend a chain derivation by one more measurement: from M(then) * C,
     where ``base`` proves C |- S, conclude S': S with each branch In(u) * R(u)
     replaced by the conclusion of measuring ``then`` on u, and each sum of two
-    equal sides by that side.  The
-    proof is built bottom-up: each distinct subtree f of S gets one proof of
-    (M(then), f) |- f'.  A branch cuts its measurement proof; a sum L + R is
-    plus_l over the proofs of its sides, each lifted once into L' + R'; when
-    L' is R', plus_l concludes L' itself (A + A |- A needs no lift)."""
+    equal sides by that side.  The stage proof is built bottom-up: each
+    distinct subtree f of S gets one proof of (M(then), f) |- f'.  A branch
+    cuts its measurement proof; a sum is :func:`_sum` over the proofs of its
+    sides.  One cut of ``base`` into the stage proof concludes
+    (M(then), C) |- S', and one tensor_l fuses the context."""
     make = lat._store.make
     m_then = measurement(lat, then)
     proofs: dict[int, RuleApp] = {}  # by id: S is hash-consed, so one per distinct subtree
@@ -197,13 +206,7 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
         if id(f) in proofs:
             return proofs[id(f)]
         if isinstance(f, Plus):
-            left, right = prove(f.left), prove(f.right)
-            goal = left.conclusion.succedent
-            if goal is not right.conclusion.succedent:
-                goal = make(Plus, goal, right.conclusion.succedent)
-                left = _rule(make, "plus_r1", (m_then, f.left), goal, left)
-                right = _rule(make, "plus_r2", (m_then, f.right), goal, right)
-            d = _rule(make, "plus_l", (m_then, f), goal, left, right)
+            d = _sum(make, prove(f.left), prove(f.right))
         else:  # a branch In(u) * R(u)
             c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
             pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
@@ -212,17 +215,10 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
         proofs[id(f)] = d
         return d
 
-    stage_one = base.conclusion.succedent
-    body = prove(stage_one)
-    goal_rhs = body.conclusion.succedent
-    m_stage_one = make(Tensor, m_then, stage_one)
-    fused_body = _rule(make, "tensor_l", (m_stage_one,), goal_rhs, body)
-
-    base_ctx = base.conclusion.context[0]
-    widen = _rule(make, "tensor_r", (m_then, base_ctx), m_stage_one, _id(make, m_then), base)
-    m_base = make(Tensor, m_then, base_ctx)
-    fused_widen = _rule(make, "tensor_l", (m_base,), m_stage_one, widen)
-    return _rule(make, "cut", (m_base,), goal_rhs, fused_widen, fused_body)
+    body = prove(base.conclusion.succedent)
+    goal_rhs, base_ctx = body.conclusion.succedent, base.conclusion.context[0]
+    joined = _rule(make, "cut", (m_then, base_ctx), goal_rhs, base, body)
+    return _rule(make, "tensor_l", (make(Tensor, m_then, base_ctx),), goal_rhs, joined)
 
 
 # -- semantic crosscheck ---------------------------------------------------------

@@ -64,6 +64,7 @@ from omlogic.syntax import (
     Tensor,
     Term,
     Var,
+    _Rendered,
     _ascii,
     _atom,
     ascii_formula,
@@ -296,12 +297,14 @@ def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
     return list(map(itemgetter(-2), _findall(text, pattern)))
 
 
-# Deepest nesting either reader accepts: formula levels (parentheses, '-o',
-# 'forall' and 'ortho'; a '+' chain is read in a loop) or derivation levels.
-# The formula parser, witness terms and rendered terms recurse per level, and
-# == across stores recurses on the trees built here, so the limit keeps every
-# input far from Python's recursion limit.  The derivation reader keeps its
-# open nodes on a list, not on the call stack; the proof corpus needs depth 12.
+# Deepest formula nesting the readers accept: parentheses, '-o', 'forall' and
+# 'ortho' (a '+' chain is read in a loop), counted in a sequent string from
+# each of its formulas and in a witness from the witness itself.  The formula
+# parser, witness terms and rendered terms recurse per level, and == across
+# stores recurses on the trees built here, so the limit keeps every input far
+# from Python's recursion limit.  Derivation levels have no limit: the reader,
+# the store, the kernel and the writer keep explicit stacks.  A chain's
+# context nests one level per measurement, so a chain of 99 reads back.
 MAX_DEPTH = 100
 
 
@@ -548,12 +551,11 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
     The text is cut at its ``|-`` and its context commas.  Each piece,
     stripped, is looked up in the store's formula memo.  A new piece is read
     by :func:`_cut_formula` unless it holds ``forall`` (a binder's scope can
-    run past an operator) or its nesting could pass ``MAX_DEPTH``, counting
-    one level for the piece and one for each ``(`` and ``-o``.  Where
-    that gives nothing, the token parser reads the piece from depth 0, as
-    the whole-text parser reads each top-level formula: the one token parse
-    of the split, so every result and error is the whole-text path's.  The
-    memo remembers each piece, and the two operands of its own cut."""
+    run past an operator).  Where that gives nothing, the token parser reads
+    the piece from depth 0, as the whole-text parser reads each top-level
+    formula: the one token parse of the split, so every result and error is
+    the whole-text path's.  The memo remembers each piece, and the two
+    operands of its own cut."""
     if "#" in text or "{" in text or text.count("|-") != 1:
         return None
     store = lat._store
@@ -565,7 +567,7 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
         piece = piece.strip()
         f = store.formulas.get(piece)
         if f is None:
-            if "forall" not in piece and 1 + piece.count("(") + piece.count("-o") <= MAX_DEPTH:
+            if "forall" not in piece:
                 f = _cut_formula(piece, lat, keep=True)
             if f is None:
                 try:
@@ -585,9 +587,12 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
 _CUTS = (("-o", Lolli, 1), ("+", Plus, None), ("*", Tensor, 2))
 
 
-def _cut_formula(text: str, lat: FiniteOrthoLattice, keep: bool = False) -> Formula | None:
+def _cut_formula(text: str, lat: FiniteOrthoLattice, keep=False, depth=1) -> Formula | None:
     """The formula of ``text``, a stripped formula text with no ``forall``,
     built with no token parse, or None where the token parser must read it.
+    ``depth`` is the nesting level of ``text``, counted as the token parser
+    counts it: 1 for the piece, and one more inside each pair of parentheses
+    and in each right operand of ``-o``; past ``MAX_DEPTH`` the result is None.
     The first that applies: the store's formula memo; a plain atom; a cut
     at the top-level occurrences of the lowest-precedence operator at
     parenthesis depth 0 found in ``_CUTS``, each operand, stripped, read by
@@ -595,15 +600,19 @@ def _cut_formula(text: str, lat: FiniteOrthoLattice, keep: bool = False) -> Form
     operator, one pair of parentheses, whose inside is read the same way.
     Every key of the memo parses as a whole formula to its value, and an
     operand that parses alone parses the same between its operators, so
-    the tree is the token parser's.  None where an operand gives nothing,
-    where a second top-level ``*`` stands, and for an atom of ``ortho`` (a
-    term keyword), of 0, of a complement, or ``IND``.  With ``keep``, the
-    root's two operands, the text before the last cut and the part after
-    it, are remembered; deeper ones are not, so a long sum leaves at most
-    three keys."""
+    the tree is the token parser's.  A key nests at most ``MAX_DEPTH``
+    levels from level 1, so below level 1 a hit counts only where each of
+    its ``(`` and ``-o`` could add a level and still fit.  None where an
+    operand gives nothing, where a second top-level ``*`` stands, and for
+    an atom of ``ortho`` (a term keyword), of 0, of a complement, or
+    ``IND``.  With ``keep``, the root's two operands, the text before the
+    last cut and the part after it, are remembered; deeper ones are not, so
+    a long sum leaves at most three keys."""
+    if depth > MAX_DEPTH:
+        return None
     formulas = lat._store.formulas
     f = formulas.get(text)
-    if f is not None:
+    if f is not None and (depth == 1 or depth + text.count("(") + text.count("-o") <= MAX_DEPTH):
         return f
     m = _plain_atom()(text)
     if m is not None:
@@ -621,14 +630,15 @@ def _cut_formula(text: str, lat: FiniteOrthoLattice, keep: bool = False) -> Form
             break
     else:
         if text[:1] == "(" and text[-1:] == ")":
-            return _cut_formula(text[1:-1].strip(), lat)
+            return _cut_formula(text[1:-1].strip(), lat, depth=depth + 1)
         return None
     if len(found) == 2 and op == "*":
         return None  # non-associative: the token parser raises
     f = None
     for start, end in zip((-len(op), *found), (*found, len(text))):
         part = text[start + len(op):end].strip()
-        g = _cut_formula(part, lat)
+        level = depth + (op == "-o" and f is not None)  # a '-o' right operand is deeper
+        g = _cut_formula(part, lat, depth=level)
         if g is None:
             return None
         if keep and end == len(text):
@@ -744,10 +754,10 @@ class _DerivationParser(_Parser):
                 node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
                     RuleApp, rule, seq, kids, witness
                 )
-            elif rule and len(open_rules) < MAX_DEPTH and rule in RULE_ARITY:
+            elif rule and rule in RULE_ARITY:
                 open_rules.append((rule, texts.get(seq) or parse_sequent(seq, self.lat), None, []))
                 continue
-            elif leaf and len(open_rules) < MAX_DEPTH:
+            elif leaf:
                 node = leaves.get(leaf)
                 if node is None:
                     # axiom, schema, bind, its keys and values in turn, seq, sequent
@@ -756,7 +766,7 @@ class _DerivationParser(_Parser):
                     pairs = sorted(zip(binds[::2], binds[1::2]))
                     binds = make(tuple, *[make(tuple, *b) for b in pairs])
                     node = leaves[leaf] = make(AxiomApp, schema, binds, seq)
-            else:  # a token; a fused head too deep or of an unknown rule reads as "" and raises
+            else:  # a token; a fused head of an unknown rule reads as "" and raises
                 self.pos = pos - 1
                 node = self.token_node(open_rules)
                 pos = self.pos
@@ -774,7 +784,6 @@ class _DerivationParser(_Parser):
         straight after its head, or a node head, with every error the
         token grammar gives.  Return an axiom leaf, or None once a witness
         is read or a rule head is put on ``open_rules``."""
-        self.depth = len(open_rules)
         if open_rules:
             if self.peek() != "(":
                 self.error("expected ')'", {")"})
@@ -784,7 +793,6 @@ class _DerivationParser(_Parser):
                 open_rules[-1] = (rule, seq, self.witness_term(), children)
                 self.expect_close()
                 return None
-        self.descend()
         if self.expect_open("rule", "axiom") == "axiom":
             return self.axiom_node()
         rule = self.peek()
@@ -905,14 +913,7 @@ def _(f: PowersetMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-@serialize.register(Actual)
-@serialize.register(Reachable)
-@serialize.register(Measurement)
-@serialize.register(Induced)
-@serialize.register(Tensor)
-@serialize.register(Plus)
-@serialize.register(Lolli)
-@serialize.register(Forall)
+@serialize.register(_Rendered)  # every formula; sequents and derivations have their own
 def _(f) -> str:
     return ascii_formula(f)
 

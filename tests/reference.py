@@ -17,7 +17,10 @@ from omlogic.syntax import Plus, Tensor, measurement
 
 def _close(lat, base, then, body):
     """The chain from M(then) * C, where ``base`` proves C |- S and ``body``
-    proves (M(then), S) |- S'."""
+    proves (M(then), S) |- S', joined the way ``derive._extend`` joined it
+    before it cut ``base`` into ``body``: ``base`` widened by tensor_r to
+    M(then) * S, then cut against ``body`` fused by tensor_l, three levels
+    and five nodes outside ``body``.  The references keep this join."""
     make = lat._store.make
     m_then = measurement(lat, then)
     stage_one, goal_rhs = base.conclusion.succedent, body.conclusion.succedent

@@ -428,7 +428,7 @@ class TestProveCheckCrosscheck:
         capsys.readouterr()
         assert run(["check", str(drv), "--lattice", mo2_file, "--json", str(report)]) == 1
         assert capsys.readouterr().out == (
-            "invalid at node [0, 0, 1, 1, 0, 0, 0] (plus_r2): "
+            "invalid at node [0, 0, 1, 0, 0, 0] (plus_r2): "
             "selected disjunct differs from the premise succedent\n"
             "  at: In(a), R(b) |- In(a) * R(b) + In(a) * R(b')\n"
             "FAIL derivation-valid  witness (plus_r2, selected disjunct differs from the "
@@ -442,49 +442,54 @@ class TestProveCheckCrosscheck:
 
 
 class TestDeepInput:
-    """Input nested past the parsers' depth limit is a parse error (exit 2)
-    with a position, never a RecursionError traceback."""
+    """Formulas nested past the parsers' depth limit are a parse error (exit
+    2) with a position, and a derivation of any depth gets a verdict; never a
+    RecursionError traceback."""
 
-    def check_exit(self, tmp_path, mo2_file, capsys, text):
+    def check_exit(self, tmp_path, mo2_file, capsys, text, code=2):
+        """The output of ``check`` on ``text``, which exits with ``code``."""
         drv = tmp_path / "deep.drv"
         drv.write_text(text)
         capsys.readouterr()
-        assert run(["check", str(drv), "--lattice", mo2_file]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return err
+        assert run(["check", str(drv), "--lattice", mo2_file]) == code
+        got = capsys.readouterr()
+        assert "Traceback" not in got.err
+        return got
 
     def test_deeply_parenthesized_sequent(self, mo2_file, tmp_path, capsys):
         nested = "(" * 3000 + "In(a)" + ")" * 3000
-        err = self.check_exit(tmp_path, mo2_file, capsys, f'(rule id (seq "{nested} |- In(a)"))\n')
+        err = self.check_exit(tmp_path, mo2_file, capsys, f'(rule id (seq "{nested} |- In(a)"))\n').err
         assert err.startswith(f"{tmp_path / 'deep.drv'}: 1:15: in sequent string: 1:101: nesting")
 
     def test_deep_plus_r1_chain(self, mo2_file, tmp_path, capsys):
         text = '(rule id (seq "In(a) |- In(a)"))'
         for _ in range(1500):
             text = f'(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n{text})'
-        err = self.check_exit(tmp_path, mo2_file, capsys, text + "\n")
-        assert err.startswith(f"{tmp_path / 'deep.drv'}: 101:1: nesting deeper than 100 levels")
+        out = self.check_exit(tmp_path, mo2_file, capsys, text + "\n", code=1).out
+        # the first plus_r1 over another selects the wrong disjunct
+        assert out.startswith(f"invalid at node {[0] * 1498} (plus_r1): "
+                              "selected disjunct differs from the premise succedent\n")
 
     def test_chain_depth_limit(self, tmp_path, capsys):
-        # a chain is 3k + 5 derivation levels deep: 30 alternating
-        # measurements on mo(4) check and crosscheck, and the file that
-        # prove composed writes for 32 is refused at the reader's cap
+        # a chain's context nests one formula level per measurement: 60 and
+        # 99 alternating measurements on mo(4) check and crosscheck, and the
+        # file that prove composed writes for 100 is refused at the formula cap
         lat_file = tmp_path / "mo4.lat"
         lat_file.write_text(serialize(mo(4)))
         codes = {}
-        for k in (30, 32):
-            first, *rest = (["a", "b"] * 16)[:k]
+        for k in (60, 99, 100):
+            first, *rest = (["a", "b"] * 50)[:k]
             drv = tmp_path / f"k{k}.drv"
             argv = ["prove", "composed", "--lattice", str(lat_file), "--actual", "c",
                     "--measure", first, *(w for m in rest for w in ("--then", m)), "-o", str(drv)]
             assert run(argv) == 0
             codes[k] = [run([cmd, str(drv), "--lattice", str(lat_file)])
                         for cmd in ("check", "crosscheck")]
-        assert codes == {30: [0, 0], 32: [2, 2]}
+        assert codes == {60: [0, 0], 99: [0, 0], 100: [2, 2]}
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err == f"{tmp_path / 'k32.drv'}: 194:201: nesting deeper than 100 levels\n" * 2
+        assert err == (f"{tmp_path / 'k100.drv'}: 1:21: in sequent string: "
+                       "1:801: nesting deeper than 100 levels\n") * 2
 
 
     def test_long_sum_crosscheck(self, mo2_file, tmp_path, capsys):

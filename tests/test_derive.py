@@ -204,11 +204,20 @@ class TestDeriveChain:
         assert len(calls) <= 15
         text = serialize(d)
         # the digest of the same chain with each stage built bottom-up, one
-        # subproof per distinct subtree of the stage before, and sibling sums
-        # that reach the same next stage merged
+        # subproof per distinct subtree of the stage before, sibling sums
+        # that reach the same next stage merged, and the chain so far cut
+        # into each stage proof
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8fcfb8a74d94cf815df1bdb372836b2137dc3aff42c19acecaaa7e125846b0d7"
+            "8777828e4797a60c9aac428ddc545bf94dea408ec8ce1fa921ecdde6bed99796"
         )
+
+    def test_chain_levels(self):
+        # each stage adds two levels outside its body: a cut of the chain so
+        # far into the stage proof, and a tensor_l
+        lat = mo(4)
+        levels = {k: derivation_levels(derive_chain(lat, "c", (["a", "b"] * 10)[:k]))
+                  for k in range(2, 21)}
+        assert levels == {k: 2 * k + 7 for k in range(2, 21)}
 
     @pytest.mark.parametrize("family", ["mo2", "boolean3"])
     def test_short_chains_repeat_no_disjunct(self, short_chains, family):
@@ -261,6 +270,16 @@ def plus_nodes(f) -> list:
             sums.append(f)
             todo += (f.right, f.left)
     return sums
+
+
+def derivation_levels(d) -> int:
+    """The number of nodes on the longest path from the root to a leaf."""
+    deepest, todo = 0, [(d, 1)]
+    while todo:
+        node, level = todo.pop()
+        deepest = max(deepest, level)
+        todo.extend((child, level + 1) for child in getattr(node, "children", ()))
+    return deepest
 
 
 def distinct_nodes(d) -> int:
@@ -329,9 +348,9 @@ class TestChainEqualsReference:
         lat = mo(4)
         d = derive_chain(lat, "c", ["a", "b"] * 5)
         nodes = distinct_nodes(d)
-        assert nodes == 174
+        assert nodes == 163
         size = len(serialize(d))
-        assert size == 88_878
+        assert size == 76_287
         # one measurement proof per distinct branch of each stage
         calls = []
         real = derive_module.derive_measurement

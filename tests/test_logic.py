@@ -1089,7 +1089,7 @@ class TestVerdictMemo:
         # counts first: a failing assert would print each list of nodes
         rules = sum(isinstance(part, RuleApp) for part in store_parts(d))
         checked, distinct = len(calls), len(set(map(id, calls)))
-        assert checked == distinct == rules == 116
+        assert checked == distinct == rules == 112
         # the verdicts last as long as the lattice: checking the built tree
         # again, or the tree parsed back from it, computes none
         assert check_derivation(lat, d).valid
