@@ -12,18 +12,23 @@ built in the lattice's store (``omlogic.record.Store``), which holds one
 object per value, and sequents are memoized per lattice by their text (see
 :func:`parse_sequent`).
 
-Derivation files are read by one loop over the items of one ``findall``.
-An item is a rule head up to its children, ``(rule NAME (seq "...")``, a
-whole axiom leaf, or a token, so a well-formed node head is one item, and a
-witness is read token by token in the same loop.  Each sequent string is
-looked up in the store's text memo and each leaf in its leaf memo, so equal
-subtrees share one object, and a derivation built over the lattice parses
-back to itself.  Tokens are separated by whitespace and ``#`` comments, so a
-commented file reads as fast as a plain one.  A gap matches only one way, so
-no input makes the pattern try ways to split it, and the end of the text is
-an item, so trailing whitespace is one match.
-Wherever this fused read raises, the loop reads the text again over the
-token grammar alone, so every error is that grammar's, token by token.
+Derivation files are read by one split at their quotes.  A sequent string
+holds neither ``"`` nor a newline, so ``text.split('"')`` alternates pieces
+of structure and sequent strings.  Each sequent string is looked up in the
+store's text memo, and each piece in its piece memo, which holds the piece's
+program: the ``)`` that closes a ``(seq``, an optional witness, the closes
+that follow and the next node head.  A new piece is read once per store by
+the methods of the derivation token grammar, so a piece's grammar is that
+grammar, and a piece indented anew is found under its tokens.  So a file
+reads at one ``split`` and a few lookups per node, comments may stand
+wherever whitespace may, equal subtrees share one object, and a derivation
+built over the lattice parses back to itself.  Where the split cannot stand
+for the token grammar (quotes odd in number, a newline in a sequent string,
+a quote in a comment, a piece that does not read or stands where it cannot,
+closes that do not balance) or a sequent string raises, the token grammar
+reads the whole text, so every error is that grammar's, token by token.  Its
+gap matches only one way, so no input makes its pattern try ways to split
+it, and the end of the text is an item, so trailing whitespace is one match.
 
 ``serialize`` keeps each derivation node's head line on the node, so writing
 a node again is one attribute read and one concatenation, and the ASCII text
@@ -40,7 +45,7 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from functools import cache, cached_property, singledispatch
+from functools import cache, singledispatch
 from itertools import islice
 from operator import itemgetter
 
@@ -258,13 +263,11 @@ _COMMENT = r"#[^\n]*(?![^\n])\s*"
 _GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 
-def _token_pattern(tokens: str, fused: str = "") -> re.Pattern:
-    """The pattern of one token grammar for :func:`_findall`: a gap, then
-    one of ``tokens`` or the end of the text (the last group but one), or
-    else the rest of the text from a character that starts no token (the
-    last group).  ``fused`` holds alternatives, with their own groups, tried
-    before a token."""
-    return re.compile(rf"{_GAP}(?:{fused}({tokens}|\Z)|(\S[\s\S]*))")
+def _token_pattern(tokens: str) -> re.Pattern:
+    """The pattern of one token grammar for :func:`_tokenize`: a gap, then
+    one of ``tokens`` or the end of the text (the first group), or else the
+    rest of the text from a character that starts no token (the second)."""
+    return re.compile(rf"{_GAP}(?:({tokens}|\Z)|(\S[\s\S]*))")
 
 
 _TOKEN_RE = _token_pattern(r"-o|\|-|!<=|!in|<=|[A-Za-z0-9_][A-Za-z0-9_']*|[()*+,.{}]")
@@ -277,24 +280,18 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, length)
 
 
-def _findall(text: str, pattern: re.Pattern) -> list[tuple]:
-    """The items of ``text``, from one ``findall`` of ``pattern`` (see
-    :func:`_token_pattern`): each a tuple of its groups, the last but one a
-    token, or ``""`` in the items of the end, which close the list.  A stray
-    character takes the rest of the text, so it is the last group of the
-    item before the end's, and raises :class:`ParseError`."""
+def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
+    """The tokens of ``text`` as strings, from one ``findall`` of
+    ``pattern`` (see :func:`_token_pattern`), ending with ``""``, the end's.
+    A stray character takes the rest of the text, so it is the second group
+    of the item before the end's, and raises :class:`ParseError`.  Where a
+    token starts is worked out only for an error (see :meth:`_Parser.span`)."""
     items = pattern.findall(text)
-    stray = items[-2][-1] if len(items) > 1 else ""
+    stray = items[-2][1] if len(items) > 1 else ""
     if stray:
         raise ParseError(f"unexpected character {stray[0]!r}",
                          _span(text, len(text) - len(stray), 1))
-    return items
-
-
-def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
-    """The tokens of ``text`` as strings, ending with ``""``.  Where a token
-    starts is worked out only for an error (see :meth:`_Parser.span`)."""
-    return list(map(itemgetter(-2), _findall(text, pattern)))
+    return list(map(itemgetter(0), items))
 
 
 # Deepest formula nesting the readers accept: parentheses, '-o', 'forall' and
@@ -319,6 +316,7 @@ class _Parser:
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         self.text = text
+        self.tokens = _tokenize(text, self.pattern)
         self.pos = 0
         self.depth = 0
         self.lat = lat
@@ -344,8 +342,7 @@ class _Parser:
     def span(self, i: int) -> SourceSpan:
         """The span of token ``i``: its start is that of the ``i``-th match
         of ``pattern``, found again only when an error is raised."""
-        match = next(islice(self.pattern.finditer(self.text), i, None))
-        start = match.start(self.pattern.groups - 1)
+        start = next(islice(self.pattern.finditer(self.text), i, None)).start(1)
         return _span(self.text, start, len(self.tokens[i]) or 1)
 
     def error(self, message: str, expected=frozenset(), at: int | None = None):
@@ -370,7 +367,6 @@ class _FormulaParser(_Parser):
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
-        self.tokens = _tokenize(text, self.pattern)
         self.bound: list[str] = []
 
     def expect(self, text: str) -> str:
@@ -554,8 +550,9 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
     run past an operator).  Where that gives nothing, the token parser reads
     the piece from depth 0, as the whole-text parser reads each top-level
     formula: the one token parse of the split, so every result and error is
-    the whole-text path's.  The memo remembers each piece, and the two
-    operands of its own cut."""
+    the whole-text path's.  The memo remembers each piece, the two
+    operands of its own cut and the inside of either operand that is one
+    pair of parentheses."""
     if "#" in text or "{" in text or text.count("|-") != 1:
         return None
     store = lat._store
@@ -587,7 +584,9 @@ def _split_sequent(text: str, lat: FiniteOrthoLattice):
 _CUTS = (("-o", Lolli, 1), ("+", Plus, None), ("*", Tensor, 2))
 
 
-def _cut_formula(text: str, lat: FiniteOrthoLattice, keep=False, depth=1) -> Formula | None:
+def _cut_formula(
+    text: str, lat: FiniteOrthoLattice, keep=False, depth=1, bare=False
+) -> Formula | None:
     """The formula of ``text``, a stripped formula text with no ``forall``,
     built with no token parse, or None where the token parser must read it.
     ``depth`` is the nesting level of ``text``, counted as the token parser
@@ -606,8 +605,11 @@ def _cut_formula(text: str, lat: FiniteOrthoLattice, keep=False, depth=1) -> For
     operand gives nothing, where a second top-level ``*`` stands, and for
     an atom of ``ortho`` (a term keyword), of 0, of a complement, or
     ``IND``.  With ``keep``, the root's two operands, the text before the
-    last cut and the part after it, are remembered; deeper ones are not, so
-    a long sum leaves at most three keys."""
+    last cut and the part after it, are remembered, and each is read with
+    ``bare``, which remembers the inside of a text in one pair of
+    parentheses: a chain's context ``M(m) * (…)`` leaves the next,
+    shallower context a key.  Deeper operands are not remembered, so a long
+    sum leaves at most four keys."""
     if depth > MAX_DEPTH:
         return None
     formulas = lat._store.formulas
@@ -630,7 +632,11 @@ def _cut_formula(text: str, lat: FiniteOrthoLattice, keep=False, depth=1) -> For
             break
     else:
         if text[:1] == "(" and text[-1:] == ")":
-            return _cut_formula(text[1:-1].strip(), lat, depth=depth + 1)
+            inner = text[1:-1].strip()
+            f = _cut_formula(inner, lat, depth=depth + 1)
+            if bare and f is not None:
+                formulas[inner] = f
+            return f
         return None
     if len(found) == 2 and op == "*":
         return None  # non-associative: the token parser raises
@@ -638,7 +644,9 @@ def _cut_formula(text: str, lat: FiniteOrthoLattice, keep=False, depth=1) -> For
     for start, end in zip((-len(op), *found), (*found, len(text))):
         part = text[start + len(op):end].strip()
         level = depth + (op == "-o" and f is not None)  # a '-o' right operand is deeper
-        g = _cut_formula(part, lat, depth=level)
+        # the root's operands: the last part, and the first where it is the other
+        kept = keep and (end == len(text) or len(found) == 1)
+        g = _cut_formula(part, lat, depth=level, bare=kept)
         if g is None:
             return None
         if keep and end == len(text):
@@ -675,132 +683,110 @@ def _plain_atom():
 # -- derivation s-expressions -------------------------------------------------------
 
 
-_SEXPR_TOKENS = r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*"""
-# The token grammar of derivations.  Its items have the groups of the fused
-# pattern (see _fused_patterns), held by an alternative that never matches.
-_SEXPR_RE = _token_pattern(_SEXPR_TOKENS, "(?!)()()()|")
-_WORD_END = r"(?![A-Za-z0-9_'-])"  # no name character follows
-_NAME = r"[A-Za-z0-9_'-]+" + _WORD_END
-
-
-def _tokens(*parts: str) -> str:
-    """A pattern for ``parts`` in order, each after an optional gap of
-    whitespace and comments."""
-    return "".join(_GAP + part for part in parts)
-
-
-@cache
-def _fused_patterns() -> tuple:
-    """(items, words), compiled on the first parse_derivation call, not at
-    import.  Items: after a gap, a rule head up to its children, ``(rule NAME
-    (seq "...")``; a whole axiom leaf, ``(axiom NAME (bind k=v ...) (seq
-    "..."))``; or a token of ``_SEXPR_RE``.  Groups: rule, rule sequent,
-    leaf, token, stray.  Words: ``findall`` of a leaf's names and quoted
-    sequent, in order, with a comment as an empty word."""
-    def seq(string: str) -> str:
-        return _tokens(r"\(", "seq" + _WORD_END, string, r"\)")
-
-    rule = r"\(" + _tokens("rule" + _WORD_END, f"({_NAME})") + seq(r'"([^"\n]*)"')
-    leaf = (
-        r"\(" + _tokens("axiom" + _WORD_END, _NAME, r"\(", "bind" + _WORD_END)
-        + "(?:" + _tokens(_NAME, "=", _NAME) + ")*"
-        + _tokens(r"\)") + seq(r'"[^"\n]*"') + _tokens(r"\)")
-    )
-    return (
-        _token_pattern(_SEXPR_TOKENS, f"{rule}|({leaf})|"),
-        re.compile(r'#[^\n]*|("[^"\n]*"|[A-Za-z0-9_\'-]+)').findall,
-    )
+_SEXPR_RE = _token_pattern(r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*""")
 
 
 class _DerivationParser(_Parser):
-    """The derivation reader over the fused pattern or the token grammar."""
+    """The token grammar of derivations: the reader of a whole text, and of
+    one structure piece of the split read (see :func:`parse_derivation`)."""
 
     pattern = _SEXPR_RE
     marks = frozenset(["(", ")", "=", ""])
 
-    def __init__(self, text: str, lat: FiniteOrthoLattice, pattern: re.Pattern = _SEXPR_RE):
-        super().__init__(text, lat)
-        self.pattern = pattern
-        self.items = _findall(text, pattern)
-
-    @cached_property
-    def tokens(self) -> list[str]:
-        """The token of each item, ``""`` for a fused one; made only once a
-        token is read or an error raised."""
-        return list(map(itemgetter(-2), self.items))
-
-    def read(self, leaf_words=None) -> Derivation:
-        """The derivation of the text, built in the lattice's store.  A fused
-        head's sequent is looked up in the store's text memo, a fused leaf in
-        its leaf memo, and a rule node and its children first under the keys
-        ``Store.make`` gives them, which saves the call wherever the store
-        holds them.  A new fused leaf is split by ``leaf_words``, the words
-        of :func:`_fused_patterns`, which the token grammar never needs.
-        Tokens are read by :meth:`token_node`."""
-        store = self.lat._store
-        nodes, make, texts, leaves = store.nodes, store.make, store.texts, store.leaves
-        no_children = make(tuple)
+    def read(self) -> Derivation:
+        """The derivation of the text, built in the lattice's store, with
+        every error this grammar gives, token by token.  Node heads are read
+        by :meth:`token_node`."""
+        make = self.make
         open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
-        items, pos = self.items, 0
         while True:
-            rule, seq, leaf, tok, _ = items[pos]
-            pos += 1
-            if tok == ")" and open_rules:
+            if self.peek() == ")" and open_rules:
+                self.advance()
                 rule, seq, witness, children = open_rules.pop()
-                kids = (
-                    nodes.get((tuple, *map(id, children))) or make(tuple, *children)
-                    if children else no_children
-                )
-                node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
-                    RuleApp, rule, seq, kids, witness
-                )
-            elif rule and rule in RULE_ARITY:
-                open_rules.append((rule, texts.get(seq) or parse_sequent(seq, self.lat), None, []))
-                continue
-            elif leaf:
-                node = leaves.get(leaf)
-                if node is None:
-                    # axiom, schema, bind, its keys and values in turn, seq, sequent
-                    _, schema, _, *binds, _, quoted = filter(None, leaf_words(leaf))
-                    seq = parse_sequent(quoted[1:-1], self.lat)  # raises: not remembered
-                    pairs = sorted(zip(binds[::2], binds[1::2]))
-                    binds = make(tuple, *[make(tuple, *b) for b in pairs])
-                    node = leaves[leaf] = make(AxiomApp, schema, binds, seq)
-            else:  # a token; a fused head of an unknown rule reads as "" and raises
-                self.pos = pos - 1
+                node = make(RuleApp, rule, seq, make(tuple, *children), witness)
+            else:
                 node = self.token_node(open_rules)
-                pos = self.pos
                 if node is None:
                     continue
             if not open_rules:
-                if any(items[pos]):
-                    self.pos = pos
+                if self.peek():
                     self.error("trailing input after derivation", {"end of input"})
                 return node
             open_rules[-1][3].append(node)
 
     def token_node(self, open_rules: list) -> AxiomApp | None:
         """Read from the next token a witness of the innermost rule node,
-        straight after its head, or a node head, with every error the
-        token grammar gives.  Return an axiom leaf, or None once a witness
-        is read or a rule head is put on ``open_rules``."""
+        straight after its head, or a node head.  Return an axiom leaf, or
+        None once a witness is read or a rule head is put on ``open_rules``."""
         if open_rules:
             if self.peek() != "(":
                 self.error("expected ')'", {")"})
             rule, seq, witness, children = open_rules[-1]
-            if witness is None and not children and self.tokens[self.pos + 1] == "witness":
-                self.pos += 2
-                open_rules[-1] = (rule, seq, self.witness_term(), children)
-                self.expect_close()
-                return None
-        if self.expect_open("rule", "axiom") == "axiom":
-            return self.axiom_node()
-        rule = self.peek()
-        if rule not in RULE_ARITY:
-            self.error(f"unknown rule {rule!r}", set(RULE_ARITY))
-        self.advance()
-        open_rules.append((rule, self.seq_field(), None, []))
+            if witness is None and not children:
+                witness = self.witness_field()
+                if witness is not None:
+                    open_rules[-1] = (rule, seq, witness, children)
+                    return None
+        cls, name, binds = self.head()
+        if cls is AxiomApp:
+            seq = self.seq_field()
+            self.expect_close()
+            return self.make(AxiomApp, name, binds, seq)
+        open_rules.append((name, self.seq_field(), None, []))
         return None
+
+    def program(self) -> tuple:
+        """The program of a structure piece: ``(witness, closes, cls, name,
+        binds)``.  A piece is the text between two sequent strings, after
+        the ``)`` that closes the first one's ``(seq``: an optional
+        ``(witness TERM)``, ``closes`` more ``)``, then the head of the next
+        node up to its ``(seq``, ``cls`` :class:`RuleApp` with the rule
+        ``name`` or :class:`AxiomApp` with the schema ``name`` and its
+        ``binds``, or no head (``cls`` None) at the end of the text."""
+        self.expect_close()
+        witness = self.witness_field()
+        closes = 0
+        while self.peek() == ")":
+            self.advance()
+            closes += 1
+        if not self.peek():
+            return witness, closes, None, None, None
+        cls, name, binds = self.head()
+        self.expect_open("seq")
+        if self.peek():
+            self.error("expected a quoted sequent", {'"<sequent>"'})
+        return witness, closes, cls, name, binds
+
+    def witness_field(self) -> Term | None:
+        """A ``(witness TERM)`` at the next token, or None where none stands."""
+        if self.peek() != "(" or self.tokens[self.pos + 1] != "witness":
+            return None
+        self.pos += 2
+        witness = self.witness_term()
+        self.expect_close()
+        return witness
+
+    def head(self) -> tuple:
+        """A node head up to its ``(seq``: ``(RuleApp, rule, None)``, or
+        ``(AxiomApp, schema, bindings)`` with the bindings as a tuple of
+        (variable, value) pairs in sorted order."""
+        if self.expect_open("rule", "axiom") == "rule":
+            rule = self.peek()
+            if rule not in RULE_ARITY:
+                self.error(f"unknown rule {rule!r}", set(RULE_ARITY))
+            return RuleApp, self.advance(), None
+        schema = self.name("expected a schema name", "<schema>")
+        self.expect_open("bind")
+        bindings = []
+        while self.is_name(self.peek()):
+            var = self.advance()
+            if self.peek() != "=":
+                self.error("expected '=' in binding", {"="})
+            self.advance()
+            bindings.append((var, self.name("expected a binding value")))
+        self.expect_close()
+        make = self.make
+        return AxiomApp, schema, make(tuple, *[make(tuple, *b) for b in sorted(bindings)])
 
     def expect_open(self, *heads: str) -> str:
         if self.peek() != "(":
@@ -815,23 +801,6 @@ class _DerivationParser(_Parser):
         if self.peek() != ")":
             self.error("expected ')'", {")"})
         self.advance()
-
-    def axiom_node(self) -> AxiomApp:
-        schema = self.name("expected a schema name", "<schema>")
-        self.expect_open("bind")
-        bindings = []
-        while self.is_name(self.peek()):
-            var = self.advance()
-            if self.peek() != "=":
-                self.error("expected '=' in binding", {"="})
-            self.advance()
-            bindings.append((var, self.name("expected a binding value")))
-        self.expect_close()
-        seq = self.seq_field()
-        self.expect_close()
-        make = self.make
-        binds = make(tuple, *[make(tuple, *b) for b in sorted(bindings)])
-        return make(AxiomApp, schema, binds, seq)
 
     def seq_field(self) -> Sequent:
         self.expect_open("seq")
@@ -868,16 +837,101 @@ class _DerivationParser(_Parser):
         return self.make(Const if tok in self.lat else Var, tok)
 
 
+def _program(piece: str, lat: FiniteOrthoLattice) -> tuple | None:
+    """The program of ``piece`` (see :meth:`_DerivationParser.program`)
+    from the store's piece memo, else from the memo under the piece's
+    tokens joined by single spaces (a piece with no ``#`` has the same
+    tokens whatever its layout, so pieces indented to different depths
+    share one read), else read by the token grammar.  None where the piece
+    does not read, or has a head and a ``#`` after its last newline, so the
+    quote that ends it lies in a comment; such a piece is never
+    remembered."""
+    pieces = lat._store.pieces
+    prog = pieces.get(piece)
+    if prog is None:
+        key = piece if "#" in piece else " ".join(piece.split())
+        prog = pieces.get(key)
+        if prog is None:
+            try:
+                prog = _DerivationParser(key, lat).program()
+            except ParseError:
+                return None
+            if prog[2] is not None and key.rfind("#") > key.rfind("\n"):
+                return None
+            pieces[key] = prog
+        pieces[piece] = prog
+    return prog
+
+
+def _split_read(text: str, lat: FiniteOrthoLattice) -> Derivation | None:
+    """The derivation of ``text`` read by one split at its quotes, or None
+    where the token grammar must read the whole text: an odd number of
+    quotes, a newline in a sequent string, a piece that does not read or
+    stands where it cannot, and closes that do not balance.  Raises
+    :class:`ParseError` from a sequent string that does not parse."""
+    parts = text.split('"')
+    if not len(parts) % 2:
+        return None
+    store = lat._store
+    nodes, make, texts, pieces = store.nodes, store.make, store.texts, store.pieces
+    no_children = make(tuple)
+    # the first piece, with the ')' that every other piece starts with
+    prog = _program(")" + parts[0], lat)
+    if prog is None or prog[0] is not None or prog[1]:
+        return None
+    open_rules = []  # (rule, conclusion, witness, children) of each enclosing rule node
+    node = None
+    for i in range(1, len(parts), 2):
+        _, _, cls, name, binds = prog
+        seq = parts[i]
+        if cls is None or "\n" in seq:
+            return None
+        seq = texts.get(seq) or parse_sequent(seq, lat)
+        prog = pieces.get(parts[i + 1]) or _program(parts[i + 1], lat)
+        if prog is None:
+            return None
+        witness, closes = prog[0], prog[1]
+        if cls is AxiomApp:
+            if witness is not None or not closes:
+                return None
+            closes -= 1
+            node = nodes.get((AxiomApp, name, id(binds), id(seq))) or make(
+                AxiomApp, name, binds, seq
+            )
+        else:
+            open_rules.append((name, seq, witness, []))
+            node = None
+        for _ in range(closes):
+            if not open_rules:
+                return None  # a close too many
+            if node is not None:
+                open_rules[-1][3].append(node)
+            rule, seq, witness, children = open_rules.pop()
+            kids = (
+                nodes.get((tuple, *map(id, children))) or make(tuple, *children)
+                if children else no_children
+            )
+            node = nodes.get((RuleApp, rule, id(seq), id(kids), id(witness))) or make(
+                RuleApp, rule, seq, kids, witness
+            )
+        if node is not None:
+            if open_rules:
+                open_rules[-1][3].append(node)
+            elif prog[2] is not None:
+                return None  # a node head after the root
+    return node if prog[2] is None and not open_rules else None
+
+
 def parse_derivation(text: str, lat: FiniteOrthoLattice) -> Derivation:
-    """Parse a derivation s-expression into the lattice's store.  The fused
-    read takes each well-formed node head as one item; wherever it raises,
-    the same loop reads the text again over the token grammar, so every
-    error has that grammar's message, span and expected set."""
-    items, words = _fused_patterns()
+    """Parse a derivation s-expression into the lattice's store.  The split
+    read takes the text apart at its quotes; wherever it gives nothing or
+    raises, the token grammar reads the whole text, so every error has that
+    grammar's message, span and expected set."""
     try:
-        return _DerivationParser(text, lat, items).read(words)
+        node = _split_read(text, lat)
     except ParseError:
-        return _DerivationParser(text, lat).read()
+        node = None
+    return _DerivationParser(text, lat).read() if node is None else node
 
 
 # -- serialization -------------------------------------------------------------------

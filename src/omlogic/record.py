@@ -81,23 +81,25 @@ class Store:
     ``verdicts`` is never reused while the store lives.  The store lives and
     dies with its lattice and grows with distinct content, not with calls.
 
-    Its memos map texts to the nodes read from them: ``texts`` each sequent
+    Its memos map texts to what was read from them: ``texts`` each sequent
     string and ``formulas`` each top-level formula string and the two
-    operands its cut gave, stripped, but no deeper operand
+    operands its cut gave, stripped, with the inside of either when it is
+    one pair of parentheses, but no deeper operand
     (``formats.parse_sequent``), so every key of ``formulas`` parses as a
-    whole formula to its value; and ``leaves`` the text of each axiom leaf
-    that ``formats.parse_derivation`` read whole, as one item, exactly as the
-    file wrote it, comments included.  A text that does not parse is never
+    whole formula to its value; and ``pieces`` each piece of structure
+    between two sequent strings of a derivation file, exactly as the file
+    wrote it and with its tokens joined by single spaces, to its program
+    (``formats.parse_derivation``).  A text that does not parse is never
     remembered.
     """
 
-    __slots__ = ("nodes", "texts", "formulas", "leaves", "verdicts", "cores")
+    __slots__ = ("nodes", "texts", "formulas", "pieces", "verdicts", "cores")
 
     def __init__(self):
         self.nodes: dict = {}  # key -> the one node of that value
         self.texts: dict = {}  # sequent text -> sequent, for parse_sequent
         self.formulas: dict = {}  # formula or operand text -> formula, for parse_sequent
-        self.leaves: dict = {}  # axiom leaf text -> leaf, for parse_derivation
+        self.pieces: dict = {}  # derivation structure piece -> its program, for parse_derivation
         self.verdicts: set = set()  # ids of the nodes check_derivation found valid
         self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree
 

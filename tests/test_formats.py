@@ -20,6 +20,7 @@ from omlogic.formats import (
     SourceSpan,
     _DerivationParser,
     _FormulaParser,
+    _split_read,
     _tokenize,
     parse_derivation,
     parse_formula,
@@ -28,7 +29,7 @@ from omlogic.formats import (
     parse_sequent,
     serialize,
 )
-from omlogic.kernel import RuleApp, check_derivation
+from omlogic.kernel import AxiomApp, RuleApp, check_derivation
 from omlogic.lattice import boolean, hexagon, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import perfect_measurement_map
@@ -44,6 +45,7 @@ from omlogic.syntax import (
     Sequent,
     Tensor,
     Var,
+    ascii_formula,
     ascii_sequent,
 )
 
@@ -735,22 +737,20 @@ class TestScanner:
     def test_witness_read_in_one_pass(self, monkeypatch):
         reads = []
         read = _DerivationParser.read
-
-        def counted(parser, *words):
-            reads.append(parser.pattern is formats._SEXPR_RE)
-            return read(parser, *words)
-
-        monkeypatch.setattr(_DerivationParser, "read", counted)
+        monkeypatch.setattr(_DerivationParser, "read",
+                            lambda parser: reads.append(parser.text) or read(parser))
         lat = mo(2)
         noisy = WITNESS_TEXT.replace("(witness ", "( # the term\n witness#)\n ")
         for text in (WITNESS_TEXT, noisy):
             assert parse_derivation(text, lat).witness == OrthoTerm(OrthoTerm(Const("a")))
-        # each a fused read, with no error and no second read
-        assert reads == [False, False]
+        # each one split read, with no token read
+        assert reads == []
+        bad = WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(ortho a)")
         with pytest.raises(ParseError, match="^1:71: expected '\\('"):
-            parse_derivation(WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(ortho a)"), lat)
-        # an error is read again over the token grammar, which words it
-        assert reads == [False, False, False, True]
+            parse_derivation(bad, lat)
+        # a piece that does not read sends the whole text to the token
+        # grammar, which words the error
+        assert reads == [bad]
 
     def test_malformed_same_error(self, corpus):
         rng = random.Random(7)
@@ -818,49 +818,81 @@ class TestScanner:
 
     def test_patterns_compiled_on_first_use(self):
         code = (
+            "import re\n"
+            "compiled = []\n"
+            "real = re.compile\n"
+            "re.compile = lambda p, *a: compiled.append(p) or real(p, *a)\n"
             "import omlogic.cli\n"
             "from omlogic import formats\n"
             "from omlogic.lattice import mo\n"
-            "compiled = lambda: formats._fused_patterns.cache_info().misses\n"
-            "print(compiled())\n"
+            "print({formats._TOKEN_RE.pattern, formats._SEXPR_RE.pattern} <= set(compiled))\n"
+            "del compiled[:]\n"
             "formats.parse_derivation('(rule id (seq \"In(a) |- In(a)\"))', mo(2))\n"
-            "print(compiled())\n"
+            "print(compiled == [formats._plain_atom().__self__.pattern])\n"
             f"formats.parse_derivation({WITNESS_TEXT!r}, mo(2))\n"
-            "print(compiled())\n"
+            "print(len(compiled))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             cwd=Path(formats.__file__).parents[1],
         )
         assert proc.returncode == 0, proc.stderr
-        # importing compiles none; the first parse compiles them, once
-        assert proc.stdout == "0\n1\n1\n"
+        # importing compiles the two token grammars; a derivation's pieces
+        # are read with the derivation grammar's, so the first parse compiles
+        # only the plain atom's pattern, for its sequents, and later ones none
+        assert proc.stdout == "True\nTrue\n1\n"
 
 
 class TestLeafMemo:
-    """parse_derivation reads a whole axiom leaf by one lookup of its text in
-    the store's leaf memo; a leaf that does not parse raises, and is never
-    remembered."""
+    """An axiom leaf is a head piece and a sequent string: parse_derivation
+    reads each structure piece by one lookup in the store's piece memo, each
+    lattice has its own, and a leaf whose sequent does not parse raises and
+    is never built."""
 
     TEXT = '(axiom Adjust1 (bind y=b x=a) (seq "In(a) |- In(a)"))'
+    # the head piece, with the ')' that starts every other piece, the same
+    # piece with its tokens joined by single spaces, and the end
+    HEAD = ")(axiom Adjust1 (bind y=b x=a) (seq "
+    PIECES = {HEAD, HEAD.rstrip(), "))"}
 
     def test_each_lattice_its_own_leaf(self):
         mo2, b3 = mo(2), boolean(3)
         leaves = [parse_derivation(self.TEXT, lat) for lat in (mo2, b3)]
         assert leaves[0] == leaves[1] and leaves[0] is not leaves[1]
         for lat, leaf in zip((mo2, b3), leaves):
-            assert lat._store.leaves == {self.TEXT: leaf}
+            pieces = lat._store.pieces
+            assert set(pieces) == self.PIECES
+            # the head's program holds the bindings its own store built
+            assert pieces[self.HEAD][4] is leaf.bindings
+            # a second parse is lookups only: the same leaf, and no new piece
             assert lat._store.owns(leaf) and parse_derivation(self.TEXT, lat) is leaf
+            assert set(pieces) == self.PIECES
         assert not mo2._store.owns(leaves[1])
 
-    def test_commented_leaf(self):
+    def test_commented_leaf(self, monkeypatch):
+        reads = []
+        read = _DerivationParser.read
+        monkeypatch.setattr(_DerivationParser, "read",
+                            lambda parser: reads.append(parser.text) or read(parser))
         lat = mo(2)
         plain = parse_derivation(self.TEXT, lat)
+        known = set(lat._store.pieces)
+        commented = ('( # the leaf\n axiom Adjust1#)\n(bind y=b # x=q\n x=a)(seq#(\n'
+                     '"In(a) |- In(a)" # its sequent\n)# end\n)')
+        assert parse_derivation(commented, lat) is plain
+        # one split read, with no token read, whose two pieces are
+        # remembered as the file wrote them
+        assert reads == []
+        assert set(lat._store.pieces) - known == {
+            ")( # the leaf\n axiom Adjust1#)\n(bind y=b # x=q\n x=a)(seq#(\n",
+            " # its sequent\n)# end\n)",
+        }
+        # quotes in comments send the text to the token grammar, which reads
+        # the same leaf
         noisy = ('( # "(seq x=b)\n axiom Adjust1#)\n(bind y=b # x=q\n x=a)(seq#"\n'
                  '"In(a) |- In(a)" #")"\n)# end\n)')
         assert parse_derivation(noisy, lat) is plain
-        # read as one leaf, whose text is remembered as the file wrote it
-        assert len(lat._store.leaves) == 2
+        assert reads == [noisy]
 
     BAD_LEAVES = {
         '(axiom Adjust1 (bind x=a) (seq "In(a) |-"))':
@@ -875,7 +907,93 @@ class TestLeafMemo:
         lat = mo(2)
         got = [outcome(lambda: parse_derivation(text, lat)) for _ in range(2)]
         assert got[0] == got[1] and got[0][0] == self.BAD_LEAVES[text]
-        assert not lat._store.leaves
+        # neither the leaf nor its sequent is remembered
+        assert text.split('"')[-2] not in lat._store.texts
+        assert not [node for node in lat._store.nodes.values() if isinstance(node, AxiomApp)]
+
+
+def deep_witness(levels: int) -> str:
+    return WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * levels + "a" + ")" * levels)
+
+
+# Texts the split read must refuse, each with the token grammar's outcome:
+# None where it reads a node, else the error's message.
+SPLIT_REFUSALS = {
+    "quote in a comment between nodes": (LEAF.replace("\n  (rule id", ' # a "\n  (rule id'), None),
+    "quoted word in a comment between nodes":
+        (LEAF.replace("\n  (rule id", ' # a "word"\n  (rule id'), None),
+    "quoted sequent in a comment after a node head": (
+        '(rule plus_r1 (seq "In(a) |- In(a) + R(a)")\n'
+        '  (rule id (seq # "In(b) |- In(b)")) (rule id (seq \n"In(a) |- In(a)")))\n',
+        None,
+    ),
+    "quote in a comment on the last line": (LEAF + '# "', None),
+    "quoted word in a comment on the last line": (LEAF + '# a "word"', None),
+    "newline in a sequent":
+        ('(rule id (seq "In(a) |-\n In(a)"))\n', "1:15: unexpected character '\"'"),
+    "witness in an axiom leaf": (
+        '(axiom Trans (bind) (seq "In(a) |- In(a)") (witness a))\n',
+        "1:44: expected ')' (expected ))",
+    ),
+    "witness after an axiom leaf": (
+        '(rule forall_l (seq "forall x . In(x) |- In(a)")\n'
+        '  (axiom Trans (bind) (seq "In(a) |- In(a)")) (witness a))\n',
+        "2:48: unexpected node head 'witness' (expected axiom, rule)",
+    ),
+    "second witness": (
+        WITNESS_TEXT.replace("(witness ortho(ortho(a)))", "(witness ortho(ortho(a))) (witness a)"),
+        "1:77: unexpected node head 'witness' (expected axiom, rule)",
+    ),
+    "one close too many": (
+        LEAF.rstrip() + ")\n", "2:36: trailing input after derivation (expected end of input)",
+    ),
+    "one close too few": (LEAF.rstrip()[:-1] + "\n", "3:1: expected ')' (expected ))"),
+    "a node after the root": (
+        LEAF + '(rule id (seq "In(a) |- In(a)"))\n',
+        "3:1: trailing input after derivation (expected end of input)",
+    ),
+    "witness past the depth limit":
+        (deep_witness(MAX_DEPTH + 1), "1:664: nesting deeper than 100 levels"),
+}
+
+
+class TestSplitRead:
+    """parse_derivation splits a text at its quotes.  Where the split read
+    refuses a text, the token grammar reads it whole, so every outcome is
+    that grammar's: the same node, or the same error."""
+
+    @pytest.mark.parametrize("name", list(SPLIT_REFUSALS))
+    def test_refused(self, name):
+        text, message = SPLIT_REFUSALS[name]
+        lat = mo(2)
+        expected = outcome(lambda: _DerivationParser(text, lat).read())
+        assert _split_read(text, lat) is None
+        got = outcome(lambda: parse_derivation(text, lat))
+        if message is None:
+            assert isinstance(expected, RuleApp) and got is expected
+        else:
+            assert got == expected and got[0] == message
+
+    def test_witness_at_depth_limit_read_by_split(self):
+        lat = mo(2)
+        expected = _DerivationParser(deep_witness(MAX_DEPTH), lat).read()
+        assert _split_read(deep_witness(MAX_DEPTH), lat) is expected
+        assert parse_derivation(deep_witness(MAX_DEPTH), lat) is expected
+
+    def test_reparse_adds_no_piece(self):
+        lat = mo(2)
+        text = serialize(derive_composed(lat, "a", "b", "a"))
+        d = parse_derivation(text, lat)
+        pieces = dict(lat._store.pieces)
+        assert parse_derivation(text, lat) is d
+        assert lat._store.pieces == pieces
+        # the same pieces indented anew are found under their tokens, so
+        # the memo gains only their own texts
+        respaced = text.replace("\n  ", "\n\t ")
+        assert parse_derivation(respaced, lat) is d
+        assert all(lat._store.pieces[k] is v for k, v in pieces.items())
+        added = set(lat._store.pieces) - set(pieces)
+        assert added and all("\t" in piece for piece in added)
 
 
 def distinct_nodes(d) -> list:
@@ -1137,11 +1255,13 @@ class TestSplitSequent:
         assert formulas["( In(a) * R(a) )"] is formulas["In(a) * R(a)"] is seq.context[0]
         assert seq.succedent == Plus(In("b"), Tensor(In("a"), R("a")))
         # an operand no lookup gives is cut the same way, down to plain
-        # atoms; only the piece's own two operands are remembered
+        # atoms; only the piece's own two operands are remembered, and the
+        # inside of the one in parentheses
         seq = parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
         assert parses == []
-        assert list(formulas)[6:] == ["R(b)", "In(b) * R(b)", "(R(b) * M(b))",
+        assert list(formulas)[6:] == ["R(b)", "R(b) * M(b)", "In(b) * R(b)", "(R(b) * M(b))",
                                       "In(b) * R(b) + (R(b) * M(b))"]
+        assert formulas["R(b) * M(b)"] is formulas["(R(b) * M(b))"]
         b = Const("b")
         assert seq.succedent == Plus(Tensor(In("b"), R("b")), Tensor(R("b"), Measurement(b)))
         # operators inside parentheses are not the piece's: this one is cut
@@ -1149,14 +1269,14 @@ class TestSplitSequent:
         # remembered and a remembered atom
         parse_sequent("R(b) |- (In(b) * R(b) + (R(b) * M(b))) * R(b)", lat)
         assert parses == []
-        assert list(formulas)[10:] == ["(In(b) * R(b) + (R(b) * M(b)))",
+        assert list(formulas)[11:] == ["(In(b) * R(b) + (R(b) * M(b)))",
                                        "(In(b) * R(b) + (R(b) * M(b))) * R(b)"]
         # a complement is no plain atom: the whole piece, and only the
         # piece, goes to the token parser, and the operand holding it is
         # not remembered
         seq = parse_sequent("R(b) |- R(b) + (In(b) * In(ortho(a)))", lat)
         assert [text for text, _ in parses] == ["R(b) + (In(b) * In(ortho(a)))"]
-        assert list(formulas)[12:] == ["R(b) + (In(b) * In(ortho(a)))"]
+        assert list(formulas)[13:] == ["R(b) + (In(b) * In(ortho(a)))"]
         assert seq.succedent == Plus(R("b"), Tensor(In("b"), In("a'")))
 
     @pytest.mark.parametrize("terms", [MAX_DEPTH, 24])
@@ -1177,6 +1297,24 @@ class TestSplitSequent:
         operands = {" + ".join(parts[:-1]), parts[-1]}
         keys = set(lat._store.formulas) - {"In(a)"}
         assert keys == {piece} | operands
+
+    def test_chain_context_inside_remembered(self, monkeypatch):
+        # a chain's context M(m_k) * (… (In(c) * R(c))) is cut at its '*',
+        # and the inside of its operand in parentheses is remembered, so the
+        # next context the reader meets, one level shallower, is one lookup:
+        # 7,786 cuts at k = 99, where remembering the operand alone made
+        # 15,284
+        lat = mo(4)
+        d = derive_chain(lat, "c", (["a", "b"] * 50)[:99])
+        text = serialize(d)
+        calls = []
+        real = formats._cut_formula
+        monkeypatch.setattr(formats, "_cut_formula",
+                            lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+        same = parse_derivation(text, lat) is d
+        assert same and len(calls) == 7786
+        inner = d.conclusion.context[0].right
+        assert lat._store.formulas[ascii_formula(inner)] is inner
 
     def test_strip_matches_token_whitespace(self):
         # the split path strips pieces with str.strip, the tokenizer skips \s
