@@ -142,6 +142,18 @@ def reference_union(fs):
     return masks
 
 
+def reference_random_union_preserving_map(
+    lat: FiniteOrthoLattice, rng: random.Random
+) -> PowersetMap:
+    """Random singleton action; union-preserving by representation but with no
+    further constraint, so membership in the transition maps is incidental."""
+    domain = [b for b in range(len(lat)) if b != lat._zero]
+    masks = [0] * len(lat)
+    for b in domain:
+        masks[b] = sum(1 << c for c in domain if rng.random() < 0.35)
+    return PowersetMap(lat, _masks=masks)
+
+
 def reference_random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
     """Random join-preserving self-map, assembled from Sasaki projections,
     the identity, and constant-on-nonzero maps, closed under composition and
@@ -687,6 +699,10 @@ class TestLift:
                     assert f._values == g._values, (lat.name, seed)
                     assert rng.getstate() == ref.getstate()
                     f, g = random_transition_map(lat, rng), reference_random_transition_map(lat, ref)
+                    assert f._masks == g._masks, (lat.name, seed)
+                    assert rng.getstate() == ref.getstate()
+                    f = random_union_preserving_map(lat, rng)
+                    g = reference_random_union_preserving_map(lat, ref)
                     assert f._masks == g._masks, (lat.name, seed)
                     assert rng.getstate() == ref.getstate()
 
