@@ -194,26 +194,22 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     where ``base`` proves C |- S, conclude S': S with each branch In(u) * R(u)
     replaced by the conclusion of measuring ``then`` on u, and each sum of two
     equal sides by that side.  The stage proof is built bottom-up: each
-    distinct subtree f of S gets one proof of (M(then), f) |- f'.  A branch
+    subtree f of S gets one proof of (M(then), f) |- f', and S repeats no
+    subtree, since its branches are distinct and its equal sums merged.  A branch
     cuts its measurement proof; a sum is :func:`_sum` over the proofs of its
     sides.  One cut of ``base`` into the stage proof concludes
     (M(then), C) |- S', and one tensor_l fuses the context."""
     make = lat._store.make
     m_then = measurement(lat, then)
-    proofs: dict[int, RuleApp] = {}  # by id: S is hash-consed, so one per distinct subtree
 
     def prove(f: Formula) -> RuleApp:
-        if id(f) in proofs:
-            return proofs[id(f)]
         if isinstance(f, Plus):
-            d = _sum(make, prove(f.left), prove(f.right))
-        else:  # a branch In(u) * R(u)
-            c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
-            pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
-                         _id(make, m_then), _id(make, f))
-            d = _rule(make, "cut", (m_then, f), c.conclusion.succedent, pair, c)
-        proofs[id(f)] = d
-        return d
+            return _sum(make, prove(f.left), prove(f.right))
+        # a branch In(u) * R(u)
+        c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
+        pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
+                     _id(make, m_then), _id(make, f))
+        return _rule(make, "cut", (m_then, f), c.conclusion.succedent, pair, c)
 
     body = prove(base.conclusion.succedent)
     goal_rhs, base_ctx = body.conclusion.succedent, base.conclusion.context[0]

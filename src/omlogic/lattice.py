@@ -157,6 +157,7 @@ class FiniteOrthoLattice:
         self._rows: list[bytes] | None = None
         self._sasaki: dict[int, bytes] = {}
         self._measured: dict[int, list[int]] = {}
+        self._joins: dict[int, int] = {}  # image bitmask -> index of its join
         # the formulas, sequents and derivations built or parsed over this
         # lattice, one object per value, and their memos
         self._store = Store()

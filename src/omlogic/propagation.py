@@ -180,16 +180,21 @@ class PowersetMap:
 
     def _sups(self) -> bytes:
         """Join of each singleton image by element index, 0 for an empty
-        image and for 0 itself.  Computed once."""
+        image and for 0 itself.  Computed once per map; each distinct image
+        mask is joined once per lattice and kept in its ``_joins``."""
         if self._sup is None:
-            rows, zero = self.lattice._join_rows(), self.lattice._zero
+            lat = self.lattice
+            rows, zero, joins = lat._join_rows(), lat._zero, lat._joins
             sups = []
             for mask in self._masks:
-                s = zero
-                while mask:  # _bits, inlined: this loop is the hottest in the module
-                    low = mask & -mask
-                    s = rows[s][low.bit_length() - 1]
-                    mask ^= low
+                s = joins.get(mask)
+                if s is None:
+                    s, rest = zero, mask
+                    while rest:  # _bits, inlined: this loop runs once per distinct mask
+                        low = rest & -rest
+                        s = rows[s][low.bit_length() - 1]
+                        rest ^= low
+                    joins[mask] = s
                 sups.append(s)
             self._sup = bytes(sups)
         return self._sup
@@ -420,12 +425,12 @@ def compose_join(f: JoinMap, g: JoinMap) -> JoinMap:
     return JoinMap(lat, _values=g._values.translate(f._values + lat._pad()))
 
 
-def _joined(lat: FiniteOrthoLattice, parts: Iterable[bytes]) -> bytes:
-    """The pointwise join of self-maps given by index: byte b is the join of
-    every part's byte b, 0 for no parts."""
+def _joined(lat: FiniteOrthoLattice, parts: Sequence[bytes]) -> bytes:
+    """The pointwise join of self-maps given by index (at least one): byte b
+    is the join of every part's byte b."""
     rows = lat._join_rows()
-    values = bytes([lat._zero]) * len(lat)
-    for part in parts:  # byte b: row values[b] of the join table at part[b]
+    values = parts[0]
+    for part in parts[1:]:  # byte b: row values[b] of the join table at part[b]
         values = bytes(map(bytes.__getitem__, map(rows.__getitem__, values), part))
     return values
 
@@ -669,8 +674,9 @@ def random_union_preserving_map(
     further constraint, so membership in the transition maps is incidental."""
     domain = [b for b in range(len(lat)) if b != lat._zero]
     masks = [0] * len(lat)
+    draw = rng.random
     for b in domain:
-        masks[b] = sum(1 << c for c in domain if rng.random() < 0.35)
+        masks[b] = sum(1 << c for c in domain if draw() < 0.35)
     return PowersetMap(lat, _masks=masks)
 
 
@@ -680,23 +686,27 @@ def random_join_map(lat: FiniteOrthoLattice, rng: random.Random) -> JoinMap:
     pointwise join.  The parts are built as bytes, one element index per
     element index, and only the result is a :class:`JoinMap`."""
     n, zero, pad = len(lat), lat._zero, lat._pad()
+    draw, below = rng.random, rng.randrange
+    identity = bytes(range(n))
 
     def basic() -> bytes:
-        roll = rng.random()
+        roll = draw()
         if roll < 0.5:
-            return lat._sasaki_row(rng.choice(range(n)))
+            return lat._sasaki_row(below(n))
         if roll < 0.7:
-            return bytes(range(n))
-        c = rng.choice(range(n))
-        return bytes([zero if b == zero else c for b in range(n)])
+            return identity
+        row = bytearray([below(n)]) * n
+        row[zero] = zero
+        return bytes(row)
 
     def chain() -> bytes:
         f = basic()
-        for _ in range(rng.randint(0, 2)):  # compose_join: f first, then the choice
-            f = f.translate(rng.choice([f, basic()]) + pad)
+        for _ in range(below(3)):  # compose_join: f first, then f or a new part
+            g = basic()  # drawn even when f is chosen, so the draws stay in order
+            f = f.translate((g if below(2) else f) + pad)
         return f
 
-    parts = [chain() for _ in range(rng.randint(1, 3))]
+    parts = [chain() for _ in range(1 + below(3))]
     f = JoinMap(lat, _values=_joined(lat, parts))
     bad = f.join_preserving_violation()
     if bad is not None:

@@ -14,7 +14,7 @@ from omlogic.derive import derive_chain, derive_measurement
 from omlogic.formats import parse_derivation, parse_lattice, serialize
 from omlogic.kernel import RuleApp
 from omlogic.lattice import FiniteOrthoLattice, hexagon, mo
-from omlogic.syntax import Lolli, Sequent, ascii_sequent
+from omlogic.syntax import Lolli, Plus, Sequent, ascii_sequent
 
 
 @pytest.fixture
@@ -337,6 +337,28 @@ class TestProveCheckCrosscheck:
         assert data["checks"] == [
             {"name": "logic-algebra-agreement", "passed": False, "witness": [reason]}
         ]
+
+    def test_crosscheck_disagreement(self, mo2_file, tmp_path, capsys):
+        # a valid tree whose conclusion gains the branch a by plus_r1
+        core = derive_measurement(mo(2), "a", "b")
+        (ctx,), goal = core.conclusion.context, core.conclusion.succedent
+        wider = RuleApp("plus_r1", Sequent((ctx,), Plus(goal, ctx.right)), (core,))
+        drv, report = tmp_path / "wide.drv", tmp_path / "r.json"
+        drv.write_text(serialize(wider))
+        assert run(["check", str(drv), "--lattice", mo2_file]) == 0
+        capsys.readouterr()
+        assert run(["crosscheck", str(drv), "--lattice", mo2_file, "--json", str(report)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "disagree: branches {a, b, b'} != propagated {b, b'}"
+        )
+        data = json.loads(report.read_text())
+        assert data["ok"] is False
+        assert data["checks"] == [
+            {"name": "logic-algebra-agreement", "passed": False, "witness": ["branch sets differ"]}
+        ]
+        assert (data["shape"], data["expected"], data["found"]) == (
+            "measurement", ["b", "b'"], ["a", "b", "b'"]
+        )
 
     def test_composed_pipeline(self, mo2_file, tmp_path):
         drv = tmp_path / "c.drv"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -359,6 +360,47 @@ class TestSupMorphism:
             sup_morphism(f)
         A, B = err.value.witness_a, err.value.witness_b
         assert lat.join_set(A) == lat.join_set(B)
+
+
+MEMO_LATTICES = (
+    [functools.partial(mo, n) for n in range(1, 6)]
+    + [functools.partial(boolean, n) for n in range(1, 5)]
+    + [mo2_reordered]
+)
+
+
+def sampled_maps(lat, rng, count):
+    """Measurement maps, then ``count`` seeded random union-preserving and
+    transition maps, alternating."""
+    maps = [perfect_measurement_map(lat, a) for a in lat.elements]
+    for i in range(count):
+        generate = random_union_preserving_map if i % 2 else random_transition_map
+        maps.append(generate(lat, rng))
+    return maps
+
+
+class TestJoinMemo:
+    def test_sups_match_a_fold_of_names(self):
+        for make in MEMO_LATTICES:
+            lat = make()
+            for f in sampled_maps(lat, random.Random(41), 40):
+                sups = f._sups()
+                assert sups[lat._zero] == lat._zero
+                for b in lat.nonzero():
+                    assert lat.elements[sups[lat.index(b)]] == lat.join_set(f.singleton(b)), (
+                        lat.name, b
+                    )
+            assert lat._joins
+
+    def test_filled_memo_equals_fresh_lattice(self):
+        for make in MEMO_LATTICES:
+            warm = make()
+            maps = sampled_maps(warm, random.Random(43), 200)
+            for f in maps:
+                f._sups()
+            for f in maps:  # each map again, on the filled memo and on an empty one
+                again = PowersetMap(warm, _masks=f._masks)._sups()
+                assert again == PowersetMap(make(), _masks=f._masks)._sups(), warm.name
 
 
 class TestTransitionMembership:
@@ -782,6 +824,15 @@ class TestMeasurementIdentities:
     def test_both_parts_pass(self, lat):
         assert measurement_map_identities(lat).ok
 
+    def test_equal_maps_of_unpaired_elements_are_a_witness(self, monkeypatch):
+        # measuring b gives the map of measuring a, and b' that of a'
+        real = propagation.perfect_measurement_map
+        monkeypatch.setattr(
+            propagation, "perfect_measurement_map",
+            lambda lat, x: real(lat, {"b": "a", "b'": "a'"}.get(x, x)),
+        )
+        assert failing_laws(measurement_map_identities(mo(2))) == {"pair-separation": ("a", "b")}
+
     def test_reflexive_case(self):
         lat = mo(2)
         assert perfect_measurement_map(lat, "a") == perfect_measurement_map(lat, "a")
@@ -870,6 +921,24 @@ class TestQuantaleReport:
         assert not pairs.passed
         assert pairs.witness == ("compose closure sample 0",)
         assert report["morphism-union-measurements"].passed
+
+    def test_non_member_measurement_is_a_witness(self, monkeypatch):
+        # measuring b gives a map outside the quantale: membership names b,
+        # and each measurement-pair law stops at the first pair without a
+        # join map
+        real = propagation.perfect_measurement_map
+        monkeypatch.setattr(
+            propagation, "perfect_measurement_map",
+            lambda lat, x: gen.non_transition_map(lat) if x == "b" else real(lat, x),
+        )
+        assert failing_laws(small_report(mo(2))) == {
+            "measurement-membership": ("b",),
+            "measurement-membership-oracle": ("b",),
+            "morphism-compose-measurements": ("0", "b"),
+            "morphism-union-measurements": ("0", "b"),
+            "branch-soundness": ("b", "a", "a"),
+            "compatibility-preservation": ("b", "b"),
+        }
 
     # Each test below breaks one law by patching a name the report reads,
     # and every other law keeps its verdict: on mo(2) all of them pass.
