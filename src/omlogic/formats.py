@@ -4,13 +4,21 @@ Five value kinds travel through text: lattices and maps use line-oriented
 formats, formulas and sequents an infix grammar, and derivations a nested
 s-expression format.  All files are ASCII with ``#`` comments to end of line;
 parse errors carry a source span pointing inside the offending token plus the
-set of expected tokens.  The formula and derivation token parsers read their
+set of expected tokens.  The formula and derivation grammars read their
 tokens as strings, from one ``findall`` of their grammar's pattern, each token
 after a gap of whitespace and comments; where a token starts is worked out
 only when an error is raised.  Every formula, sequent and derivation node is
 built in the lattice's store (``omlogic.record.Store``), which holds one
 object per value, and sequents are memoized per lattice by their text (see
 :func:`parse_sequent`).
+
+One reader, :class:`_Reader`, reads formula and sequent text: operator
+precedence on an explicit stack over one token list, so formulas and
+witnesses have no depth cap.  A new sequent is cut at its ``|-`` and commas
+and each top-level formula looked up in the store's formula memo; the reader
+reads each one the memo does not hold, looking the memo up again at its
+parenthesised operands and remembering what it read, and reads the whole
+text wherever that does not stand, so every error is the grammar's.
 
 Derivation files are read by one split at their quotes.  A sequent string
 holds neither ``"`` nor a newline, so ``text.split('"')`` alternates pieces
@@ -45,9 +53,10 @@ nesting always needs explicit parentheses.
 from __future__ import annotations
 
 import re
-from functools import cache, singledispatch
-from itertools import islice
-from operator import itemgetter
+from functools import singledispatch
+from itertools import accumulate, count, islice
+from operator import add
+from typing import Callable
 
 from omlogic.kernel import AxiomApp, Derivation, RULE_ARITY, RuleApp
 from omlogic.lattice import FiniteOrthoLattice, LatticeError
@@ -265,12 +274,16 @@ _GAP = rf"\s*(?:{_COMMENT}(?:{_COMMENT})*|)"
 
 def _token_pattern(tokens: str) -> re.Pattern:
     """The pattern of one token grammar for :func:`_tokenize`: a gap, then
-    one of ``tokens`` or the end of the text (the first group), or else the
-    rest of the text from a character that starts no token (the second)."""
-    return re.compile(rf"{_GAP}(?:({tokens}|\Z)|(\S[\s\S]*))")
+    one of ``tokens``, the end of the text (``""``), or else the rest of the
+    text from a character that starts no token.  One group, so ``findall``
+    gives the tokens as strings."""
+    return re.compile(rf"{_GAP}({tokens}|\Z|\S[\s\S]*)")
 
 
-_TOKEN_RE = _token_pattern(r"-o|\|-|!<=|!in|<=|[A-Za-z0-9_][A-Za-z0-9_']*|[()*+,.{}]")
+# the alternatives differ in their first character, so their order is that
+# of how often they occur
+_TOKENS = r"[()*+,.{}]|[A-Za-z0-9_][A-Za-z0-9_']*|-o|\|-|!<=|!in|<="
+_TOKEN_RE = _token_pattern(_TOKENS)
 
 
 def _span(text: str, start: int, length: int) -> SourceSpan:
@@ -280,45 +293,33 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, length)
 
 
-def _tokenize(text: str, pattern: re.Pattern) -> list[str]:
-    """The tokens of ``text`` as strings, from one ``findall`` of
-    ``pattern`` (see :func:`_token_pattern`), ending with ``""``, the end's.
-    A stray character takes the rest of the text, so it is the second group
-    of the item before the end's, and raises :class:`ParseError`.  Where a
-    token starts is worked out only for an error (see :meth:`_Parser.span`)."""
-    items = pattern.findall(text)
-    stray = items[-2][1] if len(items) > 1 else ""
-    if stray:
+def _tokenize(text: str, grammar) -> list[str]:
+    """The tokens of ``text``, from one ``findall`` of the pattern of
+    ``grammar`` (a parser class), ending with ``""``, the end's.  A stray
+    character takes the rest of the text, the item before the end's, which
+    is then no token: it raises :class:`ParseError`."""
+    tokens = grammar.pattern.findall(text)
+    stray = tokens[-2] if len(tokens) > 1 else ""
+    if stray and not grammar.token(stray):
         raise ParseError(f"unexpected character {stray[0]!r}",
                          _span(text, len(text) - len(stray), 1))
-    return list(map(itemgetter(0), items))
-
-
-# Deepest formula nesting the readers accept: parentheses, '-o', 'forall' and
-# 'ortho' (a '+' chain is read in a loop), counted in a sequent string from
-# each of its formulas and in a witness from the witness itself.  The formula
-# parser, witness terms and rendered terms recurse per level, and == across
-# stores recurses on the trees built here, so the limit keeps every input far
-# from Python's recursion limit.  Derivation levels have no limit: the reader,
-# the store, the kernel and the writer keep explicit stacks.  A chain's
-# context nests one level per measurement, so a chain of 99 reads back.
-MAX_DEPTH = 100
+    return tokens
 
 
 class _Parser:
-    """Token cursor shared by the formula and derivation parsers, which set
+    """Token cursor shared by the formula and derivation readers, which set
     ``pattern`` to their token grammar and ``marks`` to its operators and
     punctuation, with ``""`` for the end.  Tokens are compared as text: a
     name is any token outside ``marks`` that is not a quoted string."""
 
     pattern: re.Pattern
+    token: Callable  # the match of one token at the start of a string
     marks: frozenset[str]
 
     def __init__(self, text: str, lat: FiniteOrthoLattice):
         self.text = text
-        self.tokens = _tokenize(text, self.pattern)
+        self.tokens = _tokenize(text, self)
         self.pos = 0
-        self.depth = 0
         self.lat = lat
         self.make = lat._store.make  # every node is built in the lattice's store
 
@@ -349,25 +350,44 @@ class _Parser:
         """Raise at token ``at``, by default the next one."""
         raise ParseError(message, self.span(self.pos if at is None else at), frozenset(expected))
 
-    def descend(self) -> None:
-        """Enter one nesting level at the next token; callers step back out
-        by decrementing ``depth``."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            self.error(f"nesting deeper than {MAX_DEPTH} levels")
 
-
-_ATOM_HEADS = ("In", "R", "M", "IND")
 _ATOM_CLASSES = {"In": Actual, "R": Reachable, "M": Measurement}
+_UNITS = frozenset(["In", "R", "M", "IND", "(", "forall"])  # the tokens an operand starts with
+# Each binary operator: its class, how strongly it binds its operands, and
+# how strongly it pulls the operand before it away from the operator waiting
+# on the stack, which keeps the operand where it binds more strongly.  So
+# '-o' groups to the right, '+' to the left, and '*' not at all (a second
+# one at the same level is an error).  Any other token closes every frame
+# down to the innermost '('.
+_BINARY = {"*": (Tensor, 3, 3), "+": (Plus, 2, 1.9), "-o": (Lolli, 1, 1)}
+_PARENS = {"(": 1, ")": -1}
 
 
-class _FormulaParser(_Parser):
+class _Reader(_Parser):
+    """The one reader of formula and sequent text: operator precedence over
+    one token list (Dijkstra's shunting-yard), with the operators still
+    waiting for their right operand, the open parentheses and the open
+    quantifiers on one explicit stack, so a formula of any depth is read.
+
+    With ``memo``, the text is one stripped formula with no ``#`` or
+    ``{``.  The store's formula memo is looked up at each parenthesised
+    operand that is not inside a quantifier's scope (a bound name can shadow
+    an element) or inside a parenthesised operand looked up in vain, so each
+    character is hashed at most twice, and a hit skips the operand's tokens;
+    and at each plain atom ``HEAD(name)`` outside a quantifier's scope, by
+    that text.  A key parses as a whole formula to its value, and a formula
+    read alone ends where it ends inside parentheses, so a hit gives the
+    tree the tokens would.  What is read is then remembered."""
+
     pattern = _TOKEN_RE
+    token = re.compile(_TOKENS).match
     marks = frozenset(["-o", "|-", "!<=", "!in", "<=", *"()*+,.{}", ""])
 
-    def __init__(self, text: str, lat: FiniteOrthoLattice):
+    def __init__(self, text: str, lat: FiniteOrthoLattice, memo: bool = False):
         super().__init__(text, lat)
-        self.bound: list[str] = []
+        self.memo = memo
+        self.bound: list[str] = []  # the variables of the open quantifiers
+        self.offsets = None  # made on first use (see inside)
 
     def expect(self, text: str) -> str:
         tok = self.peek()
@@ -375,75 +395,145 @@ class _FormulaParser(_Parser):
             self.error(f"expected {text!r}, found {tok or 'end of input'!r}", {text})
         return self.advance()
 
-    # grammar: formula := lolli; lolli := sum [-o lolli];
-    # sum := product (+ product)*; product := unit [* unit];
-    # unit := atom | ( formula ) | forall
+    def read(self, sequent: bool):
+        """The formula of the text, or with ``sequent`` its sequent: context
+        formulas separated by ``,``, then ``|-`` and the succedent."""
+        tokens, make, bound, memo = self.tokens, self.make, self.bound, self.memo
+        nodes, formulas = self.lat._store.nodes, self.lat._store.formulas
+        # (binding, class, left operand, token index) of each operator that
+        # waits for its right operand, of each open '(' (binding 0, class
+        # None) and of each open quantifier (binding 0.5, class Forall, the
+        # (variable, guard) pair for the left operand), innermost last
+        stack = []
+        nest = 0  # the '(' and quantifiers on the stack
+        groups = {}  # '(' -> ')' of each parenthesised operand at the top level
+        root = None  # the frame last reduced at the bottom of the stack
+        ctx = []
+        pos = 1 if sequent and tokens[0] == "|-" else 0  # 1 past an empty context
+        last = not sequent or pos == 1  # whether the formula being read ends the text
+        while True:
+            tok = tokens[pos]  # an operand starts here
+            if tok == "(":
+                found = self.inside(pos) if memo and not nest else None
+                f = formulas.get(found[1]) if found else None
+                if f is None:
+                    stack.append((0, None, None, pos))
+                    nest += 1
+                    pos += 1
+                    continue
+                groups[pos] = found[0]
+                pos = found[0] + 1
+            elif tok == "forall":
+                self.pos = pos
+                head = self.quantifier()
+                stack.append((0.5, Forall, head, pos))
+                bound.append(head[0])
+                nest += 1
+                pos = self.pos
+                continue
+            elif tok in _UNITS:  # an atom
+                name = tokens[pos + 2] if tokens[pos + 1] == "(" else ""
+                if tok == "IND" or name in self.marks or name == "ortho" or tokens[pos + 3] != ")":
+                    self.pos = pos
+                    f = self.atom()
+                    pos = self.pos
+                else:  # HEAD(name), looked up by that text
+                    f = formulas.get(f"{tok}({name})") if memo and not bound else None
+                    if f is None:
+                        term = make(Const if name in self.lat and name not in bound else Var, name)
+                        try:
+                            f = _atom(self.lat, _ATOM_CLASSES[tok], term)
+                        except ValueError as err:  # In or R of 0
+                            self.error(str(err), at=pos)
+                    pos += 4
+            else:
+                self.error(f"expected a formula, found {tok or 'end of input'!r}", _UNITS, pos)
+            while True:  # the operand f is read: the operators after it
+                tok = tokens[pos]
+                cls, binding, pull = _BINARY.get(tok, (None, None, 0.1))
+                while stack and stack[-1][0] > pull:  # each frame that binds f more strongly
+                    top = stack.pop()
+                    if top[1] is Forall:
+                        f = make(Forall, *top[2], f)
+                        bound.pop()
+                        nest -= 1
+                    else:
+                        f = nodes.get((top[1], id(top[2]), id(f))) or make(top[1], top[2], f)
+                    if not stack:
+                        root = top
+                if cls is not None:
+                    if cls is Tensor and stack and stack[-1][1] is Tensor:
+                        self.error(
+                            "'*' is non-associative; parenthesize nested conjunctions",
+                            {"+", "-o", ")", ",", "|-", "end of input"}, pos,
+                        )
+                    stack.append((binding, cls, f, pos))
+                    pos += 1
+                    break
+                if stack:  # the innermost '(' closes here
+                    if tok != ")":
+                        self.error(f"expected ')', found {tok or 'end of input'!r}", {")"}, pos)
+                    nest -= 1
+                    if not nest:
+                        groups[stack[-1][3]] = pos
+                    stack.pop()
+                    pos += 1
+                    continue
+                if last:
+                    if tok:
+                        self.error(f"trailing input {tok!r}", {"end of input"}, pos)
+                    if not sequent:
+                        if memo:
+                            self.remember(f, root, groups)
+                        return f
+                    return make(Sequent, make(tuple, *ctx), f)
+                if tok == "|-":
+                    last = True
+                elif tok != ",":
+                    self.error("expected '|-'", {"|-", ","}, pos)
+                ctx.append(f)
+                pos += 1
+                break
 
-    def parse_formula_text(self) -> Formula:
-        f = self.formula()
-        if self.peek():
-            self.error(f"trailing input {self.peek()!r}", {"end of input"})
-        return f
+    def inside(self, i: int):
+        """The index of the ')' that closes the '(' at token ``i`` and the
+        text between them, stripped, or None.  The groups scanned follow
+        each other, so the brackets are matched in one pass; each '(' and
+        ')' is found in the text by how many like it come before."""
+        tokens, depth = self.tokens, 0
+        for j in range(i, len(tokens)):
+            depth += _PARENS.get(tokens[j], 0)
+            if not depth:
+                break
+        else:
+            return None
+        if self.offsets is None:  # where the k-th '(' and the k-th ')' stand
+            self.offsets = [list(map(add, accumulate(map(len, self.text.split(b))), count()))
+                            for b in "()"]
+            self.counted = (0, 0)  # a token index, and the '(' before it
+        at, before = self.counted
+        before += tokens[at:i].count("(")
+        self.counted = (j + 1, before + tokens[i:j + 1].count("("))
+        opens, closes = self.offsets
+        return j, self.text[opens[before] + 1:closes[self.counted[1] - 1]].strip()
 
-    def parse_sequent_text(self) -> Sequent:
-        ctx: list[Formula] = []
-        if self.peek() != "|-":
-            ctx.append(self.formula())
-            while self.peek() == ",":
-                self.advance()
-                ctx.append(self.formula())
-        if self.peek() != "|-":
-            self.error("expected '|-'", {"|-", ","})
-        self.advance()
-        rhs = self.formula()
-        if self.peek():
-            self.error(f"trailing input {self.peek()!r}", {"end of input"})
-        return self.make(Sequent, self.make(tuple, *ctx), rhs)
-
-    def formula(self) -> Formula:
-        self.descend()
-        out = self.sum()
-        if self.peek() == "-o":
-            self.advance()
-            out = self.make(Lolli, out, self.formula())
-        self.depth -= 1
-        return out
-
-    def sum(self) -> Formula:
-        out = self.product()
-        while self.peek() == "+":
-            self.advance()
-            out = self.make(Plus, out, self.product())
-        return out
-
-    def product(self) -> Formula:
-        left = self.unit()
-        if self.peek() != "*":
-            return left
-        self.advance()
-        right = self.unit()
-        if self.peek() == "*":
-            self.error(
-                "'*' is non-associative; parenthesize nested conjunctions",
-                {"+", "-o", ")", ",", "|-", "end of input"},
-            )
-        return self.make(Tensor, left, right)
-
-    def unit(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            self.advance()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if tok == "forall":
-            return self.forall()
-        if tok in _ATOM_HEADS:
-            return self.atom()
-        self.error(
-            f"expected a formula, found {tok or 'end of input'!r}",
-            {"In", "R", "M", "IND", "(", "forall"},
-        )
+    def remember(self, f: Formula, root, groups: dict) -> None:
+        """Remember ``f`` under the text, and the two operands of its root
+        operator, stripped, and the inside of either that is one pair of
+        parentheses; deeper operands are not remembered.  The root operator
+        is found in the text by how many tokens like it come before."""
+        formulas, tokens, text = self.lat._store.formulas, self.tokens, self.text
+        if root is not None and root[1] is not Forall:
+            at, op = root[3], tokens[root[3]]
+            rest = text.split(op, tokens[:at].count(op) + 1)[-1]
+            parts = [(0, at, text[:len(text) - len(rest) - len(op)], root[2]),
+                     (at + 1, len(tokens) - 1, rest, f._get(f)[1])]
+            for first, stop, part, value in parts:
+                part = part.strip()
+                formulas[part] = value
+                if groups.get(first) == stop - 1:  # one pair of parentheses
+                    formulas[part[1:-1].strip()] = value
+        formulas[text] = f
 
     def atom(self) -> Formula:
         at = self.pos
@@ -453,38 +543,34 @@ class _FormulaParser(_Parser):
             name = self.name("expected a map name")
             self.expect(")")
             return self.make(Induced, name)
-        term = self.normal_term()
+        term = self.term()
         self.expect(")")
         try:
             return _atom(self.lat, _ATOM_CLASSES[head], term)
         except ValueError as err:  # In or R of 0
             self.error(str(err), at=at)
 
-    def normal_term(self) -> Term:
-        """A term in normal form: a plain name from :meth:`term` is already
-        the store's node, so only a complement is normalized."""
-        t = self.term()
-        return normalize_term(t, self.lat) if t.__class__ is OrthoTerm else t
-
     def term(self) -> Term:
-        tok = self.peek()
-        if tok == "ortho":
-            self.descend()
+        """A term in normal form: ``ortho(`` n times, a name, n ``)``, read
+        as a counted loop; only a complement is normalized."""
+        orthos = 0
+        while self.peek() == "ortho":
             self.advance()
             self.expect("(")
-            inner = self.term()
-            self.expect(")")
-            self.depth -= 1
-            return self.make(OrthoTerm, inner)
+            orthos += 1
+        tok = self.peek()
         if not self.is_name(tok):
             self.error("expected a term", {"<name>", "ortho"})
         self.advance()
-        if tok in self.lat and tok not in self.bound:
-            return self.make(Const, tok)
-        return self.make(Var, tok)
+        t = self.make(Const if tok in self.lat and tok not in self.bound else Var, tok)
+        for _ in range(orthos):
+            self.expect(")")
+            t = self.make(OrthoTerm, t)
+        return normalize_term(t, self.lat) if orthos else t
 
-    def forall(self) -> Formula:
-        self.expect("forall")
+    def quantifier(self) -> tuple[str, tuple]:
+        """A quantifier's head up to its '.': its variable and its guard."""
+        self.advance()  # 'forall'
         var = self.name("expected a variable name")
         guard: list[Constraint] = []
         if self.peek() == "{":
@@ -496,18 +582,13 @@ class _FormulaParser(_Parser):
                     guard.append(self.constraint())
             self.expect("}")
         self.expect(".")
-        self.bound.append(var)
-        try:
-            body = self.formula()
-        finally:
-            self.bound.pop()
-        return self.make(Forall, var, self.make(tuple, *guard), body)
+        return var, self.make(tuple, *guard)
 
     def constraint(self) -> Constraint:
         tok = self.peek()
         if tok == "<=" or tok == "!<=":
             self.advance()
-            return self.make(Constraint, tok, self.normal_term())
+            return self.make(Constraint, tok, self.term())
         if tok == "!in":
             self.advance()
             self.expect("K")
@@ -519,171 +600,50 @@ class _FormulaParser(_Parser):
 
 
 def parse_formula(text: str, lat: FiniteOrthoLattice) -> Formula:
-    return _FormulaParser(text, lat).parse_formula_text()
+    return _Reader(text, lat).read(False)
 
 
 def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     """Parse a sequent into the lattice's store, memoized by its text: a
-    text seen before returns the same object.  A new sequent is built from
-    its top-level formulas, each read once per lattice, and a new formula
-    from the operands of its top-level operator, each looked up in the
-    store first and cut the same way (see :func:`_split_sequent`).  Errors
+    text seen before returns the same object.  A new text with no ``#`` (a
+    comment can swallow a separator) or ``{`` (a guard's commas are not
+    separators) is cut at its one ``|-`` and its commas, and each top-level
+    formula, stripped, is looked up in the store's formula memo or read
+    alone by :class:`_Reader`, which remembers it.  Any other text, and one
+    with a formula that does not read, is read whole by :class:`_Reader`
+    with no memo, so every error is the grammar's, token by token.  Errors
     are not remembered."""
-    texts = lat._store.texts
-    seq = texts.get(text)
-    if seq is None:
-        seq = texts[text] = (
-            _split_sequent(text, lat) or _FormulaParser(text, lat).parse_sequent_text()
-        )
-    return seq
-
-
-def _split_sequent(text: str, lat: FiniteOrthoLattice):
-    """The sequent of ``text`` built from its top-level formulas, or None
-    wherever the token parser must read the whole text: a comment (which can
-    swallow a separator), a guard (whose commas are not separators), other
-    than one ``|-``, or a formula that does not parse.
-
-    The text is cut at its ``|-`` and its context commas.  Each piece,
-    stripped, is looked up in the store's formula memo.  A new piece is read
-    by :func:`_cut_formula` unless it holds ``forall`` (a binder's scope can
-    run past an operator).  Where that gives nothing, the token parser reads
-    the piece from depth 0, as the whole-text parser reads each top-level
-    formula: the one token parse of the split, so every result and error is
-    the whole-text path's.  The memo remembers each piece, the two
-    operands of its own cut and the inside of either operand that is one
-    pair of parentheses."""
-    if "#" in text or "{" in text or text.count("|-") != 1:
-        return None
     store = lat._store
-    head, _, rhs = text.partition("|-")
-    pieces = head.split(",") if head.strip() else []
-    pieces.append(rhs)
-    parts = []
-    for piece in pieces:
-        piece = piece.strip()
-        f = store.formulas.get(piece)
-        if f is None:
-            if "forall" not in piece:
-                f = _cut_formula(piece, lat, keep=True)
+    seq = store.texts.get(text)
+    if seq is not None:
+        return seq
+    head, turnstile, rhs = text.partition("|-")
+    if turnstile and "|-" not in rhs and "#" not in text and "{" not in text:
+        pieces = head.split(",") if head.strip() else []
+        pieces.append(rhs)
+        parts = []
+        for piece in pieces:
+            piece = piece.strip()
+            f = store.formulas.get(piece)
             if f is None:
                 try:
-                    f = _FormulaParser(piece, lat).parse_formula_text()
+                    f = _Reader(piece, lat, memo=True).read(False)
                 except ParseError:
-                    return None
-            store.formulas[piece] = f
-        parts.append(f)
-    rhs = parts.pop()
-    return store.make(Sequent, store.make(tuple, *parts), rhs)
-
-
-# Each binary operator in the order a new formula is cut at it, lowest
-# precedence first, and how many of its top-level occurrences the cut looks
-# for: the first '-o' (right-associative), every '+' (left-associative) and
-# up to two '*' (non-associative, so a second one is an error).
-_CUTS = (("-o", Lolli, 1), ("+", Plus, None), ("*", Tensor, 2))
-
-
-def _cut_formula(
-    text: str, lat: FiniteOrthoLattice, keep=False, depth=1, bare=False
-) -> Formula | None:
-    """The formula of ``text``, a stripped formula text with no ``forall``,
-    built with no token parse, or None where the token parser must read it.
-    ``depth`` is the nesting level of ``text``, counted as the token parser
-    counts it: 1 for the piece, and one more inside each pair of parentheses
-    and in each right operand of ``-o``; past ``MAX_DEPTH`` the result is None.
-    The first that applies: the store's formula memo; a plain atom; a cut
-    at the top-level occurrences of the lowest-precedence operator at
-    parenthesis depth 0 found in ``_CUTS``, each operand, stripped, read by
-    this function and the results folded from the left; with no such
-    operator, one pair of parentheses, whose inside is read the same way.
-    Every key of the memo parses as a whole formula to its value, and an
-    operand that parses alone parses the same between its operators, so
-    the tree is the token parser's.  A key nests at most ``MAX_DEPTH``
-    levels from level 1, so below level 1 a hit counts only where each of
-    its ``(`` and ``-o`` could add a level and still fit.  None where an
-    operand gives nothing, where a second top-level ``*`` stands, and for
-    an atom of ``ortho`` (a term keyword), of 0, of a complement, or
-    ``IND``.  With ``keep``, the root's two operands, the text before the
-    last cut and the part after it, are remembered, and each is read with
-    ``bare``, which remembers the inside of a text in one pair of
-    parentheses: a chain's context ``M(m) * (…)`` leaves the next,
-    shallower context a key.  Deeper operands are not remembered, so a long
-    sum leaves at most four keys."""
-    if depth > MAX_DEPTH:
-        return None
-    formulas = lat._store.formulas
-    f = formulas.get(text)
-    if f is not None and (depth == 1 or depth + text.count("(") + text.count("-o") <= MAX_DEPTH):
-        return f
-    m = _plain_atom()(text)
-    if m is not None:
-        head, name = m.groups()
-        if name == "ortho":
-            return None
-        term = lat._store.make(Const if name in lat else Var, name)
-        try:
-            return _atom(lat, _ATOM_CLASSES[head], term)
-        except ValueError:  # In or R of 0
-            return None
-    for op, cls, limit in _CUTS:
-        found = _top_level(text, op, limit)
-        if found:
-            break
-    else:
-        if text[:1] == "(" and text[-1:] == ")":
-            inner = text[1:-1].strip()
-            f = _cut_formula(inner, lat, depth=depth + 1)
-            if bare and f is not None:
-                formulas[inner] = f
-            return f
-        return None
-    if len(found) == 2 and op == "*":
-        return None  # non-associative: the token parser raises
-    f = None
-    for start, end in zip((-len(op), *found), (*found, len(text))):
-        part = text[start + len(op):end].strip()
-        level = depth + (op == "-o" and f is not None)  # a '-o' right operand is deeper
-        # the root's operands: the last part, and the first where it is the other
-        kept = keep and (end == len(text) or len(found) == 1)
-        g = _cut_formula(part, lat, depth=level, bare=kept)
-        if g is None:
-            return None
-        if keep and end == len(text):
-            formulas[text[:start].strip()] = f
-            formulas[part] = g
-        f = g if f is None else lat._store.make(cls, f, g)
-    return f
-
-
-def _top_level(piece: str, op: str, limit: int | None) -> list[int]:
-    """The offsets of ``op`` at parenthesis depth 0 in ``piece``, up to the
-    first ``limit`` of them.  One pass: the depth at each occurrence counts
-    the parentheses since the one before."""
-    found, depth, last = [], 0, 0
-    at = piece.find(op)
-    while at >= 0:
-        depth += piece.count("(", last, at) - piece.count(")", last, at)
-        last = at
-        if not depth:
-            found.append(at)
-            if len(found) == limit:
-                break
-        at = piece.find(op, at + 1)
-    return found
-
-
-@cache
-def _plain_atom():
-    """``fullmatch`` of a plain atom, ``In|R|M(name)``, with its head and
-    name as groups; compiled on first use, not at import."""
-    return re.compile(r"(In|R|M)\s*\(\s*([A-Za-z0-9_][A-Za-z0-9_']*)\s*\)").fullmatch
+                    break
+            parts.append(f)
+        else:
+            rhs, nodes = parts.pop(), store.nodes
+            ctx = nodes.get((tuple, *map(id, parts))) or store.make(tuple, *parts)
+            seq = nodes.get((Sequent, id(ctx), id(rhs))) or store.make(Sequent, ctx, rhs)
+    store.texts[text] = seq = seq or _Reader(text, lat).read(True)
+    return seq
 
 
 # -- derivation s-expressions -------------------------------------------------------
 
 
-_SEXPR_RE = _token_pattern(r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*""")
+_SEXPR = r"""[()=]|"[^"\n]*"|[A-Za-z0-9_'-][A-Za-z0-9_'-]*"""
+_SEXPR_RE = _token_pattern(_SEXPR)
 
 
 class _DerivationParser(_Parser):
@@ -691,6 +651,7 @@ class _DerivationParser(_Parser):
     one structure piece of the split read (see :func:`parse_derivation`)."""
 
     pattern = _SEXPR_RE
+    token = re.compile(_SEXPR).match
     marks = frozenset(["(", ")", "=", ""])
 
     def read(self) -> Derivation:
@@ -730,7 +691,7 @@ class _DerivationParser(_Parser):
         cls, name, binds = self.head()
         if cls is AxiomApp:
             seq = self.seq_field()
-            self.expect_close()
+            self.expect(")")
             return self.make(AxiomApp, name, binds, seq)
         open_rules.append((name, self.seq_field(), None, []))
         return None
@@ -743,7 +704,7 @@ class _DerivationParser(_Parser):
         node up to its ``(seq``, ``cls`` :class:`RuleApp` with the rule
         ``name`` or :class:`AxiomApp` with the schema ``name`` and its
         ``binds``, or no head (``cls`` None) at the end of the text."""
-        self.expect_close()
+        self.expect(")")
         witness = self.witness_field()
         closes = 0
         while self.peek() == ")":
@@ -763,7 +724,7 @@ class _DerivationParser(_Parser):
             return None
         self.pos += 2
         witness = self.witness_term()
-        self.expect_close()
+        self.expect(")")
         return witness
 
     def head(self) -> tuple:
@@ -784,22 +745,20 @@ class _DerivationParser(_Parser):
                 self.error("expected '=' in binding", {"="})
             self.advance()
             bindings.append((var, self.name("expected a binding value")))
-        self.expect_close()
+        self.expect(")")
         make = self.make
         return AxiomApp, schema, make(tuple, *[make(tuple, *b) for b in sorted(bindings)])
 
     def expect_open(self, *heads: str) -> str:
-        if self.peek() != "(":
-            self.error("expected '('", {"("})
-        self.advance()
+        self.expect("(")
         head = self.peek()
         if head not in heads:
             self.error(f"unexpected node head {head!r}", set(heads))
         return self.advance()
 
-    def expect_close(self):
-        if self.peek() != ")":
-            self.error("expected ')'", {")"})
+    def expect(self, tok: str):
+        if self.peek() != tok:
+            self.error(f"expected {tok!r}", {tok})
         self.advance()
 
     def seq_field(self) -> Sequent:
@@ -816,25 +775,27 @@ class _DerivationParser(_Parser):
             wrapped = ParseError(f"in sequent string: {err}", self.span(at))
             wrapped.expected = err.expected
             raise wrapped from err
-        self.expect_close()
+        self.expect(")")
         return seq
 
     def witness_term(self) -> Term:
-        # witness terms share the formula term grammar: name | ortho(name)
-        tok = self.peek()
-        if not self.is_name(tok):
-            self.error("expected a witness term", {"<name>", "ortho"})
-        self.advance()
-        if tok == "ortho":
-            if self.peek() != "(":
-                self.error("expected '('", {"("})
-            self.descend()
+        """A witness: ``ortho(`` n times, a name, n ``)``, read as a counted
+        loop and kept as written, complements and all."""
+        orthos = 0
+        while True:
+            tok = self.peek()
+            if not self.is_name(tok):
+                self.error("expected a witness term", {"<name>", "ortho"})
             self.advance()
-            inner = self.witness_term()
-            self.expect_close()
-            self.depth -= 1
-            return self.make(OrthoTerm, inner)
-        return self.make(Const if tok in self.lat else Var, tok)
+            if tok != "ortho":
+                break
+            self.expect("(")
+            orthos += 1
+        term = self.make(Const if tok in self.lat else Var, tok)
+        for _ in range(orthos):
+            self.expect(")")
+            term = self.make(OrthoTerm, term)
+        return term
 
 
 def _program(piece: str, lat: FiniteOrthoLattice) -> tuple | None:

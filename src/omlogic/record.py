@@ -2,10 +2,12 @@
 
 A :class:`Record` behaves as a frozen dataclass over the field names in its
 ``__slots__``: ``repr`` lists the fields in order, two records are equal when
-they are of the same class and their field tuples are equal, the hash is the
-hash of the field tuple, and fields can be neither assigned nor deleted.  It
-costs no code generation at import, which matters because every ``omlogic``
-command starts a fresh interpreter.
+they are of the same class and their field tuples are equal, the hash is
+that of the tuple of the fields' hashes, and fields can be neither assigned
+nor deleted.  Equality and hashing walk records and tuples with an explicit
+stack, so trees of any depth compare and hash.  It costs no code generation
+at import, which matters because every ``omlogic`` command starts a fresh
+interpreter.
 
 Every record is built by :meth:`Record.__init__`, which takes one value per
 field, in order, and raises :class:`TypeError` on any other count.  A class
@@ -54,10 +56,37 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._get(self) == self._get(other)
+        if self is other:
+            return True
+        stack = [(self, other)]  # pairs of parts still to compare
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not _node(a):
+                if a != b:
+                    return False
+                continue
+            x, y = _parts(a), _parts(b)
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        """The hash of the tuple of the fields' hashes, worked out bottom-up
+        on an explicit stack; a tuple's is that of its items' hashes."""
+        hashes = {}  # id of each node below self -> its hash
+        stack = [self]
+        while stack:
+            parts = _parts(stack[-1])
+            inner = [p for p in parts if _node(p) and id(p) not in hashes]
+            if inner:
+                stack += inner
+            else:
+                hashes[id(stack.pop())] = hash(tuple(
+                    [hashes[id(p)] if _node(p) else hash(p) for p in parts]))
+        return hashes[id(self)]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,6 +97,15 @@ class Record:
     def __reduce__(self):
         """Copy and pickle through the constructor, which frozen fields need."""
         return type(self), self._values()
+
+
+def _node(x) -> bool:
+    """Whether ``==`` and ``hash`` walk into ``x``: a record or a tuple."""
+    return x.__class__ is tuple or isinstance(x, Record)
+
+
+def _parts(x) -> tuple:
+    return x if x.__class__ is tuple else x._values()
 
 
 class Store:
@@ -82,9 +120,9 @@ class Store:
     dies with its lattice and grows with distinct content, not with calls.
 
     Its memos map texts to what was read from them: ``texts`` each sequent
-    string and ``formulas`` each top-level formula string and the two
-    operands its cut gave, stripped, with the inside of either when it is
-    one pair of parentheses, but no deeper operand
+    string and ``formulas`` each top-level formula string the reader read
+    and the two operands of its root operator, stripped, with the inside of
+    either when it is one pair of parentheses, but no deeper operand
     (``formats.parse_sequent``), so every key of ``formulas`` parses as a
     whole formula to its value; and ``pieces`` each piece of structure
     between two sequent strings of a derivation file, exactly as the file
@@ -116,13 +154,9 @@ class Store:
     def owns(self, node) -> bool:
         """Whether ``node`` is the one the store holds for its value.  A value
         other than a record or a tuple is a part as it is, so owned."""
-        if node.__class__ is tuple:
-            parts = node
-        elif isinstance(node, Record):
-            parts = node._values()
-        else:
+        if not _node(node):
             return True
-        key = (node.__class__, *[id(p) if p.__class__ is not str else p for p in parts])
+        key = (node.__class__, *[id(p) if p.__class__ is not str else p for p in _parts(node)])
         return self.nodes.get(key) is node
 
     def intern(self, node):
@@ -138,13 +172,11 @@ class Store:
         while stack:
             obj, ready = stack.pop()
             if ready:
-                parts = obj if obj.__class__ is tuple else obj._values()
-                copies[id(obj)] = self.make(obj.__class__, *[copies[id(p)] for p in parts])
+                copies[id(obj)] = self.make(obj.__class__, *[copies[id(p)] for p in _parts(obj)])
             elif id(obj) not in copies:
                 if self.owns(obj):
                     copies[id(obj)] = obj
                     continue
-                parts = obj if obj.__class__ is tuple else obj._values()
                 stack.append((obj, True))
-                stack.extend([(p, False) for p in parts])
+                stack.extend([(p, False) for p in _parts(obj)])
         return copies[id(node)]

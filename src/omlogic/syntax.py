@@ -309,9 +309,15 @@ _PRETTY = _Surface(
 
 
 def _term(t: Term, s: _Surface) -> str:
-    if isinstance(t, OrthoTerm):
-        return s.ortho.format(_term(t.arg, s))
-    return t.name
+    """A term is ``ortho`` n times over a name: the surface's text before
+    the complemented part n times, the name, the text after it n times."""
+    orthos = 0
+    while isinstance(t, OrthoTerm):
+        t, orthos = t.arg, orthos + 1
+    if not orthos:
+        return t.name
+    before, _, after = s.ortho.partition("{}")
+    return f"{before * orthos}{t.name}{after * orthos}"
 
 
 def _render(f: Formula, s: _Surface) -> str:

@@ -1,4 +1,8 @@
-"""Chain builders that ``derive._extend`` replaced, kept as references.
+"""Code the library replaced, kept as references.
+
+``FormulaParser`` is the recursive token grammar of formulas and sequents
+that ``formats._Reader`` replaced, with its cap of ``MAX_DEPTH`` nesting
+levels: the reader's trees and errors are compared against it.
 
 ``reference_extend`` is the top-down step: a separate ``mirror`` walk builds
 the next goal, and every branch proof climbs through plus_r steps to it.
@@ -11,8 +15,197 @@ and ``gen.random_derivation``) are built with it.
 
 from __future__ import annotations
 
+import re
+
 from omlogic.derive import _id, _in_and_r, _rule, derive_measurement
-from omlogic.syntax import Plus, Tensor, measurement
+from omlogic.formats import _ATOM_CLASSES, _TOKEN_RE, _TOKENS, _Parser
+from omlogic.syntax import (
+    Constraint,
+    Const,
+    Forall,
+    Induced,
+    Lolli,
+    OrthoTerm,
+    Plus,
+    Sequent,
+    Tensor,
+    Var,
+    _atom,
+    measurement,
+    normalize_term,
+)
+
+# Deepest formula nesting the reference grammar accepts: parentheses, '-o',
+# 'forall' and 'ortho' (a '+' chain is read in a loop), counted from each
+# formula of a sequent.  It recurses per level, so the cap keeps every input
+# far from Python's recursion limit.
+MAX_DEPTH = 100
+
+
+class FormulaParser(_Parser):
+    """The recursive token grammar of formulas and sequents."""
+
+    pattern = _TOKEN_RE
+    token = re.compile(_TOKENS).match
+    marks = frozenset(["-o", "|-", "!<=", "!in", "<=", *"()*+,.{}", ""])
+
+    def __init__(self, text, lat):
+        super().__init__(text, lat)
+        self.depth = 0
+        self.bound: list[str] = []
+
+    def descend(self) -> None:
+        """Enter one nesting level at the next token; callers step back out
+        by decrementing ``depth``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def expect(self, text: str) -> str:
+        tok = self.peek()
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}", {text})
+        return self.advance()
+
+    # grammar: formula := lolli; lolli := sum [-o lolli];
+    # sum := product (+ product)*; product := unit [* unit];
+    # unit := atom | ( formula ) | forall
+
+    def parse_formula_text(self):
+        f = self.formula()
+        if self.peek():
+            self.error(f"trailing input {self.peek()!r}", {"end of input"})
+        return f
+
+    def parse_sequent_text(self):
+        ctx = []
+        if self.peek() != "|-":
+            ctx.append(self.formula())
+            while self.peek() == ",":
+                self.advance()
+                ctx.append(self.formula())
+        if self.peek() != "|-":
+            self.error("expected '|-'", {"|-", ","})
+        self.advance()
+        rhs = self.formula()
+        if self.peek():
+            self.error(f"trailing input {self.peek()!r}", {"end of input"})
+        return self.make(Sequent, self.make(tuple, *ctx), rhs)
+
+    def formula(self):
+        self.descend()
+        out = self.sum()
+        if self.peek() == "-o":
+            self.advance()
+            out = self.make(Lolli, out, self.formula())
+        self.depth -= 1
+        return out
+
+    def sum(self):
+        out = self.product()
+        while self.peek() == "+":
+            self.advance()
+            out = self.make(Plus, out, self.product())
+        return out
+
+    def product(self):
+        left = self.unit()
+        if self.peek() != "*":
+            return left
+        self.advance()
+        right = self.unit()
+        if self.peek() == "*":
+            self.error(
+                "'*' is non-associative; parenthesize nested conjunctions",
+                {"+", "-o", ")", ",", "|-", "end of input"},
+            )
+        return self.make(Tensor, left, right)
+
+    def unit(self):
+        tok = self.peek()
+        if tok == "(":
+            self.advance()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if tok == "forall":
+            return self.forall()
+        if tok in ("In", "R", "M", "IND"):
+            return self.atom()
+        self.error(
+            f"expected a formula, found {tok or 'end of input'!r}",
+            {"In", "R", "M", "IND", "(", "forall"},
+        )
+
+    def atom(self):
+        at = self.pos
+        head = self.advance()
+        self.expect("(")
+        if head == "IND":
+            name = self.name("expected a map name")
+            self.expect(")")
+            return self.make(Induced, name)
+        term = self.normal_term()
+        self.expect(")")
+        try:
+            return _atom(self.lat, _ATOM_CLASSES[head], term)
+        except ValueError as err:  # In or R of 0
+            self.error(str(err), at=at)
+
+    def normal_term(self):
+        t = self.term()
+        return normalize_term(t, self.lat) if t.__class__ is OrthoTerm else t
+
+    def term(self):
+        tok = self.peek()
+        if tok == "ortho":
+            self.descend()
+            self.advance()
+            self.expect("(")
+            inner = self.term()
+            self.expect(")")
+            self.depth -= 1
+            return self.make(OrthoTerm, inner)
+        if not self.is_name(tok):
+            self.error("expected a term", {"<name>", "ortho"})
+        self.advance()
+        if tok in self.lat and tok not in self.bound:
+            return self.make(Const, tok)
+        return self.make(Var, tok)
+
+    def forall(self):
+        self.expect("forall")
+        var = self.name("expected a variable name")
+        guard = []
+        if self.peek() == "{":
+            self.advance()
+            if self.peek() != "}":
+                guard.append(self.constraint())
+                while self.peek() == ",":
+                    self.advance()
+                    guard.append(self.constraint())
+            self.expect("}")
+        self.expect(".")
+        self.bound.append(var)
+        try:
+            body = self.formula()
+        finally:
+            self.bound.pop()
+        return self.make(Forall, var, self.make(tuple, *guard), body)
+
+    def constraint(self):
+        tok = self.peek()
+        if tok == "<=" or tok == "!<=":
+            self.advance()
+            return self.make(Constraint, tok, self.normal_term())
+        if tok == "!in":
+            self.advance()
+            self.expect("K")
+            self.expect("(")
+            name = self.name("expected a map name")
+            self.expect(")")
+            return self.make(Constraint, "!inK", name)
+        self.error("expected a guard constraint", {"<=", "!<=", "!in"})
 
 
 def _close(lat, base, then, body):

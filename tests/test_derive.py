@@ -240,17 +240,20 @@ class TestDeriveChain:
                 faults.append(f"{a} {ms}")
         assert faults == []
 
-    @pytest.mark.parametrize("k", [20, 30])
+    @pytest.mark.parametrize("k", [20, 30, 150])
     def test_long_chain_round_trips(self, k):
-        # alternating a and b on mo(4): k stages of 3 levels each, under the
-        # reader's nesting cap of 100 up to k = 31
-        measures = (["a", "b"] * 15)[:k]
-        text = serialize(derive_chain(mo(4), "c", measures))
+        # alternating a and b on mo(4): the context nests one level per
+        # measurement, and the reader has no depth cap
+        measures = (["a", "b"] * 75)[:k]
+        lat = mo(4)
+        d = derive_chain(lat, "c", measures)
+        text = serialize(d)
         fresh = mo(4)
         parsed = parse_derivation(text, fresh)
         result = semantic_crosscheck(fresh, parsed)
         rewritten = serialize(parsed) == text
         assert rewritten and result.ok and result.found == chain_image(fresh, "c", measures)
+        assert parse_derivation(text, lat) is d
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one measurement"):

@@ -15,11 +15,10 @@ import gen
 from omlogic import formats
 from omlogic.derive import derive_chain, derive_composed, derive_measurement
 from omlogic.formats import (
-    MAX_DEPTH,
     ParseError,
     SourceSpan,
     _DerivationParser,
-    _FormulaParser,
+    _Reader,
     _split_read,
     _tokenize,
     parse_derivation,
@@ -38,6 +37,7 @@ from omlogic.syntax import (
     Actual,
     Const,
     Forall,
+    Lolli,
     Measurement,
     OrthoTerm,
     Plus,
@@ -48,6 +48,7 @@ from omlogic.syntax import (
     ascii_formula,
     ascii_sequent,
 )
+from reference import MAX_DEPTH, FormulaParser
 
 
 def In(x):
@@ -388,7 +389,26 @@ def plus_r1_chain(levels: int) -> str:
     return text + "\n"
 
 
+def deep_trees(lat, levels: int) -> dict:
+    """The formulas of ``deep_formulas(levels)``, in its order, built
+    through the lattice's store: the oracle past the reference grammar's
+    cap."""
+    make = lat._store.make
+    a, x = make(Actual, make(Const, "a")), make(Actual, make(Var, "x"))
+    plus, lolli, quantified = a, a, x
+    for _ in range(levels - 1):
+        plus, lolli = make(Plus, plus, a), make(Lolli, a, lolli)
+        quantified = make(Forall, "x", make(tuple), quantified)
+    complemented = make(Actual, make(Const, "a'" if levels % 2 == 0 else "a"))
+    return {"parentheses": a, "plus chain": plus, "lolli chain": lolli,
+            "forall chain": quantified, "ortho chain": complemented}
+
+
 class TestDepthLimit:
+    """Formulas, witnesses and derivations have no depth cap: nesting past
+    the reference grammar's cap reads to the tree built through the store
+    and round-trips, and the reference refuses it."""
+
     @pytest.mark.parametrize("kind", sorted(deep_formulas(2)))
     def test_limit_accepted(self, kind):
         lat = mo(2)
@@ -398,8 +418,15 @@ class TestDepthLimit:
     @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3 * sys.getrecursionlimit()])
     @pytest.mark.parametrize("kind", sorted(set(deep_formulas(2)) - {"plus chain"}))
     def test_past_limit_rejected(self, kind, levels):
+        # the reference grammar rejects past its cap; the reader reads the
+        # tree built through the store, and reads its text back to it
+        lat = mo(2)
+        text = deep_formulas(levels)[kind]
         with pytest.raises(ParseError, match="nesting deeper"):
-            parse_formula(deep_formulas(levels)[kind], mo(2))
+            FormulaParser(text, lat).parse_formula_text()
+        f = parse_formula(text, lat)
+        assert f is deep_trees(lat, levels)[kind]
+        assert parse_formula(serialize(f), lat) is f
 
     @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3 * sys.getrecursionlimit()])
     def test_long_sum_accepted(self, levels):
@@ -409,13 +436,17 @@ class TestDepthLimit:
         assert parse_formula(serialize(f), lat) is f
 
     def test_span_points_at_crossing_token(self):
+        # the reference refuses 3,000 parentheses at the token that crosses
+        # its cap; the reader reads the atom inside them, and a sum inside
+        # them is the sum without them
         lat = mo(2)
+        text = "(" * 3000 + "In(a)" + ")" * 3000
         with pytest.raises(ParseError) as err:
-            parse_formula("(" * 3000 + "In(a)" + ")" * 3000, lat)
+            FormulaParser(text, lat).parse_formula_text()
         assert (err.value.span.line, err.value.span.column) == (1, MAX_DEPTH + 1)
-        # a sum adds no level: inside the deepest parentheses it still parses
+        assert parse_formula(text, lat) is parse_formula("In(a)", lat)
         chain = "+".join(["In(a)"] * 3000)
-        nested = "(" * (MAX_DEPTH - 1) + chain + ")" * (MAX_DEPTH - 1)
+        nested = "(" * 3000 + chain + ")" * 3000
         assert parse_formula(nested, lat) is parse_formula(chain, lat)
 
     def test_derivation_limit(self):
@@ -426,9 +457,8 @@ class TestDepthLimit:
 
     @pytest.mark.parametrize("orthos", [0, MAX_DEPTH], ids=["name", "ortho"])
     def test_witness_at_depth_limit(self, orthos):
-        # a witness's orthos count from the witness itself, whatever the
-        # depth of its node: 100 may stand under any node, and the 101st is
-        # refused
+        # a witness of any depth stands under a node of any depth: the
+        # reference's cap and one past it both read, and write back
         def text(n: int) -> str:
             witness = "ortho(" * n + "a" + ")" * n
             return (
@@ -438,20 +468,84 @@ class TestDepthLimit:
             )
 
         lat = mo(2)
-        assert parse_derivation(text(orthos), lat).children[0].rule == "plus_r1"
-        if orthos:
-            got = outcome(lambda: parse_derivation(text(orthos + 1), lat))
-            assert got[0] == "201:664: nesting deeper than 100 levels"
+        for n in (orthos, orthos + 1) if orthos else (orthos,):
+            d = parse_derivation(text(n), lat)
+            assert d.children[0].rule == "plus_r1"
+            node = d
+            while node.children:
+                node = node.children[0]
+            witness = node.witness
+            for _ in range(n):
+                witness = witness.arg
+            assert witness == Const("a")
+            assert parse_derivation(serialize(d), lat) is d
 
     def test_derivation_beyond_recursion_limit(self):
         lat = mo(2)
         d = parse_derivation(plus_r1_chain(sys.getrecursionlimit() + 500), lat)
         assert parse_derivation(serialize(d), lat) is d
 
+    def test_deep_witness_round_trips(self):
+        # a forall_l whose witness holds 5,000 orthos (an even number, so it
+        # is a) gets a verdict, and writes out and reads back to itself
+        lat = mo(2)
+        d = parse_derivation(deep_witness(5000), lat)
+        assert check_derivation(lat, d).valid
+        assert serialize(d).startswith(WITNESS_TEXT.split("ortho")[0] + "ortho(" * 5000 + "a)")
+        assert parse_derivation(serialize(d), lat) is d
+
+    def test_deep_forall_l_round_trips(self):
+        # a forall_l over a body that nests '*' 10,000 levels deep gets a
+        # verdict, writes out and reads back to itself, reads on a store that
+        # never saw it to an equal tree, and two copies of it that no store
+        # owns compare and hash
+        def forall_l(build):
+            def body(term):
+                f = build(Actual, term)
+                for _ in range(9999):
+                    f = build(Tensor, build(Reachable, term), f)
+                return f
+
+            a = build(Const, "a")
+            instance = body(a)
+            quantified = build(Forall, "x", build(tuple), body(build(Var, "x")))
+            leaf = build(RuleApp, "id", build(Sequent, build(tuple, instance), instance),
+                         build(tuple), None)
+            return build(RuleApp, "forall_l", build(Sequent, build(tuple, quantified), instance),
+                         build(tuple, leaf), a)
+
+        lat = mo(2)
+        d = forall_l(lat._store.make)
+        assert check_derivation(lat, d).valid
+        text = serialize(d)
+        assert parse_derivation(text, lat) is d
+        assert parse_derivation(text, mo(2)) == d
+
+        def plain(cls, *parts):
+            return parts if cls is tuple else cls(*parts)
+
+        first, second = forall_l(plain), forall_l(plain)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first == d and first != d.children[0]
+
+    def test_long_atom_in_parentheses_read_once(self, monkeypatch):
+        # a 2 MB atom inside 98 pairs of parentheses is read in one pass:
+        # one lookup of the piece, one of the outermost operand, and each
+        # token stepped through once
+        steps = count_steps(monkeypatch)
+        lat = mo(2)
+        piece = "(" * 98 + "R(" + "x" * 2_000_000 + ")" + ")" * 98
+        seq = parse_sequent(f"In(a) |- {piece}", lat)
+        assert seq.succedent is lat._store.make(Reachable, lat._store.make(Var, "x" * 2_000_000))
+        assert steps() == 4 + 2 * 98 + 4
+        assert set(lat._store.formulas) == {"In(a)", piece}
+
     def test_deep_sequent_inside_derivation(self):
+        lat = mo(2)
         text = '(rule id (seq "' + "(" * 3000 + "In(a)" + ")" * 3000 + ' |- In(a)"))'
-        with pytest.raises(ParseError, match="in sequent string: 1:101: nesting deeper"):
-            parse_derivation(text, mo(2))
+        d = parse_derivation(text, lat)
+        assert serialize(d) == '(rule id (seq "In(a) |- In(a)"))\n'
+        assert parse_derivation(serialize(d), lat) is d
 
 
 class TestRoundTripCorpus:
@@ -529,7 +623,7 @@ class TestSequentTable:
     def test_cached_equals_fresh_parse(self, corpus):
         lat, texts = corpus
         for text in texts:
-            assert parse_sequent(text, lat) == _FormulaParser(text, lat).parse_sequent_text()
+            assert parse_sequent(text, lat) == FormulaParser(text, lat).parse_sequent_text()
 
     def test_repeat_returns_same_object(self, corpus):
         lat, texts = corpus
@@ -560,10 +654,13 @@ class TestSequentTable:
         lat = mo(2)
         assert_same_error(lambda: parse_sequent(text, lat))
         with pytest.raises(ParseError) as fresh:
-            _FormulaParser(text, lat).parse_sequent_text()
+            FormulaParser(text, lat).parse_sequent_text()
         with pytest.raises(ParseError) as cached:
             parse_sequent(text, lat)
-        assert (str(cached.value), cached.value.span) == (str(fresh.value), fresh.value.span)
+        if "nesting deeper" in str(fresh.value):  # past the reference's cap
+            assert str(cached.value) == "1:112: expected ')', found '|-' (expected ))"
+        else:
+            assert (str(cached.value), cached.value.span) == (str(fresh.value), fresh.value.span)
         assert text not in lat._store.texts
 
 
@@ -596,8 +693,10 @@ class TestErrorSpans:
         (LEAF.rstrip()[:-1] + "\n# no close\n", "4:1: expected ')' (expected ))"),
         ('(rule plus_r1\n  (seq "In(a) |- In(a) + R(a)\n  ))\n', "2:8: unexpected character '\"'"),
         (
-            '(rule id\n  (seq "' + "(" * MAX_DEPTH + "In(a)" + ")" * MAX_DEPTH + ' |- In(a)"))\n',
-            "2:8: in sequent string: 1:101: nesting deeper than 100 levels",
+            # a sequent nested far past any cap is read, so its error, one
+            # ')' short, stands where the grammar finds it
+            '(rule id\n  (seq "' + "(" * 3000 + "In(a)" + ")" * 2999 + ' |- In(a)"))\n',
+            "2:8: in sequent string: 1:6006: expected ')', found '|-' (expected ))",
         ),
     ], ids=[
         "character on line 3", "sequent on a later line", "character in a later sequent",
@@ -625,7 +724,7 @@ def tokens(text: str, parser) -> list[tuple[str, bool]]:
     """(token, whether it is a name) for each token of ``text`` in the
     grammar of ``parser``, a parser class, without the end's ``""``."""
     return [(tok, tok not in parser.marks and tok[0] != '"')
-            for tok in _tokenize(text, parser.pattern) if tok]
+            for tok in _tokenize(text, parser) if tok]
 
 
 def reflow(text: str, rng: random.Random, comments: bool = True) -> str:
@@ -723,16 +822,16 @@ class TestScanner:
         assert parse_derivation(WITNESS_TEXT, lat).witness == OrthoTerm(OrthoTerm(Const("a")))
         text = WITNESS_TEXT.replace("ortho(ortho(a))", "q")
         assert parse_derivation(text, lat).witness == Var("q")
-        # each ortho is a nesting level, counted from the witness itself
-        got = []
+        # a witness keeps its orthos, as many as it has, past the
+        # reference's cap too
         for levels in (MAX_DEPTH, MAX_DEPTH + 1):
             text = WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * levels + "a" + ")" * levels)
-            got.append(outcome(lambda: parse_derivation(text, lat)))
-        term = Const("a")
-        for _ in range(MAX_DEPTH):
-            term = OrthoTerm(term)
-        assert got[0].witness == term
-        assert got[1][0] == "1:664: nesting deeper than 100 levels"
+            d = parse_derivation(text, lat)
+            term = Const("a")
+            for _ in range(levels):
+                term = OrthoTerm(term)
+            assert d.witness == term
+            assert parse_derivation(serialize(d), lat) is d
 
     def test_witness_read_in_one_pass(self, monkeypatch):
         reads = []
@@ -828,7 +927,7 @@ class TestScanner:
             "print({formats._TOKEN_RE.pattern, formats._SEXPR_RE.pattern} <= set(compiled))\n"
             "del compiled[:]\n"
             "formats.parse_derivation('(rule id (seq \"In(a) |- In(a)\"))', mo(2))\n"
-            "print(compiled == [formats._plain_atom().__self__.pattern])\n"
+            "print(compiled == [])\n"
             f"formats.parse_derivation({WITNESS_TEXT!r}, mo(2))\n"
             "print(len(compiled))\n"
         )
@@ -838,9 +937,9 @@ class TestScanner:
         )
         assert proc.returncode == 0, proc.stderr
         # importing compiles the two token grammars; a derivation's pieces
-        # are read with the derivation grammar's, so the first parse compiles
-        # only the plain atom's pattern, for its sequents, and later ones none
-        assert proc.stdout == "True\nTrue\n1\n"
+        # are read with the derivation grammar's and its sequents with the
+        # formula grammar's, so no parse compiles a pattern
+        assert proc.stdout == "True\nTrue\n0\n"
 
 
 class TestLeafMemo:
@@ -952,8 +1051,10 @@ SPLIT_REFUSALS = {
         LEAF + '(rule id (seq "In(a) |- In(a)"))\n',
         "3:1: trailing input after derivation (expected end of input)",
     ),
-    "witness past the depth limit":
-        (deep_witness(MAX_DEPTH + 1), "1:664: nesting deeper than 100 levels"),
+    "witness past 100 levels, one ')' short": (
+        WITNESS_TEXT.replace("ortho(ortho(a))", "ortho(" * (MAX_DEPTH + 1) + "a" + ")" * MAX_DEPTH),
+        "2:3: expected ')' (expected ))",
+    ),
 }
 
 
@@ -975,10 +1076,13 @@ class TestSplitRead:
             assert got == expected and got[0] == message
 
     def test_witness_at_depth_limit_read_by_split(self):
+        # a witness of any depth is one split read, as the token grammar
+        # reads it
         lat = mo(2)
-        expected = _DerivationParser(deep_witness(MAX_DEPTH), lat).read()
-        assert _split_read(deep_witness(MAX_DEPTH), lat) is expected
-        assert parse_derivation(deep_witness(MAX_DEPTH), lat) is expected
+        for levels in (MAX_DEPTH, MAX_DEPTH + 1, 5000):
+            expected = _DerivationParser(deep_witness(levels), lat).read()
+            assert _split_read(deep_witness(levels), lat) is expected
+            assert parse_derivation(deep_witness(levels), lat) is expected
 
     def test_reparse_adds_no_piece(self):
         lat = mo(2)
@@ -1040,7 +1144,7 @@ def respace(text: str, rng: random.Random) -> str:
     """``text`` with random whitespace, ASCII and Unicode, around every
     formula token; two names keep at least one character between them."""
     out, prev = [], False
-    for tok, name in tokens(text, _FormulaParser):
+    for tok, name in tokens(text, _Reader):
         gap = "".join(rng.choice(SPACES) for _ in range(rng.choice([0, 0, 1, 2])))
         if not gap and prev and name:
             gap = rng.choice(SPACES)
@@ -1107,20 +1211,67 @@ SPLIT_CASES = [
 ]
 
 
+def deep_sequent_trees(lat, levels: int) -> dict:
+    """Each text of ``deep_sequents(levels)`` with its sequent built through
+    the lattice's store."""
+    make = lat._store.make
+    a, rb = make(Actual, make(Const, "a")), make(Reachable, make(Const, "b"))
+    texts = iter(deep_sequents(levels))
+    return {next(texts): make(Sequent, make(tuple, *ctx), rhs)
+            for deep in deep_trees(lat, levels).values()
+            for ctx, rhs in (((deep,), a), ((a, deep), a), ((rb,), deep))}
+
+
+def oracle(text: str, lat) -> object:
+    """The outcome the reference grammar gives ``text`` on ``lat``, its
+    sequent taken into the lattice's store; past the reference's cap, the
+    sequent built through the store."""
+    expected = outcome(lambda: lat._store.intern(FormulaParser(text, lat).parse_sequent_text()))
+    if isinstance(expected, tuple) and "nesting deeper" in expected[0]:
+        return deep_sequent_trees(lat, MAX_DEPTH + 1)[text]
+    return expected
+
+
+def count_steps(monkeypatch):
+    """A function giving the formula tokens the reader has stepped through
+    since the last call: the tokens of each text it read, less those of
+    each parenthesised operand the memo gave."""
+    counts = [0]
+    init, inside = _Reader.__init__, _Reader.inside
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts[0] += len(self.tokens) - 1  # not the end's
+
+    def counted_inside(self, i):
+        found = inside(self, i)
+        if found and found[1] in self.lat._store.formulas:
+            counts[0] -= found[0] - i + 1
+        return found
+
+    monkeypatch.setattr(_Reader, "__init__", counted_init)
+    monkeypatch.setattr(_Reader, "inside", counted_inside)
+
+    def steps() -> int:
+        taken, counts[0] = counts[0], 0
+        return taken
+
+    return steps
+
+
 def fresh_outcome(text: str) -> tuple:
-    """(parse_sequent's outcome, the token parser's) on one fresh lattice; a
+    """(parse_sequent's outcome, the oracle's) on one fresh lattice; a
     sequent is compared by identity, an error by message, span and expected
     set."""
     lat = mo(2)
     got = outcome(lambda: parse_sequent(text, lat))
-    expected = outcome(lambda: lat._store.intern(_FormulaParser(text, lat).parse_sequent_text()))
-    return got, expected
+    return got, oracle(text, lat)
 
 
 class TestSplitSequent:
     """parse_sequent reads a new sequent piece by piece, with each top-level
-    formula parsed once per lattice; the whole-text token parser is its
-    oracle."""
+    formula read once per lattice; the reference grammar is its oracle, and
+    past the reference's cap the trees built through the store."""
 
     def assert_same(self, text):
         got, expected = fresh_outcome(text)
@@ -1164,7 +1315,7 @@ class TestSplitSequent:
             variant = respaced[:cut] + rng.choice(noises) + respaced[cut:]
             outcomes.append(described(outcome(lambda: parse_sequent(variant, lat))))
             outcomes.append(described(
-                outcome(lambda: _FormulaParser(variant, lat).parse_sequent_text())
+                outcome(lambda: FormulaParser(variant, lat).parse_sequent_text())
             ))
         assert sha256(outcomes) == MALFORMED_SEQUENTS
 
@@ -1176,9 +1327,7 @@ class TestSplitSequent:
                  "In(a), In(a) |- In(a) |- In(a)", "In(a) |- R(b)", "R(b)", "|- R(b)"]
         for text in texts + SPLIT_CASES + texts[::-1]:
             got = outcome(lambda: parse_sequent(text, lat))
-            expected = outcome(
-                lambda: lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
-            )
+            expected = oracle(text, lat)
             assert got is expected if isinstance(expected, Sequent) else got == expected, text
 
     def test_seeded_corpus(self, short_chains):
@@ -1188,7 +1337,7 @@ class TestSplitSequent:
                 respaced = respace(text, rng)
                 fresh = parse_lattice(serialize(lat))
                 seq = parse_sequent(respaced, fresh)
-                assert seq is fresh._store.intern(_FormulaParser(text, fresh).parse_sequent_text())
+                assert seq is fresh._store.intern(FormulaParser(text, fresh).parse_sequent_text())
                 assert parse_sequent(text, lat) == seq
 
     def test_piece_shared_by_two_sequents_parsed_once(self, monkeypatch):
@@ -1219,7 +1368,7 @@ class TestSplitSequent:
             parse_sequent("In(a) * R(a) |- R(a) + In(a)", lat)
         text = "In(ortho) * R(a) |- R(a)"
         for read in (lambda: parse_sequent(text, lat),
-                     lambda: _FormulaParser(text, lat).parse_sequent_text()):
+                     lambda: FormulaParser(text, lat).parse_sequent_text()):
             with pytest.raises(ParseError) as err:
                 read()
             assert str(err.value) == "1:9: expected '(', found ')' (expected ()"
@@ -1237,54 +1386,53 @@ class TestSplitSequent:
         seq = parse_sequent(text, lat)
         u = Var("u")
         assert seq.succedent == Forall("u", (), Tensor(Actual(u), Reachable(u)))
-        assert seq is lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
+        assert seq is lat._store.intern(FormulaParser(text, lat).parse_sequent_text())
 
     def test_operands_remembered(self, monkeypatch):
-        # each operand of a piece's cut is remembered under its stripped
-        # text, and a parenthesized operand is found under its inner text:
-        # this sequent is built with no token parse at all
-        parses = []
-        real = formats._FormulaParser
-        monkeypatch.setattr(formats, "_FormulaParser", lambda *a: parses.append(a) or real(*a))
+        # a piece's root operands are remembered under their stripped text,
+        # and a parenthesised one also under its inner text, which is looked
+        # up at the next such operand: its tokens are skipped
+        steps = count_steps(monkeypatch)
         lat = mo(2)
         formulas = lat._store.formulas
         seq = parse_sequent("In(a) * R(a) |- In(b) + ( In(a) * R(a) )", lat)
-        assert parses == []
         assert list(formulas) == ["In(a)", "R(a)", "In(a) * R(a)", "In(b)", "( In(a) * R(a) )",
                                   "In(b) + ( In(a) * R(a) )"]
         assert formulas["( In(a) * R(a) )"] is formulas["In(a) * R(a)"] is seq.context[0]
         assert seq.succedent == Plus(In("b"), Tensor(In("a"), R("a")))
-        # an operand no lookup gives is cut the same way, down to plain
-        # atoms; only the piece's own two operands are remembered, and the
-        # inside of the one in parentheses
+        # 9 tokens of the first piece, 16 of the second less the 11 of the
+        # remembered operand
+        assert steps() == 9 + 16 - 11
+        # a new operand is read token by token; only the piece's own two
+        # operands are remembered, and the inside of the one in parentheses
         seq = parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
-        assert parses == []
-        assert list(formulas)[6:] == ["R(b)", "R(b) * M(b)", "In(b) * R(b)", "(R(b) * M(b))",
+        assert list(formulas)[6:] == ["R(b)", "In(b) * R(b)", "(R(b) * M(b))", "R(b) * M(b)",
                                       "In(b) * R(b) + (R(b) * M(b))"]
         assert formulas["R(b) * M(b)"] is formulas["(R(b) * M(b))"]
         b = Const("b")
         assert seq.succedent == Plus(Tensor(In("b"), R("b")), Tensor(R("b"), Measurement(b)))
-        # operators inside parentheses are not the piece's: this one is cut
-        # at its one '*' at depth 0, into an operand whose inner text is
-        # remembered and a remembered atom
+        assert steps() == 4 + 21
+        # operators inside parentheses are not the piece's: this one's root
+        # is its one '*' outside them, and the inside of its left operand is
+        # the piece before, found by one lookup
         parse_sequent("R(b) |- (In(b) * R(b) + (R(b) * M(b))) * R(b)", lat)
-        assert parses == []
         assert list(formulas)[11:] == ["(In(b) * R(b) + (R(b) * M(b)))",
                                        "(In(b) * R(b) + (R(b) * M(b))) * R(b)"]
-        # a complement is no plain atom: the whole piece, and only the
-        # piece, goes to the token parser, and the operand holding it is
-        # not remembered
+        assert steps() == 28 - 23
+        # a complement is read as any term is, and the operand holding it is
+        # remembered as any operand is
         seq = parse_sequent("R(b) |- R(b) + (In(b) * In(ortho(a)))", lat)
-        assert [text for text, _ in parses] == ["R(b) + (In(b) * In(ortho(a)))"]
-        assert list(formulas)[13:] == ["R(b) + (In(b) * In(ortho(a)))"]
+        assert list(formulas)[13:] == ["(In(b) * In(ortho(a)))", "In(b) * In(ortho(a))",
+                                       "R(b) + (In(b) * In(ortho(a)))"]
         assert seq.succedent == Plus(R("b"), Tensor(In("b"), In("a'")))
+        assert steps() == 19
 
     @pytest.mark.parametrize("terms", [MAX_DEPTH, 24])
-    def test_long_sum_cut_once(self, terms):
-        # a sum of a few MB, with long names and inner parentheses, is cut
-        # once, at its last top-level '+', however many parentheses it holds
-        # (it nests two levels): the memo holds the piece and its two
-        # operands, never a key per term
+    def test_long_sum_cut_once(self, terms, monkeypatch):
+        # a sum of a few MB, with long names and inner parentheses, is read
+        # in one pass, each token once, and cut once, at its last top-level
+        # '+': the memo holds the piece and its two operands, never a key
+        # per term
         size = 2_400_000 // terms
         names = [f"n{i}_" + "x" * size for i in range(terms)]
         parts = [f"(In({n}) * R({n}))" if i % 4 == 0 else f"R({n})" for i, n in enumerate(names)]
@@ -1292,27 +1440,28 @@ class TestSplitSequent:
         text = f"In(a) |- {piece}"
         assert len(text) > 2_000_000
         lat = mo(2)
+        steps = count_steps(monkeypatch)
         seq = parse_sequent(text, lat)
-        assert seq is lat._store.intern(_FormulaParser(text, lat).parse_sequent_text())
+        assert steps() == 4 + len(_tokenize(piece, _Reader)) - 1
+        assert seq is lat._store.intern(FormulaParser(text, lat).parse_sequent_text())
         operands = {" + ".join(parts[:-1]), parts[-1]}
         keys = set(lat._store.formulas) - {"In(a)"}
         assert keys == {piece} | operands
 
     def test_chain_context_inside_remembered(self, monkeypatch):
-        # a chain's context M(m_k) * (… (In(c) * R(c))) is cut at its '*',
-        # and the inside of its operand in parentheses is remembered, so the
+        # a chain's context M(m_k) * (… (In(c) * R(c))) is read once, and
+        # the inside of its operand in parentheses is remembered, so the
         # next context the reader meets, one level shallower, is one lookup:
-        # 7,786 cuts at k = 99, where remembering the operand alone made
-        # 15,284
+        # the reader steps through 18,415 tokens at k = 99, under a quarter
+        # of the 78,942 in the file's distinct sequent strings
         lat = mo(4)
         d = derive_chain(lat, "c", (["a", "b"] * 50)[:99])
         text = serialize(d)
-        calls = []
-        real = formats._cut_formula
-        monkeypatch.setattr(formats, "_cut_formula",
-                            lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+        steps = count_steps(monkeypatch)
         same = parse_derivation(text, lat) is d
-        assert same and len(calls) == 7786
+        distinct = set(re.findall(r'\(seq "([^"]*)"\)', text))
+        tokens = sum(len(_tokenize(seq, _Reader)) - 1 for seq in distinct)
+        assert same and (steps(), tokens) == (18415, 78942)
         inner = d.conclusion.context[0].right
         assert lat._store.formulas[ascii_formula(inner)] is inner
 

@@ -1,6 +1,7 @@
 """No input gives a traceback: seeded small edits of valid lattice, map and
 derivation files, run through every command, each end in exit 0, 1 or 2,
-and so do a few fixed inputs nested far too deep or a few MB long."""
+and so do a few fixed inputs nested thousands of levels deep or a few MB
+long."""
 
 import random
 import time
@@ -108,15 +109,18 @@ def test_edited_inputs_never_traceback(files, capsys):
     assert codes[2] > 500 and codes[0] > 10 and codes[1] > 0, codes
 
 
-# Each fixed case, built on use: (file edited, its text, argv, exit code)
+# Each fixed case, built on use: (file edited, its text, argv, exit code).
+# Formulas and witnesses have no depth cap, so the deep witness (an even
+# number of complements of a) checks, and the id over 5,000 quantifiers is
+# read and found invalid.
 FIXED = {
     "deep witness": lambda: (
         "D", WITNESS.replace("ortho(ortho(a))", "ortho(" * 5000 + "a" + ")" * 5000),
-        ["check", "D", "--lattice", "L", "--register", "M"], 2,
+        ["check", "D", "--lattice", "L", "--register", "M"], 0,
     ),
     "deep forall": lambda: (
         "D", '(rule id (seq "' + "forall x . " * 5000 + 'In(x) |- In(a)"))\n',
-        ["crosscheck", "D", "--lattice", "L"], 2,
+        ["crosscheck", "D", "--lattice", "L"], 1,
     ),
     "long plus chain": lambda: (
         "D", '(rule id (seq "' + " + ".join(["In(a)"] * 5000) + ' |- In(a)"))\n',

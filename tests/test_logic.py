@@ -136,6 +136,15 @@ class TestSyntax:
         f = Tensor(measurement(lat, "b"), In("a"))
         assert pretty_formula(f) == "M(b, b⊥) ⊗ In(a)"
 
+    def test_non_formula_refused(self):
+        # the public walks refuse a value that is no formula by its type
+        with pytest.raises(TypeError, match="^not a formula: 3$"):
+            normalize_formula(3, mo(2))
+        with pytest.raises(TypeError, match="^not a formula: 3$"):
+            pretty_formula(3)
+        with pytest.raises(TypeError, match="^cannot serialize int$"):
+            serialize(3)
+
     # one row per atom, connective, parenthesization rule and guard operator
     @pytest.mark.parametrize("text, pretty, ascii_", [
         ("In(a)", "In(a)", "In(a)"),
