@@ -197,19 +197,30 @@ def _extend(lat: FiniteOrthoLattice, base: RuleApp, then: str) -> RuleApp:
     subtree f of S gets one proof of (M(then), f) |- f', and S repeats no
     subtree, since its branches are distinct and its equal sums merged.  A branch
     cuts its measurement proof; a sum is :func:`_sum` over the proofs of its
-    sides.  One cut of ``base`` into the stage proof concludes
-    (M(then), C) |- S', and one tensor_l fuses the context."""
-    make = lat._store.make
+    sides.  Each proof is kept in the store's ``stages`` memo under
+    (then, id(f)), so a subtree that a later stage or chain meets again under
+    the same measurement is proved once per store.  One cut of ``base`` into
+    the stage proof concludes (M(then), C) |- S', and one tensor_l fuses the
+    context."""
+    make, stages = lat._store.make, lat._store.stages
     m_then = measurement(lat, then)
 
     def prove(f: Formula) -> RuleApp:
+        # keyed by ``then`` as given, as ``cores`` is: M(b) is M(b'), while
+        # measuring b and b' order the branches of f' differently
+        key = (then, id(f))
+        p = stages.get(key)
+        if p is not None:
+            return p
         if isinstance(f, Plus):
-            return _sum(make, prove(f.left), prove(f.right))
-        # a branch In(u) * R(u)
-        c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
-        pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
-                     _id(make, m_then), _id(make, f))
-        return _rule(make, "cut", (m_then, f), c.conclusion.succedent, pair, c)
+            p = _sum(make, prove(f.left), prove(f.right))
+        else:  # a branch In(u) * R(u)
+            c = derive_measurement(lat, _in_and_r(f), then)  # [M(then) * f] |- f'
+            pair = _rule(make, "tensor_r", (m_then, f), c.conclusion.context[0],
+                         _id(make, m_then), _id(make, f))
+            p = _rule(make, "cut", (m_then, f), c.conclusion.succedent, pair, c)
+        stages[key] = p
+        return p
 
     body = prove(base.conclusion.succedent)
     goal_rhs, base_ctx = body.conclusion.succedent, base.conclusion.context[0]

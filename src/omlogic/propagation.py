@@ -571,6 +571,8 @@ def quantale_report(
     the quantale is a witness.  A seed for ``rng`` fixes the report.
     """
     lat.ensure_verified()
+    # the mask joins of one report at most, however many a lattice has made
+    lat._joins.clear()
     els, n = lat.elements, len(lat)
     measurements = [perfect_measurement_map(lat, a) for a in els]
     sups = [_sup_or_none(f) for f in measurements]

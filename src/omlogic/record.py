@@ -4,10 +4,10 @@ A :class:`Record` behaves as a frozen dataclass over the field names in its
 ``__slots__``: ``repr`` lists the fields in order, two records are equal when
 they are of the same class and their field tuples are equal, the hash is
 that of the tuple of the fields' hashes, and fields can be neither assigned
-nor deleted.  Equality and hashing walk records and tuples with an explicit
-stack, so trees of any depth compare and hash.  It costs no code generation
-at import, which matters because every ``omlogic`` command starts a fresh
-interpreter.
+nor deleted.  ``repr``, equality and hashing walk records and tuples with an
+explicit stack, so trees of any depth are written, compare and hash.  It
+costs no code generation at import, which matters because every ``omlogic``
+command starts a fresh interpreter.
 
 Every record is built by :meth:`Record.__init__`, which takes one value per
 field, in order, and raises :class:`TypeError` on any other count.  A class
@@ -50,8 +50,29 @@ class Record:
         return values if len(self.__slots__) > 1 else (values,)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        """``Cls(field=value, ...)``, as a dataclass writes it, with each tuple
+        as Python writes one, written left to right from an explicit stack of
+        texts to write and records and tuples to open, so a tree of any depth
+        is written.  Each record inside is written by this method too."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is str:
+                out.append(x)
+                continue
+            if x.__class__ is tuple:
+                parts, opening, seps = x, "(", [""] + [", "] * (len(x) - 1)
+                tail = ",)" if len(x) == 1 else ")"
+            else:
+                names = x.__slots__
+                parts = [getattr(x, name) for name in names]
+                opening, tail = f"{type(x).__qualname__}(", ")"
+                seps = [f"{', ' if i else ''}{name}=" for i, name in enumerate(names)]
+            stack.append(tail)
+            for part, sep in zip(reversed(parts), reversed(seps)):
+                stack += (part if _node(part) else repr(part), sep)
+            stack.append(opening)
+        return "".join(out)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -100,7 +121,8 @@ class Record:
 
 
 def _node(x) -> bool:
-    """Whether ``==`` and ``hash`` walk into ``x``: a record or a tuple."""
+    """Whether ``==``, ``hash`` and ``repr`` walk into ``x``: a record or a
+    tuple."""
     return x.__class__ is tuple or isinstance(x, Record)
 
 
@@ -129,9 +151,18 @@ class Store:
     wrote it and with its tokens joined by single spaces, to its program
     (``formats.parse_derivation``).  A text that does not parse is never
     remembered.
+
+    Two memos hold proofs: ``cores`` maps (actual element, measured element)
+    to the tree of ``derive.derive_measurement``, and ``stages`` maps
+    (measured element, id of a subtree f of a chain stage's disjunction) to
+    ``derive._extend``'s proof of (M(measured), f) |- f', the subtree with
+    each branch measured.  Both are keyed by the measured element as given,
+    not by its ``M`` atom, which an element shares with its complement, so
+    ``stages`` grows with the distinct (measurement, subtree) pairs that
+    chains meet, not with the chains built.
     """
 
-    __slots__ = ("nodes", "texts", "formulas", "pieces", "verdicts", "cores")
+    __slots__ = ("nodes", "texts", "formulas", "pieces", "verdicts", "cores", "stages")
 
     def __init__(self):
         self.nodes: dict = {}  # key -> the one node of that value
@@ -140,16 +171,16 @@ class Store:
         self.pieces: dict = {}  # derivation structure piece -> its program, for parse_derivation
         self.verdicts: set = set()  # ids of the nodes check_derivation found valid
         self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree
+        self.stages: dict = {}  # (measured, id of a subtree) -> _extend's proof of it
 
     def make(self, cls, *parts):
         """The node of class ``cls`` (a record class or ``tuple``) over
         ``parts``, each a string or a node this store owns."""
         key = (cls, *[id(p) if p.__class__ is not str else p for p in parts])
-        try:
-            return self.nodes[key]
-        except KeyError:
+        node = self.nodes.get(key)
+        if node is None:  # not a falsiness test: the empty tuple is a node
             node = self.nodes[key] = parts if cls is tuple else cls(*parts)
-            return node
+        return node
 
     def owns(self, node) -> bool:
         """Whether ``node`` is the one the store holds for its value.  A value

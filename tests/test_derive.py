@@ -354,14 +354,51 @@ class TestChainEqualsReference:
         assert nodes == 163
         size = len(serialize(d))
         assert size == 76_287
-        # one measurement proof per distinct branch of each stage
+        # one measurement proof per distinct (measurement, branch) of the
+        # chain: the first, then (b, a), (b, a'), (a, b) and (a, b'); from the
+        # fourth measurement on each stage is the store's proof of the stage
+        # two before it
         calls = []
         real = derive_module.derive_measurement
         monkeypatch.setattr(derive_module, "derive_measurement",
                             lambda *args: calls.append(args) or real(*args))
         lat = mo(4)
         valid = check_derivation(lat, derive_chain(lat, "c", ["a", "b"] * 7)).valid
-        assert len(calls) == 27 and valid
+        assert len(calls) == 5 and valid
+
+
+class TestStageMemo:
+    """``derive._extend`` keeps each stage proof in the store, under the
+    measured element as given and the id of the subtree it proves; what a
+    warm store builds is what a fresh one builds."""
+
+    def test_second_chain_is_the_first(self):
+        lat = mo(4)
+        d = derive_chain(lat, "c", ["a", "b"] * 3)
+        store = lat._store
+        nodes, stages = len(store.nodes), len(store.stages)
+        assert derive_chain(lat, "c", ["a", "b"] * 3) is d
+        assert (len(store.nodes), len(store.stages)) == (nodes, stages)
+
+    def test_complement_measurement_keyed_apart(self):
+        # M(b) is M(b'), but measuring b and b' order the branches apart
+        lat = mo(4)
+        first = serialize(derive_chain(lat, "c", ["a", "b"]))
+        warm = serialize(derive_chain(lat, "c", ["a", "b'"]))
+        assert warm == serialize(derive_chain(mo(4), "c", ["a", "b'"])) != first
+
+    @pytest.mark.parametrize("family", ["mo2", "boolean3"])
+    def test_warm_store_equals_fresh(self, family):
+        make = {"mo2": lambda: mo(2), "boolean3": lambda: boolean(3)}[family]
+        lat = make()
+        nz = lat.nonzero()
+        chains = [c for k in (1, 2, 3) for c in itertools.product(nz, repeat=k + 1)]
+        random.Random(20261021).shuffle(chains)
+        differ = [
+            (a, ms) for a, *ms in chains
+            if serialize(derive_chain(lat, a, ms)) != serialize(derive_chain(make(), a, ms))
+        ]
+        assert differ == []
 
 
 class TestSemanticCrosscheck:

@@ -21,6 +21,7 @@ from omlogic.propagation import (
     is_transition_map,
     perfect_measurement_map,
 )
+from omlogic.record import Store
 from omlogic.syntax import (
     Actual,
     Const,
@@ -127,6 +128,23 @@ class TestRepr:
         assert repr(CheckResult()) == "CheckResult(failure=None)"
         assert repr(LawCheck("law", True)) == "LawCheck(law='law', passed=True, witness=None)"
 
+    def test_deep_sum(self):
+        # a left-nested sum of 5,000 terms, written from an explicit stack
+        b = Actual(Const("b"))
+        f = Actual(Const("a"))
+        for _ in range(4999):
+            f = Plus(f, b)
+        assert repr(f) == (
+            "Plus(left=" * 4999 + "Actual(term=Const(name='a'))"
+            + ", right=Actual(term=Const(name='b')))" * 4999
+        )
+
+    def test_tuples_as_python_writes_them(self):
+        a = Actual(Const("a"))
+        for value in ((), (a,), (a, (a,)), ((), ((),)), ("x", 1, None)):
+            f = Forall("x", value, a)
+            assert repr(f) == f"Forall(var='x', guard={value!r}, body={a!r})"
+
 
 def fields(node) -> list:
     """The parts of a node or a tuple."""
@@ -224,6 +242,30 @@ class TestConstructor:
         a = Actual(Const("a"))
         d = RuleApp("id", Sequent((a,), a), ())
         assert serialize(d) == serialize(d) == '(rule id (seq "In(a) |- In(a)"))\n'
+
+
+class TestStore:
+    """``Store.make`` hands out one node per value it builds."""
+
+    def test_empty_tuple_is_one_node(self):
+        store = Store()
+        assert store.make(tuple) is store.make(tuple) == ()
+        assert list(store.nodes.values()) == [()]
+
+    def test_miss_then_hit(self):
+        store = Store()
+        c = store.make(Const, "a")
+        a = store.make(Actual, c)
+        assert store.make(Const, "a") is c and store.make(Actual, c) is a
+        assert len(store.nodes) == 2
+
+    def test_wrong_field_count_leaves_no_entry(self):
+        store = Store()
+        c = store.make(Const, "a")
+        for parts in ((), (c, c)):
+            with pytest.raises(TypeError, match="^Actual takes 1 fields"):
+                store.make(Actual, *parts)
+        assert list(store.nodes.values()) == [c]
 
 
 def test_copy_and_pickle():

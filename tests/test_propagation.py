@@ -402,6 +402,16 @@ class TestJoinMemo:
                 again = PowersetMap(warm, _masks=f._masks)._sups()
                 assert again == PowersetMap(make(), _masks=f._masks)._sups(), warm.name
 
+    def test_reports_on_one_lattice_keep_one_reports_joins(self):
+        # each report empties the table before its first draw: ten reports on
+        # one lattice read as on fresh lattices and leave one report's masks
+        warm = boolean(5)
+        for seed in range(10):
+            fresh = boolean(5)
+            report = quantale_report(fresh, random.Random(seed))
+            assert quantale_report(warm, random.Random(seed)) == report, seed
+        assert 0 < len(warm._joins) <= len(fresh._joins)
+
 
 class TestTransitionMembership:
     def test_measurement_maps_always_members(self):
