@@ -1,7 +1,10 @@
 """Command-line front end for batch verification.
 
 Exit codes: 0 when every check passed, 1 for verification or proof failures,
-2 for usage and parse errors and for a crosscheck with no algebraic reading.
+2 for usage and parse errors (a negative sample count of ``quantale verify``
+among them), for an output that cannot be written (an ``-o`` or ``--json``
+path, or a standard output whose reader closed the pipe, with one stderr line
+and no traceback) and for a crosscheck with no algebraic reading.
 ``--seed`` fixes all randomized sampling and ``--json`` writes a
 machine-readable report; identical invocations with the same seed produce
 byte-identical reports.
@@ -10,6 +13,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from functools import cache
@@ -368,11 +372,20 @@ def _parser() -> argparse.ArgumentParser:
 
     quantale = sub.add_parser("quantale", help="verify the transition-map algebra")
     quantale_sub = quantale.add_subparsers(dest="subcommand", required=True)
+
+    def count(text: str) -> int:
+        """A sample count: an integer of at least 0.  argparse calls a
+        non-integer an "invalid count value", after this function's name."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
     p = quantale_sub.add_parser("verify")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--random-maps", type=int, default=200)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--join-maps", type=int, default=100)
+    p.add_argument("--random-maps", type=count, default=200)
+    p.add_argument("--pairs", type=count, default=100)
+    p.add_argument("--join-maps", type=count, default=100)
     common(p, seed=True)
     p.set_defaults(func=_cmd_quantale_verify)
 
@@ -436,7 +449,17 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as err:
+        # nothing more reaches the reader; point stdout at the null device so
+        # the flush at interpreter exit has nothing left to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write stdout: {err}", file=sys.stderr)
+        return USAGE_ERROR
     except _Exit as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

@@ -152,12 +152,17 @@ class FiniteOrthoLattice:
         self._report: VerificationReport | None = None
         self._complete: set[str] = set()  # tables known to have no missing entry
         self._irreducibles: tuple[int, ...] | None = None
-        # the propagation layer's byte tables, each built on first use
+        # the propagation layer's byte tables, each built on first use;
+        # outside a quantale_report, which empties both before its first
+        # draw, _joins and _violations grow with the distinct masks and maps
+        # checked
         self._padding: bytes | None = None
         self._rows: list[bytes] | None = None
         self._sasaki: dict[int, bytes] = {}
         self._measured: dict[int, list[int]] = {}
         self._joins: dict[int, int] = {}  # image bitmask -> index of its join
+        # self-map bytes -> its first join-preservation failure (j, y), or None
+        self._violations: dict[bytes, tuple[int, int] | None] = {}
         # the formulas, sequents and derivations built or parsed over this
         # lattice, one object per value, and their memos
         self._store = Store()

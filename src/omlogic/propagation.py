@@ -205,13 +205,23 @@ def _join_violation(lat: FiniteOrthoLattice, f: bytes) -> tuple[int, int] | None
     for a self-map f given by index with f(0) = 0; None when there is none.
     The first n bytes of row j of the join table, translated through f, are
     y -> f(j v y), and f translated through row f(j) is y -> f(j) v f(y);
-    only f is padded, to serve as a translate table."""
+    only f is padded, to serve as a translate table.  Each distinct map is
+    decided once per lattice, and its answer kept under its bytes in the
+    lattice's ``_violations``: outside a report that table grows with the
+    distinct maps checked, as ``_joins`` does with masks, and each
+    :func:`quantale_report` empties both."""
+    violations = lat._violations
+    if f in violations:
+        return violations[f]
     rows, n, ft = lat._join_rows(), len(f), f + lat._pad()
+    bad = None
     for j in lat._join_irreducibles():
         row, fj = rows[j], rows[f[j]]
         if row[:n].translate(ft) != f.translate(fj):
-            return j, next(y for y in range(n) if ft[row[y]] != fj[f[y]])
-    return None
+            bad = j, next(y for y in range(n) if ft[row[y]] != fj[f[y]])
+            break
+    violations[f] = bad
+    return bad
 
 
 class JoinMap:
@@ -569,10 +579,19 @@ def quantale_report(
     compatible elements.  A map's membership is decided once, by the
     :func:`sup_morphism` call that needs it, so a composite or union outside
     the quantale is a witness.  A seed for ``rng`` fixes the report.
+
+    The lattice's ``_joins`` and ``_violations`` are emptied before the
+    first draw, so a lattice holds one report's mask joins and map verdicts
+    at most; within the report each distinct image mask is joined once and
+    each distinct join map is decided once.  A negative sample count raises
+    ``ValueError``; a count of 0 draws no sample of that kind.
     """
+    for name, count in (("random_maps", random_maps), ("pairs", pairs), ("join_maps", join_maps)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
     lat.ensure_verified()
-    # the mask joins of one report at most, however many a lattice has made
     lat._joins.clear()
+    lat._violations.clear()
     els, n = lat.elements, len(lat)
     measurements = [perfect_measurement_map(lat, a) for a in els]
     sups = [_sup_or_none(f) for f in measurements]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -252,6 +253,24 @@ class TestQuantaleVerify:
         out = capsys.readouterr().out
         assert "FAIL morphism-compose-measurements  witness (0, 0)" in out
         assert "FAIL morphism-random-pairs  witness (compose closure sample 0)" in out
+
+    @pytest.mark.parametrize("option", ["--random-maps", "--pairs", "--join-maps"])
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "must be at least 0, got -1"),
+        ("-3", "must be at least 0, got -3"),
+        ("x", "invalid count value: 'x'"),
+    ])
+    def test_bad_count_exit_2(self, mo2_file, capsys, option, value, message):
+        assert run(["quantale", "verify", "--lattice", mo2_file, option, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"omlogic quantale verify: error: argument {option}: {message}\n")
+
+    def test_zero_counts_draw_nothing(self, mo2_file, capsys):
+        argv = ["quantale", "verify", "--lattice", mo2_file,
+                "--random-maps", "0", "--pairs", "0", "--join-maps", "0"]
+        assert run(argv) == 0
+        assert "PASS morphism-random-pairs\n" in capsys.readouterr().out
 
 
 class TestCounterexample:
@@ -524,6 +543,30 @@ class TestDeepInput:
         err = capsys.readouterr().err
         assert err.startswith(f"{drv}: no algebraic reading")
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that closes its end of the pipe ends the run with exit 2 and
+    one stderr line, as an unwritable output path does: no traceback from the
+    write that failed, and no complaint from the flush at interpreter exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "verify", "L"],
+        ["lattice", "gen", "--family", "boolean", "--n", "6"],
+    ], ids=["lattice verify", "lattice gen"])
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_exit_2(self, mo2_file, argv, unbuffered):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "omlogic", *(mo2_file if a == "L" else a for a in argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=Path(omlogic.__file__).parents[1],
+        )
+        proc.stdout.close()  # before the child has started to write
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("cannot write stdout: ") and err.count("\n") == 1
 
 
 class TestUnwritableOutput:

@@ -115,6 +115,36 @@ def reference_join_violation(lat, f):
     return None
 
 
+def join_map_corpus_lattices():
+    """The lattices of :func:`join_map_corpus`, mo(3) and boolean(3) among
+    them, each built anew."""
+    # with 1 first, a failure can show first at y = index 0
+    top_first = FiniteOrthoLattice(
+        "mo2_top_first", ["1", "a", "a'", "0", "b", "b'"], mo(2).covers(), mo(2).ortho_pairs()
+    )
+    return (boolean(3), mo(3), hexagon(), chain4(), mo2_reordered(), top_first)
+
+
+def join_map_corpus(lat, rng):
+    """Seeded self-maps of ``lat`` fixing 0: arbitrary ones, most of which do
+    not preserve joins, then each Sasaki projection and (on an
+    orthomodular lattice) random join map next to a copy moved at one
+    nonzero element, which fails at few pairs."""
+    n, zero = len(lat), lat._zero
+    maps = [
+        JoinMap(lat, _values=bytes([zero if b == zero else rng.randrange(n) for b in range(n)]))
+        for _ in range(60)
+    ]
+    joins = [sasaki_map(lat, e) for e in lat.elements]
+    if lat.verify().ok:
+        joins += [random_join_map(lat, rng) for _ in range(20)]
+    for f in joins:
+        values = bytearray(f._values)
+        values[rng.choice([b for b in range(n) if b != zero])] = rng.randrange(n)
+        maps += [f, JoinMap(lat, _values=bytes(values))]
+    return maps
+
+
 def reference_compose_join(f, g):
     """compose_join on lists of indices: apply g, then f."""
     return [f[v] for v in g]
@@ -411,6 +441,40 @@ class TestJoinMemo:
             report = quantale_report(fresh, random.Random(seed))
             assert quantale_report(warm, random.Random(seed)) == report, seed
         assert 0 < len(warm._joins) <= len(fresh._joins)
+        assert 0 < len(warm._violations) <= len(fresh._violations)
+
+    def test_violations_miss_then_hit_match_reference(self):
+        # each map asked twice: the first answer is searched and kept under
+        # the map's bytes, the second is read back from the table
+        rng = random.Random(13)
+        for lat in join_map_corpus_lattices():
+            maps = join_map_corpus(lat, rng)
+            lat._violations.clear()  # the corpus's random join maps check themselves
+            for f in maps:
+                expected = reference_join_violation(lat, list(f._values))
+                assert propagation._join_violation(lat, f._values) == expected, (lat.name, f._values)
+                size = len(lat._violations)
+                assert propagation._join_violation(lat, f._values) == expected, (lat.name, f._values)
+                assert len(lat._violations) == size
+            assert len(lat._violations) == len({f._values for f in maps}), lat.name
+
+    def test_violations_belong_to_their_lattice(self):
+        # mo(3) and boolean(3) both have 8 elements and 0 at index 0, so
+        # their maps are each other's maps; a filled mo(3) table changes no
+        # answer on boolean(3)
+        rng = random.Random(17)
+        m3, b3 = mo(3), boolean(3)
+        assert len(m3) == len(b3) and m3._zero == b3._zero
+        values = [f._values for f in join_map_corpus(m3, rng) + join_map_corpus(b3, rng)]
+        b3 = boolean(3)  # one whose table the corpus has not filled
+        differ = 0
+        for f in values:
+            propagation._join_violation(m3, f)
+        for f in values:
+            expected = reference_join_violation(b3, list(f))
+            assert propagation._join_violation(b3, f) == expected, list(f)
+            differ += expected != reference_join_violation(m3, list(f))
+        assert differ > 20
 
 
 class TestTransitionMembership:
@@ -522,25 +586,8 @@ class TestTransitionMembership:
     def test_byte_join_map_ops_match_reference(self):
         rng = random.Random(13)
         verdicts, witnesses = set(), set()
-        # with 1 first, a failure can show first at y = index 0
-        top_first = FiniteOrthoLattice(
-            "mo2_top_first", ["1", "a", "a'", "0", "b", "b'"], mo(2).covers(), mo(2).ortho_pairs()
-        )
-        for lat in (boolean(3), mo(3), hexagon(), chain4(), mo2_reordered(), top_first):
-            n, zero = len(lat), lat._zero
-            # arbitrary self-maps fixing 0, most of which do not preserve joins
-            maps = [
-                JoinMap(lat, _values=bytes([zero if b == zero else rng.randrange(n) for b in range(n)]))
-                for _ in range(60)
-            ]
-            joins = [sasaki_map(lat, e) for e in lat.elements]
-            if lat.verify().ok:
-                joins += [random_join_map(lat, rng) for _ in range(20)]
-            # each moved at one nonzero element, so they fail at few pairs
-            for f in joins:
-                values = bytearray(f._values)
-                values[rng.choice([b for b in range(n) if b != zero])] = rng.randrange(n)
-                maps += [f, JoinMap(lat, _values=bytes(values))]
+        for lat in join_map_corpus_lattices():
+            maps = join_map_corpus(lat, rng)
             for f in maps:
                 bad = propagation._join_violation(lat, f._values)
                 assert bad == reference_join_violation(lat, list(f._values)), (lat.name, f._values)
@@ -915,6 +962,16 @@ class TestQuantaleReport:
     def test_non_orthomodular_rejected(self):
         with pytest.raises(NotOrthomodularError):
             small_report(hexagon())
+
+    @pytest.mark.parametrize("name", ["random_maps", "pairs", "join_maps"])
+    def test_negative_count_raises(self, name):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
+            quantale_report(mo(2), rng, **{name: -1})
+        assert rng.getstate() == random.Random(0).getstate()  # nothing drawn
+
+    def test_zero_counts_pass(self):
+        assert quantale_report(mo(2), random.Random(0), 0, 0, 0).ok
 
     def test_boolean6_is_practical(self):
         assert small_report(boolean(6)).ok
