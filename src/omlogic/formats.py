@@ -16,9 +16,11 @@ One reader, :class:`_Reader`, reads formula and sequent text: operator
 precedence on an explicit stack over one token list, so formulas and
 witnesses have no depth cap.  A new sequent is cut at its ``|-`` and commas
 and each top-level formula looked up in the store's formula memo; the reader
-reads each one the memo does not hold, looking the memo up again at its
-parenthesised operands and remembering what it read, and reads the whole
-text wherever that does not stand, so every error is the grammar's.
+reads each one the memo does not hold, and the whole text wherever that does
+not stand, so every error is the grammar's.  The formula memo holds exactly
+the texts it is looked up under, each stored once read: a top-level formula,
+the inside of a parenthesised operand at the top level, and a plain atom
+``HEAD(name)`` outside every quantifier's scope.
 
 Derivation files are read by one split at their quotes.  A sequent string
 holds neither ``"`` nor a newline, so ``text.split('"')`` alternates pieces
@@ -369,23 +371,24 @@ class _Reader(_Parser):
     waiting for their right operand, the open parentheses and the open
     quantifiers on one explicit stack, so a formula of any depth is read.
 
-    With ``memo``, the text is one stripped formula with no ``#`` or
-    ``{``.  The store's formula memo is looked up at each parenthesised
-    operand that is not inside a quantifier's scope (a bound name can shadow
-    an element) or inside a parenthesised operand looked up in vain, so each
-    character is hashed at most twice, and a hit skips the operand's tokens;
-    and at each plain atom ``HEAD(name)`` outside a quantifier's scope, by
-    that text.  A key parses as a whole formula to its value, and a formula
-    read alone ends where it ends inside parentheses, so a hit gives the
-    tree the tokens would.  What is read is then remembered."""
+    The store's formula memo is used unless the text holds a ``#``, whose
+    comment can hold a ``(`` or ``)`` that :meth:`inside` would count.  It
+    is looked up at each parenthesised operand that is inside neither a
+    quantifier's scope (a bound name can shadow an element) nor another
+    parenthesised operand, by its inside, stripped, and a hit skips the
+    operand's tokens; and at each plain atom ``HEAD(name)`` outside a
+    quantifier's scope, by that text.  On a miss the operand is stored once
+    its ``)`` closes, and the atom once built; the reader never stores its
+    own text.  So a key parses alone, as a whole formula, to its value, and
+    a formula read alone ends where it ends inside parentheses, so a hit
+    gives the tree the tokens would."""
 
     pattern = _TOKEN_RE
     token = re.compile(_TOKENS).match
     marks = frozenset(["-o", "|-", "!<=", "!in", "<=", *"()*+,.{}", ""])
 
-    def __init__(self, text: str, lat: FiniteOrthoLattice, memo: bool = False):
+    def __init__(self, text: str, lat: FiniteOrthoLattice):
         super().__init__(text, lat)
-        self.memo = memo
         self.bound: list[str] = []  # the variables of the open quantifiers
         self.offsets = None  # made on first use (see inside)
 
@@ -398,16 +401,16 @@ class _Reader(_Parser):
     def read(self, sequent: bool):
         """The formula of the text, or with ``sequent`` its sequent: context
         formulas separated by ``,``, then ``|-`` and the succedent."""
-        tokens, make, bound, memo = self.tokens, self.make, self.bound, self.memo
+        tokens, make, bound = self.tokens, self.make, self.bound
         nodes, formulas = self.lat._store.nodes, self.lat._store.formulas
+        memo = "#" not in self.text  # a comment can hold a '(' that inside() would count
         # (binding, class, left operand, token index) of each operator that
         # waits for its right operand, of each open '(' (binding 0, class
-        # None) and of each open quantifier (binding 0.5, class Forall, the
-        # (variable, guard) pair for the left operand), innermost last
+        # None, the memo key of its inside or None) and of each open
+        # quantifier (binding 0.5, class Forall, the (variable, guard) pair
+        # for the left operand), innermost last
         stack = []
         nest = 0  # the '(' and quantifiers on the stack
-        groups = {}  # '(' -> ')' of each parenthesised operand at the top level
-        root = None  # the frame last reduced at the bottom of the stack
         ctx = []
         pos = 1 if sequent and tokens[0] == "|-" else 0  # 1 past an empty context
         last = not sequent or pos == 1  # whether the formula being read ends the text
@@ -417,11 +420,10 @@ class _Reader(_Parser):
                 found = self.inside(pos) if memo and not nest else None
                 f = formulas.get(found[1]) if found else None
                 if f is None:
-                    stack.append((0, None, None, pos))
+                    stack.append((0, None, found and found[1], pos))
                     nest += 1
                     pos += 1
                     continue
-                groups[pos] = found[0]
                 pos = found[0] + 1
             elif tok == "forall":
                 self.pos = pos
@@ -438,13 +440,16 @@ class _Reader(_Parser):
                     f = self.atom()
                     pos = self.pos
                 else:  # HEAD(name), looked up by that text
-                    f = formulas.get(f"{tok}({name})") if memo and not bound else None
+                    key = memo and not bound and f"{tok}({name})"
+                    f = formulas.get(key) if key else None
                     if f is None:
                         term = make(Const if name in self.lat and name not in bound else Var, name)
                         try:
                             f = _atom(self.lat, _ATOM_CLASSES[tok], term)
                         except ValueError as err:  # In or R of 0
                             self.error(str(err), at=pos)
+                        if key:
+                            formulas[key] = f
                     pos += 4
             else:
                 self.error(f"expected a formula, found {tok or 'end of input'!r}", _UNITS, pos)
@@ -459,8 +464,6 @@ class _Reader(_Parser):
                         nest -= 1
                     else:
                         f = nodes.get((top[1], id(top[2]), id(f))) or make(top[1], top[2], f)
-                    if not stack:
-                        root = top
                 if cls is not None:
                     if cls is Tensor and stack and stack[-1][1] is Tensor:
                         self.error(
@@ -474,19 +477,15 @@ class _Reader(_Parser):
                     if tok != ")":
                         self.error(f"expected ')', found {tok or 'end of input'!r}", {")"}, pos)
                     nest -= 1
-                    if not nest:
-                        groups[stack[-1][3]] = pos
-                    stack.pop()
+                    key = stack.pop()[2]
+                    if key:  # a parenthesised operand at the top level
+                        formulas[key] = f
                     pos += 1
                     continue
                 if last:
                     if tok:
                         self.error(f"trailing input {tok!r}", {"end of input"}, pos)
-                    if not sequent:
-                        if memo:
-                            self.remember(f, root, groups)
-                        return f
-                    return make(Sequent, make(tuple, *ctx), f)
+                    return make(Sequent, make(tuple, *ctx), f) if sequent else f
                 if tok == "|-":
                     last = True
                 elif tok != ",":
@@ -516,24 +515,6 @@ class _Reader(_Parser):
         self.counted = (j + 1, before + tokens[i:j + 1].count("("))
         opens, closes = self.offsets
         return j, self.text[opens[before] + 1:closes[self.counted[1] - 1]].strip()
-
-    def remember(self, f: Formula, root, groups: dict) -> None:
-        """Remember ``f`` under the text, and the two operands of its root
-        operator, stripped, and the inside of either that is one pair of
-        parentheses; deeper operands are not remembered.  The root operator
-        is found in the text by how many tokens like it come before."""
-        formulas, tokens, text = self.lat._store.formulas, self.tokens, self.text
-        if root is not None and root[1] is not Forall:
-            at, op = root[3], tokens[root[3]]
-            rest = text.split(op, tokens[:at].count(op) + 1)[-1]
-            parts = [(0, at, text[:len(text) - len(rest) - len(op)], root[2]),
-                     (at + 1, len(tokens) - 1, rest, f._get(f)[1])]
-            for first, stop, part, value in parts:
-                part = part.strip()
-                formulas[part] = value
-                if groups.get(first) == stop - 1:  # one pair of parentheses
-                    formulas[part[1:-1].strip()] = value
-        formulas[text] = f
 
     def atom(self) -> Formula:
         at = self.pos
@@ -608,11 +589,11 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
     text seen before returns the same object.  A new text with no ``#`` (a
     comment can swallow a separator) or ``{`` (a guard's commas are not
     separators) is cut at its one ``|-`` and its commas, and each top-level
-    formula, stripped, is looked up in the store's formula memo or read
-    alone by :class:`_Reader`, which remembers it.  Any other text, and one
-    with a formula that does not read, is read whole by :class:`_Reader`
-    with no memo, so every error is the grammar's, token by token.  Errors
-    are not remembered."""
+    formula, stripped, is looked up in the store's formula memo, or read
+    alone by :class:`_Reader` and stored there.  Any other text, and one
+    with a formula that does not read, is read whole by :class:`_Reader`,
+    so every error is the grammar's, token by token.  A text or a formula
+    that does not parse is not stored."""
     store = lat._store
     seq = store.texts.get(text)
     if seq is not None:
@@ -627,7 +608,7 @@ def parse_sequent(text: str, lat: FiniteOrthoLattice) -> Sequent:
             f = store.formulas.get(piece)
             if f is None:
                 try:
-                    f = _Reader(piece, lat, memo=True).read(False)
+                    f = store.formulas[piece] = _Reader(piece, lat).read(False)
                 except ParseError:
                     break
             parts.append(f)

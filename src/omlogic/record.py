@@ -5,9 +5,11 @@ A :class:`Record` behaves as a frozen dataclass over the field names in its
 they are of the same class and their field tuples are equal, the hash is
 that of the tuple of the fields' hashes, and fields can be neither assigned
 nor deleted.  ``repr``, equality and hashing walk records and tuples with an
-explicit stack, so trees of any depth are written, compare and hash.  It
-costs no code generation at import, which matters because every ``omlogic``
-command starts a fresh interpreter.
+explicit stack, so trees of any depth are written, compare and hash, and
+equality takes each distinct pair of nodes apart once, so a shared subtree
+is compared once however often it occurs.  It costs no code generation at
+import, which matters because every ``omlogic`` command starts a fresh
+interpreter.
 
 Every record is built by :meth:`Record.__init__`, which takes one value per
 field, in order, and raises :class:`TypeError` on any other count.  A class
@@ -80,6 +82,7 @@ class Record:
         if self is other:
             return True
         stack = [(self, other)]  # pairs of parts still to compare
+        opened = set()  # ids of the pairs of nodes already taken apart
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -88,6 +91,10 @@ class Record:
                 if a != b:
                     return False
                 continue
+            pair = (id(a), id(b))
+            if pair in opened:  # a shared subtree met again
+                continue
+            opened.add(pair)
             x, y = _parts(a), _parts(b)
             if len(x) != len(y):
                 return False
@@ -142,13 +149,15 @@ class Store:
     dies with its lattice and grows with distinct content, not with calls.
 
     Its memos map texts to what was read from them: ``texts`` each sequent
-    string and ``formulas`` each top-level formula string the reader read
-    and the two operands of its root operator, stripped, with the inside of
-    either when it is one pair of parentheses, but no deeper operand
-    (``formats.parse_sequent``), so every key of ``formulas`` parses as a
-    whole formula to its value; and ``pieces`` each piece of structure
-    between two sequent strings of a derivation file, exactly as the file
-    wrote it and with its tokens joined by single spaces, to its program
+    string (``formats.parse_sequent``); ``formulas`` exactly the texts the
+    formula reader looks up, each once read: the top-level formulas of a
+    sequent string, stripped, the inside of each parenthesised operand in
+    neither another one nor a quantifier's scope, stripped, and each plain
+    atom ``HEAD(name)`` outside every quantifier's scope
+    (``formats._Reader``), so every key parses alone as a whole formula to
+    its value; and ``pieces`` each piece of structure between two sequent
+    strings of a derivation file, exactly as the file wrote it and with its
+    tokens joined by single spaces, to its program
     (``formats.parse_derivation``).  A text that does not parse is never
     remembered.
 
@@ -167,7 +176,7 @@ class Store:
     def __init__(self):
         self.nodes: dict = {}  # key -> the one node of that value
         self.texts: dict = {}  # sequent text -> sequent, for parse_sequent
-        self.formulas: dict = {}  # formula or operand text -> formula, for parse_sequent
+        self.formulas: dict = {}  # formula text the reader looks up -> formula
         self.pieces: dict = {}  # derivation structure piece -> its program, for parse_derivation
         self.verdicts: set = set()  # ids of the nodes check_derivation found valid
         self.cores: dict = {}  # (actual, measured) -> derive_measurement's tree

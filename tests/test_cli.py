@@ -49,6 +49,7 @@ class TestLatticeCommands:
 
     def test_gen_usage_error(self):
         assert run(["lattice", "gen", "--family", "boolean"]) == 2
+        assert run(["lattice", "gen", "--family", "mo"]) == 2
         assert run(["lattice", "gen", "--family", "boolean", "--n", "9"]) == 2
 
     def test_parse_error_exit(self, tmp_path):
@@ -460,6 +461,24 @@ class TestProveCheckCrosscheck:
         capsys.readouterr()
         assert run(["check", str(drv), "--lattice", mo2_file]) == 1
         assert "invalid at node" in capsys.readouterr().out
+
+    def test_prove_checks_what_it_built(self, mo2_file, tmp_path, monkeypatch, capsys):
+        # a built tree the kernel rejects is a fault of the builder: prove
+        # exits 1 and writes nothing
+        import random
+
+        from omlogic import cli
+        from omlogic.mutate import mutate
+
+        def broken(lat, actual, chain):
+            return mutate(derive_chain(lat, actual, chain), "weakening", random.Random(0), lat)
+
+        monkeypatch.setattr(cli, "derive_chain", broken)
+        drv = tmp_path / "p.drv"
+        argv = ["prove", "measurement", "--lattice", mo2_file, "--actual", "a", "--measure", "b"]
+        assert run(argv + ["-o", str(drv)]) == 1
+        assert "built derivation failed self-check: " in capsys.readouterr().err
+        assert not drv.exists()
 
     def test_check_shows_failing_sequent(self, mo2_file, tmp_path, capsys):
         drv, report = tmp_path / "k.drv", tmp_path / "r.json"

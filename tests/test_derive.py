@@ -15,7 +15,8 @@ from omlogic.derive import (
     semantic_crosscheck,
 )
 from omlogic.formats import parse_derivation, serialize
-from omlogic.kernel import RuleApp, check_derivation
+from omlogic.axioms import instantiate_axiom
+from omlogic.kernel import AxiomApp, RuleApp, check_derivation
 from omlogic.lattice import boolean, mo
 from omlogic.mutate import MUTATION_KINDS, capture_case, mutate
 from omlogic.propagation import perfect_measurement_map, quantale_compose
@@ -539,6 +540,34 @@ class TestMutations:
         mutant = mutate(d, "weakening", random.Random(0), lat)
         rejected = mutant is not d and not check_derivation(lat, mutant).valid
         assert valid and rejected
+
+    def test_axiom_leaf_and_no_eligible_node(self):
+        # weakening an axiom leaf in its unfolded form drops its one context
+        # formula; in its -o form no node has a context and the leaf is no
+        # Adjust1 or Adjust2 leaf, so no kind finds a node to damage
+        lat = mo(2)
+        make = lat._store.make
+        binds = make(tuple, make(tuple, "y", "a"), make(tuple, "z", "b"))
+
+        def leaf(unfold):
+            seq = instantiate_axiom(lat, "Trans", {"y": "a", "z": "b"}, unfold=unfold)
+            return make(AxiomApp, "Trans", binds, seq)
+
+        assert check_derivation(lat, leaf(True)).valid
+        mutant = mutate(leaf(True), "weakening", random.Random(0), lat)
+        assert isinstance(mutant, AxiomApp) and mutant.bindings is binds
+        assert mutant.conclusion.context == () and not check_derivation(lat, mutant).valid
+        for kind in ("exchange", "contraction", "weakening", "guard"):
+            assert mutate(leaf(False), kind, random.Random(0), lat) is None, kind
+
+    @pytest.mark.parametrize("kind, message", [
+        ("capture", "capture mutants are built by capture_case"),
+        ("swap", "unknown mutation kind 'swap'"),
+    ])
+    def test_kind_refused(self, kind, message):
+        lat = mo(2)
+        with pytest.raises(ValueError, match=message):
+            mutate(derive_measurement(lat, "a", "b"), kind, random.Random(0), lat)
 
     def test_seeded_sweep_all_rejected(self):
         lat = mo(2)

@@ -530,15 +530,17 @@ class TestDepthLimit:
 
     def test_long_atom_in_parentheses_read_once(self, monkeypatch):
         # a 2 MB atom inside 98 pairs of parentheses is read in one pass:
-        # one lookup of the piece, one of the outermost operand, and each
-        # token stepped through once
+        # one lookup of the piece, one of the outermost operand's inside and
+        # one of the atom, and each token stepped through once; each is
+        # stored once read
         steps = count_steps(monkeypatch)
         lat = mo(2)
         piece = "(" * 98 + "R(" + "x" * 2_000_000 + ")" + ")" * 98
         seq = parse_sequent(f"In(a) |- {piece}", lat)
         assert seq.succedent is lat._store.make(Reachable, lat._store.make(Var, "x" * 2_000_000))
         assert steps() == 4 + 2 * 98 + 4
-        assert set(lat._store.formulas) == {"In(a)", piece}
+        atom = "R(" + "x" * 2_000_000 + ")"
+        assert set(lat._store.formulas) == {"In(a)", piece, piece[1:-1], atom}
 
     def test_deep_sequent_inside_derivation(self):
         lat = mo(2)
@@ -1389,50 +1391,48 @@ class TestSplitSequent:
         assert seq is lat._store.intern(FormulaParser(text, lat).parse_sequent_text())
 
     def test_operands_remembered(self, monkeypatch):
-        # a piece's root operands are remembered under their stripped text,
-        # and a parenthesised one also under its inner text, which is looked
-        # up at the next such operand: its tokens are skipped
+        # the memo holds exactly what the reader looks up, each stored once
+        # read: a piece under its stripped text, a parenthesised operand at
+        # the top level under its inside, stripped, and a plain atom under
+        # HEAD(name); a hit skips the operand's tokens
         steps = count_steps(monkeypatch)
         lat = mo(2)
         formulas = lat._store.formulas
         seq = parse_sequent("In(a) * R(a) |- In(b) + ( In(a) * R(a) )", lat)
-        assert list(formulas) == ["In(a)", "R(a)", "In(a) * R(a)", "In(b)", "( In(a) * R(a) )",
+        assert list(formulas) == ["In(a)", "R(a)", "In(a) * R(a)", "In(b)",
                                   "In(b) + ( In(a) * R(a) )"]
-        assert formulas["( In(a) * R(a) )"] is formulas["In(a) * R(a)"] is seq.context[0]
+        assert formulas["In(a) * R(a)"] is seq.context[0]
         assert seq.succedent == Plus(In("b"), Tensor(In("a"), R("a")))
         # 9 tokens of the first piece, 16 of the second less the 11 of the
         # remembered operand
         assert steps() == 9 + 16 - 11
-        # a new operand is read token by token; only the piece's own two
-        # operands are remembered, and the inside of the one in parentheses
+        # a new operand is read token by token, and stored under its inside
+        # once its ')' closes; an operator's operands are not stored
         seq = parse_sequent("R(b) |- In(b) * R(b) + (R(b) * M(b))", lat)
-        assert list(formulas)[6:] == ["R(b)", "In(b) * R(b)", "(R(b) * M(b))", "R(b) * M(b)",
+        assert list(formulas)[5:] == ["R(b)", "M(b)", "R(b) * M(b)",
                                       "In(b) * R(b) + (R(b) * M(b))"]
-        assert formulas["R(b) * M(b)"] is formulas["(R(b) * M(b))"]
+        assert "In(b) * R(b)" not in formulas
         b = Const("b")
         assert seq.succedent == Plus(Tensor(In("b"), R("b")), Tensor(R("b"), Measurement(b)))
         assert steps() == 4 + 21
-        # operators inside parentheses are not the piece's: this one's root
-        # is its one '*' outside them, and the inside of its left operand is
-        # the piece before, found by one lookup
+        # the inside of this piece's operand in parentheses is the piece
+        # before, found by one lookup
         parse_sequent("R(b) |- (In(b) * R(b) + (R(b) * M(b))) * R(b)", lat)
-        assert list(formulas)[11:] == ["(In(b) * R(b) + (R(b) * M(b)))",
-                                       "(In(b) * R(b) + (R(b) * M(b))) * R(b)"]
+        assert list(formulas)[9:] == ["(In(b) * R(b) + (R(b) * M(b))) * R(b)"]
         assert steps() == 28 - 23
         # a complement is read as any term is, and the operand holding it is
-        # remembered as any operand is
+        # stored as any operand is; the atom In(ortho(a)) is not plain
         seq = parse_sequent("R(b) |- R(b) + (In(b) * In(ortho(a)))", lat)
-        assert list(formulas)[13:] == ["(In(b) * In(ortho(a)))", "In(b) * In(ortho(a))",
-                                       "R(b) + (In(b) * In(ortho(a)))"]
+        assert list(formulas)[10:] == ["In(b) * In(ortho(a))", "R(b) + (In(b) * In(ortho(a)))"]
         assert seq.succedent == Plus(R("b"), Tensor(In("b"), In("a'")))
         assert steps() == 19
 
     @pytest.mark.parametrize("terms", [MAX_DEPTH, 24])
     def test_long_sum_cut_once(self, terms, monkeypatch):
         # a sum of a few MB, with long names and inner parentheses, is read
-        # in one pass, each token once, and cut once, at its last top-level
-        # '+': the memo holds the piece and its two operands, never a key
-        # per term
+        # in one pass, each token once: the memo holds the piece, the inside
+        # of each term in parentheses and each plain atom, what the reader
+        # looks up, in under two and a half times the piece's characters
         size = 2_400_000 // terms
         names = [f"n{i}_" + "x" * size for i in range(terms)]
         parts = [f"(In({n}) * R({n}))" if i % 4 == 0 else f"R({n})" for i, n in enumerate(names)]
@@ -1444,16 +1444,18 @@ class TestSplitSequent:
         seq = parse_sequent(text, lat)
         assert steps() == 4 + len(_tokenize(piece, _Reader)) - 1
         assert seq is lat._store.intern(FormulaParser(text, lat).parse_sequent_text())
-        operands = {" + ".join(parts[:-1]), parts[-1]}
+        insides = {part[1:-1] for part in parts if part[0] == "("}
+        atoms = {f"R({n})" for n in names} | {f"In({n})" for n in names[::4]}
         keys = set(lat._store.formulas) - {"In(a)"}
-        assert keys == {piece} | operands
+        assert keys == {piece} | insides | atoms
+        assert sum(map(len, keys)) < 2.5 * len(piece)
 
     def test_chain_context_inside_remembered(self, monkeypatch):
         # a chain's context M(m_k) * (… (In(c) * R(c))) is read once, and
-        # the inside of its operand in parentheses is remembered, so the
-        # next context the reader meets, one level shallower, is one lookup:
-        # the reader steps through 18,415 tokens at k = 99, under a quarter
-        # of the 78,942 in the file's distinct sequent strings
+        # the inside of its operand in parentheses is stored, so the next
+        # context the reader meets, one level shallower, is one lookup: the
+        # reader steps through 18,521 tokens at k = 99, under a quarter of
+        # the 78,942 in the file's distinct sequent strings
         lat = mo(4)
         d = derive_chain(lat, "c", (["a", "b"] * 50)[:99])
         text = serialize(d)
@@ -1461,7 +1463,7 @@ class TestSplitSequent:
         same = parse_derivation(text, lat) is d
         distinct = set(re.findall(r'\(seq "([^"]*)"\)', text))
         tokens = sum(len(_tokenize(seq, _Reader)) - 1 for seq in distinct)
-        assert same and (steps(), tokens) == (18415, 78942)
+        assert same and (steps(), tokens) == (18521, 78942)
         inner = d.conclusion.context[0].right
         assert lat._store.formulas[ascii_formula(inner)] is inner
 
@@ -1567,6 +1569,41 @@ class TestSerializeMemo:
         lines.append("  " * 1199 + '(rule id (seq "In(a) |- In(a)"))')
         lines += ["  " * i + ")" for i in reversed(range(1199))]
         assert serialize(d) == "\n".join(lines) + "\n"
+
+
+class TestFormulaMemo:
+    """The store's formula memo holds exactly the texts the reader looks up,
+    each stored once read: a sequent's top-level pieces, the insides of
+    parenthesised operands at the top level and plain atoms, none inside a
+    quantifier's scope.  So every key, read alone on a fresh lattice, gives
+    its value."""
+
+    # bound names that shadow elements, inside parentheses and in atoms
+    SHADOWING = ["forall a . (In(a) * R(a)) |- In(a)",
+                 "forall b {<= a} . In(b) -o (R(b) + In(a)) |- R(b)",
+                 "(In(a)), forall a . ((R(a))) |- forall a . R(a) + (In(a))"]
+
+    def test_every_key_reads_alone_to_its_value(self, short_chains):
+        for family, fresh in (("mo2", lambda: mo(2)), ("boolean3", lambda: boolean(3))):
+            lat = fresh()
+            trees = [d for built in short_chains(family)[1].values() for d in built]
+            if family == "mo2":
+                trees += seeded_mutants(mo(2))
+            for d in trees:
+                assert parse_derivation(serialize(d), lat) == d
+            for text in self.SHADOWING:
+                parse_sequent(text, lat)
+            for key, value in lat._store.formulas.items():
+                assert parse_formula(key, fresh()) == value, key
+
+    def test_comment_stores_nothing(self):
+        lat = mo(2)
+        parse_sequent("In(a) |- R(b)", lat)
+        before = dict(lat._store.formulas)
+        text = "(In(a) * R(a)) # a ( in a comment\n + (R(b) -o In(a)) # )"
+        f = parse_formula(text, lat)
+        assert lat._store.formulas == before
+        assert f is lat._store.intern(FormulaParser(text, lat).parse_formula_text())
 
 
 # sha256 of the bytes serialize wrote for TestHeadLines.trees, recorded

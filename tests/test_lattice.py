@@ -75,6 +75,34 @@ class TestFamilies:
             build_family("chain", 3)
 
 
+class TestGuards:
+    """The refusals of the families and of the queries on a poset that is
+    not a lattice."""
+
+    def test_mo_names_counted(self):
+        with pytest.raises(ValueError, match="expected 2 atom names, got 1"):
+            mo(2, ["x"])
+
+    @pytest.mark.parametrize("family", ["mo", "boolean"])
+    def test_family_needs_n(self, family):
+        with pytest.raises(ValueError, match=f"{family} family requires n"):
+            build_family(family)
+
+    def test_report_names_its_laws(self):
+        report = mo(2).verify()
+        assert report["orthomodularity"].passed
+        with pytest.raises(KeyError, match="no-such-law"):
+            report["no-such-law"]
+
+    def test_incomplete_poset(self):
+        # V: 0 < a, b and a 1 above nothing, so a and b have no complement
+        # and a and 1 no lower bound
+        v = FiniteOrthoLattice("V", ["0", "a", "b", "1"], [("0", "a"), ("0", "b")])
+        assert v.ortho_pairs() == []
+        with pytest.raises(IncompleteLatticeError, match=r"no meet for \('a', '1'\)"):
+            v.meet("a", "1")
+
+
 class TestConstruction:
     def test_duplicate_names_rejected(self):
         with pytest.raises(LatticeError):

@@ -11,8 +11,9 @@ import random
 import pytest
 
 import gen
-from omlogic.derive import CrosscheckResult, semantic_crosscheck
-from omlogic.formats import ParseError, parse_sequent, serialize
+from omlogic import record
+from omlogic.derive import CrosscheckResult, derive_chain, semantic_crosscheck
+from omlogic.formats import ParseError, parse_derivation, parse_lattice, parse_sequent, serialize
 from omlogic.kernel import AxiomApp, CheckFailure, CheckResult, RuleApp, check_derivation
 from omlogic.lattice import LawCheck, boolean, hexagon, mo
 from omlogic.mutate import mutate
@@ -192,6 +193,38 @@ class TestEquality:
         assert Actual(Const("a")) != Reachable(Const("a"))
         assert CheckFailure((), "id", "x") != LawCheck((), "id", "x")
         assert Const("a") != ("a",) and Const("a") != "a"
+
+
+    def test_shared_pair_taken_apart_once(self, monkeypatch):
+        # a chain shares its subtrees; compared with its parse on a twin
+        # lattice, each distinct pair of nodes is taken apart once
+        lat = mo(4)
+        d = derive_chain(lat, "c", ["a", "b", "a"])
+        copy_ = parse_derivation(serialize(d), parse_lattice(serialize(lat)))
+        distinct = {id(node): node for node in parts(d)}
+        assert len(distinct) < sum(1 for _ in parts(d))
+        opened = []
+        real = record._parts
+        monkeypatch.setattr(record, "_parts", lambda x: opened.append(x) or real(x))
+        assert copy_ == d
+        # each pair taken apart reads the parts of both its nodes
+        assert 0 < len(opened) // 2 <= len(distinct)
+
+    def test_difference_inside_shared_subtree(self):
+        # a pair met again is skipped only once it was taken apart, so a
+        # difference deep inside a subtree that occurs twice is still found
+        def deep(name):
+            f = Actual(Const(name))
+            for _ in range(50):
+                f = Tensor(Reachable(Const("a")), f)
+            return f
+
+        shared, other = deep("a"), deep("b")
+        assert Plus(shared, shared) == Plus(rebuild(shared), rebuild(shared))
+        assert Plus(shared, shared) != Plus(other, other)
+        assert Plus(shared, shared) != Plus(shared, other)
+        assert Plus(shared, shared) != Plus(rebuild(shared), other)
+        assert Plus(shared, other) != Plus(shared, shared)
 
 
 class TestImmutable:

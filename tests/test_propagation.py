@@ -645,6 +645,44 @@ class TestIncompleteLattice:
             perfect_measurement_map(lat, "0")
 
 
+class TestGuards:
+    """The refusals of the map constructors and combinators, and the
+    generator's check of what it built."""
+
+    def test_powerset_map_action(self):
+        lat = mo(2)
+        action = {e: {e} for e in lat.nonzero()}
+        with pytest.raises(ValueError, match="singleton action missing element 'b'"):
+            PowersetMap(lat, {e: image for e, image in action.items() if e != "b"})
+        with pytest.raises(ValueError, match=r"action defined on non-domain names \['q'\]"):
+            PowersetMap(lat, {**action, "q": {"a"}})
+        with pytest.raises(ValueError, match="0 is outside the map domain"):
+            PowersetMap(lat, action).singleton("0")
+
+    def test_join_map_table(self):
+        lat = mo(2)
+        with pytest.raises(ValueError, match="join map missing element '1'"):
+            JoinMap(lat, {e: e for e in lat.elements if e != "1"})
+
+    def test_union_of_no_maps(self):
+        with pytest.raises(ValueError, match="union of no maps"):
+            quantale_union([])
+
+    def test_compose_join_across_lattices(self):
+        f, g = (JoinMap(lat, {e: e for e in lat.elements}) for lat in (mo(2), mo(3)))
+        with pytest.raises(LatticeMismatchError, match="join maps over different lattices"):
+            compose_join(f, g)
+
+    def test_random_join_map_checks_itself(self, monkeypatch):
+        # a table that does not preserve joins is a fault of the generator,
+        # raised, never returned as a join map
+        lat = mo(2)
+        bad = bytes(lat.index("a" if e == "1" else e) for e in lat.elements)
+        monkeypatch.setattr(propagation, "_joined", lambda lat, parts: bad)
+        with pytest.raises(RuntimeError, match="random join map does not preserve the join of"):
+            random_join_map(lat, random.Random(0))
+
+
 class TestQuantaleOps:
     def test_compose_on_singleton(self):
         lat = mo(2)
